@@ -30,9 +30,11 @@
 //! cache: round 1 encrypts fresh, rounds 2..8 re-randomise, and each round's decrypted
 //! aggregate is printed as an `MRD <round> <fnv-hex>` fingerprint line (diffable against
 //! an `ULDP_FRESH_ENCRYPT=1` process, whose aggregates must be bitwise-identical). The
-//! per-round `server_encryption` timings land in the `multi_round` report section, and —
-//! unless the cache is bypassed or the generic engine forced — the binary asserts every
-//! cached round is at least 4x cheaper than round 1.
+//! per-round server-side `server_encryption` (`roundN`) and silo-side `silo_weighting`
+//! (`silo_roundN`) timings land in the `multi_round` report section, and — unless the
+//! cache is bypassed or the generic engine forced — the binary asserts every cached
+//! round's server encryption is at least 4x cheaper than round 1's. The silo column is
+//! recorded, not gated: the cache serves the server only.
 //!
 //! The exit code is non-zero on any mismatch. Workload knobs: `ULDP_SMOKE_SILOS`,
 //! `ULDP_SMOKE_USERS`, `ULDP_SMOKE_PARAMS`, `ULDP_SMOKE_BITS`, `ULDP_MODPOW_BITS`,
@@ -224,10 +226,13 @@ fn main() {
         mrd_fps.push(fnv64(&aggregate));
         let (fresh, rerandomised) = protocol.round_cache_stats();
         let ms = millis(timings.server_encryption);
+        let silo_ms = millis(timings.silo_weighting);
         println!(
-            "mrd round={round} srv_enc {ms:9.1} ms | fresh {fresh} | rerandomised {rerandomised}"
+            "mrd round={round} srv_enc {ms:9.1} ms | silo_enc {silo_ms:9.1} ms | fresh {fresh} \
+             | rerandomised {rerandomised}"
         );
         mrd_entry.phase(&format!("round{round}"), ms);
+        mrd_entry.phase(&format!("silo_round{round}"), silo_ms);
         srv_enc_ms.push(ms);
     }
     // Acceptance gate: with the cache active every re-randomised round must be at

@@ -52,18 +52,20 @@
 //!
 //! Across rounds the server's step 2.(a) plaintexts — the blinded inverses — do not
 //! change unless the sampling mask does, so a per-federation `RoundCryptoCache` holds
-//! the encrypted inverses: round 1 encrypts and populates it; later rounds under an
-//! unchanged mask *re-randomise* the cached ciphertexts (`c · h^t` for a fresh `t`, one
-//! squaring-free fixed-base lookup per user) instead of paying a full Paillier
-//! encryption each. Mask flips, silo dropouts and `ULDP_FRESH_ENCRYPT=1` (or
-//! [`ProtocolConfig::fresh_encrypt`]) invalidate exactly the affected users' entries.
-//! Step 2.(b)'s fixed-base tables anchor to the round-1 base ciphertexts
-//! (`current^k = base_table[k] · h_table[rand_exp · k]`), so they too are reused across
-//! rounds; bases too lightly used for a table fuse their cell terms into one
-//! interleaved multi-exponentiation (`ModulusCtx::multi_exp`). Every step is exact
-//! group arithmetic, so decrypted aggregates stay bitwise-identical to the
-//! fresh-encryption path at every `(threads, shards, chunk)` point — CI diffs a cached
-//! against a `ULDP_FRESH_ENCRYPT=1` smoke run to pin this.
+//! the server's most recently distributed ciphertext per user: round 1 encrypts and
+//! populates it; later rounds under an unchanged mask *re-randomise* the cached
+//! ciphertexts (`c · h^t` for a fresh `t`, one squaring-free fixed-base lookup per user)
+//! instead of paying a full Paillier encryption each. Mask flips, silo dropouts and
+//! `ULDP_FRESH_ENCRYPT=1` (or [`ProtocolConfig::fresh_encrypt`]) invalidate exactly the
+//! affected users' entries. The cache is server state only: step 2.(b) is the silos'
+//! work and is computed from nothing but the ciphertexts they received that round — a
+//! fixed-base table over each heavily used received ciphertext (one exponentiation per
+//! cell, rebuilt and dropped every round), or, for bases too lightly used for a table,
+//! one interleaved multi-exponentiation per cell (`ModulusCtx::multi_exp`). The cached
+//! and fresh-encryption paths therefore share one step 2.(b). Every step is exact group
+//! arithmetic, so decrypted aggregates stay bitwise-identical to the fresh-encryption
+//! path at every `(threads, shards, chunk)` point — CI diffs a cached against a
+//! `ULDP_FRESH_ENCRYPT=1` smoke run to pin this.
 //!
 //! ## Population scaling
 //!
@@ -126,9 +128,13 @@ pub struct ProtocolConfig {
     /// bitwise-identical at any setting.
     pub chunk_size: usize,
     /// Deterministic fault injection for the protocol's rounds ([`crate::scenario`]):
-    /// silos dropping or straggling between steps 2.(b) and 2.(c). Only honoured by
-    /// [`PrivateWeightingProtocol::weighting_round_faulted`]; the plain round entry
-    /// points ignore it. The default plan injects nothing.
+    /// silos dropping or straggling between steps 2.(b) and 2.(c). Rounds run under it
+    /// through [`PrivateWeightingProtocol::weighting_round_faulted`] or
+    /// [`PrivateWeightingProtocol::run_rounds`] (inputs with `faulted: Some(round)`;
+    /// `faulted: None` explicitly requests a fault-free round).
+    /// [`PrivateWeightingProtocol::weighting_round`] and
+    /// [`PrivateWeightingProtocol::weighting_round_with_oblivious_subsampling`] cannot
+    /// honour it and panic when it is active. The default plan injects nothing.
     pub fault_plan: FaultPlan,
     /// Bypass the cross-round ciphertext cache: every round freshly encrypts all
     /// blinded inverses (the pre-cache behaviour). `ULDP_FRESH_ENCRYPT=1` forces the
@@ -175,32 +181,14 @@ const RERAND_SEED_INDEX: u64 = u64::MAX;
 /// terms are gathered into one interleaved multi-exponentiation instead.
 const FIXED_BASE_TABLE_MIN_MULS: usize = 8;
 
-/// Headroom (bits) the accumulated re-randomisation exponent may grow beyond the
-/// plaintext-modulus width before the cache re-bases the entry with a fresh encryption.
-/// Exponents compose additively across rounds (≈1 extra bit per doubling of the round
-/// count), so the guard is unreachable in practice; it exists to keep the shifted-table
-/// exponent `rand_exp · scalar` inside the `2·|n| + 64` bits the [`RerandCtx`] table
-/// covers.
-const RERAND_EXP_HEADROOM_BITS: usize = 64;
-
-/// One user's cached encrypted inverse. `base` is the ciphertext the fixed-base table
-/// (if any) is anchored to; `current = base · h^rand_exp mod n²` is what the silos
-/// actually received in the most recent round. Keeping the pair lets step 2.(b) reuse
-/// the round-1 table forever: `current^k = base_table[k] · h_table[rand_exp · k]` —
-/// exact group arithmetic, bitwise-identical to a direct table over `current`.
+/// One user's cached encrypted inverse: the ciphertext the server distributed in the
+/// most recent round, which the next round re-randomises.
 struct CacheEntry {
     /// The sampling decision the entry was encrypted under; a flip invalidates it (the
     /// plaintext changes between the blinded inverse and zero).
     keep: bool,
-    /// Ciphertext the fixed-base table is anchored to.
-    base: Ciphertext,
-    /// Most recently distributed re-randomisation of `base`.
+    /// Most recently distributed ciphertext.
     current: Ciphertext,
-    /// Accumulated re-randomisation exponent: `current = base · h^rand_exp`.
-    rand_exp: BigUint,
-    /// Fixed-base table over `base`, built lazily by step 2.(b) and reused until the
-    /// entry is invalidated.
-    table: Option<Arc<FixedBaseCtx>>,
 }
 
 /// Per-federation cross-round ciphertext cache: round 1 encrypts every blinded inverse
@@ -210,7 +198,8 @@ struct CacheEntry {
 /// silo dropouts and [`ProtocolConfig::fresh_encrypt`] / `ULDP_FRESH_ENCRYPT=1`
 /// invalidate only the affected users' entries, so multi-round cost is
 /// `encrypt + (R − 1) · rerandomise` while the decrypted aggregates stay
-/// bitwise-identical to the fresh-encryption path.
+/// bitwise-identical to the fresh-encryption path. It is server state only: the silos'
+/// step 2.(b) never reads it.
 struct RoundCryptoCache {
     /// Shared re-randomisation context (`h = ρ^n mod n²` plus its wide fixed-base
     /// table), derived once per federation from the first round's reserved seed slot.
@@ -225,21 +214,9 @@ struct RoundCryptoCache {
     last_rerandomised: usize,
 }
 
-/// Read-only snapshot of one user's cache entry, taken during step 2.(a) so the
-/// streaming fold of step 2.(b) never touches the cache mutex.
-struct CachedUserState {
-    base: Ciphertext,
-    table: Option<Arc<FixedBaseCtx>>,
-    rand_exp: BigUint,
-}
-
-/// Snapshot of the whole cache for one round (only present on the cached path).
-struct CachedRoundState {
-    users: Vec<CachedUserState>,
-    rerand: Arc<RerandCtx>,
-}
-
 /// How step 2.(b) evaluates `inverse^scalar` for one participating user this round.
+/// Every variant is built from the ciphertext the silos received this round and
+/// nothing else.
 enum InverseEval {
     /// Schoolbook square-and-multiply (the `ULDP_GENERIC_MODPOW=1` path).
     Generic { base: BigUint },
@@ -247,11 +224,8 @@ enum InverseEval {
     /// interleaved (Shamir-trick) multi-exponentiation over the cached `n²` context —
     /// the shared squaring ladder replaces one ladder per term.
     Fused { base: BigUint },
-    /// Fixed-base table directly over the distributed ciphertext.
-    Table(Arc<FixedBaseCtx>),
-    /// Cached entry whose table is anchored to the round-1 `base`:
-    /// `current^k = base_table[k] · h_table[rand_exp · k]`.
-    Shifted { base_table: Arc<FixedBaseCtx>, rand_exp: BigUint, rerand: Arc<RerandCtx> },
+    /// Fixed-base table over the received ciphertext, dropped at the end of the round.
+    Table(FixedBaseCtx),
 }
 
 impl Default for ProtocolConfig {
@@ -344,7 +318,7 @@ pub struct RoundInput<'a> {
     /// `Some(round)` runs the round under the configured [`ProtocolConfig::fault_plan`],
     /// drawing round `round`'s fault set. Rounds whose draw drops a silo drain the
     /// pipeline and run sequentially (cache invalidation must stay ordered); `None`
-    /// ignores the plan entirely, like [`PrivateWeightingProtocol::weighting_round`].
+    /// explicitly requests a fault-free round, whatever plan is configured.
     pub faulted: Option<u64>,
 }
 
@@ -659,23 +633,14 @@ impl PrivateWeightingProtocol {
         cache.entries.len()
     }
 
-    /// Estimated resident bytes of the cross-round per-user crypto state: two
-    /// ciphertexts and one accumulated exponent per entry, plus any fixed-base tables.
-    /// With a sparse [`SampleMask`] this tracks `O(q·|U|)` instead of `O(|U|)` — the
-    /// population-scaling benchmarks report it alongside the fold gauge.
+    /// Estimated resident bytes of the cross-round per-user crypto state: one
+    /// ciphertext per entry. Step 2.(b)'s fixed-base tables live only for their round,
+    /// so nothing else persists. With a sparse [`SampleMask`] this tracks `O(q·|U|)`
+    /// instead of `O(|U|)` — the population-scaling benchmarks report it alongside the
+    /// fold gauge.
     pub fn cached_state_bytes(&self) -> usize {
-        let cache = self.cache.lock().expect("cache mutex poisoned");
         let ct_bytes = self.paillier.public.n_squared.bit_length().div_ceil(64) * 8;
-        let n_bytes = self.paillier.public.n.bit_length().div_ceil(64) * 8;
-        let table_bytes = FixedBaseCtx::estimated_table_bytes(
-            self.paillier.public.n_squared.bit_length(),
-            self.paillier.public.n.bit_length(),
-        );
-        cache
-            .entries
-            .values()
-            .map(|e| 2 * ct_bytes + n_bytes + if e.table.is_some() { table_bytes } else { 0 })
-            .sum()
+        self.cached_entry_count() * ct_bytes
     }
 
     /// Drops every cached ciphertext (and the re-randomisation context), so the next
@@ -721,7 +686,7 @@ impl PrivateWeightingProtocol {
         &self,
         sampled: Option<&SampleMask>,
         rng: &mut R,
-    ) -> (Vec<u32>, Vec<Ciphertext>, Option<CachedRoundState>) {
+    ) -> (Vec<u32>, Vec<Ciphertext>) {
         let batch_seed = seeding::wide_seed_from_rng(rng);
         let active = self.active_users(sampled);
         let keep_of = |u: usize| -> bool {
@@ -742,7 +707,7 @@ impl PrivateWeightingProtocol {
             let mut cache = self.cache.lock().expect("cache mutex poisoned");
             cache.last_fresh = active.len();
             cache.last_rerandomised = 0;
-            return (active, cts, None);
+            return (active, cts);
         }
         let mut cache = self.cache.lock().expect("cache mutex poisoned");
         if cache.rerand.is_none() {
@@ -753,72 +718,30 @@ impl PrivateWeightingProtocol {
             cache.rerand = Some(Arc::new(self.paillier.public.rerand_ctx(&mut ctx_rng)));
         }
         let rerand = Arc::clone(cache.rerand.as_ref().expect("context just initialised"));
-        let headroom_bits = self.paillier.public.n.bit_length() + RERAND_EXP_HEADROOM_BITS;
         let fresh: Vec<bool> = active
             .iter()
-            .map(|&u| match cache.entries.get(&u) {
-                Some(e) => {
-                    e.keep != keep_of(u as usize) || e.rand_exp.bit_length() >= headroom_bits
-                }
-                None => true,
-            })
+            .map(|&u| cache.entries.get(&u).is_none_or(|e| e.keep != keep_of(u as usize)))
             .collect();
         // One pooled pass over the active users: fresh entries pay a full Paillier
         // encryption, cached ones one squaring-free `c · h^t`. The workers only read
         // the entries through the guard held by this thread.
         let entries = &cache.entries;
-        let results: Vec<(Ciphertext, Option<BigUint>)> = self.runtime.par_map(&active, |i, &u| {
+        let cts: Vec<Ciphertext> = self.runtime.par_map(&active, |i, &u| {
             let mut rng = StdRng::from_seed(seeding::index_seed_wide(batch_seed, u as u64));
             if fresh[i] {
-                (self.paillier.public.encrypt(&mut rng, &plaintext(u as usize)), None)
+                self.paillier.public.encrypt(&mut rng, &plaintext(u as usize))
             } else {
                 let entry = entries.get(&u).expect("non-fresh user has an entry");
-                let (ct, t) = rerand.rerandomise(&mut rng, &entry.current);
-                (ct, Some(t))
+                rerand.rerandomise(&mut rng, &entry.current)
             }
         });
-        let mut fresh_count = 0usize;
-        let mut rerand_count = 0usize;
-        for (i, (ct, t)) in results.iter().enumerate() {
-            let u = active[i];
-            match t {
-                None => {
-                    fresh_count += 1;
-                    cache.entries.insert(
-                        u,
-                        CacheEntry {
-                            keep: keep_of(u as usize),
-                            base: ct.clone(),
-                            current: ct.clone(),
-                            rand_exp: BigUint::zero(),
-                            table: None,
-                        },
-                    );
-                }
-                Some(t) => {
-                    rerand_count += 1;
-                    let entry = cache.entries.get_mut(&u).expect("non-fresh user has an entry");
-                    entry.current = ct.clone();
-                    entry.rand_exp = entry.rand_exp.add(t);
-                }
-            }
+        for (&u, ct) in active.iter().zip(&cts) {
+            cache.entries.insert(u, CacheEntry { keep: keep_of(u as usize), current: ct.clone() });
         }
+        let fresh_count = fresh.iter().filter(|&&f| f).count();
         cache.last_fresh = fresh_count;
-        cache.last_rerandomised = rerand_count;
-        let users: Vec<CachedUserState> = active
-            .iter()
-            .map(|u| {
-                let e = cache.entries.get(u).expect("every active user has an entry");
-                CachedUserState {
-                    base: e.base.clone(),
-                    table: e.table.clone(),
-                    rand_exp: e.rand_exp.clone(),
-                }
-            })
-            .collect();
-        drop(cache);
-        let cts: Vec<Ciphertext> = results.into_iter().map(|(ct, _)| ct).collect();
-        (active, cts, Some(CachedRoundState { users, rerand }))
+        cache.last_rerandomised = active.len() - fresh_count;
+        (active, cts)
     }
 
     /// Post-round cache invalidation after silo dropouts: any user with records in a
@@ -845,7 +768,35 @@ impl PrivateWeightingProtocol {
     ///
     /// Returns the decoded aggregate `Σ_s (Σ_u w_{s,u} Δ̃_{s,u} + z_s)` plus per-phase
     /// timings.
+    ///
+    /// Panics when [`ProtocolConfig::fault_plan`] is active: this entry point cannot
+    /// inject faults, so such rounds go through
+    /// [`PrivateWeightingProtocol::weighting_round_faulted`] or
+    /// [`PrivateWeightingProtocol::run_rounds`].
     pub fn weighting_round<R: Rng + ?Sized>(
+        &self,
+        clipped_deltas: &[Vec<Vec<f64>>],
+        noises: &[Vec<f64>],
+        sampled: Option<&SampleMask>,
+        rng: &mut R,
+    ) -> (Vec<f64>, RoundTimings) {
+        self.reject_fault_plan("weighting_round");
+        self.fault_free_round(clipped_deltas, noises, sampled, rng)
+    }
+
+    /// Panics if a fault plan is configured: `entry` is a round entry point that would
+    /// otherwise silently ignore it.
+    fn reject_fault_plan(&self, entry: &str) {
+        assert!(
+            !self.fault_plan.is_active(),
+            "{entry} cannot honour the active ProtocolConfig::fault_plan; run faulted rounds \
+             through weighting_round_faulted or run_rounds"
+        );
+    }
+
+    /// The body of [`PrivateWeightingProtocol::weighting_round`]: one round with no
+    /// fault injection, whatever plan is configured.
+    fn fault_free_round<R: Rng + ?Sized>(
         &self,
         clipped_deltas: &[Vec<Vec<f64>>],
         noises: &[Vec<f64>],
@@ -863,7 +814,7 @@ impl PrivateWeightingProtocol {
         // caller's RNG parameterises the whole batch; per-user randomness is derived
         // from (seed, u), so the output is bitwise-identical at any thread count.
         let enc_span = trace::timed_span("protocol", "server_encryption");
-        let (active, encrypted_inverses, cached) = self.distribute_inverses(sampled, rng);
+        let (active, encrypted_inverses) = self.distribute_inverses(sampled, rng);
         let server_encryption = enc_span.finish();
 
         // --- Steps 2.(b)-(c): silo-side encrypted weighting, secure aggregation of
@@ -877,7 +828,6 @@ impl PrivateWeightingProtocol {
             &encrypted_inverses,
             dim,
             None,
-            cached.as_ref(),
         );
         timings.server_encryption = server_encryption;
         (out, timings)
@@ -918,7 +868,7 @@ impl PrivateWeightingProtocol {
         // Step 2.(a) is unchanged: the server encrypts (or re-randomises from cache)
         // before any silo drops.
         let enc_span = trace::timed_span("protocol", "server_encryption");
-        let (active, encrypted_inverses, cached) = self.distribute_inverses(sampled, rng);
+        let (active, encrypted_inverses) = self.distribute_inverses(sampled, rng);
         let server_encryption = enc_span.finish();
 
         let dropped = self.fault_plan.dropped_silos(round, self.num_silos);
@@ -954,7 +904,6 @@ impl PrivateWeightingProtocol {
             &encrypted_inverses,
             dim,
             Some(&dropped),
-            cached.as_ref(),
         );
         timings.server_encryption = server_encryption;
 
@@ -1123,7 +1072,7 @@ impl PrivateWeightingProtocol {
             }
             None => {
                 let (aggregate, timings) =
-                    self.weighting_round(input.clipped_deltas, input.noises, input.sampled, rng);
+                    self.fault_free_round(input.clipped_deltas, input.noises, input.sampled, rng);
                 RoundOutput { aggregate, dropped: None, timings }
             }
         }
@@ -1144,7 +1093,7 @@ impl PrivateWeightingProtocol {
         assert!(dim > 0, "model dimension must be positive");
 
         let enc_span = trace::timed_span("protocol", "server_encryption");
-        let (active, encrypted_inverses, cached) = self.distribute_inverses(input.sampled, rng);
+        let (active, encrypted_inverses) = self.distribute_inverses(input.sampled, rng);
         let server_encryption = enc_span.finish();
 
         let (dropped, reweight, delay) = match input.faulted {
@@ -1182,7 +1131,6 @@ impl PrivateWeightingProtocol {
             &encrypted_inverses,
             dim,
             dropped.as_deref(),
-            cached.as_ref(),
         );
         DecryptJob {
             totals,
@@ -1207,7 +1155,8 @@ impl PrivateWeightingProtocol {
     ///
     /// Returns the decoded aggregate, the realised selection flags (**for validation and
     /// accounting tests only** — in a deployment no party may observe them), and the
-    /// per-phase timings.
+    /// per-phase timings. Panics when [`ProtocolConfig::fault_plan`] is active, which
+    /// this entry point cannot honour.
     pub fn weighting_round_with_oblivious_subsampling<R: Rng + ?Sized>(
         &self,
         clipped_deltas: &[Vec<Vec<f64>>],
@@ -1215,6 +1164,7 @@ impl PrivateWeightingProtocol {
         sampling: &ObliviousSubsampling,
         rng: &mut R,
     ) -> (Vec<f64>, Vec<bool>, RoundTimings) {
+        self.reject_fault_plan("weighting_round_with_oblivious_subsampling");
         assert_eq!(clipped_deltas.len(), self.num_silos, "one delta set per silo required");
         assert_eq!(noises.len(), self.num_silos, "one noise vector per silo required");
         let dim = noises[0].len();
@@ -1246,15 +1196,8 @@ impl PrivateWeightingProtocol {
         // ciphertexts in place of the server-published inverses. Every user gets an OT
         // offer (the whole point is hiding who was sampled), so all users are active.
         let active: Vec<u32> = (0..self.num_users as u32).collect();
-        let (out, mut timings) = self.weighting_round_with_inverses(
-            clipped_deltas,
-            noises,
-            &active,
-            &chosen,
-            dim,
-            None,
-            None,
-        );
+        let (out, mut timings) =
+            self.weighting_round_with_inverses(clipped_deltas, noises, &active, &chosen, dim, None);
         timings.server_encryption = server_encryption;
         (out, selected_flags, timings)
     }
@@ -1263,10 +1206,7 @@ impl PrivateWeightingProtocol {
     /// round's active users and their encrypted inverses (aligned position for
     /// position) as distributed to the silos. When `dropped` is given, the marked
     /// silos' cells (deltas and noise) are excluded from the streaming fold — their
-    /// reports never reach the server. When `cached` is given (the cross-round cache
-    /// path), per-user fixed-base tables anchor to the round-1 base ciphertexts, so
-    /// they survive re-randomisation and are reused across rounds.
-    #[allow(clippy::too_many_arguments)]
+    /// reports never reach the server.
     fn weighting_round_with_inverses(
         &self,
         clipped_deltas: &[Vec<Vec<f64>>],
@@ -1275,7 +1215,6 @@ impl PrivateWeightingProtocol {
         encrypted_inverses: &[Ciphertext],
         dim: usize,
         dropped: Option<&[bool]>,
-        cached: Option<&CachedRoundState>,
     ) -> (Vec<f64>, RoundTimings) {
         let (totals, silo_weighting) = self.fold_round_totals(
             clipped_deltas,
@@ -1284,7 +1223,6 @@ impl PrivateWeightingProtocol {
             encrypted_inverses,
             dim,
             dropped,
-            cached,
         );
         let (out, aggregation) = self.decrypt_totals(&totals);
         (out, RoundTimings { server_encryption: Duration::ZERO, silo_weighting, aggregation })
@@ -1296,7 +1234,9 @@ impl PrivateWeightingProtocol {
     /// round's [`PrivateWeightingProtocol::decrypt_totals`]: the two touch disjoint
     /// key material (public vs secret) and disjoint state, and each is deterministic
     /// in isolation, so overlap cannot change any bit of either.
-    #[allow(clippy::too_many_arguments)]
+    ///
+    /// This is the silos' work: it reads only the public key, the ciphertexts the silos
+    /// received (`encrypted_inverses`) and silo-side inputs — never the server's cache.
     fn fold_round_totals(
         &self,
         clipped_deltas: &[Vec<Vec<f64>>],
@@ -1305,7 +1245,6 @@ impl PrivateWeightingProtocol {
         encrypted_inverses: &[Ciphertext],
         dim: usize,
         dropped: Option<&[bool]>,
-        cached: Option<&CachedRoundState>,
     ) -> (Vec<Ciphertext>, Duration) {
         let n = &self.paillier.public.n;
         let n_squared = &self.paillier.public.n_squared;
@@ -1368,7 +1307,7 @@ impl PrivateWeightingProtocol {
         // All per-user contexts are alive for the whole region, and a fixed-base table
         // costs megabytes per user at paper-scale key sizes — so the tables are only
         // requested while the aggregate footprint stays within a fixed budget; beyond
-        // it, users get the table-free sliding-window context (`expected 1 use`), which
+        // it, every user's terms fuse into the per-cell multi-exponentiation, which
         // still shares the cached per-modulus engine state.
         const FIXED_BASE_BUDGET_BYTES: usize = 256 << 20;
         let table_bytes = FixedBaseCtx::estimated_table_bytes(
@@ -1389,56 +1328,13 @@ impl PrivateWeightingProtocol {
                 if !tables_affordable || ctx_uses[i] < FIXED_BASE_TABLE_MIN_MULS {
                     return InverseEval::Fused { base: ct.0.clone() };
                 }
-                match cached {
-                    // Un-cached path (OT rounds, bypass mode): table over the
-                    // distributed ciphertext itself, rebuilt every round.
-                    None => InverseEval::Table(Arc::new(FixedBaseCtx::new(
-                        Arc::clone(self.paillier.public.ctx_n2()),
-                        &ct.0,
-                        n_bits,
-                    ))),
-                    // Cached path: the table anchors to the round-1 base, so a
-                    // re-randomised `current = base · h^rand_exp` evaluates as
-                    // `base_table[k] · h_table[rand_exp · k]` — same group element,
-                    // same bits, no table rebuild.
-                    Some(state) => {
-                        let user = &state.users[i];
-                        let table = user.table.clone().unwrap_or_else(|| {
-                            Arc::new(FixedBaseCtx::new(
-                                Arc::clone(self.paillier.public.ctx_n2()),
-                                &user.base.0,
-                                n_bits,
-                            ))
-                        });
-                        if user.rand_exp.is_zero() {
-                            InverseEval::Table(table)
-                        } else {
-                            InverseEval::Shifted {
-                                base_table: table,
-                                rand_exp: user.rand_exp.clone(),
-                                rerand: Arc::clone(&state.rerand),
-                            }
-                        }
-                    }
-                }
+                InverseEval::Table(FixedBaseCtx::new(
+                    Arc::clone(self.paillier.public.ctx_n2()),
+                    &ct.0,
+                    n_bits,
+                ))
             })
         });
-        // Persist tables built this round so later rounds skip the precomputation.
-        if cached.is_some() {
-            let mut cache = self.cache.lock().expect("cache mutex poisoned");
-            for (i, eval) in evals.iter().enumerate() {
-                let table = match eval {
-                    Some(InverseEval::Table(t)) => t,
-                    Some(InverseEval::Shifted { base_table, .. }) => base_table,
-                    _ => continue,
-                };
-                if let Some(entry) = cache.entries.get_mut(&active[i]) {
-                    if entry.table.is_none() {
-                        entry.table = Some(Arc::clone(table));
-                    }
-                }
-            }
-        }
         // Steps 2.(b)+(c) silo side: every (silo, coordinate) cell is independent — the
         // Paillier `scalar_mul` per user inside it is the protocol's dominant cost
         // (Figures 10–11) — and ciphertext addition is exact modular arithmetic, so the
@@ -1481,11 +1377,6 @@ impl PrivateWeightingProtocol {
                         continue;
                     }
                     InverseEval::Table(table) => table.pow(&scalar),
-                    InverseEval::Shifted { base_table, rand_exp, rerand } => mod_mul(
-                        &base_table.pow(&scalar),
-                        &rerand.pow_h(&rand_exp.mul(&scalar)),
-                        n_squared,
-                    ),
                 };
                 metrics::PAILLIER_SCALAR_MUL.inc();
                 acc = self.paillier.public.add(&acc, &Ciphertext(term));
@@ -1838,6 +1729,44 @@ mod tests {
         ProtocolConfig { fault_plan: plan, ..test_config() }
     }
 
+    /// One explicitly fault-free round on a protocol configured with a fault plan (a
+    /// `run_rounds` input with `faulted: None`), where `weighting_round` would panic.
+    fn fault_free_round<R: Rng + ?Sized>(
+        protocol: &PrivateWeightingProtocol,
+        deltas: &[Vec<Vec<f64>>],
+        noises: &[Vec<f64>],
+        rng: &mut R,
+    ) -> (Vec<f64>, RoundTimings) {
+        let mut out = protocol.run_rounds(&[RoundInput::new(deltas, noises)], rng);
+        let out = out.pop().expect("one round in, one round out");
+        assert!(out.dropped.is_none());
+        (out.aggregate, out.timings)
+    }
+
+    #[test]
+    #[should_panic(expected = "run faulted rounds through weighting_round_faulted or run_rounds")]
+    fn plain_round_rejects_an_active_fault_plan() {
+        let histogram = small_histogram();
+        let plan = FaultPlan { delay_fraction: 1.0, delay_ms: 1, ..FaultPlan::none() };
+        let mut rng = StdRng::seed_from_u64(59);
+        let protocol = PrivateWeightingProtocol::setup(&histogram, &faulted_config(plan), &mut rng);
+        let (deltas, noises) = deltas_and_noise(&histogram, 3, 60);
+        let _ = protocol.weighting_round(&deltas, &noises, None, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "run faulted rounds through weighting_round_faulted or run_rounds")]
+    fn oblivious_round_rejects_an_active_fault_plan() {
+        let histogram = small_histogram();
+        let plan = FaultPlan { dropout_fraction: 0.4, seed: 77, ..FaultPlan::none() };
+        let mut rng = StdRng::seed_from_u64(61);
+        let protocol = PrivateWeightingProtocol::setup(&histogram, &faulted_config(plan), &mut rng);
+        let (deltas, noises) = deltas_and_noise(&histogram, 3, 62);
+        let sampling = ObliviousSubsampling::new(1, 2);
+        let _ = protocol
+            .weighting_round_with_oblivious_subsampling(&deltas, &noises, &sampling, &mut rng);
+    }
+
     #[test]
     fn faulted_round_without_faults_matches_plain_round() {
         let histogram = small_histogram();
@@ -1890,7 +1819,7 @@ mod tests {
             }
         }
         let (zeroed, _) =
-            protocol.weighting_round(&zeroed_deltas, &zeroed_noises, None, &mut round_rng.clone());
+            fault_free_round(&protocol, &zeroed_deltas, &zeroed_noises, &mut round_rng.clone());
         let surviving = dropped.iter().filter(|&&d| !d).count();
         let factor = protocol.num_silos() as f64 / surviving as f64;
         let rescaled: Vec<u64> = zeroed.iter().map(|v| (v * factor).to_bits()).collect();
@@ -2019,7 +1948,7 @@ mod tests {
         let protocol = PrivateWeightingProtocol::setup(&histogram, &faulted_config(plan), &mut rng);
         let (deltas, noises) = deltas_and_noise(&histogram, 4, 98);
 
-        let _ = protocol.weighting_round(&deltas, &noises, None, &mut rng);
+        let _ = fault_free_round(&protocol, &deltas, &noises, &mut rng);
         assert_eq!(protocol.round_cache_stats(), (4, 0));
         // The faulted round itself is served entirely from cache (encryption happens
         // before the dropout)…
@@ -2032,7 +1961,7 @@ mod tests {
             .filter(|&u| dropped.iter().enumerate().any(|(s, &d)| d && histogram[s][u] > 0))
             .count();
         assert!(affected > 0 && affected < 4, "the plan must split the users");
-        let (out, _) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
+        let (out, _) = fault_free_round(&protocol, &deltas, &noises, &mut rng);
         assert_eq!(protocol.round_cache_stats(), (affected, 4 - affected));
         let reference = protocol.plaintext_reference(&deltas, &noises, None);
         for (a, b) in out.iter().zip(reference.iter()) {
@@ -2049,7 +1978,7 @@ mod tests {
         let (deltas, noises) = deltas_and_noise(&histogram, 3, 58);
         let round_rng = rng.clone();
         let (plain, plain_timings) =
-            protocol.weighting_round(&deltas, &noises, None, &mut round_rng.clone());
+            fault_free_round(&protocol, &deltas, &noises, &mut round_rng.clone());
         let (delayed, dropped, delayed_timings) =
             protocol.weighting_round_faulted(&deltas, &noises, None, 0, &mut round_rng.clone());
         assert!(dropped.iter().all(|&d| !d));
@@ -2142,7 +2071,17 @@ mod tests {
         for (a, b) in out.iter().zip(reference.iter()) {
             assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");
         }
-        assert!(protocol.cached_state_bytes() > 0);
+        // Two more rounds wide enough (8 coordinates) that every participant gets a
+        // step 2.(b) fixed-base table: none outlives its round, so the cache holds
+        // exactly one ciphertext per entry.
+        let (wide_deltas, wide_noises) = deltas_and_noise(&histogram, 8, 73);
+        for sample in [&mask, &other] {
+            let _ = protocol.weighting_round(&wide_deltas, &wide_noises, Some(sample), &mut rng);
+        }
+        assert_eq!(protocol.round_cache_stats(), (0, 2));
+        let ct_bytes = (2 * protocol.modulus_bits()).div_ceil(64) * 8;
+        assert_eq!(protocol.cached_entry_count(), 4);
+        assert_eq!(protocol.cached_state_bytes(), protocol.cached_entry_count() * ct_bytes);
     }
 
     #[test]

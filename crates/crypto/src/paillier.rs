@@ -241,10 +241,8 @@ pub struct RerandCtx {
 impl RerandCtx {
     /// `h^t mod n²` — the n-th power a re-randomisation by exponent `t` multiplies in.
     ///
-    /// The table covers exponents up to `2·|n| + 64` bits: enough for an accumulated
-    /// per-round exponent `Σ t` times a scalar `< n` across 2⁶⁴ rounds, which is what
-    /// lets Protocol 1's cross-round cache re-derive `c·h^(Σt)` powers from the
-    /// round-1 base without leaving the squaring-free path.
+    /// The table covers the `|n|`-bit exponents [`RerandCtx::rerandomise`] draws;
+    /// longer exponents take the sliding-window path with identical results.
     pub fn pow_h(&self, t: &BigUint) -> BigUint {
         match &self.table {
             Some(fixed) => fixed.pow(t),
@@ -252,17 +250,8 @@ impl RerandCtx {
         }
     }
 
-    /// Re-randomises `c` with a fresh exponent `t ∈ [1, n)`, returning `(c·h^t, t)`.
-    ///
-    /// The exponent is returned so callers can accumulate it: two successive
-    /// re-randomisations by `t₁`, `t₂` satisfy `c·h^(t₁+t₂)` exactly, which Protocol
-    /// 1's `RoundCryptoCache` uses to relate every round's ciphertext to its round-1
-    /// base.
-    pub fn rerandomise<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        c: &Ciphertext,
-    ) -> (Ciphertext, BigUint) {
+    /// Re-randomises `c` with a fresh exponent `t ∈ [1, n)`, returning `c·h^t`.
+    pub fn rerandomise<R: Rng + ?Sized>(&self, rng: &mut R, c: &Ciphertext) -> Ciphertext {
         uldp_telemetry::metrics::PAILLIER_RERANDOMISE.inc();
         let t = loop {
             let t = BigUint::random_below(rng, &self.n);
@@ -270,7 +259,7 @@ impl RerandCtx {
                 break t;
             }
         };
-        (Ciphertext(mod_mul(&c.0, &self.pow_h(&t), &self.n_squared)), t)
+        Ciphertext(mod_mul(&c.0, &self.pow_h(&t), &self.n_squared))
     }
 
     /// Re-randomises a batch on the runtime's worker pool with the same deterministic
@@ -281,7 +270,7 @@ impl RerandCtx {
         rt: &Runtime,
         seed: WideSeed,
         cts: &[Ciphertext],
-    ) -> Vec<(Ciphertext, BigUint)> {
+    ) -> Vec<Ciphertext> {
         rt.par_map_wide_seeded(cts.len(), seed, |i, rng| self.rerandomise(rng, &cts[i]))
     }
 }
@@ -371,8 +360,8 @@ impl PaillierPublicKey {
         } else {
             self.ctx_n2().pow(&rho, &self.n)
         };
-        // Covers Σt (64 rounds-bits of headroom) times a scalar < n; see RerandCtx::pow_h.
-        let max_bits = 2 * self.n.bit_length() + 64;
+        // Covers the exponents t < n that RerandCtx::rerandomise draws.
+        let max_bits = self.n.bit_length();
         let table = (!engine_disabled()).then(|| {
             FixedBaseCtx::with_window(Arc::clone(self.ctx_n2()), &h, max_bits, RERAND_WINDOW)
         });
@@ -895,31 +884,32 @@ mod tests {
     }
 
     #[test]
-    fn rerand_ctx_accumulates_exponents_exactly() {
+    fn rerand_ctx_preserves_plaintext_and_pow_h_matches_mod_pow() {
         let kp = keypair(256, 34);
         let mut rng = StdRng::seed_from_u64(35);
         let ctx = kp.public.rerand_ctx(&mut rng);
         let m = BigUint::from_u64(777);
         let c1 = kp.public.encrypt(&mut rng, &m);
-        let (c2, t1) = ctx.rerandomise(&mut rng, &c1);
-        let (c3, t2) = ctx.rerandomise(&mut rng, &c2);
+        let c2 = ctx.rerandomise(&mut rng, &c1);
+        let c3 = ctx.rerandomise(&mut rng, &c2);
         for c in [&c2, &c3] {
             assert_eq!(kp.secret.decrypt(c), m);
             assert_ne!(c, &c1);
         }
-        // The cache identity: successive re-randomisations compose additively in the
-        // exponent, c3 = c1·h^(t1+t2) — exact group arithmetic, so bitwise.
-        let total = t1.add(&t2);
-        assert_eq!(c3.0, mod_mul(&c1.0, &ctx.pow_h(&total), &kp.public.n_squared));
-        // pow_h is the schoolbook h^t (h = pow_h(1)), even past the table's digits.
+        // pow_h is the schoolbook h^t (h = pow_h(1)), inside the table's |n|-bit range
+        // and past it.
         let h = ctx.pow_h(&BigUint::one());
-        assert_eq!(ctx.pow_h(&total), mod_pow(&h, &total, &kp.public.n_squared));
+        let in_range = kp.public.n.sub(&BigUint::one());
+        let past_range = kp.public.n.mul(&BigUint::from_u64(3));
+        for t in [in_range, past_range] {
+            assert_eq!(ctx.pow_h(&t), mod_pow(&h, &t, &kp.public.n_squared));
+        }
         // Batch form: deterministic in the seed, identical across thread counts.
         let cts = vec![c1.clone(), c2.clone()];
         let seq = ctx.rerandomise_batch(&Runtime::new(1), [1, 2, 3, 4], &cts);
         let par = ctx.rerandomise_batch(&Runtime::new(4), [1, 2, 3, 4], &cts);
         assert_eq!(seq, par);
-        for (fresh, _) in &seq {
+        for fresh in &seq {
             assert_eq!(kp.secret.decrypt(fresh), m);
         }
     }
