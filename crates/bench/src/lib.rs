@@ -48,11 +48,25 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the environment (`quick` unless `ULDP_BENCH_SCALE=full`).
+    /// Reads the scale from `ULDP_BENCH_SCALE` (see [`Scale::parse`]); panics on any
+    /// other value, naming it, so a typo never silently runs the `quick` workloads.
     pub fn from_env() -> Self {
-        match std::env::var("ULDP_BENCH_SCALE").as_deref() {
-            Ok("full") | Ok("FULL") => Scale::Full,
-            _ => Scale::Quick,
+        let value = match std::env::var("ULDP_BENCH_SCALE") {
+            Ok(v) => Some(v),
+            Err(std::env::VarError::NotPresent) => None,
+            Err(e) => panic!("ULDP_BENCH_SCALE: {e}"),
+        };
+        Scale::parse(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Parses a `ULDP_BENCH_SCALE` value: unset means `quick`; `quick` and `full` are
+    /// accepted case-insensitively.
+    pub fn parse(value: Option<&str>) -> Result<Scale, String> {
+        match value {
+            None => Ok(Scale::Quick),
+            Some(v) if v.eq_ignore_ascii_case("quick") => Ok(Scale::Quick),
+            Some(v) if v.eq_ignore_ascii_case("full") => Ok(Scale::Full),
+            Some(v) => Err(format!("ULDP_BENCH_SCALE must be `quick` or `full`, not `{v}`")),
         }
     }
 
@@ -283,6 +297,23 @@ mod tests {
         assert_eq!(Scale::from_env(), Scale::Quick);
         assert_eq!(Scale::Quick.pick(1, 2), 1);
         assert_eq!(Scale::Full.pick(1, 2), 2);
+    }
+
+    #[test]
+    fn scale_parse_accepts_quick_and_full_and_names_anything_else() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Quick));
+        for (value, scale) in [
+            ("quick", Scale::Quick),
+            ("QUICK", Scale::Quick),
+            ("full", Scale::Full),
+            ("FULL", Scale::Full),
+        ] {
+            assert_eq!(Scale::parse(Some(value)), Ok(scale));
+        }
+        for bad in ["ful", "", "fast", "full "] {
+            let err = Scale::parse(Some(bad)).unwrap_err();
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub fn accounting_group_size(k: u64) -> u64 {
 pub fn build_contribution_flags(dataset: &FederatedDataset, k: u64) -> Vec<bool> {
     let mut kept_per_user = vec![0u64; dataset.num_users];
     dataset
-        .records
+        .records()
         .iter()
         .map(|r| {
             if kept_per_user[r.user] < k {
@@ -107,7 +107,7 @@ pub fn run_round(
                 let mut scratch = template.clone_model();
                 // D'_s: this silo's records that survive the contribution bound.
                 let records: Vec<&uldp_ml::Sample> = dataset
-                    .records
+                    .records()
                     .iter()
                     .zip(flags.iter())
                     .filter(|(r, &keep)| keep && r.silo == silo_id)
@@ -152,7 +152,7 @@ mod tests {
         let k = 4;
         let flags = build_contribution_flags(&dataset, k);
         let mut per_user = vec![0u64; dataset.num_users];
-        for (r, &keep) in dataset.records.iter().zip(flags.iter()) {
+        for (r, &keep) in dataset.records().iter().zip(flags.iter()) {
             if keep {
                 per_user[r.user] += 1;
             }

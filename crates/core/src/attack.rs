@@ -44,7 +44,7 @@ pub fn user_average_loss(model: &dyn Model, records: &[Sample]) -> Option<f64> {
 /// attacker would assemble it after record linkage).
 pub fn member_user_records(dataset: &FederatedDataset) -> Vec<Vec<Sample>> {
     let mut per_user: Vec<Vec<Sample>> = vec![Vec::new(); dataset.num_users];
-    for record in &dataset.records {
+    for record in dataset.records() {
         per_user[record.user].push(record.sample.clone());
     }
     per_user.into_iter().filter(|records| !records.is_empty()).collect()

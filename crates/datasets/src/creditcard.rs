@@ -126,7 +126,8 @@ mod tests {
     fn labels_are_imbalanced() {
         let mut rng = StdRng::seed_from_u64(1);
         let d = generate(&mut rng, &CreditcardConfig::default());
-        let fraud = d.records.iter().filter(|r| r.sample.target.class() == Some(1)).count() as f64
+        let fraud = d.records().iter().filter(|r| r.sample.target.class() == Some(1)).count()
+            as f64
             / d.num_records() as f64;
         assert!(fraud > 0.05 && fraud < 0.30, "fraud rate {fraud}");
     }
@@ -158,7 +159,7 @@ mod tests {
         let mut mean1 = vec![0.0; dim];
         let mut n0 = 0.0;
         let mut n1 = 0.0;
-        for r in &d.records {
+        for r in d.records() {
             let target = r.sample.target.class().unwrap();
             let (m, n) = if target == 0 { (&mut mean0, &mut n0) } else { (&mut mean1, &mut n1) };
             for (mi, &x) in m.iter_mut().zip(r.sample.features.iter()) {

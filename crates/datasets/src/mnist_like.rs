@@ -143,7 +143,7 @@ mod tests {
         assert_eq!(d.feature_dim(), cfg.dim);
         // all ten classes present
         let mut seen = vec![false; cfg.classes];
-        for r in &d.records {
+        for r in d.records() {
             seen[r.sample.target.class().unwrap()] = true;
         }
         assert!(seen.into_iter().all(|s| s));
@@ -157,7 +157,7 @@ mod tests {
         let d = generate(&mut rng, &cfg);
         let mut per_user: Vec<std::collections::HashSet<usize>> =
             vec![std::collections::HashSet::new(); cfg.num_users];
-        for r in &d.records {
+        for r in d.records() {
             per_user[r.user].insert(r.sample.target.class().unwrap());
         }
         for labels in per_user {
@@ -172,7 +172,7 @@ mod tests {
         let d = generate(&mut rng, &cfg);
         let mut per_user: Vec<std::collections::HashSet<usize>> =
             vec![std::collections::HashSet::new(); cfg.num_users];
-        for r in &d.records {
+        for r in d.records() {
             per_user[r.user].insert(r.sample.target.class().unwrap());
         }
         assert!(per_user.iter().all(|l| l.len() >= 5));

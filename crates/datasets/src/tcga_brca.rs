@@ -115,7 +115,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let d = generate(&mut rng, &TcgaBrcaConfig::default());
         let mut events = 0usize;
-        for r in &d.records {
+        for r in d.records() {
             let (time, event) = r.sample.target.survival().expect("survival target");
             assert!(time > 0.0);
             events += usize::from(event);
@@ -153,7 +153,7 @@ mod tests {
         let beta = true_beta(cfg.dim);
         let mut risky_times = Vec::new();
         let mut safe_times = Vec::new();
-        for r in &d.records {
+        for r in d.records() {
             let risk: f64 = r.sample.features.iter().zip(beta.iter()).map(|(x, b)| x * b).sum();
             let (time, _) = r.sample.target.survival().unwrap();
             if risk > 0.5 {
