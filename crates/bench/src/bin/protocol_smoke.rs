@@ -49,12 +49,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
-use uldp_bench::{
-    millis, pipelined_vs_sequential_rounds, pooled_vs_sequential_round, BenchEntry, BenchSection,
-};
+use uldp_bench::{millis, pooled_vs_sequential_round, BenchEntry, BenchSection};
 use uldp_core::{
     ByzantineStrategy, FaultPlan, FlConfig, Method, PrivateWeightingProtocol, ProtocolConfig,
-    RoundInput, SampleMask, Trainer, WeightingStrategy,
+    SampleMask, Trainer, WeightingStrategy,
 };
 use uldp_datasets::creditcard::{self, CreditcardConfig};
 use uldp_ml::LinearClassifier;
@@ -220,10 +218,9 @@ fn main() {
     let mut mrd_entry =
         BenchEntry::new(format!("silos={num_silos} users={num_users} params={params}"));
     let mut srv_enc_ms = Vec::with_capacity(num_rounds);
-    let mut mrd_fps = Vec::with_capacity(num_rounds);
     for round in 1..=num_rounds {
         let (aggregate, timings) = protocol.weighting_round(&deltas, &noises, None, &mut mrd_rng);
-        mrd_fps.push(fnv64(&aggregate));
+        println!("MRD {round} {:016x}", fnv64(&aggregate));
         let (fresh, rerandomised) = protocol.round_cache_stats();
         let ms = millis(timings.server_encryption);
         let silo_ms = millis(timings.silo_weighting);
@@ -264,117 +261,6 @@ fn main() {
     match multi_round.write() {
         Ok(path) => println!("Wrote multi_round section to {}", path.display()),
         Err(e) => eprintln!("Failed to write multi_round section: {e}"),
-    }
-
-    // Replay B: the same 8 rounds again, this time through `run_rounds` — the round
-    // pipeline, at the depth ULDP_PIPELINE / ULDP_PIPELINE_DEPTH resolve to — from an
-    // identically-seeded RNG and a reset cache. The MRD fingerprint lines are printed
-    // from THIS replay, so CI's diff of an ULDP_PIPELINE=0 process against a pipelined
-    // one checks the overlapped rounds bit-for-bit; the in-process assert additionally
-    // pins them to the sequential `weighting_round` loop above.
-    let depth = uldp_runtime::resolve_pipeline_depth(0);
-    protocol.reset_round_cache();
-    let mut pipe_rng = StdRng::seed_from_u64(0x004d_5244);
-    let inputs: Vec<RoundInput<'_>> =
-        (0..num_rounds).map(|_| RoundInput::new(&deltas, &noises)).collect();
-    let replay_start = Instant::now();
-    let outputs = protocol.run_rounds(&inputs, &mut pipe_rng);
-    let replay_ms = millis(replay_start.elapsed());
-    for (i, output) in outputs.iter().enumerate() {
-        let fp = fnv64(&output.aggregate);
-        println!("MRD {} {fp:016x}", i + 1);
-        assert_eq!(
-            fp,
-            mrd_fps[i],
-            "pipelined replay (depth {depth}) diverged from the sequential loop at round {}",
-            i + 1
-        );
-    }
-    println!("MRD replay: {num_rounds} rounds in {replay_ms:9.1} ms at pipeline depth {depth}");
-    Runtime::global().fold_gauge().reset();
-
-    // Pipeline gate workload: a dedicated federation small enough that CRT decryption
-    // is a large share of the cached round (few users to fold, many coordinates to
-    // decrypt), so the fold/decrypt overlap of the round pipeline is measurable. The
-    // acceptance gate asserts the 8-round cached replay is >= 1.2x faster pipelined
-    // than sequential — only where the comparison is meaningful: pipeline enabled, a
-    // multi-thread pool on real cores, cache active, and a sequential replay that is
-    // not noise. The `pipeline` section records the comparison either way.
-    let gate_silos = 2usize;
-    let gate_users = 6usize;
-    let gate_params = 32usize;
-    let gate_rounds = 8usize;
-    let mut gate_rng = StdRng::seed_from_u64(0x0050_4950); // "PIP"
-    let gate_hist: Vec<Vec<usize>> = (0..gate_silos)
-        .map(|_| (0..gate_users).map(|_| gate_rng.gen_range(1..4usize)).collect())
-        .collect();
-    let gate_config = ProtocolConfig {
-        paillier_bits: 512,
-        dh_bits: 0,
-        use_rfc_group: true,
-        n_max: 16,
-        ..Default::default()
-    };
-    let gate_protocol = PrivateWeightingProtocol::setup(&gate_hist, &gate_config, &mut gate_rng);
-    let gate_deltas: Vec<Vec<Vec<f64>>> = gate_hist
-        .iter()
-        .map(|row| {
-            row.iter()
-                .map(|_| (0..gate_params).map(|_| gate_rng.gen_range(-0.5..0.5)).collect())
-                .collect()
-        })
-        .collect();
-    let gate_noises: Vec<Vec<f64>> = (0..gate_silos)
-        .map(|_| (0..gate_params).map(|_| gate_rng.gen_range(-0.01..0.01)).collect())
-        .collect();
-    let gate_inputs: Vec<RoundInput<'_>> =
-        (0..gate_rounds).map(|_| RoundInput::new(&gate_deltas, &gate_noises)).collect();
-    let gate_cmp =
-        pipelined_vs_sequential_rounds(&gate_protocol, &gate_inputs, depth, &mut gate_rng);
-    println!(
-        "PIPELINE {gate_rounds} rounds: sequential {:9.1} ms | pipelined {:9.1} ms | \
-         depth {} | {:.2}x (bitwise-identical aggregates)",
-        gate_cmp.seq_ms, gate_cmp.pipe_ms, gate_cmp.depth, gate_cmp.speedup
-    );
-    let mut pipe_section = BenchSection::new("pipeline", threads, paillier_bits);
-    let mut gate_entry = BenchEntry::new(format!(
-        "silos={gate_silos} users={gate_users} params={gate_params} rounds={gate_rounds}"
-    ));
-    gate_entry
-        .phase("seq_ms", gate_cmp.seq_ms)
-        .phase("pipe_ms", gate_cmp.pipe_ms)
-        .phase("depth", gate_cmp.depth as f64);
-    gate_entry.speedup_vs_sequential = Some(gate_cmp.speedup);
-    pipe_section.entries.push(gate_entry);
-    // Informational row: wall-clock of the default-workload MRD replay above.
-    let mut replay_entry = BenchEntry::new(format!(
-        "silos={num_silos} users={num_users} params={params} rounds={num_rounds}"
-    ));
-    replay_entry.phase("pipe_ms", replay_ms).phase("depth", depth as f64);
-    pipe_section.entries.push(replay_entry);
-    match pipe_section.write() {
-        Ok(path) => println!("Wrote pipeline section to {}", path.display()),
-        Err(e) => eprintln!("Failed to write pipeline section: {e}"),
-    }
-    let phys = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    if depth >= 1 && threads >= 2 && phys >= 2 && cache_active && gate_cmp.seq_ms >= 100.0 {
-        assert!(
-            gate_cmp.speedup >= 1.2,
-            "pipelined replay speedup {:.2}x at depth {depth}, {threads} threads is below \
-             the 1.2x gate (seq {:.1} ms, pipelined {:.1} ms)",
-            gate_cmp.speedup,
-            gate_cmp.seq_ms,
-            gate_cmp.pipe_ms
-        );
-        println!(
-            "PIPELINE ok: {:.2}x >= 1.2x at depth {depth}, {threads} threads",
-            gate_cmp.speedup
-        );
-    } else {
-        println!(
-            "PIPELINE gate skipped (pipeline disabled, single-threaded, cache bypassed, \
-             or tiny workload)"
-        );
     }
     Runtime::global().fold_gauge().reset();
 

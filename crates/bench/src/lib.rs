@@ -30,7 +30,7 @@ pub mod trend;
 
 use rand::rngs::StdRng;
 use uldp_core::{
-    FlConfig, Method, PrivateWeightingProtocol, RoundInput, RoundTimings, Trainer, TrainingHistory,
+    FlConfig, Method, PrivateWeightingProtocol, RoundTimings, Trainer, TrainingHistory,
 };
 use uldp_datasets::FederatedDataset;
 use uldp_ml::Model;
@@ -220,71 +220,6 @@ pub fn pooled_vs_sequential_round(
     );
     let speedup = seq_timings.total().as_secs_f64() / timings.total().as_secs_f64().max(1e-12);
     (protocol, RoundComparison { aggregate, timings, seq_timings, speedup, peak_fold_bytes })
-}
-
-/// Outcome of replaying the same multi-round inputs twice — once sequentially
-/// (depth 0) and once through the round pipeline — from identically-seeded RNGs.
-#[derive(Clone, Debug)]
-pub struct PipelineComparison {
-    /// Rounds in the replay.
-    pub rounds: usize,
-    /// Pipeline depth of the overlapped replay (0 means the pipeline was disabled and
-    /// both replays took the sequential path).
-    pub depth: usize,
-    /// Wall-clock of the sequential replay, milliseconds.
-    pub seq_ms: f64,
-    /// Wall-clock of the pipelined replay, milliseconds.
-    pub pipe_ms: f64,
-    /// `seq_ms / pipe_ms` — how much decrypt/fold overlap buys over the loop.
-    pub speedup: f64,
-    /// Aggregates of the pipelined replay (bitwise-equal to the sequential ones).
-    pub aggregates: Vec<Vec<f64>>,
-}
-
-/// Replays `rounds` through [`PrivateWeightingProtocol::run_rounds_with_depth`] twice —
-/// pipelined at `depth` with `rng`, then sequentially (depth 0) from a pre-replay clone
-/// of `rng` — and asserts the decrypted aggregates are bitwise-identical.
-///
-/// A full warm-up replay runs first (cloned RNG, output discarded) so both timed
-/// replays execute against a warm cross-round ciphertext cache: the cached replay is
-/// where decryption is a large enough share of the round for overlap to pay, and it is
-/// the regime the `pipeline` bench section gates on. `rng` advances exactly as one
-/// replay would. Shared by `protocol_smoke` and ad-hoc benches so the comparison
-/// harness cannot drift.
-pub fn pipelined_vs_sequential_rounds(
-    protocol: &PrivateWeightingProtocol,
-    rounds: &[RoundInput<'_>],
-    depth: usize,
-    rng: &mut StdRng,
-) -> PipelineComparison {
-    let mut warm_rng = rng.clone();
-    protocol.reset_round_cache();
-    let _ = protocol.run_rounds_with_depth(rounds, 0, &mut warm_rng);
-    let mut seq_rng = rng.clone();
-    let start = std::time::Instant::now();
-    let outputs = protocol.run_rounds_with_depth(rounds, depth, rng);
-    let pipe_ms = millis(start.elapsed());
-    let start = std::time::Instant::now();
-    let seq_outputs = protocol.run_rounds_with_depth(rounds, 0, &mut seq_rng);
-    let seq_ms = millis(start.elapsed());
-    let bits = |outs: &[uldp_core::RoundOutput]| {
-        outs.iter()
-            .map(|o| o.aggregate.iter().map(|v| v.to_bits()).collect::<Vec<u64>>())
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(
-        bits(&outputs),
-        bits(&seq_outputs),
-        "pipelined and sequential replays must be bitwise-identical"
-    );
-    PipelineComparison {
-        rounds: rounds.len(),
-        depth,
-        seq_ms,
-        pipe_ms,
-        speedup: seq_ms / pipe_ms.max(1e-9),
-        aggregates: outputs.into_iter().map(|o| o.aggregate).collect(),
-    }
 }
 
 #[cfg(test)]

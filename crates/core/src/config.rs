@@ -104,8 +104,11 @@ pub struct FlConfig {
     /// Redraw the user-sampling mask every this many rounds (default 1: a fresh mask
     /// per round, the paper's setting). Larger values hold each drawn mask for
     /// `resample_every` consecutive rounds, which keeps Protocol 1's cross-round
-    /// ciphertext cache hot between redraws — the accountant still composes one
-    /// sub-sampled step per round, a conservative bound for correlated participation.
+    /// ciphertext cache hot between redraws. The accountant still composes one
+    /// independently sub-sampled step per round, which **under-reports ε** for
+    /// `resample_every > 1`: a sampled user joins every round of the block, so the
+    /// block is one sub-sampled k-fold Gaussian, not k independent steps (ROADMAP:
+    /// "Make the privacy ledger match the mechanism actually run").
     /// Ignored when `user_sampling = 1.0` (there is no mask to hold).
     pub resample_every: u64,
     /// Privacy parameter δ (paper default: 1e-5).
@@ -133,16 +136,12 @@ pub struct FlConfig {
     /// there would serialise typical silo counts); an explicit non-zero value still
     /// wins. Training results are bitwise-identical at any setting.
     pub chunk_size: usize,
-    /// Depth of the round pipeline (in-flight evaluation / decryption slots): the
-    /// trainer and Protocol 1 overlap round `t`'s tail stage with round `t+1`'s compute.
-    /// `0` reads `ULDP_PIPELINE_DEPTH`, falling back to 2; `ULDP_PIPELINE=0` forces the
-    /// sequential path regardless. Results are bitwise-identical at any setting.
-    pub pipeline_depth: usize,
     /// Deterministic fault injection for the round ([`crate::scenario`]): dropouts,
     /// stragglers and byzantine updates. Honoured by ULDP-AVG / ULDP-SGD (Protocol 1
     /// carries its own copy in [`crate::protocol::ProtocolConfig`]); the silo-level
-    /// baselines ignore it. The default plan injects nothing and leaves rounds
-    /// byte-for-byte unchanged.
+    /// baselines cannot honour it, so [`FlConfig::validate`] rejects an active plan
+    /// with them. The default plan injects nothing and leaves rounds byte-for-byte
+    /// unchanged.
     pub fault_plan: FaultPlan,
 }
 
@@ -165,7 +164,6 @@ impl Default for FlConfig {
             threads: 0,
             shards: 0,
             chunk_size: 0,
-            pipeline_depth: 0,
             fault_plan: FaultPlan::none(),
         }
     }
@@ -191,21 +189,12 @@ impl FlConfig {
     }
 
     /// The effective shard count: a non-zero [`FlConfig::shards`] wins, otherwise
-    /// `ULDP_SHARDS`, otherwise `1`.
+    /// `ULDP_SHARDS` (a positive integer; anything else panics), otherwise `1`.
     pub fn resolved_shards(&self) -> usize {
         if self.shards != 0 {
             return self.shards;
         }
-        match std::env::var(SHARDS_ENV) {
-            Ok(raw) => match raw.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => {
-                    eprintln!("warning: ignoring invalid {SHARDS_ENV}={raw:?}; using 1 shard");
-                    1
-                }
-            },
-            Err(_) => 1,
-        }
+        uldp_runtime::positive_from_env(SHARDS_ENV).unwrap_or(1)
     }
 
     /// The effective fold chunk size: a non-zero [`FlConfig::chunk_size`] wins,
@@ -234,6 +223,12 @@ impl FlConfig {
         assert!(self.delta > 0.0 && self.delta < 1.0, "delta must be in (0, 1)");
         assert!(self.eval_every > 0, "eval_every must be positive");
         self.fault_plan.validate();
+        assert!(
+            !self.fault_plan.is_active()
+                || matches!(self.method, Method::UldpAvg { .. } | Method::UldpSgd { .. }),
+            "{} cannot honour an active fault_plan; only ULDP-AVG and ULDP-SGD inject faults",
+            self.method.label()
+        );
         if let Method::UldpGroup { sampling_rate, group_size } = self.method {
             assert!(
                 sampling_rate > 0.0 && sampling_rate <= 1.0,
@@ -335,5 +330,22 @@ mod tests {
             ..Default::default()
         };
         cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "ULDP-NAIVE cannot honour an active fault_plan")]
+    fn fault_plan_rejected_for_methods_that_ignore_it() {
+        let plan = FaultPlan { dropout_fraction: 0.5, seed: 3, ..FaultPlan::none() };
+        FlConfig { method: Method::UldpNaive, fault_plan: plan, ..Default::default() }.validate();
+    }
+
+    #[test]
+    fn fault_plan_accepted_for_user_level_methods() {
+        let plan = FaultPlan { delay_fraction: 0.5, delay_ms: 1, ..FaultPlan::none() };
+        for weighting in [WeightingStrategy::Uniform, WeightingStrategy::RecordProportional] {
+            for method in [Method::UldpAvg { weighting }, Method::UldpSgd { weighting }] {
+                FlConfig { method, fault_plan: plan, ..Default::default() }.validate();
+            }
+        }
     }
 }

@@ -38,8 +38,7 @@ pub mod weighting;
 
 pub use config::{FlConfig, GroupSize, Method, WeightingStrategy};
 pub use protocol::{
-    ObliviousSubsampling, PrivateWeightingProtocol, ProtocolConfig, ProtocolTimings, RoundInput,
-    RoundOutput, RoundTimings,
+    ObliviousSubsampling, PrivateWeightingProtocol, ProtocolConfig, ProtocolTimings, RoundTimings,
 };
 pub use sampling::SampleMask;
 pub use scenario::{ByzantineStrategy, FaultPlan, Scenario};

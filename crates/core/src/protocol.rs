@@ -99,7 +99,7 @@ use uldp_crypto::masking::MaskSeed;
 use uldp_crypto::oblivious_transfer::OneOutOfP;
 use uldp_crypto::paillier::{Ciphertext, PaillierKeyPair, PaillierPublicKey, RerandCtx};
 use uldp_crypto::{FixedPointCodec, MultiplicativeBlinder};
-use uldp_runtime::{seeding, CloseOnDrop, Handoff, Runtime};
+use uldp_runtime::{seeding, Runtime};
 use uldp_telemetry::{metrics, trace};
 
 /// Cryptographic parameters of the protocol.
@@ -129,9 +129,7 @@ pub struct ProtocolConfig {
     pub chunk_size: usize,
     /// Deterministic fault injection for the protocol's rounds ([`crate::scenario`]):
     /// silos dropping or straggling between steps 2.(b) and 2.(c). Rounds run under it
-    /// through [`PrivateWeightingProtocol::weighting_round_faulted`] or
-    /// [`PrivateWeightingProtocol::run_rounds`] (inputs with `faulted: Some(round)`;
-    /// `faulted: None` explicitly requests a fault-free round).
+    /// through [`PrivateWeightingProtocol::weighting_round_faulted`];
     /// [`PrivateWeightingProtocol::weighting_round`] and
     /// [`PrivateWeightingProtocol::weighting_round_with_oblivious_subsampling`] cannot
     /// honour it and panic when it is active. The default plan injects nothing.
@@ -141,14 +139,6 @@ pub struct ProtocolConfig {
     /// same bypass process-wide; decrypted aggregates are bitwise-identical either way
     /// (CI diffs them), only the per-round `server_encryption` cost changes.
     pub fresh_encrypt: bool,
-    /// Depth of the multi-round pipeline driven by
-    /// [`PrivateWeightingProtocol::run_rounds`]: how many rounds the fold stage
-    /// (steps 2.a–2.b) may run ahead of the decrypt stage (step 2.c). `0` reads
-    /// `ULDP_PIPELINE_DEPTH` (default 2, classic double buffering); the `ULDP_PIPELINE`
-    /// kill-switch forces the sequential path regardless. The pipeline reorders *when*
-    /// work happens, never what it computes — aggregates are bitwise-identical at any
-    /// depth.
-    pub pipeline_depth: usize,
 }
 
 /// Default cells-per-chunk of the protocol's streaming fold when neither
@@ -240,7 +230,6 @@ impl Default for ProtocolConfig {
             chunk_size: 0,
             fault_plan: FaultPlan::none(),
             fresh_encrypt: false,
-            pipeline_depth: 0,
         }
     }
 }
@@ -261,7 +250,6 @@ impl ProtocolConfig {
             chunk_size: 0,
             fault_plan: FaultPlan::none(),
             fresh_encrypt: false,
-            pipeline_depth: 0,
         }
     }
 }
@@ -302,56 +290,6 @@ impl RoundTimings {
     pub fn total(&self) -> Duration {
         self.server_encryption + self.silo_weighting + self.aggregation
     }
-}
-
-/// One round's inputs for [`PrivateWeightingProtocol::run_rounds`]: the arguments the
-/// per-round entry points take, bundled so a replay can be described up front and
-/// driven through the pipeline.
-pub struct RoundInput<'a> {
-    /// `clipped_deltas[s][u]` — silo `s`'s clipped model delta for user `u` (empty when
-    /// the user has no records in the silo).
-    pub clipped_deltas: &'a [Vec<Vec<f64>>],
-    /// `noises[s]` — the Gaussian noise vector silo `s` adds.
-    pub noises: &'a [Vec<f64>],
-    /// Optional user-level sub-sampling mask.
-    pub sampled: Option<&'a SampleMask>,
-    /// `Some(round)` runs the round under the configured [`ProtocolConfig::fault_plan`],
-    /// drawing round `round`'s fault set. Rounds whose draw drops a silo drain the
-    /// pipeline and run sequentially (cache invalidation must stay ordered); `None`
-    /// explicitly requests a fault-free round, whatever plan is configured.
-    pub faulted: Option<u64>,
-}
-
-impl<'a> RoundInput<'a> {
-    /// A plain, fault-free, unsampled round.
-    pub fn new(clipped_deltas: &'a [Vec<Vec<f64>>], noises: &'a [Vec<f64>]) -> Self {
-        RoundInput { clipped_deltas, noises, sampled: None, faulted: None }
-    }
-}
-
-/// One round's outputs from [`PrivateWeightingProtocol::run_rounds`] — exactly what the
-/// matching sequential entry point returns, bit for bit.
-pub struct RoundOutput {
-    /// The decoded aggregate `Σ_s (Σ_u w_{s,u} Δ̃_{s,u} + z_s)` (re-weighted by
-    /// `|S| / |S_surviving|` on faulted rounds).
-    pub aggregate: Vec<f64>,
-    /// Dropout mask in silo order (faulted rounds only).
-    pub dropped: Option<Vec<bool>>,
-    /// Per-phase wall-clocks. Under overlap the phases of different rounds run
-    /// concurrently, so summed phase times can exceed the replay's wall-clock.
-    pub timings: RoundTimings,
-}
-
-/// What the pipeline's fold stage hands the decrypt stage for one round: the folded
-/// per-coordinate totals plus everything needed to finish the round without touching
-/// shared mutable state.
-struct DecryptJob {
-    totals: Vec<Ciphertext>,
-    server_encryption: Duration,
-    silo_weighting: Duration,
-    /// `|S| / |S_surviving|` (always 1.0 for pipelined rounds — dropouts drain).
-    reweight: f64,
-    dropped: Option<Vec<bool>>,
 }
 
 /// Private user-level sub-sampling via 1-out-of-P oblivious transfer (Section 4.1).
@@ -440,9 +378,6 @@ pub struct PrivateWeightingProtocol {
     /// Bypass the cache ([`ProtocolConfig::fresh_encrypt`] or `ULDP_FRESH_ENCRYPT=1`):
     /// every round freshly encrypts all blinded inverses.
     fresh_encrypt: bool,
-    /// Resolved multi-round pipeline depth ([`ProtocolConfig::pipeline_depth`] /
-    /// `ULDP_PIPELINE_DEPTH` / `ULDP_PIPELINE`); `0` means sequential.
-    pipeline_depth: usize,
 }
 
 impl PrivateWeightingProtocol {
@@ -565,7 +500,6 @@ impl PrivateWeightingProtocol {
                 last_rerandomised: 0,
             }),
             fresh_encrypt: config.fresh_encrypt || fresh_encrypt_forced(),
-            pipeline_depth: uldp_runtime::resolve_pipeline_depth(config.pipeline_depth),
         }
     }
 
@@ -771,8 +705,7 @@ impl PrivateWeightingProtocol {
     ///
     /// Panics when [`ProtocolConfig::fault_plan`] is active: this entry point cannot
     /// inject faults, so such rounds go through
-    /// [`PrivateWeightingProtocol::weighting_round_faulted`] or
-    /// [`PrivateWeightingProtocol::run_rounds`].
+    /// [`PrivateWeightingProtocol::weighting_round_faulted`].
     pub fn weighting_round<R: Rng + ?Sized>(
         &self,
         clipped_deltas: &[Vec<Vec<f64>>],
@@ -781,7 +714,8 @@ impl PrivateWeightingProtocol {
         rng: &mut R,
     ) -> (Vec<f64>, RoundTimings) {
         self.reject_fault_plan("weighting_round");
-        self.fault_free_round(clipped_deltas, noises, sampled, rng)
+        let (out, _, timings) = self.round(clipped_deltas, noises, sampled, None, rng);
+        (out, timings)
     }
 
     /// Panics if a fault plan is configured: `entry` is a round entry point that would
@@ -790,47 +724,8 @@ impl PrivateWeightingProtocol {
         assert!(
             !self.fault_plan.is_active(),
             "{entry} cannot honour the active ProtocolConfig::fault_plan; run faulted rounds \
-             through weighting_round_faulted or run_rounds"
+             through weighting_round_faulted"
         );
-    }
-
-    /// The body of [`PrivateWeightingProtocol::weighting_round`]: one round with no
-    /// fault injection, whatever plan is configured.
-    fn fault_free_round<R: Rng + ?Sized>(
-        &self,
-        clipped_deltas: &[Vec<Vec<f64>>],
-        noises: &[Vec<f64>],
-        sampled: Option<&SampleMask>,
-        rng: &mut R,
-    ) -> (Vec<f64>, RoundTimings) {
-        assert_eq!(clipped_deltas.len(), self.num_silos, "one delta set per silo required");
-        assert_eq!(noises.len(), self.num_silos, "one noise vector per silo required");
-        let dim = noises[0].len();
-        assert!(dim > 0, "model dimension must be positive");
-
-        // --- Step 2.(a): server encrypts (possibly sub-sampled) blinded inverses, or —
-        // when the cross-round cache holds them under an unchanged mask — re-randomises
-        // the cached ciphertexts in one pooled batch. One 256-bit seed drawn from the
-        // caller's RNG parameterises the whole batch; per-user randomness is derived
-        // from (seed, u), so the output is bitwise-identical at any thread count.
-        let enc_span = trace::timed_span("protocol", "server_encryption");
-        let (active, encrypted_inverses) = self.distribute_inverses(sampled, rng);
-        let server_encryption = enc_span.finish();
-
-        // --- Steps 2.(b)-(c): silo-side encrypted weighting, secure aggregation of
-        // ciphertexts, decryption and decoding. The pairwise additive masks cancel in the
-        // sum exactly as in step 1.(e); the decrypted aggregate is therefore the same with
-        // or without them.
-        let (out, mut timings) = self.weighting_round_with_inverses(
-            clipped_deltas,
-            noises,
-            &active,
-            &encrypted_inverses,
-            dim,
-            None,
-        );
-        timings.server_encryption = server_encryption;
-        (out, timings)
     }
 
     /// Runs one weighting round under the configured [`ProtocolConfig::fault_plan`]:
@@ -847,7 +742,8 @@ impl PrivateWeightingProtocol {
     /// result is *exactly* the surviving-silo plaintext reference
     /// ([`PrivateWeightingProtocol::plaintext_reference_faulted`]) and stays
     /// bitwise-identical across every `(threads, chunk_size)` setting; at least one silo
-    /// always survives.
+    /// always survives. Users with records in a dropped silo lose their cached
+    /// ciphertext, so the next round freshly re-encrypts them.
     ///
     /// `round` tells the plan which round's fault set to draw (faults are re-drawn every
     /// round). Returns the re-weighted aggregate, the dropout mask in silo order, and
@@ -860,22 +756,89 @@ impl PrivateWeightingProtocol {
         round: u64,
         rng: &mut R,
     ) -> (Vec<f64>, Vec<bool>, RoundTimings) {
+        self.round(clipped_deltas, noises, sampled, Some(round), rng)
+    }
+
+    /// Panics unless the round inputs hold one delta set and one noise vector per silo;
+    /// returns the model dimension.
+    fn round_dim(&self, clipped_deltas: &[Vec<Vec<f64>>], noises: &[Vec<f64>]) -> usize {
         assert_eq!(clipped_deltas.len(), self.num_silos, "one delta set per silo required");
         assert_eq!(noises.len(), self.num_silos, "one noise vector per silo required");
         let dim = noises[0].len();
         assert!(dim > 0, "model dimension must be positive");
+        dim
+    }
 
-        // Step 2.(a) is unchanged: the server encrypts (or re-randomises from cache)
-        // before any silo drops.
+    /// The round body behind [`PrivateWeightingProtocol::weighting_round`] and
+    /// [`PrivateWeightingProtocol::weighting_round_faulted`]: step 2.(a), then the silo
+    /// fold and the decryption. `fault_round = Some(t)` draws round `t`'s fault set from
+    /// the configured plan; `None` runs the round with every silo reporting on time.
+    fn round<R: Rng + ?Sized>(
+        &self,
+        clipped_deltas: &[Vec<Vec<f64>>],
+        noises: &[Vec<f64>],
+        sampled: Option<&SampleMask>,
+        fault_round: Option<u64>,
+        rng: &mut R,
+    ) -> (Vec<f64>, Vec<bool>, RoundTimings) {
+        let dim = self.round_dim(clipped_deltas, noises);
+
+        // --- Step 2.(a): server encrypts (possibly sub-sampled) blinded inverses, or —
+        // when the cross-round cache holds them under an unchanged mask — re-randomises
+        // the cached ciphertexts in one pooled batch. One 256-bit seed drawn from the
+        // caller's RNG parameterises the whole batch; per-user randomness is derived
+        // from (seed, u), so the output is bitwise-identical at any thread count. It
+        // runs before any silo drops.
         let enc_span = trace::timed_span("protocol", "server_encryption");
         let (active, encrypted_inverses) = self.distribute_inverses(sampled, rng);
         let server_encryption = enc_span.finish();
 
+        let (dropped, delay) = match fault_round {
+            Some(round) => self.draw_faults(round),
+            None => (vec![false; self.num_silos], Duration::ZERO),
+        };
+
+        // --- Steps 2.(b)-(c): silo-side encrypted weighting, secure aggregation of
+        // ciphertexts, decryption and decoding. The pairwise additive masks cancel in the
+        // sum exactly as in step 1.(e); the decrypted aggregate is therefore the same with
+        // or without them.
+        let (totals, silo_weighting) = self.fold_round_totals(
+            clipped_deltas,
+            noises,
+            &active,
+            &encrypted_inverses,
+            dim,
+            &dropped,
+        );
+        let (mut out, aggregation) = self.decrypt_totals(&totals);
+
+        // Surviving-silo re-weighting: the decrypted value is the exact sum over the
+        // survivors, scaled up so the server update keeps its |S|-silo magnitude.
+        let surviving = dropped.iter().filter(|&&d| !d).count();
+        debug_assert!(surviving >= 1, "the fault plan must leave at least one silo");
+        let factor = self.num_silos as f64 / surviving as f64;
+        if factor != 1.0 {
+            for o in out.iter_mut() {
+                *o *= factor;
+            }
+            // A user whose records sit in a dropped silo gets freshly re-encrypted next
+            // round; everyone else keeps their cached ciphertext.
+            self.invalidate_users_of_dropped(&dropped);
+        }
+        let timings =
+            RoundTimings { server_encryption, silo_weighting: silo_weighting + delay, aggregation };
+        (out, dropped, timings)
+    }
+
+    /// Draws round `round`'s fault set from the configured plan: the dropout mask in
+    /// silo order and the simulated straggler lateness (`delay_ms` per delayed silo,
+    /// accounted in the timings only — no wall-clock sleep, the aggregate is
+    /// untouched). Emits one structured trace event per affected silo.
+    fn draw_faults(&self, round: u64) -> (Vec<bool>, Duration) {
         let dropped = self.fault_plan.dropped_silos(round, self.num_silos);
         let delayed = self.fault_plan.delayed_silos(round, self.num_silos);
         if uldp_telemetry::enabled() {
-            // Structured fault events: one per affected silo, tagged with the round so
-            // traces of multi-round runs stay attributable.
+            // Tagged with the round so traces of multi-round runs stay attributable.
             for (silo, _) in dropped.iter().enumerate().filter(|(_, &d)| d) {
                 metrics::FAULT_EVENTS.inc();
                 trace::event(
@@ -897,248 +860,8 @@ impl PrivateWeightingProtocol {
                 );
             }
         }
-        let (mut out, mut timings) = self.weighting_round_with_inverses(
-            clipped_deltas,
-            noises,
-            &active,
-            &encrypted_inverses,
-            dim,
-            Some(&dropped),
-        );
-        timings.server_encryption = server_encryption;
-
-        // Surviving-silo re-weighting: the decrypted value is the exact sum over the
-        // survivors, scaled up so the server update keeps its |S|-silo magnitude.
-        let surviving = dropped.iter().filter(|&&d| !d).count();
-        debug_assert!(surviving >= 1, "the fault plan must leave at least one silo");
-        let factor = self.num_silos as f64 / surviving as f64;
-        if factor != 1.0 {
-            for o in out.iter_mut() {
-                *o *= factor;
-            }
-        }
-        // Stragglers: each delayed report lands `delay_ms` late. Simulated in the
-        // timings only — no wall-clock sleep, the aggregate is untouched.
         let delayed_count = delayed.iter().filter(|&&d| d).count() as u64;
-        timings.silo_weighting += Duration::from_millis(self.fault_plan.delay_ms * delayed_count);
-        // A user whose records sit in a dropped silo gets freshly re-encrypted next
-        // round; everyone else keeps their cached ciphertext.
-        self.invalidate_users_of_dropped(&dropped);
-        (out, dropped, timings)
-    }
-
-    /// Runs a multi-round replay through the round pipeline at the protocol's resolved
-    /// depth ([`ProtocolConfig::pipeline_depth`] / `ULDP_PIPELINE_DEPTH`, with the
-    /// `ULDP_PIPELINE` kill-switch forcing the sequential path).
-    ///
-    /// While the server decrypts round `t`'s per-coordinate totals (step 2.c), the pool
-    /// is already folding round `t+1`'s cells — including its `RoundCryptoCache`
-    /// re-randomisation batch (step 2.a). The stages commute because they touch
-    /// disjoint state: the fold writes only ciphertext totals derived from the public
-    /// key, the decrypt reads only already-folded totals with the secret key. Every
-    /// caller-RNG draw happens on the submitting thread in round order (one 256-bit
-    /// seed per round, exactly as the sequential loop draws it), so seed derivation
-    /// never depends on overlap and the outputs are bitwise-identical to
-    /// [`PrivateWeightingProtocol::weighting_round`] run in a loop, at every
-    /// `(threads × shards × chunk × depth)` point.
-    ///
-    /// Rounds whose [`FaultPlan`] drops a silo force a pipeline drain: their dropout
-    /// invalidates cache entries, which must not race a later round's re-randomisation
-    /// batch already in flight, so the pipeline completes all queued decrypts and runs
-    /// the faulted round inline before refilling. Fault-free rounds (including rounds
-    /// with stragglers only) stay overlapped.
-    pub fn run_rounds<R: Rng + ?Sized>(
-        &self,
-        rounds: &[RoundInput<'_>],
-        rng: &mut R,
-    ) -> Vec<RoundOutput> {
-        self.run_rounds_with_depth(rounds, self.pipeline_depth, rng)
-    }
-
-    /// [`PrivateWeightingProtocol::run_rounds`] at an explicit pipeline depth:
-    /// `0` runs the sequential reference loop, `d ≥ 1` lets the fold stage run up to
-    /// `d` rounds ahead of the decrypt stage. Exposed so tests and benches can compare
-    /// depths without touching the process environment.
-    pub fn run_rounds_with_depth<R: Rng + ?Sized>(
-        &self,
-        rounds: &[RoundInput<'_>],
-        depth: usize,
-        rng: &mut R,
-    ) -> Vec<RoundOutput> {
-        if depth == 0 || rounds.len() < 2 {
-            return rounds.iter().map(|input| self.run_round_sequential(input, rng)).collect();
-        }
-        let mut outputs: Vec<Option<RoundOutput>> = (0..rounds.len()).map(|_| None).collect();
-        // Two bounded queues per replay: `jobs` carries folded totals forward (its
-        // capacity is the pipeline depth — the double buffer), `finished` carries
-        // decrypted rounds back (capacity = replay length, so the decrypt stage
-        // never blocks on the producer). Both deliver strictly in round order.
-        let jobs: Handoff<DecryptJob> = Handoff::new(depth);
-        let finished: Handoff<RoundOutput> = Handoff::new(rounds.len());
-        std::thread::scope(|scope| {
-            let (jobs, finished) = (&jobs, &finished);
-            scope.spawn(move || {
-                // A panic mid-decrypt must close both queues, or the producer would
-                // block forever against a full `jobs` queue.
-                let _close_finished = CloseOnDrop(finished);
-                let _close_jobs = CloseOnDrop(jobs);
-                while let Some((seq, job)) = jobs.pop() {
-                    let (mut aggregate, aggregation) = self.decrypt_totals(&job.totals);
-                    if job.reweight != 1.0 {
-                        for v in aggregate.iter_mut() {
-                            *v *= job.reweight;
-                        }
-                    }
-                    metrics::PIPELINE_INFLIGHT.sub(1);
-                    let out = RoundOutput {
-                        aggregate,
-                        dropped: job.dropped,
-                        timings: RoundTimings {
-                            server_encryption: job.server_encryption,
-                            silo_weighting: job.silo_weighting,
-                            aggregation,
-                        },
-                    };
-                    if !finished.push(seq, out) {
-                        break;
-                    }
-                }
-            });
-            let mut submitted = 0usize;
-            let mut collected = 0usize;
-            for (t, input) in rounds.iter().enumerate() {
-                let drains = input.faulted.is_some_and(|round| {
-                    self.fault_plan.dropped_silos(round, self.num_silos).iter().any(|&d| d)
-                });
-                if drains {
-                    // Dropouts invalidate cache entries; draining first keeps the
-                    // invalidation ordered after every in-flight round, exactly as the
-                    // sequential loop orders it.
-                    let wait = trace::span("protocol", "pipeline_wait").arg("drain_at", t);
-                    while collected < submitted {
-                        let (seq, out) =
-                            finished.pop().expect("decrypt stage died with rounds queued");
-                        outputs[seq as usize] = Some(out);
-                        collected += 1;
-                    }
-                    drop(wait);
-                    outputs[t] = Some(self.run_round_sequential(input, rng));
-                    continue;
-                }
-                let job = self.stage_round(input, rng);
-                metrics::PIPELINE_INFLIGHT.add(1);
-                {
-                    // The producer parks here while all `depth` slots are in flight —
-                    // the span makes backpressure visible in traces.
-                    let _wait = trace::span("protocol", "pipeline_wait").arg("round", t);
-                    assert!(jobs.push(t as u64, job), "pipeline decrypt stage terminated early");
-                }
-                submitted += 1;
-                while let Some((seq, out)) = finished.try_pop() {
-                    outputs[seq as usize] = Some(out);
-                    collected += 1;
-                }
-            }
-            jobs.close();
-            let wait =
-                trace::span("protocol", "pipeline_wait").arg("final_drain", submitted - collected);
-            while collected < submitted {
-                let (seq, out) = finished.pop().expect("decrypt stage died with rounds queued");
-                outputs[seq as usize] = Some(out);
-                collected += 1;
-            }
-            drop(wait);
-        });
-        outputs.into_iter().map(|out| out.expect("every round decrypted exactly once")).collect()
-    }
-
-    /// One round through the existing sequential entry points, shaped as a
-    /// [`RoundOutput`] — the reference the pipelined path must match bit for bit.
-    fn run_round_sequential<R: Rng + ?Sized>(
-        &self,
-        input: &RoundInput<'_>,
-        rng: &mut R,
-    ) -> RoundOutput {
-        match input.faulted {
-            Some(round) => {
-                let (aggregate, dropped, timings) = self.weighting_round_faulted(
-                    input.clipped_deltas,
-                    input.noises,
-                    input.sampled,
-                    round,
-                    rng,
-                );
-                RoundOutput { aggregate, dropped: Some(dropped), timings }
-            }
-            None => {
-                let (aggregate, timings) =
-                    self.fault_free_round(input.clipped_deltas, input.noises, input.sampled, rng);
-                RoundOutput { aggregate, dropped: None, timings }
-            }
-        }
-    }
-
-    /// The producer half of one pipelined round: step 2.(a) (all caller-RNG draws, in
-    /// round order) plus the streaming cell fold of step 2.(b), yielding the decrypt
-    /// job the consumer finishes. Fault handling mirrors
-    /// [`PrivateWeightingProtocol::weighting_round_faulted`] for rounds the pipeline
-    /// does not drain for (stragglers and empty fault draws): the dropout mask is
-    /// all-false, so no cache invalidation is due.
-    fn stage_round<R: Rng + ?Sized>(&self, input: &RoundInput<'_>, rng: &mut R) -> DecryptJob {
-        let clipped_deltas = input.clipped_deltas;
-        let noises = input.noises;
-        assert_eq!(clipped_deltas.len(), self.num_silos, "one delta set per silo required");
-        assert_eq!(noises.len(), self.num_silos, "one noise vector per silo required");
-        let dim = noises[0].len();
-        assert!(dim > 0, "model dimension must be positive");
-
-        let enc_span = trace::timed_span("protocol", "server_encryption");
-        let (active, encrypted_inverses) = self.distribute_inverses(input.sampled, rng);
-        let server_encryption = enc_span.finish();
-
-        let (dropped, reweight, delay) = match input.faulted {
-            None => (None, 1.0, Duration::ZERO),
-            Some(round) => {
-                let dropped = self.fault_plan.dropped_silos(round, self.num_silos);
-                let delayed = self.fault_plan.delayed_silos(round, self.num_silos);
-                debug_assert!(
-                    dropped.iter().all(|&d| !d),
-                    "rounds with dropouts drain the pipeline and run sequentially"
-                );
-                if uldp_telemetry::enabled() {
-                    for (silo, _) in delayed.iter().enumerate().filter(|(_, &d)| d) {
-                        metrics::FAULT_EVENTS.inc();
-                        trace::event(
-                            "fault",
-                            "delay",
-                            vec![
-                                ("round", round.into()),
-                                ("silo", silo.into()),
-                                ("delay_ms", self.fault_plan.delay_ms.into()),
-                            ],
-                        );
-                    }
-                }
-                let delayed_count = delayed.iter().filter(|&&d| d).count() as u64;
-                let delay = Duration::from_millis(self.fault_plan.delay_ms * delayed_count);
-                (Some(dropped), 1.0, delay)
-            }
-        };
-        let (totals, silo_weighting) = self.fold_round_totals(
-            clipped_deltas,
-            noises,
-            &active,
-            &encrypted_inverses,
-            dim,
-            dropped.as_deref(),
-        );
-        DecryptJob {
-            totals,
-            server_encryption,
-            silo_weighting: silo_weighting + delay,
-            reweight,
-            dropped,
-        }
+        (dropped, Duration::from_millis(self.fault_plan.delay_ms * delayed_count))
     }
 
     /// Runs one weighting round with **private user-level sub-sampling** via simulated
@@ -1165,10 +888,7 @@ impl PrivateWeightingProtocol {
         rng: &mut R,
     ) -> (Vec<f64>, Vec<bool>, RoundTimings) {
         self.reject_fault_plan("weighting_round_with_oblivious_subsampling");
-        assert_eq!(clipped_deltas.len(), self.num_silos, "one delta set per silo required");
-        assert_eq!(noises.len(), self.num_silos, "one noise vector per silo required");
-        let dim = noises[0].len();
-        assert!(dim > 0, "model dimension must be positive");
+        let dim = self.round_dim(clipped_deltas, noises);
 
         // Server side: build the OT offers (step 2.a extended with dummies). Every user's
         // offer and transfer draw from an RNG derived from a 256-bit (seed, u) stream, so
@@ -1196,44 +916,18 @@ impl PrivateWeightingProtocol {
         // ciphertexts in place of the server-published inverses. Every user gets an OT
         // offer (the whole point is hiding who was sampled), so all users are active.
         let active: Vec<u32> = (0..self.num_users as u32).collect();
-        let (out, mut timings) =
-            self.weighting_round_with_inverses(clipped_deltas, noises, &active, &chosen, dim, None);
-        timings.server_encryption = server_encryption;
-        (out, selected_flags, timings)
-    }
-
-    /// Shared silo-side + aggregation logic of steps 2.(b)-(c), parameterised by the
-    /// round's active users and their encrypted inverses (aligned position for
-    /// position) as distributed to the silos. When `dropped` is given, the marked
-    /// silos' cells (deltas and noise) are excluded from the streaming fold — their
-    /// reports never reach the server.
-    fn weighting_round_with_inverses(
-        &self,
-        clipped_deltas: &[Vec<Vec<f64>>],
-        noises: &[Vec<f64>],
-        active: &[u32],
-        encrypted_inverses: &[Ciphertext],
-        dim: usize,
-        dropped: Option<&[bool]>,
-    ) -> (Vec<f64>, RoundTimings) {
-        let (totals, silo_weighting) = self.fold_round_totals(
-            clipped_deltas,
-            noises,
-            active,
-            encrypted_inverses,
-            dim,
-            dropped,
-        );
+        let no_dropouts = vec![false; self.num_silos];
+        let (totals, silo_weighting) =
+            self.fold_round_totals(clipped_deltas, noises, &active, &chosen, dim, &no_dropouts);
         let (out, aggregation) = self.decrypt_totals(&totals);
-        (out, RoundTimings { server_encryption: Duration::ZERO, silo_weighting, aggregation })
+        (out, selected_flags, RoundTimings { server_encryption, silo_weighting, aggregation })
     }
 
     /// The fold stage of one round — steps 2.(b) and the fused homomorphic cross-silo
     /// sum — producing the per-coordinate ciphertext totals and the `silo_weighting`
-    /// wall-clock. This is the stage the round pipeline overlaps with the *previous*
-    /// round's [`PrivateWeightingProtocol::decrypt_totals`]: the two touch disjoint
-    /// key material (public vs secret) and disjoint state, and each is deterministic
-    /// in isolation, so overlap cannot change any bit of either.
+    /// wall-clock. `active` lists the round's active users and `encrypted_inverses`
+    /// their ciphertexts, aligned position for position; the silos marked in `dropped`
+    /// contribute no cells (deltas or noise) — their reports never reach the server.
     ///
     /// This is the silos' work: it reads only the public key, the ciphertexts the silos
     /// received (`encrypted_inverses`) and silo-side inputs — never the server's cache.
@@ -1244,7 +938,7 @@ impl PrivateWeightingProtocol {
         active: &[u32],
         encrypted_inverses: &[Ciphertext],
         dim: usize,
-        dropped: Option<&[bool]>,
+        dropped: &[bool],
     ) -> (Vec<Ciphertext>, Duration) {
         let n = &self.paillier.public.n;
         let n_squared = &self.paillier.public.n_squared;
@@ -1358,7 +1052,7 @@ impl PrivateWeightingProtocol {
             // A dropped silo's report never reaches the server: neither its weighted
             // deltas nor its noise enter the per-coordinate total (the pairwise masks
             // cancel over the silos that did contribute, so no recovery is needed).
-            if dropped.is_some_and(|d| d[silo]) {
+            if dropped[silo] {
                 return acc;
             }
             // Table-free bases gather their `(base, scalar)` terms here and fuse into
@@ -1427,11 +1121,9 @@ impl PrivateWeightingProtocol {
     /// The decrypt stage of one round — step 2.(c): batched CRT decryption of the
     /// per-coordinate totals and fixed-point decoding. (The homomorphic cross-silo sum
     /// is fused into the streaming fold.) The CRT contexts are hoisted once per batch
-    /// inside [`uldp_crypto::paillier::PaillierSecretKey::decrypt_batch`], so the
-    /// pipeline's
-    /// overlapped decrypt pass never re-derives per-round state. The `aggregation`
-    /// span covers decryption plus decoding, with one nested `decryption` span for the
-    /// batch itself.
+    /// inside [`uldp_crypto::paillier::PaillierSecretKey::decrypt_batch`]. The
+    /// `aggregation` span covers decryption plus decoding, with one nested `decryption`
+    /// span for the batch itself.
     fn decrypt_totals(&self, totals: &[Ciphertext]) -> (Vec<f64>, Duration) {
         let rt = &*self.runtime;
         let agg_span = trace::timed_span("protocol", "aggregation");
@@ -1729,22 +1421,8 @@ mod tests {
         ProtocolConfig { fault_plan: plan, ..test_config() }
     }
 
-    /// One explicitly fault-free round on a protocol configured with a fault plan (a
-    /// `run_rounds` input with `faulted: None`), where `weighting_round` would panic.
-    fn fault_free_round<R: Rng + ?Sized>(
-        protocol: &PrivateWeightingProtocol,
-        deltas: &[Vec<Vec<f64>>],
-        noises: &[Vec<f64>],
-        rng: &mut R,
-    ) -> (Vec<f64>, RoundTimings) {
-        let mut out = protocol.run_rounds(&[RoundInput::new(deltas, noises)], rng);
-        let out = out.pop().expect("one round in, one round out");
-        assert!(out.dropped.is_none());
-        (out.aggregate, out.timings)
-    }
-
     #[test]
-    #[should_panic(expected = "run faulted rounds through weighting_round_faulted or run_rounds")]
+    #[should_panic(expected = "run faulted rounds through weighting_round_faulted")]
     fn plain_round_rejects_an_active_fault_plan() {
         let histogram = small_histogram();
         let plan = FaultPlan { delay_fraction: 1.0, delay_ms: 1, ..FaultPlan::none() };
@@ -1755,7 +1433,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "run faulted rounds through weighting_round_faulted or run_rounds")]
+    #[should_panic(expected = "run faulted rounds through weighting_round_faulted")]
     fn oblivious_round_rejects_an_active_fault_plan() {
         let histogram = small_histogram();
         let plan = FaultPlan { dropout_fraction: 0.4, seed: 77, ..FaultPlan::none() };
@@ -1789,11 +1467,17 @@ mod tests {
         // A dropped silo's cells are excluded from the homomorphic fold; the decrypted
         // aggregate must equal the surviving-silo plaintext reference (re-weighted by
         // |S|/|S_surviving|) and — before the common re-weighting factor — be bitwise
-        // identical to a plain round where the dropped silo's inputs are explicit zeros.
+        // identical to a plain round where the dropped silo's inputs are explicit zeros,
+        // run on a fault-free twin set up from the same seed.
         let histogram = small_histogram();
         let plan = FaultPlan { dropout_fraction: 0.4, seed: 77, ..FaultPlan::none() };
         let mut rng = StdRng::seed_from_u64(53);
         let protocol = PrivateWeightingProtocol::setup(&histogram, &faulted_config(plan), &mut rng);
+        let twin = PrivateWeightingProtocol::setup(
+            &histogram,
+            &test_config(),
+            &mut StdRng::seed_from_u64(53),
+        );
         let (deltas, noises) = deltas_and_noise(&histogram, 4, 54);
         let round_rng = rng.clone();
         let (faulted, dropped, _) =
@@ -1819,7 +1503,7 @@ mod tests {
             }
         }
         let (zeroed, _) =
-            fault_free_round(&protocol, &zeroed_deltas, &zeroed_noises, &mut round_rng.clone());
+            twin.weighting_round(&zeroed_deltas, &zeroed_noises, None, &mut round_rng.clone());
         let surviving = dropped.iter().filter(|&&d| !d).count();
         let factor = protocol.num_silos() as f64 / surviving as f64;
         let rescaled: Vec<u64> = zeroed.iter().map(|v| (v * factor).to_bits()).collect();
@@ -1935,10 +1619,17 @@ mod tests {
         assert_eq!(protocol.round_cache_stats(), (4, 0), "reset forces full re-encryption");
     }
 
+    /// Users with records in a silo marked in `dropped`.
+    fn users_of_dropped(histogram: &[Vec<usize>], dropped: &[bool]) -> usize {
+        (0..histogram[0].len())
+            .filter(|&u| dropped.iter().enumerate().any(|(s, &d)| d && histogram[s][u] > 0))
+            .count()
+    }
+
     #[test]
     fn dropout_invalidates_exactly_the_affected_users_entries() {
-        // Same plan/round as dropout_reweights_surviving_homomorphic_sum_exactly: round
-        // 3 drops exactly one of the three silos.
+        // Consecutive faulted rounds carry the cache over; the plan drops exactly one of
+        // the three silos every round.
         if fresh_encrypt_forced() {
             return; // stats are trivially (4, 0) in bypass mode
         }
@@ -1948,24 +1639,53 @@ mod tests {
         let protocol = PrivateWeightingProtocol::setup(&histogram, &faulted_config(plan), &mut rng);
         let (deltas, noises) = deltas_and_noise(&histogram, 4, 98);
 
-        let _ = fault_free_round(&protocol, &deltas, &noises, &mut rng);
+        let (_, first_dropped, _) =
+            protocol.weighting_round_faulted(&deltas, &noises, None, 0, &mut rng);
         assert_eq!(protocol.round_cache_stats(), (4, 0));
-        // The faulted round itself is served entirely from cache (encryption happens
-        // before the dropout)…
+        // The next round's encryption happens before its own dropout, so it re-encrypts
+        // only the users the previous round's dropout invalidated…
         let (_, dropped, _) = protocol.weighting_round_faulted(&deltas, &noises, None, 3, &mut rng);
         assert_eq!(dropped.iter().filter(|&&d| d).count(), 1, "0.4 of 3 silos rounds to one");
-        assert_eq!(protocol.round_cache_stats(), (0, 4));
-        // …and afterwards exactly the users with records in the dropped silo are
-        // invalidated, so the next round freshly re-encrypts them alone.
-        let affected = (0..protocol.num_users())
-            .filter(|&u| dropped.iter().enumerate().any(|(s, &d)| d && histogram[s][u] > 0))
-            .count();
+        let first_affected = users_of_dropped(&histogram, &first_dropped);
+        assert_eq!(protocol.round_cache_stats(), (first_affected, 4 - first_affected));
+        // …and afterwards exactly the users with records in round 3's dropped silo are
+        // invalidated, so the round after freshly re-encrypts them alone.
+        let affected = users_of_dropped(&histogram, &dropped);
         assert!(affected > 0 && affected < 4, "the plan must split the users");
-        let (out, _) = fault_free_round(&protocol, &deltas, &noises, &mut rng);
+        let (out, last_dropped, _) =
+            protocol.weighting_round_faulted(&deltas, &noises, None, 4, &mut rng);
         assert_eq!(protocol.round_cache_stats(), (affected, 4 - affected));
-        let reference = protocol.plaintext_reference(&deltas, &noises, None);
+        let reference = protocol.plaintext_reference_faulted(&deltas, &noises, None, &last_dropped);
         for (a, b) in out.iter().zip(reference.iter()) {
             assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");
+        }
+    }
+
+    #[test]
+    fn faulted_round_sequence_reencrypts_exactly_the_dropped_users() {
+        // Five consecutive faulted rounds with fresh inputs each: every aggregate matches
+        // its surviving-silo reference, and every round after the first freshly
+        // re-encrypts exactly the users of the silo the previous round dropped.
+        if fresh_encrypt_forced() {
+            return; // stats are trivially (4, 0) in bypass mode
+        }
+        let histogram = small_histogram();
+        let plan = FaultPlan { dropout_fraction: 0.4, seed: 77, ..FaultPlan::none() };
+        let mut rng = StdRng::seed_from_u64(103);
+        let protocol = PrivateWeightingProtocol::setup(&histogram, &faulted_config(plan), &mut rng);
+        let mut previous: Option<Vec<bool>> = None;
+        for round in 0..5u64 {
+            let (deltas, noises) = deltas_and_noise(&histogram, 4, 104 + round);
+            let (out, dropped, _) =
+                protocol.weighting_round_faulted(&deltas, &noises, None, round, &mut rng);
+            assert_eq!(dropped.iter().filter(|&&d| d).count(), 1, "round {round}");
+            let reference = protocol.plaintext_reference_faulted(&deltas, &noises, None, &dropped);
+            for (a, b) in out.iter().zip(reference.iter()) {
+                assert!((a - b).abs() < 1e-6, "round {round}: secure {a} vs plaintext {b}");
+            }
+            let fresh = previous.as_deref().map_or(4, |prev| users_of_dropped(&histogram, prev));
+            assert_eq!(protocol.round_cache_stats(), (fresh, 4 - fresh), "round {round}");
+            previous = Some(dropped);
         }
     }
 
@@ -1975,10 +1695,16 @@ mod tests {
         let plan = FaultPlan { delay_fraction: 1.0, delay_ms: 40, ..FaultPlan::none() };
         let mut rng = StdRng::seed_from_u64(57);
         let protocol = PrivateWeightingProtocol::setup(&histogram, &faulted_config(plan), &mut rng);
+        // A fault-free twin set up from the same seed is the comparator.
+        let twin = PrivateWeightingProtocol::setup(
+            &histogram,
+            &test_config(),
+            &mut StdRng::seed_from_u64(57),
+        );
         let (deltas, noises) = deltas_and_noise(&histogram, 3, 58);
         let round_rng = rng.clone();
         let (plain, plain_timings) =
-            fault_free_round(&protocol, &deltas, &noises, &mut round_rng.clone());
+            twin.weighting_round(&deltas, &noises, None, &mut round_rng.clone());
         let (delayed, dropped, delayed_timings) =
             protocol.weighting_round_faulted(&deltas, &noises, None, 0, &mut round_rng.clone());
         assert!(dropped.iter().all(|&d| !d));
@@ -2082,112 +1808,5 @@ mod tests {
         let ct_bytes = (2 * protocol.modulus_bits()).div_ceil(64) * 8;
         assert_eq!(protocol.cached_entry_count(), 4);
         assert_eq!(protocol.cached_state_bytes(), protocol.cached_entry_count() * ct_bytes);
-    }
-
-    #[test]
-    fn pipelined_replays_match_sequential_replays_bitwise_across_grid() {
-        // The tentpole determinism oracle: the same 4-round replay through the round
-        // pipeline at depth ∈ {1, 2, 3} must produce aggregates bit-identical to the
-        // sequential loop, at several (threads × chunk) points. The pipeline reorders
-        // when work happens, never what it computes.
-        let histogram = small_histogram();
-        let (deltas, noises) = deltas_and_noise(&histogram, 4, 102);
-        let run = |threads: usize, chunk_size: usize, depth: usize| {
-            let mut rng = StdRng::seed_from_u64(101);
-            let cfg = ProtocolConfig { threads, chunk_size, ..test_config() };
-            let protocol = PrivateWeightingProtocol::setup(&histogram, &cfg, &mut rng);
-            let inputs: Vec<RoundInput<'_>> =
-                (0..4).map(|_| RoundInput::new(&deltas, &noises)).collect();
-            let outputs = protocol.run_rounds_with_depth(&inputs, depth, &mut rng);
-            outputs
-                .iter()
-                .map(|o| o.aggregate.iter().map(|v| v.to_bits()).collect::<Vec<u64>>())
-                .collect::<Vec<_>>()
-        };
-        let sequential = run(1, usize::MAX, 0);
-        for (threads, chunk) in [(1, usize::MAX), (3, 1), (4, 5)] {
-            for depth in [1, 2, 3] {
-                assert_eq!(
-                    sequential,
-                    run(threads, chunk, depth),
-                    "threads={threads} chunk={chunk} depth={depth}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn faulted_replay_drains_the_pipeline_and_invalidates_exactly_the_affected_entries() {
-        // A mid-replay dropout must (a) leave every aggregate and dropout mask
-        // bit-identical to the sequential loop and (b) invalidate exactly the users
-        // with records in the dropped silo — visible as the next round's fresh count —
-        // which requires the drain: an in-flight later round must not race the
-        // invalidation.
-        if fresh_encrypt_forced() {
-            return; // stats are trivially (4, 0) in bypass mode
-        }
-        let histogram = small_histogram();
-        // Same plan as dropout_invalidates_exactly_the_affected_users_entries: round 3
-        // drops exactly one of the three silos; other rounds draw empty fault sets.
-        let plan = FaultPlan { dropout_fraction: 0.4, seed: 77, ..FaultPlan::none() };
-        let (deltas, noises) = deltas_and_noise(&histogram, 4, 104);
-        let run = |depth: usize| {
-            let mut rng = StdRng::seed_from_u64(103);
-            let protocol =
-                PrivateWeightingProtocol::setup(&histogram, &faulted_config(plan), &mut rng);
-            // Only round index 3 runs under the plan (which drops one silo there); the
-            // rounds around it stay fault-free and overlap across the drain.
-            let inputs: Vec<RoundInput<'_>> = (0..5)
-                .map(|t| RoundInput {
-                    faulted: (t == 3).then_some(3),
-                    ..RoundInput::new(&deltas, &noises)
-                })
-                .collect();
-            let outputs = protocol.run_rounds_with_depth(&inputs, depth, &mut rng);
-            let stats = protocol.round_cache_stats();
-            let fingerprints = outputs
-                .iter()
-                .map(|o| {
-                    (
-                        o.aggregate.iter().map(|v| v.to_bits()).collect::<Vec<u64>>(),
-                        o.dropped.clone(),
-                    )
-                })
-                .collect::<Vec<_>>();
-            (fingerprints, stats)
-        };
-        let (sequential, seq_stats) = run(0);
-        let dropped_at_3 = sequential[3].1.as_ref().expect("faulted round reports a mask").clone();
-        assert_eq!(dropped_at_3.iter().filter(|&&d| d).count(), 1, "round 3 drops one silo");
-        for depth in [1, 2, 3] {
-            let (pipelined, pipe_stats) = run(depth);
-            assert_eq!(sequential, pipelined, "depth={depth}");
-            assert_eq!(seq_stats, pipe_stats, "depth={depth}");
-        }
-        // Round 4 (the one after the dropout) freshly re-encrypts exactly the affected
-        // users; the rest re-randomise — the invalidation landed, and landed once.
-        let affected = (0..4)
-            .filter(|&u| dropped_at_3.iter().enumerate().any(|(s, &d)| d && histogram[s][u] > 0))
-            .count();
-        assert!(affected > 0 && affected < 4, "the plan must split the users");
-        assert_eq!(seq_stats, (affected, 4 - affected));
-    }
-
-    #[test]
-    fn single_round_and_depth_zero_replays_take_the_sequential_path() {
-        // Replays too short to overlap fall back to the sequential loop outright; the
-        // outputs still match the per-round entry point exactly.
-        let histogram = small_histogram();
-        let (deltas, noises) = deltas_and_noise(&histogram, 3, 106);
-        let mut rng = StdRng::seed_from_u64(105);
-        let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
-        let inputs = [RoundInput::new(&deltas, &noises)];
-        let via_replay = protocol.run_rounds_with_depth(&inputs, 3, &mut rng.clone());
-        let (direct, _) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
-        assert_eq!(
-            via_replay[0].aggregate.iter().map(|v| v.to_bits()).collect::<Vec<u64>>(),
-            direct.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
-        );
-        assert!(via_replay[0].dropped.is_none());
     }
 }

@@ -17,8 +17,8 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use uldp_accounting::{Accountant, AlgorithmPrivacy};
 use uldp_datasets::FederatedDataset;
-use uldp_ml::{metrics, Model, ModelKind, Sample};
-use uldp_runtime::{CloseOnDrop, Handoff, Runtime};
+use uldp_ml::{metrics, Model, ModelKind};
+use uldp_runtime::Runtime;
 use uldp_telemetry::trace;
 
 /// Utility and privacy measurements recorded after a round.
@@ -283,122 +283,42 @@ impl Trainer {
     /// Evaluates the current model on the held-out test set.
     pub fn evaluate(&self, round: u64) -> RoundMetrics {
         let epsilon = self.accountant.epsilon(self.config.delta);
-        evaluate_model(self.model.as_ref(), &self.dataset.test, round, epsilon)
+        let (model, test) = (self.model.as_ref(), &self.dataset.test);
+        match model.kind() {
+            ModelKind::Cox => RoundMetrics {
+                round,
+                test_accuracy: None,
+                test_loss: Some(metrics::average_loss(model, test)),
+                c_index: Some(metrics::concordance_index(model, test)),
+                epsilon,
+            },
+            _ => RoundMetrics {
+                round,
+                test_accuracy: Some(metrics::accuracy(model, test)),
+                test_loss: Some(metrics::average_loss(model, test)),
+                c_index: None,
+                epsilon,
+            },
+        }
     }
 
-    /// Runs the full configured number of rounds and returns the training history.
-    ///
-    /// Evaluation points are pipelined through the same handoff primitive as the
-    /// protocol's round pipeline: the evaluation of round `t` scores a cheap model
-    /// snapshot on a side thread while the main thread already steps round `t+1`.
-    /// Snapshot, epsilon and round index are captured at exactly the point the
-    /// sequential loop would evaluate, so the history is bit-identical at any depth
-    /// (`ULDP_PIPELINE=0` or [`FlConfig::pipeline_depth`] control it; see
-    /// [`Trainer::run_with_pipeline`]).
+    /// Runs the full configured number of rounds and returns the training history,
+    /// evaluating every [`FlConfig::eval_every`] rounds and after the last one.
     pub fn run(&mut self) -> TrainingHistory {
-        let depth = uldp_runtime::resolve_pipeline_depth(self.config.pipeline_depth);
-        self.run_with_pipeline(depth)
-    }
-
-    /// [`Trainer::run`] at an explicit pipeline depth: `0` runs the sequential
-    /// reference loop. Exposed so tests can compare depths without touching the
-    /// process environment.
-    pub fn run_with_pipeline(&mut self, depth: usize) -> TrainingHistory {
-        if depth == 0 || self.config.rounds < 2 {
-            let mut rounds = Vec::new();
-            for t in 0..self.config.rounds {
-                self.step(t);
-                let is_last = t + 1 == self.config.rounds;
-                if (t + 1) % self.config.eval_every == 0 || is_last {
-                    rounds.push(self.evaluate(t + 1));
-                }
-            }
-            return self.finish(rounds);
-        }
-        // The held-out test set is immutable for the whole run but the stepping loop
-        // needs `&mut self`, so the side thread scores against its own copy.
-        let test: Vec<Sample> = self.dataset.test.clone();
-        let total = self.config.rounds;
-        let eval_every = self.config.eval_every;
-        let jobs: Handoff<EvalJob> = Handoff::new(depth);
-        let scored: Handoff<RoundMetrics> = Handoff::new(total.max(1) as usize);
-        std::thread::scope(|scope| {
-            let (jobs, scored, test) = (&jobs, &scored, &test);
-            scope.spawn(move || {
-                let _close_scored = CloseOnDrop(scored);
-                let _close_jobs = CloseOnDrop(jobs);
-                while let Some((seq, job)) = jobs.pop() {
-                    let m = evaluate_model(job.model.as_ref(), test, job.round, job.epsilon);
-                    if !scored.push(seq, m) {
-                        break;
-                    }
-                }
-            });
-            let mut seq = 0u64;
-            for t in 0..total {
-                self.step(t);
-                let is_last = t + 1 == total;
-                if (t + 1) % eval_every == 0 || is_last {
-                    // Everything the sequential evaluate would read is captured here,
-                    // before the next step mutates the model or the accountant.
-                    let job = EvalJob {
-                        round: t + 1,
-                        model: self.model.clone_model(),
-                        epsilon: self.accountant.epsilon(self.config.delta),
-                    };
-                    let _wait = trace::span("train", "pipeline_wait").arg("round", t);
-                    assert!(jobs.push(seq, job), "evaluation stage terminated early");
-                    seq += 1;
-                }
-            }
-            jobs.close();
-        });
-        // The scored queue outlives the consumer (closed by its guard), so this drains
-        // every evaluation in submission order.
         let mut rounds = Vec::new();
-        while let Some((_, m)) = scored.pop() {
-            rounds.push(m);
+        for t in 0..self.config.rounds {
+            self.step(t);
+            let is_last = t + 1 == self.config.rounds;
+            if (t + 1) % self.config.eval_every == 0 || is_last {
+                rounds.push(self.evaluate(t + 1));
+            }
         }
-        self.finish(rounds)
-    }
-
-    fn finish(&self, rounds: Vec<RoundMetrics>) -> TrainingHistory {
         TrainingHistory {
             method: self.config.method.label(),
             dataset: self.dataset.name.clone(),
             rounds,
             final_parameters: self.model.parameters().to_vec(),
         }
-    }
-}
-
-/// What the training pipeline's step stage hands the evaluation stage: a model
-/// snapshot (cheap — models are flat parameter vectors) plus the accountant state the
-/// sequential loop would have read at this evaluation point.
-struct EvalJob {
-    round: u64,
-    model: Box<dyn Model>,
-    epsilon: f64,
-}
-
-/// [`Trainer::evaluate`] against an explicit model and test set, shared by the
-/// sequential path and the pipelined evaluation stage.
-fn evaluate_model(model: &dyn Model, test: &[Sample], round: u64, epsilon: f64) -> RoundMetrics {
-    match model.kind() {
-        ModelKind::Cox => RoundMetrics {
-            round,
-            test_accuracy: None,
-            test_loss: Some(metrics::average_loss(model, test)),
-            c_index: Some(metrics::concordance_index(model, test)),
-            epsilon,
-        },
-        _ => RoundMetrics {
-            round,
-            test_accuracy: Some(metrics::accuracy(model, test)),
-            test_loss: Some(metrics::average_loss(model, test)),
-            c_index: None,
-            epsilon,
-        },
     }
 }
 
@@ -524,31 +444,5 @@ mod tests {
         let h1 = Trainer::new(cfg.clone(), dataset.clone(), tiny_model()).run();
         let h2 = Trainer::new(cfg, dataset, tiny_model()).run();
         assert_eq!(h1.final_parameters, h2.final_parameters);
-    }
-
-    #[test]
-    fn pipelined_history_matches_sequential_at_every_depth() {
-        let dataset = tiny_federation(2, 6, 60);
-        let mut cfg = quick_config(Method::UldpAvg { weighting: WeightingStrategy::Uniform });
-        cfg.rounds = 5;
-        cfg.eval_every = 2;
-        let sequential =
-            Trainer::new(cfg.clone(), dataset.clone(), tiny_model()).run_with_pipeline(0);
-        for depth in [1, 2, 3] {
-            let piped =
-                Trainer::new(cfg.clone(), dataset.clone(), tiny_model()).run_with_pipeline(depth);
-            assert_eq!(
-                piped.final_parameters, sequential.final_parameters,
-                "depth {depth} changed the trained model"
-            );
-            assert_eq!(piped.rounds.len(), sequential.rounds.len());
-            for (p, s) in piped.rounds.iter().zip(&sequential.rounds) {
-                assert_eq!(p.round, s.round, "depth {depth} reordered evaluation points");
-                assert_eq!(p.test_accuracy, s.test_accuracy, "depth {depth} round {}", s.round);
-                assert_eq!(p.test_loss, s.test_loss, "depth {depth} round {}", s.round);
-                assert_eq!(p.c_index, s.c_index, "depth {depth} round {}", s.round);
-                assert_eq!(p.epsilon, s.epsilon, "depth {depth} round {}", s.round);
-            }
-        }
     }
 }

@@ -559,8 +559,8 @@ impl PaillierSecretKey {
     /// The CRT contexts for `p²`/`q²` are hoisted once for the whole batch and each
     /// pooled chunk routes its half-width exponentiations through
     /// [`ModulusCtx::mod_pow_batch`] over the shared contexts, so a multi-round caller
-    /// (the round pipeline's overlapped decrypt stage) never re-derives per-round
-    /// state. The chunk grid depends only on the batch length, never the pool size.
+    /// never re-derives per-round state. The chunk grid depends only on the batch
+    /// length, never the pool size.
     pub fn decrypt_batch(&self, rt: &Runtime, items: &[Ciphertext]) -> Vec<BigUint> {
         uldp_telemetry::metrics::PAILLIER_DECRYPT.add(items.len() as u64);
         if engine_disabled() {

@@ -29,10 +29,10 @@
 //! ## Sizing
 //!
 //! [`Runtime::global`] sizes the shared pool from the `ULDP_THREADS` environment variable
-//! when set (a positive integer; `1` disables parallelism entirely), falling back to
-//! [`std::thread::available_parallelism`]. Components that want an explicit size (e.g.
-//! `FlConfig::threads` / `ProtocolConfig::threads`) build their own handle with
-//! [`Runtime::handle`].
+//! when set (a positive integer; `1` disables parallelism entirely; any other value
+//! panics), falling back to [`std::thread::available_parallelism`]. Components that
+//! want an explicit size (e.g. `FlConfig::threads` / `ProtocolConfig::threads`) build
+//! their own handle with [`Runtime::handle`].
 //!
 //! ## Nesting
 //!
@@ -41,12 +41,10 @@
 //! on work only workers can drain) without changing results — determinism never depends
 //! on where a task runs.
 
-pub mod handoff;
 pub mod seeding;
 
 mod pool;
 
-pub use handoff::{CloseOnDrop, Handoff};
 use pool::Pool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,21 +61,6 @@ pub const THREADS_ENV: &str = "ULDP_THREADS";
 /// it only trades transient memory (O(chunks × accumulator)) against load-balancing
 /// granularity.
 pub const CHUNK_ENV: &str = "ULDP_CHUNK";
-
-/// Name of the kill-switch for pipelined round execution. Set to `0`, `false` or `off`
-/// to force the sequential reference path everywhere; any other value (or unset) keeps
-/// the pipeline on. The pipeline only reorders when work happens — results are bitwise
-/// identical either way — so the switch exists for A/B timing and for bisecting.
-pub const PIPELINE_ENV: &str = "ULDP_PIPELINE";
-
-/// Name of the environment variable that overrides the pipeline depth (the number of
-/// rounds the fold stage may run ahead of the decrypt stage) for components left at
-/// `pipeline_depth = 0`. Must be a positive integer.
-pub const PIPELINE_DEPTH_ENV: &str = "ULDP_PIPELINE_DEPTH";
-
-/// Default number of in-flight rounds between the fold and decrypt stages: classic
-/// double buffering — one round being decrypted while the next is being folded.
-pub const DEFAULT_PIPELINE_DEPTH: usize = 2;
 
 /// How many chunks each worker gets on average in a `par_map`; > 1 smooths imbalance
 /// between chunks without making per-chunk overhead noticeable.
@@ -444,22 +427,35 @@ impl Runtime {
 
 /// Reads the pool size from `ULDP_THREADS`, falling back to available parallelism.
 ///
-/// A set-but-invalid value falls back too, with a warning — a silently ignored typo
-/// would make e.g. a 1-vs-N determinism check compare two identically-sized pools.
+/// A set-but-invalid value panics: silently ignoring a typo would make e.g. a 1-vs-N
+/// determinism check compare two identically-sized pools.
 fn threads_from_env() -> usize {
-    match std::env::var(THREADS_ENV) {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!(
-                    "warning: ignoring invalid {THREADS_ENV}={raw:?}; \
-                     using available parallelism"
-                );
-                available_threads()
-            }
+    positive_from_env(THREADS_ENV).unwrap_or_else(available_threads)
+}
+
+/// Parses the raw value of the positive-integer environment knob `name`: unset
+/// (`None`) is `Ok(None)`, a positive integer (surrounding whitespace allowed) is
+/// `Ok(Some(n))`, and anything else is an error naming the variable and the value.
+pub fn parse_positive(name: &str, raw: Option<&str>) -> Result<Option<usize>, String> {
+    match raw {
+        None => Ok(None),
+        Some(v) => match v.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(Some(n)),
+            _ => Err(format!("{name} must be a positive integer, not `{v}`")),
         },
-        Err(_) => available_threads(),
     }
+}
+
+/// Reads the positive-integer environment knob `name` through [`parse_positive`]:
+/// `None` when unset, panicking (naming the variable and the value) when set but
+/// invalid.
+pub fn positive_from_env(name: &str) -> Option<usize> {
+    let raw = match std::env::var(name) {
+        Ok(v) => Some(v),
+        Err(std::env::VarError::NotPresent) => None,
+        Err(e) => panic!("{name}: {e}"),
+    };
+    parse_positive(name, raw.as_deref()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 fn available_threads() -> usize {
@@ -481,7 +477,8 @@ pub fn fold_chunk_ranges(n: usize, chunk_size: usize) -> Vec<std::ops::Range<usi
 }
 
 /// Resolves a configured fold chunk size: a non-zero configuration wins, otherwise the
-/// `ULDP_CHUNK` environment variable (a positive integer), otherwise `default_chunk`.
+/// `ULDP_CHUNK` environment variable (a positive integer; anything else panics),
+/// otherwise `default_chunk`.
 ///
 /// Mirrors how `ULDP_THREADS` backs `threads = 0`, so every component exposes the same
 /// "0 = auto" convention for its chunk knob.
@@ -489,53 +486,7 @@ pub fn resolve_chunk_size(configured: usize, default_chunk: usize) -> usize {
     if configured != 0 {
         return configured;
     }
-    match std::env::var(CHUNK_ENV) {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("warning: ignoring invalid {CHUNK_ENV}={raw:?}; using the default");
-                default_chunk
-            }
-        },
-        Err(_) => default_chunk,
-    }
-}
-
-/// Whether pipelined round execution is enabled process-wide (the `ULDP_PIPELINE`
-/// kill-switch). Cached after the first read, like the engine toggles in `uldp-crypto`.
-pub fn pipeline_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var(PIPELINE_ENV) {
-        Ok(raw) => !matches!(raw.trim(), "0" | "false" | "FALSE" | "off" | "OFF"),
-        Err(_) => true,
-    })
-}
-
-/// Resolves a configured pipeline depth into an effective one: `0` when the
-/// `ULDP_PIPELINE` kill-switch disables overlap, otherwise a non-zero configuration
-/// wins, otherwise `ULDP_PIPELINE_DEPTH`, otherwise [`DEFAULT_PIPELINE_DEPTH`].
-///
-/// A return of `0` means "run the sequential reference path"; callers must not treat
-/// it as an unbounded queue.
-pub fn resolve_pipeline_depth(configured: usize) -> usize {
-    if !pipeline_enabled() {
-        return 0;
-    }
-    if configured != 0 {
-        return configured;
-    }
-    match std::env::var(PIPELINE_DEPTH_ENV) {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!(
-                    "warning: ignoring invalid {PIPELINE_DEPTH_ENV}={raw:?}; using the default"
-                );
-                DEFAULT_PIPELINE_DEPTH
-            }
-        },
-        Err(_) => DEFAULT_PIPELINE_DEPTH,
-    }
+    positive_from_env(CHUNK_ENV).unwrap_or(default_chunk)
 }
 
 /// Splits `0..n` into at most `max_chunks` contiguous ranges of near-equal size.
@@ -799,16 +750,15 @@ mod tests {
     }
 
     #[test]
-    fn resolve_pipeline_depth_prefers_explicit_configuration() {
-        // As with the chunk knob, only the configured-value path is testable without
-        // mutating the process environment.
-        if pipeline_enabled() {
-            assert_eq!(resolve_pipeline_depth(3), 3);
-            if std::env::var(PIPELINE_DEPTH_ENV).is_err() {
-                assert_eq!(resolve_pipeline_depth(0), DEFAULT_PIPELINE_DEPTH);
-            }
-        } else {
-            assert_eq!(resolve_pipeline_depth(3), 0, "kill-switch overrides configuration");
+    fn parse_positive_accepts_positive_integers_and_names_anything_else() {
+        assert_eq!(parse_positive(THREADS_ENV, None), Ok(None));
+        for (value, n) in [("1", 1), ("4", 4), (" 8 ", 8), ("1000000", 1_000_000)] {
+            assert_eq!(parse_positive(CHUNK_ENV, Some(value)), Ok(Some(n)));
+        }
+        for bad in ["0", "", "-2", "two", "1.5", "4x"] {
+            let err = parse_positive(THREADS_ENV, Some(bad)).unwrap_err();
+            assert!(err.contains(THREADS_ENV), "{err}");
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
         }
     }
 

@@ -232,9 +232,6 @@ pub static LEDGER_ENTRIES: Counter = Counter::new("privacy.ledger_entries");
 pub static POOL_OCCUPANCY: Gauge = Gauge::new("runtime.pool_occupancy");
 /// Live streaming-fold accumulator bytes, republished from the runtime's `MemoryGauge`.
 pub static FOLD_BYTES: Gauge = Gauge::new("runtime.fold_bytes");
-/// Rounds queued between the pipeline's fold and decrypt stages (peak = achieved
-/// overlap; stays 0 on the sequential path).
-pub static PIPELINE_INFLIGHT: Gauge = Gauge::new("protocol.pipeline_inflight");
 
 /// Time pool jobs spend queued before a worker picks them up.
 pub static JOB_QUEUE_US: Histogram = Histogram::new("runtime.job_queue_wait_us");
@@ -256,7 +253,7 @@ static COUNTERS: [&Counter; 13] = [
     &FAULT_EVENTS,
     &LEDGER_ENTRIES,
 ];
-static GAUGES: [&Gauge; 3] = [&POOL_OCCUPANCY, &FOLD_BYTES, &PIPELINE_INFLIGHT];
+static GAUGES: [&Gauge; 2] = [&POOL_OCCUPANCY, &FOLD_BYTES];
 static HISTOGRAMS: [&Histogram; 2] = [&JOB_QUEUE_US, &JOB_EXEC_US];
 
 /// Every counter, in export order.
