@@ -9,8 +9,7 @@
 //!
 //! A second pass scores the attack per [`uldp_core::Scenario`] — dropouts, stragglers,
 //! byzantine silos, Zipf skew — against the accountant's ε and the `(ε, δ)`-DP ceiling
-//! on any attack's advantage, and writes the result as the `scenarios` section of
-//! `BENCH_protocol.json`.
+//! on any attack's advantage, and prints it as a second table.
 //!
 //! ```bash
 //! cargo run --release -p uldp-bench --bin ext_membership_inference
@@ -18,7 +17,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use uldp_bench::scenarios::{evaluate_scenarios, print_scenario_table, write_scenarios_section};
+use uldp_bench::scenarios::{evaluate_scenarios, print_scenario_table};
 use uldp_bench::{print_table, ResultRow, Scale};
 use uldp_core::attack::{member_user_records, user_level_membership_inference};
 use uldp_core::{FlConfig, Method, Trainer, WeightingStrategy};
@@ -95,8 +94,4 @@ fn main() {
     // under the (ε, δ) ceiling — adversarial conditions degrade utility, not privacy.
     let outcomes = evaluate_scenarios(scale.pick(5, 20), scale.pick(400, 1200), 5.0);
     print_scenario_table(&outcomes);
-    match write_scenarios_section(&outcomes) {
-        Ok(path) => println!("Wrote scenarios section to {}", path.display()),
-        Err(e) => eprintln!("Failed to write scenarios section: {e}"),
-    }
 }

@@ -9,8 +9,8 @@
 //!
 //! Every round is executed twice — on the pooled runtime (`ULDP_THREADS` / available
 //! parallelism) and on a 1-thread runtime — and the aggregates are asserted
-//! bitwise-identical; the speedup and the per-phase timings are appended to
-//! `BENCH_protocol.json` ([`uldp_bench::report`]).
+//! bitwise-identical; the table reports the pooled speedup next to the per-phase
+//! timings.
 //!
 //! The Paillier key size defaults to 768 bits at quick scale and 3072 bits (the paper's
 //! security level) at full scale; the table reports the size actually used.
@@ -21,9 +21,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use uldp_bench::{
-    millis, pooled_vs_sequential_round, print_table, BenchEntry, BenchSection, ResultRow, Scale,
-};
+use uldp_bench::{millis, pooled_vs_sequential_round, print_table, ResultRow, Scale};
 use uldp_core::{PrivateWeightingProtocol, ProtocolConfig};
 use uldp_datasets::heart_disease::{self, HeartDiseaseConfig};
 use uldp_datasets::tcga_brca::{self, TcgaBrcaConfig};
@@ -36,7 +34,7 @@ fn bench_scenario(
     model_params: usize,
     paillier_bits: usize,
     rng: &mut StdRng,
-) -> (ResultRow, BenchEntry) {
+) -> ResultRow {
     let histogram = dataset.histogram();
     let n_max = dataset.max_records_per_user().next_power_of_two().max(64) as u64;
     let config = ProtocolConfig {
@@ -70,7 +68,7 @@ fn bench_scenario(
     // Pooled round and a 1-thread round from an identically-seeded RNG clone: the
     // aggregates must match bit for bit (the runtime's determinism guarantee).
     let (protocol, cmp) = pooled_vs_sequential_round(protocol, &deltas, &noises, rng);
-    let (aggregate, round, seq_round) = (&cmp.aggregate, &cmp.timings, &cmp.seq_timings);
+    let (aggregate, round) = (&cmp.aggregate, &cmp.timings);
 
     let reference = protocol.plaintext_reference(&deltas, &noises, None);
     let max_err =
@@ -88,17 +86,7 @@ fn bench_scenario(
     row.push_f64("agg ms", millis(round.aggregation));
     row.push_f64("speedup", cmp.speedup);
     row.push_str("max err", format!("{max_err:.1e}"));
-
-    let mut entry = BenchEntry::new(name);
-    entry
-        .phase("setup", millis(setup.total()))
-        .phase("srv_enc", millis(round.server_encryption))
-        .phase("silo_enc", millis(round.silo_weighting))
-        .phase("agg", millis(round.aggregation))
-        .phase("round_seq", millis(seq_round.total()));
-    entry.speedup_vs_sequential = Some(cmp.speedup);
-    entry.max_err = Some(max_err);
-    (row, entry)
+    row
 }
 
 fn main() {
@@ -114,7 +102,6 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    let mut section = BenchSection::new("fig10_protocol_bench", threads, paillier_bits);
     for &num_users in &user_counts {
         let heart = heart_disease::generate(
             &mut rng,
@@ -124,15 +111,13 @@ fn main() {
                 ..Default::default()
             },
         );
-        let (row, entry) = bench_scenario(
+        rows.push(bench_scenario(
             &format!("HeartDisease |U|={num_users}"),
             &heart,
             scale.pick(30, 60),
             paillier_bits,
             &mut rng,
-        );
-        rows.push(row);
-        section.entries.push(entry);
+        ));
 
         let tcga = tcga_brca::generate(
             &mut rng,
@@ -142,21 +127,15 @@ fn main() {
                 ..Default::default()
             },
         );
-        let (row, entry) = bench_scenario(
+        rows.push(bench_scenario(
             &format!("TcgaBrca |U|={num_users}"),
             &tcga,
             scale.pick(39, 39),
             paillier_bits,
             &mut rng,
-        );
-        rows.push(row);
-        section.entries.push(entry);
+        ));
     }
     print_table("Figure 10: protocol execution time per phase", &rows);
-    match section.write() {
-        Ok(path) => println!("\nWrote machine-readable timings to {}", path.display()),
-        Err(e) => eprintln!("\nFailed to write benchmark JSON: {e}"),
-    }
     println!(
         "\nExpected shape (paper): the silo-side weighted encryption (the paper's 'local\n\
          training' bar) dominates and grows with the number of users; key exchange and\n\

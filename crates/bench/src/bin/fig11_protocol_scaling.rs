@@ -6,8 +6,7 @@
 //! round; the dominant silo-side encryption must grow linearly in both sweeps.
 //!
 //! Every round also runs on a 1-thread runtime to verify bitwise-identical aggregates and
-//! measure the pooled speedup; all timings land in `BENCH_protocol.json`
-//! ([`uldp_bench::report`]).
+//! measure the pooled speedup, which the tables report next to the phase timings.
 //!
 //! ```bash
 //! cargo run --release -p uldp-bench --bin fig11_protocol_scaling
@@ -15,9 +14,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use uldp_bench::{
-    millis, pooled_vs_sequential_round, print_table, BenchEntry, BenchSection, ResultRow, Scale,
-};
+use uldp_bench::{millis, pooled_vs_sequential_round, print_table, ResultRow, Scale};
 use uldp_core::{PrivateWeightingProtocol, ProtocolConfig};
 use uldp_runtime::Runtime;
 
@@ -32,7 +29,7 @@ fn one_round(
     params: usize,
     paillier_bits: usize,
     rng: &mut StdRng,
-) -> (ResultRow, BenchEntry) {
+) -> ResultRow {
     let histogram = random_histogram(rng, num_silos, num_users);
     let config = ProtocolConfig {
         paillier_bits,
@@ -52,7 +49,7 @@ fn one_round(
         (0..num_silos).map(|_| (0..params).map(|_| rng.gen_range(-0.01..0.01)).collect()).collect();
 
     let (protocol, cmp) = pooled_vs_sequential_round(protocol, &deltas, &noises, rng);
-    let (timings, seq_timings) = (&cmp.timings, &cmp.seq_timings);
+    let timings = &cmp.timings;
 
     let setup = protocol.setup_timings();
     let mut row = ResultRow::new(label);
@@ -63,17 +60,7 @@ fn one_round(
     row.push_f64("agg ms", millis(timings.aggregation));
     row.push_f64("round ms", millis(timings.total()));
     row.push_f64("speedup", cmp.speedup);
-
-    let mut entry = BenchEntry::new(label);
-    entry
-        .phase("key_exch", millis(setup.key_exchange))
-        .phase("srv_enc", millis(timings.server_encryption))
-        .phase("silo_enc", millis(timings.silo_weighting))
-        .phase("agg", millis(timings.aggregation))
-        .phase("round", millis(timings.total()))
-        .phase("round_seq", millis(seq_timings.total()));
-    entry.speedup_vs_sequential = Some(cmp.speedup);
-    (row, entry)
+    row
 }
 
 fn main() {
@@ -87,16 +74,11 @@ fn main() {
          (3 silos, {paillier_bits}–bit Paillier, {threads} threads)"
     );
 
-    let mut section = BenchSection::new("fig11_protocol_scaling", threads, paillier_bits);
-
     // Top row: parameter-count sweep at 20 users.
     let param_sweep = scale.pick(vec![16usize, 64, 256, 1024], vec![16usize, 100, 1000, 10_000]);
     let mut rows = Vec::new();
     for &params in &param_sweep {
-        let (row, entry) =
-            one_round(&format!("params={params}"), 3, 20, params, paillier_bits, &mut rng);
-        rows.push(row);
-        section.entries.push(entry);
+        rows.push(one_round(&format!("params={params}"), 3, 20, params, paillier_bits, &mut rng));
     }
     print_table("Figure 11 (top): scaling with parameter count (|U|=20)", &rows);
 
@@ -104,17 +86,9 @@ fn main() {
     let user_sweep = [10usize, 20, 30, 40];
     let mut rows = Vec::new();
     for &users in &user_sweep {
-        let (row, entry) =
-            one_round(&format!("users={users}"), 3, users, 16, paillier_bits, &mut rng);
-        rows.push(row);
-        section.entries.push(entry);
+        rows.push(one_round(&format!("users={users}"), 3, users, 16, paillier_bits, &mut rng));
     }
     print_table("Figure 11 (bottom): scaling with user count (16 parameters)", &rows);
-
-    match section.write() {
-        Ok(path) => println!("\nWrote machine-readable timings to {}", path.display()),
-        Err(e) => eprintln!("\nFailed to write benchmark JSON: {e}"),
-    }
     println!(
         "\nExpected shape (paper): the silo-side encrypted weighting dominates and grows linearly\n\
          with the parameter count and with the number of users; server aggregation grows with the\n\

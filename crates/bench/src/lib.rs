@@ -1,6 +1,6 @@
 //! # uldp-bench
 //!
-//! Benchmark and figure-regeneration harness for the Uldp-FL reproduction.
+//! Figure-regeneration harness for the Uldp-FL reproduction.
 //!
 //! Every figure of the paper's evaluation section has a dedicated binary in `src/bin/`
 //! that regenerates the corresponding series and prints them as aligned tables / CSV:
@@ -18,15 +18,11 @@
 //! | `fig11_protocol_scaling` | Fig. 11 | protocol scaling with parameter count and user count |
 //!
 //! Scale is controlled by the `ULDP_BENCH_SCALE` environment variable: `quick` (default,
-//! minutes) or `full` (closer to the paper's scale, much slower). Criterion micro-benches
-//! (`cargo bench`) cover the crypto primitives, the per-phase protocol cost, the RDP
-//! accountant and silo-local training.
+//! minutes) or `full` (closer to the paper's scale, much slower). The benchmark of
+//! record, with per-layer costs of training and Protocol 1, is `perfbench/` at the
+//! repository root.
 
-pub mod modpow;
-pub mod report;
 pub mod scenarios;
-pub mod telemetry_report;
-pub mod trend;
 
 use rand::rngs::StdRng;
 use uldp_core::{
@@ -35,8 +31,6 @@ use uldp_core::{
 use uldp_datasets::FederatedDataset;
 use uldp_ml::Model;
 use uldp_runtime::Runtime;
-
-pub use report::{BenchEntry, BenchSection};
 
 /// Experiment scale selected via the `ULDP_BENCH_SCALE` environment variable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -176,18 +170,14 @@ pub struct RoundComparison {
     pub seq_timings: RoundTimings,
     /// Wall-clock speedup of the pooled round over the sequential one.
     pub speedup: f64,
-    /// Peak transient fold-accumulator bytes of the pooled round (the round's streaming
-    /// cell fold, read from the runtime's [`uldp_runtime::MemoryGauge`]). This is the
-    /// measured O(chunks × dim) footprint the `memory` report section records.
-    pub peak_fold_bytes: usize,
 }
 
 /// Runs `protocol`'s weighting round twice — on its configured (pooled) runtime with
 /// `rng`, then on a 1-thread runtime from a pre-round clone of `rng` — and asserts the
 /// decrypted aggregates are bitwise-identical (the runtime's determinism guarantee).
 ///
-/// Shared by `fig10_protocol_bench`, `fig11_protocol_scaling` and `protocol_smoke` so
-/// the comparison harness cannot drift between them. `rng` advances exactly as one round
+/// Shared by `fig10_protocol_bench` and `fig11_protocol_scaling` so the comparison
+/// harness cannot drift between them. `rng` advances exactly as one round
 /// would; the protocol is returned with the 1-thread runtime installed.
 pub fn pooled_vs_sequential_round(
     protocol: PrivateWeightingProtocol,
@@ -204,9 +194,7 @@ pub fn pooled_vs_sequential_round(
     let _ = protocol.weighting_round(deltas, noises, None, &mut warm_rng);
     protocol.reset_round_cache();
     let mut seq_rng = rng.clone();
-    protocol.runtime().fold_gauge().reset();
     let (aggregate, timings) = protocol.weighting_round(deltas, noises, None, rng);
-    let peak_fold_bytes = protocol.runtime().fold_gauge().peak();
     let protocol = protocol.with_runtime(Runtime::handle(1));
     // The pooled round populated the cross-round ciphertext cache; drop it so the
     // sequential replay pays the same full encryption cost and the speedup stays a
@@ -219,7 +207,7 @@ pub fn pooled_vs_sequential_round(
         "pooled and sequential aggregates must be bitwise-identical"
     );
     let speedup = seq_timings.total().as_secs_f64() / timings.total().as_secs_f64().max(1e-12);
-    (protocol, RoundComparison { aggregate, timings, seq_timings, speedup, peak_fold_bytes })
+    (protocol, RoundComparison { aggregate, timings, seq_timings, speedup })
 }
 
 #[cfg(test)]

@@ -1,23 +1,20 @@
-//! Per-scenario membership-inference scoring: the `scenarios` report section.
+//! Per-scenario membership-inference scoring.
 //!
 //! Every [`Scenario`] of the catalogue — baseline, dropouts, stragglers, byzantine
 //! strategies, Zipf skew and the mixed worst case — is trained on the memorisation-prone
 //! Creditcard federation with the scenario's fault plan and allocation, attacked with the
 //! user-level loss-threshold attack of `uldp_core::attack`, and scored against the
 //! accountant's `(ε, δ)` ceiling on any attack's advantage
-//! ([`uldp_accounting::membership_advantage_bound`]). The outcomes feed a table on
-//! stdout and the `scenarios` section of `BENCH_protocol.json`, shared by
-//! `ext_membership_inference` and the CI `scenario_smoke` binary.
+//! ([`uldp_accounting::membership_advantage_bound`]). The outcomes feed the
+//! per-scenario table `ext_membership_inference` prints.
 
-use crate::{print_table, BenchEntry, BenchSection, ResultRow};
+use crate::{print_table, ResultRow};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
 use uldp_core::attack::{member_user_records, score_scenario, ScenarioAttackScore};
 use uldp_core::{FlConfig, Method, Scenario, Trainer, WeightingStrategy};
 use uldp_datasets::creditcard::{self, CreditcardConfig};
 use uldp_ml::{LinearClassifier, Model};
-use uldp_runtime::Runtime;
 
 /// One scenario's training + attack outcome.
 #[derive(Clone, Debug)]
@@ -80,32 +77,6 @@ pub fn evaluate_scenarios(rounds: u64, train_records: usize, sigma: f64) -> Vec<
         .collect()
 }
 
-/// The `scenarios` report section: one entry per scenario with the attack AUC /
-/// advantage next to the accountant's ε and the `(ε, δ)` advantage ceiling.
-///
-/// `paillier_bits` is 0 — no cryptography runs here; the field is part of the shared
-/// section schema.
-pub fn scenarios_section(outcomes: &[ScenarioOutcome]) -> BenchSection {
-    let mut section = BenchSection::new("scenarios", Runtime::global().threads(), 0);
-    for outcome in outcomes {
-        let mut entry = BenchEntry::new(outcome.score.scenario.clone());
-        entry
-            .phase("attack_auc", outcome.score.result.auc)
-            .phase("advantage", outcome.score.result.advantage)
-            .phase("epsilon", outcome.score.epsilon)
-            .phase("advantage_bound", outcome.score.advantage_bound)
-            .phase("test_accuracy", outcome.test_accuracy);
-        section.entries.push(entry);
-    }
-    section
-}
-
-/// Writes (or merges) the `scenarios` section into `BENCH_protocol.json`
-/// (honouring `ULDP_BENCH_JSON`) and returns the path.
-pub fn write_scenarios_section(outcomes: &[ScenarioOutcome]) -> std::io::Result<PathBuf> {
-    scenarios_section(outcomes).write()
-}
-
 /// Prints the per-scenario attack-vs-ε table.
 pub fn print_scenario_table(outcomes: &[ScenarioOutcome]) {
     let rows: Vec<ResultRow> = outcomes
@@ -130,10 +101,9 @@ pub fn print_scenario_table(outcomes: &[ScenarioOutcome]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::parse_report_phases;
 
     #[test]
-    fn outcomes_cover_the_catalogue_and_serialise() {
+    fn outcomes_cover_the_catalogue() {
         let outcomes = evaluate_scenarios(2, 160, 1.0);
         let names: Vec<&str> = Scenario::catalogue().iter().map(|s| s.name).collect();
         assert_eq!(
@@ -150,18 +120,5 @@ mod tests {
                 o.score.scenario
             );
         }
-
-        let dir = std::env::temp_dir().join(format!("uldp-scenarios-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_scenarios.json");
-        let _ = std::fs::remove_file(&path);
-        scenarios_section(&outcomes).write_to(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-        let samples = parse_report_phases(&text);
-        assert!(samples.iter().all(|s| s.section == "scenarios"));
-        // 5 phases per scenario (finite ε at σ = 1, so nothing serialises to null)
-        assert_eq!(samples.len(), outcomes.len() * 5);
-        assert!(samples.iter().any(|s| s.phase == "advantage_bound"));
     }
 }

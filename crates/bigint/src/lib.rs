@@ -22,9 +22,8 @@
 //!
 //! Multiplication is schoolbook with a Karatsuba path for large operands. Modular
 //! exponentiation has two paths: the plain square-and-multiply [`modular::mod_pow`]
-//! (the reference the engine is verified against, and the fallback selected by
-//! `ULDP_GENERIC_MODPOW=1`) and the Montgomery engine in [`montgomery`], which the
-//! Paillier/Diffie–Hellman call sites in `uldp-crypto` use by default.
+//! (the reference the engine is verified against) and the Montgomery engine in
+//! [`montgomery`], which every Paillier/Diffie–Hellman call site in `uldp-crypto` uses.
 
 pub mod biguint;
 pub mod modular;

@@ -20,29 +20,10 @@
 //!
 //! Montgomery form is a bijection of `Z_n`, so every result is bitwise-identical to the
 //! schoolbook [`crate::modular::mod_pow`] path; the property tests in
-//! `crates/bigint/tests/montgomery_props.rs` assert this up to 2048-bit moduli. Setting
-//! the environment variable `ULDP_GENERIC_MODPOW=1` (read once per process, see
-//! [`engine_disabled`]) makes the call sites in `uldp-crypto` fall back to the
-//! schoolbook path, which CI uses to cross-check protocol aggregates bit-for-bit.
+//! `crates/bigint/tests/montgomery_props.rs` assert this up to 2048-bit moduli, and the
+//! call sites in `uldp-crypto` keep their own tests against `mod_pow`.
 
 use crate::biguint::{BigUint, LIMB_BITS};
-use std::sync::OnceLock;
-
-/// Returns `true` when `ULDP_GENERIC_MODPOW` is set to `1`/`true` in the environment,
-/// asking call sites to bypass the Montgomery engine and use the schoolbook
-/// [`crate::modular::mod_pow`] path instead (read once per process).
-///
-/// This is a verification and benchmarking knob: CI runs the protocol smoke binary once
-/// with the engine and once without and diffs the decrypted aggregates bit-for-bit.
-pub fn engine_disabled() -> bool {
-    static DISABLED: OnceLock<bool> = OnceLock::new();
-    *DISABLED.get_or_init(|| {
-        matches!(
-            std::env::var("ULDP_GENERIC_MODPOW").as_deref().map(str::trim),
-            Ok("1") | Ok("true") | Ok("TRUE")
-        )
-    })
-}
 
 /// An element of `Z_n` in Montgomery form (`a·R mod n`, fixed width of `n`'s limb count).
 ///
@@ -948,17 +929,6 @@ mod tests {
                 assert_eq!(wide.pow(&exp), fixed.pow(&exp), "bits={bits} window={window}");
             }
         }
-    }
-
-    #[test]
-    fn engine_disabled_matches_environment() {
-        // Must hold both in the default harness (var unset → engine active) and under
-        // a `ULDP_GENERIC_MODPOW=1 cargo test` fallback-verification run.
-        let expected = matches!(
-            std::env::var("ULDP_GENERIC_MODPOW").as_deref().map(str::trim),
-            Ok("1") | Ok("true") | Ok("TRUE")
-        );
-        assert_eq!(engine_disabled(), expected);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! which is standard practice for cryptographic prime generation.
 
 use crate::biguint::BigUint;
-use crate::modular::mod_pow;
-use crate::montgomery::{engine_disabled, ModulusCtx};
+use crate::montgomery::ModulusCtx;
 use rand::Rng;
 
 /// Default number of Miller–Rabin rounds (error probability below `4^-40`).
@@ -53,9 +52,6 @@ pub fn miller_rabin<R: Rng + ?Sized>(rng: &mut R, n: &BigUint, rounds: usize) ->
         d = d.shr_bits(1);
         r += 1;
     }
-    if engine_disabled() {
-        return miller_rabin_generic(rng, n, rounds, &d, r, &n_minus_1);
-    }
     let ctx = ModulusCtx::new(n);
     let one_m = ctx.one();
     let n_minus_1_m = ctx.to_mont(&n_minus_1);
@@ -70,35 +66,6 @@ pub fn miller_rabin<R: Rng + ?Sized>(rng: &mut R, n: &BigUint, rounds: usize) ->
         for _ in 0..r.saturating_sub(1) {
             x = ctx.mont_sqr(&x);
             if x == n_minus_1_m {
-                continue 'witness;
-            }
-        }
-        return false;
-    }
-    true
-}
-
-/// The schoolbook witness loop (`ULDP_GENERIC_MODPOW=1` fallback). Draws witnesses from
-/// `rng` in exactly the same order as the Montgomery path, so both paths consume the RNG
-/// identically and generate bit-identical primes.
-fn miller_rabin_generic<R: Rng + ?Sized>(
-    rng: &mut R,
-    n: &BigUint,
-    rounds: usize,
-    d: &BigUint,
-    r: usize,
-    n_minus_1: &BigUint,
-) -> bool {
-    'witness: for _ in 0..rounds {
-        let bound = n.sub(&BigUint::from_u64(3));
-        let a = BigUint::random_below(rng, &bound).add(&BigUint::two());
-        let mut x = mod_pow(&a, d, n);
-        if x.is_one() || x == *n_minus_1 {
-            continue 'witness;
-        }
-        for _ in 0..r.saturating_sub(1) {
-            x = mod_pow(&x, &BigUint::two(), n);
-            if x == *n_minus_1 {
                 continue 'witness;
             }
         }
@@ -154,8 +121,63 @@ pub fn generate_prime_pair<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> (BigUin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modular::mod_pow;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Reference witness loop over the schoolbook [`mod_pow`]: draws witnesses from `rng`
+    /// in the same order as [`miller_rabin`], so both consume the RNG identically.
+    fn miller_rabin_generic<R: Rng + ?Sized>(rng: &mut R, n: &BigUint, rounds: usize) -> bool {
+        let n_minus_1 = n.sub(&BigUint::one());
+        let mut d = n_minus_1.clone();
+        let mut r = 0usize;
+        while d.is_even() {
+            d = d.shr_bits(1);
+            r += 1;
+        }
+        'witness: for _ in 0..rounds {
+            let bound = n.sub(&BigUint::from_u64(3));
+            let a = BigUint::random_below(rng, &bound).add(&BigUint::two());
+            let mut x = mod_pow(&a, &d, n);
+            if x.is_one() || x == n_minus_1 {
+                continue 'witness;
+            }
+            for _ in 0..r.saturating_sub(1) {
+                x = mod_pow(&x, &BigUint::two(), n);
+                if x == n_minus_1 {
+                    continue 'witness;
+                }
+            }
+            return false;
+        }
+        true
+    }
+
+    #[test]
+    fn miller_rabin_matches_the_generic_reference() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let p = generate_prime(&mut rng, 96);
+        let q = generate_prime(&mut rng, 96);
+        // Primes, a semiprime, Carmichael numbers and random odd candidates: both
+        // verdicts must agree and leave the RNG in the same state.
+        let mut candidates =
+            vec![p.clone(), q.clone(), p.mul(&q), BigUint::from_u64(1_000_000_007)];
+        candidates.extend([561u64, 62745, 162401].map(BigUint::from_u64));
+        for _ in 0..16 {
+            let c = BigUint::random_with_bits(&mut rng, 80);
+            candidates.push(if c.is_even() { c.add(&BigUint::one()) } else { c });
+        }
+        for (i, n) in candidates.iter().enumerate() {
+            let mut engine_rng = StdRng::seed_from_u64(100 + i as u64);
+            let mut generic_rng = engine_rng.clone();
+            assert_eq!(
+                miller_rabin(&mut engine_rng, n, 20),
+                miller_rabin_generic(&mut generic_rng, n, 20),
+                "verdict for {n:?}"
+            );
+            assert_eq!(engine_rng.gen::<u64>(), generic_rng.gen::<u64>(), "RNG state for {n:?}");
+        }
+    }
 
     #[test]
     fn small_primes_detected() {

@@ -17,14 +17,12 @@
 //! The result is held as a [`SampleMask`], which picks its representation by density:
 //! sparse sorted `Vec<u32>` below [`DENSE_THRESHOLD_NUM`]`/`[`DENSE_THRESHOLD_DEN`]
 //! sampled fraction, dense `Vec<bool>` above (where a bitmap walk is cheaper and the
-//! sparse path saves nothing). The `ULDP_DENSE_MASK=1` environment knob (read once per
-//! process, mirroring `ULDP_FRESH_ENCRYPT`) forces the dense representation everywhere
-//! so CI can diff sparse-vs-dense aggregates bit for bit — the two representations are
-//! semantically identical ([`PartialEq`] compares the sampled *set*, not the layout)
-//! and every consumer must produce bitwise-identical output under either.
+//! sparse path saves nothing). The two representations are semantically identical
+//! ([`PartialEq`] compares the sampled *set*, not the layout) and every consumer must
+//! produce bitwise-identical output under either; tests compare a sparse mask against
+//! its [`SampleMask::densified`] copy.
 
 use rand::Rng;
-use std::sync::OnceLock;
 
 /// A sampled fraction of at least `NUM/DEN` switches the representation to dense.
 ///
@@ -33,23 +31,6 @@ use std::sync::OnceLock;
 /// probe; the sub-linear win only exists for genuinely sparse rounds (q ≪ 1).
 const DENSE_THRESHOLD_NUM: usize = 1;
 const DENSE_THRESHOLD_DEN: usize = 4;
-
-/// Returns `true` when `ULDP_DENSE_MASK` is set to `1`/`true` in the environment,
-/// forcing [`SampleMask`] to always use the dense `Vec<bool>` representation (read once
-/// per process).
-///
-/// This is a verification knob, mirroring `ULDP_FRESH_ENCRYPT`: CI runs the population
-/// smoke binary once sparse and once dense and diffs the AGG/MRD fingerprints bit for
-/// bit, so any divergence between the two layouts fails loudly.
-pub fn dense_mask_forced() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        matches!(
-            std::env::var("ULDP_DENSE_MASK").as_deref().map(str::trim),
-            Ok("1") | Ok("true") | Ok("TRUE")
-        )
-    })
-}
 
 /// Which users of a round's population are sampled.
 ///
@@ -131,14 +112,12 @@ impl SampleMask {
     }
 
     /// Builds a mask from strictly-increasing sampled indices, picking the
-    /// representation by density (dense when forced via `ULDP_DENSE_MASK` or when at
-    /// least a quarter of the population is sampled).
+    /// representation by density (dense when at least a quarter of the population is
+    /// sampled).
     pub fn from_sorted_indices(num_users: usize, indices: Vec<u32>) -> SampleMask {
         debug_assert!(indices.windows(2).all(|w| w[0] < w[1]), "indices must be strictly sorted");
         debug_assert!(indices.last().is_none_or(|&u| (u as usize) < num_users));
-        let dense = dense_mask_forced()
-            || indices.len() * DENSE_THRESHOLD_DEN >= num_users * DENSE_THRESHOLD_NUM;
-        if dense {
+        if indices.len() * DENSE_THRESHOLD_DEN >= num_users * DENSE_THRESHOLD_NUM {
             let mut flags = vec![false; num_users];
             for &u in &indices {
                 flags[u as usize] = true;
@@ -267,9 +246,7 @@ mod tests {
     fn representation_follows_density() {
         let sparse = SampleMask::from_sorted_indices(100, vec![3, 17, 50]);
         let dense = SampleMask::from_sorted_indices(100, (0..50).collect());
-        if !dense_mask_forced() {
-            assert!(sparse.is_sparse());
-        }
+        assert!(sparse.is_sparse());
         assert!(!dense.is_sparse());
         assert!(sparse.contains(17) && !sparse.contains(18));
         assert!(dense.contains(49) && !dense.contains(50));
@@ -286,14 +263,5 @@ mod tests {
         // Different sets (or populations) are unequal.
         assert_ne!(mask, SampleMask::from_sorted_indices(64, vec![0, 9, 62]));
         assert_ne!(mask, SampleMask::from_sorted_indices(65, vec![0, 9, 63]));
-    }
-
-    #[test]
-    fn dense_mask_forced_matches_environment() {
-        let expected = matches!(
-            std::env::var("ULDP_DENSE_MASK").as_deref().map(str::trim),
-            Ok("1") | Ok("true") | Ok("TRUE")
-        );
-        assert_eq!(dense_mask_forced(), expected);
     }
 }

@@ -259,11 +259,11 @@ fn select_silos(stream: u64, num_silos: usize, fraction: f64, max: usize) -> Vec
 /// A named federation condition: a fault plan plus an allocation regime.
 ///
 /// [`Scenario::catalogue`] is the shared grid sampled by the round fuzzer
-/// (`tests/scenario_fuzz.rs`), the scenario smoke binary and the per-scenario
-/// membership-inference scoring that feeds the `scenarios` report section.
+/// (`tests/scenario_fuzz.rs`) and the per-scenario membership-inference scoring of
+/// `ext_membership_inference`.
 #[derive(Clone, Copy, Debug)]
 pub struct Scenario {
-    /// Stable name used in test labels and the `scenarios` report section.
+    /// Stable name used in test labels and the per-scenario table.
     pub name: &'static str,
     /// The faults injected under this scenario.
     pub plan: FaultPlan,

@@ -4,12 +4,14 @@
 //! public key through the aggregation server. Each pair of silos then derives a shared
 //! secret from which per-pair, per-user additive masks and the shared random seed `R`
 //! (used for multiplicative blinding) are expanded.
+//!
+//! Every exponentiation runs through the group's cached Montgomery context; the tests
+//! pin the keys and shared secrets to the schoolbook `mod_pow`.
 
 use crate::sha256::hash_parts;
 use rand::Rng;
 use std::sync::{Arc, OnceLock};
-use uldp_bigint::modular::mod_pow;
-use uldp_bigint::montgomery::{engine_disabled, ModulusCtx};
+use uldp_bigint::montgomery::ModulusCtx;
 use uldp_bigint::{prime, BigUint};
 
 /// A multiplicative group `(Z_p)^*` with generator `g` used for Diffie–Hellman.
@@ -73,14 +75,9 @@ impl DhGroup {
         self.ctx.get_or_init(|| Arc::new(ModulusCtx::new(&self.p)))
     }
 
-    /// `base^exp mod p` through the group's cached engine context (or the schoolbook
-    /// path under `ULDP_GENERIC_MODPOW=1`) — identical results either way.
+    /// `base^exp mod p` through the group's cached engine context.
     fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        if engine_disabled() {
-            mod_pow(base, exp, &self.p)
-        } else {
-            self.ctx().pow(base, exp)
-        }
+        self.ctx().pow(base, exp)
     }
 }
 
@@ -132,6 +129,16 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use uldp_bigint::modular::mod_pow;
+
+    /// Pins the engine-computed keys and shared secret to the schoolbook `mod_pow`.
+    fn assert_matches_schoolbook(group: &DhGroup, alice: &DhKeyPair, bob: &DhKeyPair) {
+        assert_eq!(alice.public_key(), &mod_pow(&group.g, &alice.secret, &group.p));
+        assert_eq!(
+            alice.shared_secret(bob.public_key()),
+            mod_pow(bob.public_key(), &alice.secret, &group.p)
+        );
+    }
 
     #[test]
     fn rfc_groups_have_expected_sizes() {
@@ -147,6 +154,7 @@ mod tests {
         let bob = DhKeyPair::generate(&mut rng, &group);
         assert_eq!(alice.shared_secret(bob.public_key()), bob.shared_secret(alice.public_key()));
         assert_eq!(alice.shared_seed(bob.public_key()), bob.shared_seed(alice.public_key()));
+        assert_matches_schoolbook(&group, &alice, &bob);
     }
 
     #[test]
@@ -156,6 +164,7 @@ mod tests {
         let alice = DhKeyPair::generate(&mut rng, &group);
         let bob = DhKeyPair::generate(&mut rng, &group);
         assert_eq!(alice.shared_secret(bob.public_key()), bob.shared_secret(alice.public_key()));
+        assert_matches_schoolbook(&group, &alice, &bob);
     }
 
     #[test]

@@ -25,12 +25,12 @@
 //! additionally amortises a *base*: Protocol 1 raises each encrypted inverse to one
 //! scalar per model coordinate, which a [`FixedBaseCtx`] turns into squaring-free
 //! table lookups. Results are bitwise-identical to the schoolbook square-and-multiply
-//! path (`ULDP_GENERIC_MODPOW=1` forces that path; CI diffs the two).
+//! [`mod_pow`]; the tests below compare every engine call site against it.
 
 use rand::Rng;
 use std::sync::{Arc, OnceLock};
 use uldp_bigint::modular::{mod_inv, mod_mul, mod_pow, mod_sub};
-use uldp_bigint::montgomery::{engine_disabled, FixedBaseCtx, ModulusCtx};
+use uldp_bigint::montgomery::{FixedBaseCtx, ModulusCtx};
 use uldp_bigint::{lcm, prime, BigUint};
 use uldp_runtime::seeding::WideSeed;
 use uldp_runtime::Runtime;
@@ -185,8 +185,6 @@ pub struct ScalarMulCtx {
 
 #[derive(Debug)]
 enum ScalarMulCtxInner {
-    /// Schoolbook square-and-multiply over `n²` (the `ULDP_GENERIC_MODPOW=1` path).
-    Generic { base: BigUint, n_squared: BigUint },
     /// Montgomery sliding window (few expected uses; no per-base table).
     Window { ctx: Arc<ModulusCtx>, base: BigUint },
     /// Fixed-base radix-2ʷ table (many expected uses of the same base).
@@ -200,7 +198,6 @@ impl ScalarMulCtx {
         uldp_telemetry::metrics::PAILLIER_SCALAR_MUL.inc();
         let k = k.rem(&self.n);
         Ciphertext(match &self.inner {
-            ScalarMulCtxInner::Generic { base, n_squared } => mod_pow(base, &k, n_squared),
             ScalarMulCtxInner::Window { ctx, base } => ctx.pow(base, &k),
             ScalarMulCtxInner::FixedBase(fixed) => fixed.pow(&k),
         })
@@ -232,10 +229,8 @@ pub struct RerandCtx {
     n: BigUint,
     /// Ciphertext modulus `n²`.
     n_squared: BigUint,
-    /// `h = ρ^n mod n²` in normal form (the generic-path base).
-    h: BigUint,
-    /// Fixed-base table for `h` (absent on the `ULDP_GENERIC_MODPOW=1` path).
-    table: Option<FixedBaseCtx>,
+    /// Fixed-base table for `h = ρ^n mod n²`.
+    table: FixedBaseCtx,
 }
 
 impl RerandCtx {
@@ -244,10 +239,7 @@ impl RerandCtx {
     /// The table covers the `|n|`-bit exponents [`RerandCtx::rerandomise`] draws;
     /// longer exponents take the sliding-window path with identical results.
     pub fn pow_h(&self, t: &BigUint) -> BigUint {
-        match &self.table {
-            Some(fixed) => fixed.pow(t),
-            None => mod_pow(&self.h, t, &self.n_squared),
-        }
+        self.table.pow(t)
     }
 
     /// Re-randomises `c` with a fresh exponent `t ∈ [1, n)`, returning `c·h^t`.
@@ -306,11 +298,7 @@ impl PaillierPublicKey {
         uldp_telemetry::metrics::PAILLIER_ENCRYPT.inc();
         // (1 + m*n) mod n^2 — stays in normal form; only r^n runs in Montgomery form.
         let gm = BigUint::one().add(&m.mul(&self.n)).rem(&self.n_squared);
-        let rn = if engine_disabled() {
-            mod_pow(r, &self.n, &self.n_squared)
-        } else {
-            self.ctx_n2().pow(r, &self.n)
-        };
+        let rn = self.ctx_n2().pow(r, &self.n);
         Ciphertext(mod_mul(&gm, &rn, &self.n_squared))
     }
 
@@ -330,11 +318,7 @@ impl PaillierPublicKey {
     /// tests pinning the `add(c, Enc(0; r)) = c·r^n` equivalence.
     pub fn rerandomise_with_randomness(&self, c: &Ciphertext, r: &BigUint) -> Ciphertext {
         uldp_telemetry::metrics::PAILLIER_RERANDOMISE.inc();
-        let rn = if engine_disabled() {
-            mod_pow(r, &self.n, &self.n_squared)
-        } else {
-            self.ctx_n2().pow(r, &self.n)
-        };
+        let rn = self.ctx_n2().pow(r, &self.n);
         Ciphertext(mod_mul(&c.0, &rn, &self.n_squared))
     }
 
@@ -355,17 +339,12 @@ impl PaillierPublicKey {
     /// squaring-free (see the [`RerandCtx`] docs for the subgroup caveat).
     pub fn rerand_ctx<R: Rng + ?Sized>(&self, rng: &mut R) -> RerandCtx {
         let rho = self.sample_unit(rng);
-        let h = if engine_disabled() {
-            mod_pow(&rho, &self.n, &self.n_squared)
-        } else {
-            self.ctx_n2().pow(&rho, &self.n)
-        };
+        let h = self.ctx_n2().pow(&rho, &self.n);
         // Covers the exponents t < n that RerandCtx::rerandomise draws.
         let max_bits = self.n.bit_length();
-        let table = (!engine_disabled()).then(|| {
-            FixedBaseCtx::with_window(Arc::clone(self.ctx_n2()), &h, max_bits, RERAND_WINDOW)
-        });
-        RerandCtx { n: self.n.clone(), n_squared: self.n_squared.clone(), h, table }
+        let table =
+            FixedBaseCtx::with_window(Arc::clone(self.ctx_n2()), &h, max_bits, RERAND_WINDOW);
+        RerandCtx { n: self.n.clone(), n_squared: self.n_squared.clone(), table }
     }
 
     /// The encryption of zero with randomness one (useful as an additive identity).
@@ -389,11 +368,7 @@ impl PaillierPublicKey {
     pub fn scalar_mul(&self, a: &Ciphertext, k: &BigUint) -> Ciphertext {
         uldp_telemetry::metrics::PAILLIER_SCALAR_MUL.inc();
         let k = k.rem(&self.n);
-        Ciphertext(if engine_disabled() {
-            mod_pow(&a.0, &k, &self.n_squared)
-        } else {
-            self.ctx_n2().pow(&a.0, &k)
-        })
+        Ciphertext(self.ctx_n2().pow(&a.0, &k))
     }
 
     /// Builds a reusable [`ScalarMulCtx`] for repeated scalar multiplications of one
@@ -402,9 +377,7 @@ impl PaillierPublicKey {
     /// table (no squarings per exponentiation), below it the sliding-window path is used
     /// so a rarely-used base never pays for a table.
     pub fn scalar_mul_ctx(&self, a: &Ciphertext, expected_muls: usize) -> ScalarMulCtx {
-        let inner = if engine_disabled() {
-            ScalarMulCtxInner::Generic { base: a.0.clone(), n_squared: self.n_squared.clone() }
-        } else if expected_muls >= FIXED_BASE_MIN_MULS {
+        let inner = if expected_muls >= FIXED_BASE_MIN_MULS {
             // Scalars are reduced mod n before exponentiation, so the table only needs
             // to cover n-sized exponents.
             ScalarMulCtxInner::FixedBase(FixedBaseCtx::new(
@@ -538,9 +511,6 @@ impl PaillierSecretKey {
     /// cross-check against [`PaillierSecretKey::decrypt_generic`] on every call).
     pub fn decrypt(&self, c: &Ciphertext) -> BigUint {
         uldp_telemetry::metrics::PAILLIER_DECRYPT.inc();
-        if engine_disabled() {
-            return self.decrypt_generic(c);
-        }
         let pk = &self.public;
         let x = self.pow_lambda_crt(&c.0);
         let l = self.l_function(&x);
@@ -563,9 +533,6 @@ impl PaillierSecretKey {
     /// length, never the pool size.
     pub fn decrypt_batch(&self, rt: &Runtime, items: &[Ciphertext]) -> Vec<BigUint> {
         uldp_telemetry::metrics::PAILLIER_DECRYPT.add(items.len() as u64);
-        if engine_disabled() {
-            return rt.par_map(items, |_, c| self.decrypt_generic(c));
-        }
         let ctx_p2 = Arc::clone(self.ctx_p2());
         let ctx_q2 = Arc::clone(self.ctx_q2());
         let chunks = uldp_runtime::fold_chunk_ranges(items.len(), DECRYPT_BATCH_CHUNK);
@@ -595,7 +562,7 @@ impl PaillierSecretKey {
 
     /// Decrypts via the direct `c^λ mod n²` exponentiation with the schoolbook
     /// square-and-multiply (the seed implementation). Kept as the reference the CRT path
-    /// is cross-checked against, and as the `ULDP_GENERIC_MODPOW=1` fallback.
+    /// is cross-checked against.
     pub fn decrypt_generic(&self, c: &Ciphertext) -> BigUint {
         let pk = &self.public;
         let x = mod_pow(&c.0, &self.lambda, &pk.n_squared);
@@ -672,7 +639,8 @@ mod tests {
         // An odd batch length exercises the trailing partial chunk of the fixed grid.
         let cts: Vec<Ciphertext> =
             (0..7u64).map(|v| kp.public.encrypt(&mut rng, &BigUint::from_u64(v * v + 1))).collect();
-        let expect: Vec<BigUint> = cts.iter().map(|c| kp.secret.decrypt(c)).collect();
+        let expect: Vec<BigUint> = cts.iter().map(|c| kp.secret.decrypt_generic(c)).collect();
+        assert_eq!(cts.iter().map(|c| kp.secret.decrypt(c)).collect::<Vec<_>>(), expect);
         for threads in [1, 4] {
             let rt = Runtime::new(threads);
             assert_eq!(kp.secret.decrypt_batch(&rt, &cts), expect);
@@ -864,6 +832,12 @@ mod tests {
         assert_eq!(
             kp.public.rerandomise_with_randomness(&c, &r),
             kp.public.add(&c, &kp.public.encrypt_with_randomness(&BigUint::zero(), &r)),
+        );
+        // ... and the engine's r^n is the schoolbook one.
+        let n2 = &kp.public.n_squared;
+        assert_eq!(
+            kp.public.rerandomise_with_randomness(&c, &r).0,
+            mod_mul(&c.0, &mod_pow(&r, &kp.public.n, n2), n2),
         );
     }
 

@@ -3,10 +3,10 @@
 //! Structured observability for the Uldp-FL workspace: hierarchical wall-clock
 //! [spans](trace::Span), [instant events](trace::event) (fault injections, privacy-ledger
 //! entries), atomic [counters](metrics::Counter), [gauges](metrics::Gauge) and
-//! fixed-bucket [histograms](metrics::Histogram), with three exporters — a chrome-trace
-//! (`chrome://tracing` / Perfetto) JSON file, a flat human-readable summary, and a
-//! structured snapshot that `uldp-bench` merges into `BENCH_protocol.json` as the
-//! `telemetry` section.
+//! fixed-bucket [histograms](metrics::Histogram), with two exporters — a chrome-trace
+//! (`chrome://tracing` / Perfetto) JSON file and a flat human-readable summary — plus
+//! per-span statistics ([`export::span_stats`]) and raw counter reads for benchmarks and
+//! tests that gate exact operation counts.
 //!
 //! The crate has **zero dependencies** (the same vendored-shim philosophy as the rest of
 //! the workspace) so it can sit below every other crate in the graph: `uldp-runtime`
@@ -17,7 +17,7 @@
 //! ## Gating and overhead
 //!
 //! Everything is gated on [`enabled`]: the `ULDP_TRACE` environment variable is read
-//! **once per process** (the `ULDP_GENERIC_MODPOW` idiom) into an atomic that hot paths
+//! **once per process** into an atomic that hot paths
 //! check with a single relaxed load. With tracing off, a counter bump is one load and a
 //! branch, and a span is a no-op that never calls [`std::time::Instant::now`] —
 //! protocol-phase spans that must report durations regardless (the `ProtocolTimings` /

@@ -2,8 +2,13 @@
 //! exchange, blinded histogram aggregation) followed by one encrypted weighting round,
 //! with a correctness check against the plaintext aggregation and a timing breakdown.
 //!
+//! With `ULDP_TRACE=1` the run also writes a chrome trace (to `ULDP_TRACE_OUT`, default
+//! `ULDP_trace.json`; open it in Perfetto or `chrome://tracing`) and prints the flat
+//! telemetry summary: spans per phase and operation counts.
+//!
 //! ```bash
 //! cargo run --release --example private_protocol
+//! ULDP_TRACE=1 cargo run --release --example private_protocol
 //! ```
 
 use rand::rngs::StdRng;
@@ -77,4 +82,13 @@ fn main() {
     println!(
         "correctness check passed: the encrypted aggregate matches the plaintext weighted sum."
     );
+
+    if uldp_fl::telemetry::enabled() {
+        match uldp_fl::telemetry::export::write_chrome_trace_default() {
+            Ok(Some(path)) => println!("\nWrote chrome trace to {}", path.display()),
+            Ok(None) => {}
+            Err(e) => eprintln!("\nFailed to write chrome trace: {e}"),
+        }
+        print!("{}", uldp_fl::telemetry::export::summary());
+    }
 }

@@ -110,10 +110,9 @@ fn peak_bytes_scale_with_span_count_not_user_count() {
 
 #[test]
 fn per_section_reset_prevents_peak_inheritance() {
-    // The bench binaries measure several sections back-to-back on one shared runtime.
-    // `peak()` is a high-water mark, so a section that folds less than its predecessor
-    // inherits the old peak unless the binary resets the gauge per section — the
-    // lifecycle contract `protocol_smoke`/`scenario_smoke` now follow.
+    // A caller measuring several sections back-to-back on one shared runtime must reset
+    // the gauge per section: `peak()` is a high-water mark, so a section that folds less
+    // than its predecessor otherwise inherits the old peak.
     let rt = uldp_fl::runtime::Runtime::new(1);
     let gauge = rt.fold_gauge();
     gauge.record(4096); // section 1: a large round

@@ -1,4 +1,7 @@
-//! Exact operation counts of a cached Protocol 1 round.
+//! Exact operation counts of a fresh and a cached Protocol 1 round.
+//!
+//! Round 1 freshly encrypts every user's blinded inverse and re-randomises nothing; the
+//! cached round after it encrypts nothing and re-randomises every user.
 //!
 //! Step 2.(b) is the silos' work and must be computed from the ciphertexts they
 //! receive: one fixed-base exponentiation per `(silo, user, coordinate)` cell over a
@@ -13,15 +16,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use uldp_fl::core::protocol::fresh_encrypt_forced;
 use uldp_fl::core::{PrivateWeightingProtocol, ProtocolConfig};
 use uldp_fl::telemetry::metrics;
 
 #[test]
 fn cached_round_costs_one_fixed_base_exponentiation_per_cell_and_refresh() {
-    if uldp_fl::bigint::montgomery::engine_disabled() {
-        return; // ULDP_GENERIC_MODPOW=1 replaces every fixed-base table by mod_pow
-    }
     // 3 silos × 6 users, every user holding records somewhere; 8 coordinates give
     // every participating user at least 8 uses, enough for a fixed-base table.
     let histogram: Vec<Vec<usize>> =
@@ -48,24 +47,28 @@ fn cached_round_costs_one_fixed_base_exponentiation_per_cell_and_refresh() {
         ProtocolConfig { paillier_bits: 256, dh_bits: 128, n_max: 16, ..Default::default() };
     let protocol = PrivateWeightingProtocol::setup(&histogram, &config, &mut rng);
 
+    let users = histogram[0].len() as u64;
+    uldp_fl::telemetry::reset();
     uldp_fl::telemetry::set_enabled(true);
     // Round 1 encrypts fresh and builds the server's re-randomisation table.
     let _ = protocol.weighting_round(&deltas, &noises, None, &mut rng);
+    assert_eq!(metrics::PAILLIER_ENCRYPT.get(), users, "round 1 encrypts every user");
+    assert_eq!(metrics::PAILLIER_RERANDOMISE.get(), 0, "round 1 re-randomises nothing");
     uldp_fl::telemetry::reset();
     // Round 2 is served from the cache.
     let (out, _) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
+    let encrypt = metrics::PAILLIER_ENCRYPT.get();
     let fixed_base = metrics::MODPOW_FIXED_BASE.get();
     let scalar_mul = metrics::PAILLIER_SCALAR_MUL.get();
     let rerandomise = metrics::PAILLIER_RERANDOMISE.get();
     let multi_exp = metrics::MULTI_EXP.get();
     uldp_fl::telemetry::set_enabled(false);
 
-    let users = histogram[0].len() as u64;
     let cells = histogram.iter().flatten().filter(|&&c| c > 0).count() as u64 * dim as u64;
     assert_eq!(scalar_mul, cells, "one scalar_mul per participating (silo, user, coordinate)");
     assert_eq!(multi_exp, 0, "every participating user gets a table, none is fused");
-    let expected_rerandomise = if fresh_encrypt_forced() { 0 } else { users };
-    assert_eq!(rerandomise, expected_rerandomise, "the cached round re-randomises every user");
+    assert_eq!(encrypt, 0, "the cached round encrypts nothing");
+    assert_eq!(rerandomise, users, "the cached round re-randomises every user");
     assert_eq!(
         fixed_base,
         scalar_mul + rerandomise,

@@ -1,15 +1,16 @@
-//! Tracing must observe, never perturb: a traced training run has to be bitwise-
-//! identical to an untraced one, because telemetry timestamps live only in timing
-//! fields — never in control flow or RNG streams.
+//! Tracing must observe, never perturb: a traced training run and a traced Protocol 1
+//! round have to be bitwise-identical to untraced ones, because telemetry timestamps
+//! live only in timing fields — never in control flow or RNG streams.
 //!
 //! A single test function owns the whole file: `uldp_fl::telemetry::set_enabled`
 //! toggles process-global state, so concurrent test functions in this binary would
 //! race on the flag.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use uldp_fl::core::{
-    ByzantineStrategy, FaultPlan, FlConfig, Method, Trainer, TrainingHistory, WeightingStrategy,
+    ByzantineStrategy, FaultPlan, FlConfig, Method, PrivateWeightingProtocol, ProtocolConfig,
+    Trainer, TrainingHistory, WeightingStrategy,
 };
 use uldp_fl::datasets::creditcard::{self, CreditcardConfig};
 use uldp_fl::ml::{LinearClassifier, Model};
@@ -61,8 +62,49 @@ fn train(threads: usize, shards: usize, chunk: usize) -> TrainingHistory {
     Trainer::new(config, dataset, model).run()
 }
 
+/// Two Protocol 1 rounds (fresh, then cached) on a 4-thread pool; returns the bits of
+/// both decrypted aggregates.
+fn protocol_rounds() -> Vec<u64> {
+    let histogram: Vec<Vec<usize>> =
+        vec![vec![2, 0, 1, 3, 1], vec![1, 4, 0, 1, 2], vec![0, 2, 2, 0, 1]];
+    let dim = 4;
+    let mut rng = StdRng::seed_from_u64(43);
+    let config = ProtocolConfig {
+        paillier_bits: 256,
+        dh_bits: 128,
+        n_max: 16,
+        threads: 4,
+        ..Default::default()
+    };
+    let protocol = PrivateWeightingProtocol::setup(&histogram, &config, &mut rng);
+    let mut out = Vec::new();
+    for _ in 0..2 {
+        let deltas: Vec<Vec<Vec<f64>>> = histogram
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|&c| {
+                        (0..dim * (c > 0) as usize).map(|_| rng.gen_range(-1.0..1.0)).collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let noises: Vec<Vec<f64>> = (0..histogram.len())
+            .map(|_| (0..dim).map(|_| rng.gen_range(-0.01..0.01)).collect())
+            .collect();
+        let (aggregate, _) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
+        out.extend(aggregate.iter().map(|v| v.to_bits()));
+    }
+    out
+}
+
 #[test]
 fn traced_and_untraced_histories_are_bitwise_identical() {
+    uldp_fl::telemetry::set_enabled(false);
+    let protocol_reference = protocol_rounds();
+    uldp_fl::telemetry::set_enabled(true);
+    assert_eq!(protocol_rounds(), protocol_reference, "traced protocol rounds diverged");
+
     uldp_fl::telemetry::set_enabled(false);
     let reference = bits(&train(1, 1, usize::MAX));
 
