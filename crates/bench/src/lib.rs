@@ -26,7 +26,7 @@ pub mod scenarios;
 
 use rand::rngs::StdRng;
 use uldp_core::{
-    FlConfig, Method, PrivateWeightingProtocol, RoundTimings, Trainer, TrainingHistory,
+    FlConfig, Method, PrivateWeightingProtocol, RoundReport, Trainer, TrainingHistory,
 };
 use uldp_datasets::FederatedDataset;
 use uldp_ml::Model;
@@ -165,9 +165,9 @@ pub struct RoundComparison {
     /// Decrypted aggregate of the pooled round (bitwise-equal to the sequential one).
     pub aggregate: Vec<f64>,
     /// Per-phase timings of the pooled round.
-    pub timings: RoundTimings,
+    pub timings: RoundReport,
     /// Per-phase timings of the 1-thread round.
-    pub seq_timings: RoundTimings,
+    pub seq_timings: RoundReport,
     /// Wall-clock speedup of the pooled round over the sequential one.
     pub speedup: f64,
 }

@@ -545,7 +545,7 @@ impl FixedBaseCtx {
     }
 
     /// Builds the table with an explicit digit width instead of the
-    /// [`fixed_base_window`] default. Wider digits cost exponentially more table
+    /// `fixed_base_window` default. Wider digits cost exponentially more table
     /// construction but fewer multiplications per exponentiation — worthwhile for
     /// tables reused far beyond their build cost (e.g. one per federation rather than
     /// one per user). Results are bitwise-identical at any width.

@@ -68,7 +68,7 @@ pub fn build_contribution_flags(dataset: &FederatedDataset, k: u64) -> Vec<bool>
 /// silos' noisy deltas straight into one exact accumulator, so the per-silo delta
 /// vectors are never materialised together (O(chunks × dim) transient memory). Each
 /// silo's RNG is derived from `(round_seed, silo)` exactly as with
-/// [`crate::algorithms::map_silos`], so the
+/// `map_silos`, so the
 /// round is bitwise-identical across all `(threads, chunk_size)` settings.
 /// [`FlConfig::shards`] does not apply here — a silo's DP-SGD loop cannot be split.
 pub fn run_round(

@@ -31,7 +31,7 @@ use uldp_telemetry::{metrics, trace};
 /// zeroed, so sampled-round cost scales with the sampled users, not the population.
 ///
 /// The per-user local training loops — the algorithm's dominant cost (Section 3.4) — run
-/// on the streaming sharded round engine ([`crate::algorithms::stream`]): each silo's
+/// on the streaming sharded round engine (`algorithms::stream`): each silo's
 /// users are split into [`FlConfig::shards`] pooled shards whose chunks fold weighted
 /// deltas in place (O(chunks × dim) transient memory instead of O(users × dim)). Each
 /// `(silo, user)` task trains with an RNG derived from `(round_seed, silo, user)` and

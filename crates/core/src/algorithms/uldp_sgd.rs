@@ -19,7 +19,7 @@ use uldp_telemetry::{metrics, trace};
 /// Runs one ULDP-SGD round on the worker pool, updating `model` in place.
 ///
 /// The per-user gradient computations run on the streaming sharded round engine
-/// ([`crate::algorithms::stream`]) like ULDP-AVG's training loops (they consume no
+/// (`algorithms::stream`) like ULDP-AVG's training loops (they consume no
 /// randomness); per-silo Gaussian noise comes from dedicated seeded streams, so the
 /// round is bitwise-identical across all `(threads, shards, chunk_size)` settings.
 ///

@@ -127,11 +127,12 @@ pub struct FlConfig {
     /// wins. Training results are bitwise-identical at any setting.
     pub chunk_size: usize,
     /// Deterministic fault injection for the round ([`crate::scenario`]): dropouts,
-    /// stragglers and byzantine updates. Honoured by ULDP-AVG / ULDP-SGD (Protocol 1
-    /// carries its own copy in [`crate::protocol::ProtocolConfig`]); the silo-level
+    /// stragglers and byzantine updates. Honoured by ULDP-AVG / ULDP-SGD; the silo-level
     /// baselines cannot honour it, so [`FlConfig::validate`] rejects an active plan
-    /// with them. The default plan injects nothing and leaves rounds byte-for-byte
-    /// unchanged.
+    /// with them. Protocol 1 takes its own plan,
+    /// [`crate::protocol::ProtocolConfig::fault_plan`], which every round honours except
+    /// for byzantine corruption. The default plan injects nothing and leaves rounds
+    /// byte-for-byte unchanged.
     pub fault_plan: FaultPlan,
 }
 

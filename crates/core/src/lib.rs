@@ -38,7 +38,8 @@ pub mod weighting;
 
 pub use config::{FlConfig, GroupSize, Method, WeightingStrategy};
 pub use protocol::{
-    ObliviousSubsampling, PrivateWeightingProtocol, ProtocolConfig, ProtocolTimings, RoundTimings,
+    ObliviousSubsampling, PrivateWeightingProtocol, ProtocolConfig, ProtocolTimings, RoundReport,
+    Sampling,
 };
 pub use sampling::SampleMask;
 pub use scenario::{ByzantineStrategy, FaultPlan, Scenario};

@@ -22,62 +22,63 @@
 //! process and records wall-clock timings for each phase, which the benchmark harness uses
 //! to regenerate Figures 10 and 11.
 //!
+//! ## Roles and the round entry point
+//!
+//! The state is split by party. The server holds the Paillier secret key, the blinded
+//! inverses `B_inv(N_u)`, the cross-round ciphertext cache and the round counter. Each
+//! silo holds a view of its own: the public key, the codec and `C_LCM`, the blinder
+//! seeded by `R`, its histogram row and its pairwise seeds. Step 2.(b) is a function of
+//! a silo's view, what the server sent that round and the silo's own deltas and noise,
+//! so it has no path to the server's state.
+//!
+//! Every round runs through [`PrivateWeightingProtocol::weighting_round`]. Its
+//! [`Sampling`] argument only changes how step 2.(a) picks the ciphertexts: every user,
+//! a server-visible [`SampleMask`], or oblivious sub-sampling ([`ObliviousSubsampling`],
+//! Section 4.1), the one mode that hides the sample. The server numbers its rounds 0,
+//! 1, 2, …, and round `t` applies the round-`t` fault set of
+//! [`ProtocolConfig::fault_plan`] under every sampling mode.
+//!
 //! ## Parallel execution
 //!
-//! The per-(silo, user) Paillier work — server-side encryption of the blinded inverses
-//! (step 2.a), silo-side weighted `scalar_mul` of the clipped deltas (2.b) and the
-//! homomorphic aggregation plus decryption (2.c) — runs on the deterministic
+//! The per-(silo, user) Paillier work of steps 2.(a)–(c) runs on the deterministic
 //! [`uldp_runtime::Runtime`] worker pool. Steps 2.(b)–(c) stream through one chunked
-//! fold over the `(silo, coordinate)` cells in coordinate-major order
-//! ([`uldp_runtime::Runtime::par_fold_reduce`]): each chunk folds its cells straight
-//! into per-coordinate ciphertext totals, so no per-cell ciphertext collection is ever
-//! materialised — O(dim + chunks) transient ciphertexts instead of O(silos × dim) —
-//! and only the per-coordinate totals reach the decryption pass. All encryption
-//! randomness is derived per user index from a single 256-bit seed drawn from the
-//! caller's RNG, and ciphertext accumulation is exact modular arithmetic, so every
-//! ciphertext and the decrypted aggregate are bitwise-identical at any thread count and
-//! chunk size (`ProtocolConfig::threads` / `ULDP_THREADS`,
-//! `ProtocolConfig::chunk_size` / `ULDP_CHUNK`); `RoundTimings` still reports each
-//! phase's wall-clock separately (timings, being wall-clock, naturally vary).
+//! fold over the `(silo, coordinate)` cells ([`uldp_runtime::Runtime::par_fold_reduce`])
+//! straight into per-coordinate ciphertext totals: O(dim + chunks) transient
+//! ciphertexts, never O(silos × dim). Encryption randomness is derived per user id from
+//! one 256-bit seed drawn from the caller's RNG, and ciphertext accumulation is exact
+//! modular arithmetic, so every ciphertext and aggregate is bitwise-identical at any
+//! thread count and chunk size (`ProtocolConfig::threads` / `ULDP_THREADS`,
+//! `ProtocolConfig::chunk_size` / `ULDP_CHUNK`).
 //!
 //! All exponentiations run on the Montgomery engine of `uldp-bigint` through contexts
-//! cached in the Paillier keys (built once at setup, shared by every round): step 2.(a)
-//! encrypts over the cached `n²` context, step 2.(b) hoists one fixed-base context per
-//! encrypted inverse out of the (silo, coordinate) cell loop, and step 2.(c) decrypts by
-//! CRT over cached `p²`/`q²` contexts. The tests pin every round's aggregate bit for
-//! bit to an exact `BigUint` reference of what the ciphertexts encode.
+//! cached in the Paillier keys at setup: step 2.(a) encrypts over the `n²` context, step
+//! 2.(b) hoists one evaluator per received ciphertext out of the cell loop, and step
+//! 2.(c) decrypts by CRT over `p²`/`q²` contexts. The tests pin every round's aggregate
+//! bit for bit to an exact `BigUint` reference of what the ciphertexts encode.
 //!
 //! ## Multi-round ciphertext reuse
 //!
-//! Across rounds the server's step 2.(a) plaintexts — the blinded inverses — do not
-//! change unless the sampling mask does, so a per-federation `RoundCryptoCache` holds
-//! the server's most recently distributed ciphertext per user: round 1 encrypts and
-//! populates it; later rounds under an unchanged mask *re-randomise* the cached
-//! ciphertexts (`c · h^t` for a fresh `t`, one squaring-free fixed-base lookup per user)
-//! instead of paying a full Paillier encryption each. Mask flips and silo dropouts
-//! invalidate exactly the affected users' entries; [`ProtocolConfig::fresh_encrypt`]
-//! bypasses the cache. The cache is server state only: step 2.(b) is the silos'
-//! work and is computed from nothing but the ciphertexts they received that round — a
-//! fixed-base table over each heavily used received ciphertext (one exponentiation per
-//! cell, rebuilt and dropped every round), or, for bases too lightly used for a table,
-//! one interleaved multi-exponentiation per cell (`ModulusCtx::multi_exp`). The cached
-//! and fresh-encryption paths therefore share one step 2.(b). Every step is exact group
-//! arithmetic, so decrypted aggregates stay bitwise-identical to the fresh-encryption
-//! path at every `(threads, shards, chunk)` point; the tests pin this.
+//! The server's step 2.(a) plaintexts change only when the sampling mask does, so a
+//! per-federation `RoundCryptoCache` holds the ciphertext last sent per user: round 1
+//! encrypts, later rounds under an unchanged mask *re-randomise* (`c · h^t`, one
+//! squaring-free fixed-base lookup per user). Mask flips and silo dropouts invalidate
+//! exactly the affected users' entries; [`ProtocolConfig::fresh_encrypt`] bypasses the
+//! cache, and oblivious rounds, which encrypt every OT slot afresh, never read it. Step
+//! 2.(b) sees only the received ciphertexts — a fixed-base table per heavily used one,
+//! dropped with the round, or one interleaved multi-exponentiation per cell
+//! (`ModulusCtx::multi_exp`) — so cached and fresh rounds share it and decrypt to the
+//! same bits.
 //!
 //! ## Population scaling
 //!
-//! Round cost tracks the *sampled* users, not the population. A round's user-level
-//! Poisson sample arrives as a [`SampleMask`] — dense flags or sorted sampled indices
-//! ([`crate::sampling`]). With a sparse mask, step 2.(a) encrypts (or re-randomises)
-//! only the sampled users' inverses, the cross-round cache holds entries only for users
-//! that have actually been sampled (a `BTreeMap` keyed by user id, not an `O(|U|)` slot
-//! vector), and the step 2.(b) cell fold walks per-silo participant lists built from
-//! the round's active users instead of scanning `0..|U|` per cell — so unsampled users
-//! cost no ciphertext, no fixed-base table and no fold work. Omitting an unsampled
-//! user's `Enc(0)` term subtracts exactly zero from every decrypted total, so sparse
-//! and dense masks produce bitwise-identical aggregates at every `(threads, shards,
-//! chunk)` point; the tests compare a sparse mask against its densified copy.
+//! Round cost tracks the *sampled* users, not the population. Under a sparse
+//! [`SampleMask`] ([`crate::sampling`]) step 2.(a) encrypts only the sampled users'
+//! inverses, the cache holds entries only for users that have been sampled (a
+//! `BTreeMap`, not an `O(|U|)` vector), and the cell fold walks per-silo participant
+//! lists instead of `0..|U|`. Omitting an unsampled user's `Enc(0)` term subtracts
+//! exactly zero from every total, so sparse and dense masks give bitwise-identical
+//! aggregates; the tests compare a sparse mask against its densified copy. Such a mask
+//! is visible to the server.
 
 use crate::config::WeightingStrategy;
 use crate::sampling::SampleMask;
@@ -86,6 +87,7 @@ use crate::weighting::WeightMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use uldp_bigint::modular::{mod_inv, mod_mul};
@@ -94,7 +96,9 @@ use uldp_bigint::BigUint;
 use uldp_crypto::dh::{DhGroup, DhKeyPair};
 use uldp_crypto::masking::MaskSeed;
 use uldp_crypto::oblivious_transfer::OneOutOfP;
-use uldp_crypto::paillier::{Ciphertext, PaillierKeyPair, PaillierPublicKey, RerandCtx};
+use uldp_crypto::paillier::{
+    Ciphertext, PaillierKeyPair, PaillierPublicKey, PaillierSecretKey, RerandCtx,
+};
 use uldp_crypto::{FixedPointCodec, MultiplicativeBlinder};
 use uldp_runtime::{seeding, Runtime};
 use uldp_telemetry::{metrics, trace};
@@ -125,11 +129,12 @@ pub struct ProtocolConfig {
     /// bitwise-identical at any setting.
     pub chunk_size: usize,
     /// Deterministic fault injection for the protocol's rounds ([`crate::scenario`]):
-    /// silos dropping or straggling between steps 2.(b) and 2.(c). Rounds run under it
-    /// through [`PrivateWeightingProtocol::weighting_round_faulted`];
-    /// [`PrivateWeightingProtocol::weighting_round`] and
-    /// [`PrivateWeightingProtocol::weighting_round_with_oblivious_subsampling`] cannot
-    /// honour it and panic when it is active. The default plan injects nothing.
+    /// silos dropping or straggling between steps 2.(b) and 2.(c). Every
+    /// [`PrivateWeightingProtocol::weighting_round`] honours it, whatever its
+    /// [`Sampling`]: round `t`, counted from 0 since setup, draws the plan's round-`t`
+    /// fault set. Protocol 1 receives already-clipped deltas and so cannot corrupt them
+    /// before clipping; [`PrivateWeightingProtocol::setup`] rejects a plan with a
+    /// positive `byzantine_fraction`. The default plan injects nothing.
     pub fault_plan: FaultPlan,
     /// Bypass the cross-round ciphertext cache: every round freshly encrypts all
     /// blinded inverses (the pre-cache behaviour). Decrypted aggregates are
@@ -156,6 +161,11 @@ const RERAND_SEED_INDEX: u64 = u64::MAX;
 /// terms are gathered into one interleaved multi-exponentiation instead.
 const FIXED_BASE_TABLE_MIN_MULS: usize = 8;
 
+/// Ceiling on the round's step 2.(b) fixed-base tables, which are all alive at once and
+/// cost megabytes per user at paper-scale key sizes; beyond it every user's terms fuse
+/// into the per-cell multi-exponentiation, which still shares the cached engine state.
+const FIXED_BASE_BUDGET_BYTES: usize = 256 << 20;
+
 /// One user's cached encrypted inverse: the ciphertext the server distributed in the
 /// most recent round, which the next round re-randomises.
 struct CacheEntry {
@@ -166,14 +176,9 @@ struct CacheEntry {
     current: Ciphertext,
 }
 
-/// Per-federation cross-round ciphertext cache: round 1 encrypts every blinded inverse
-/// and populates the entries; later rounds with an unchanged sampling mask re-randomise
-/// the cached ciphertexts in one pooled batch (`c · h^t`, one squaring-free fixed-base
-/// `pow` per user) instead of paying a full Paillier encryption each. Mask changes and
-/// silo dropouts invalidate only the affected users' entries, so multi-round cost is
-/// `encrypt + (R − 1) · rerandomise` while the decrypted aggregates stay
-/// bitwise-identical to the fresh-encryption path. It is server state only: the silos'
-/// step 2.(b) never reads it.
+/// Per-federation cross-round ciphertext cache (see "Multi-round ciphertext reuse"
+/// above): multi-round step 2.(a) cost is `encrypt + (R − 1) · rerandomise`, with
+/// decrypted aggregates bitwise-identical to the fresh-encryption path.
 struct RoundCryptoCache {
     /// Shared re-randomisation context (`h = ρ^n mod n²` plus its wide fixed-base
     /// table), derived once per federation from the first round's reserved seed slot.
@@ -254,23 +259,61 @@ impl ProtocolTimings {
     }
 }
 
-/// Wall-clock timings of one weighting round (steps 2.a–2.c).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RoundTimings {
-    /// Server-side Poisson sampling and Paillier encryption of the blinded inverses (2.a).
+/// What one weighting round (steps 2.a–2.c) did: its per-phase wall-clock timings and
+/// the faults and sample it realised.
+#[derive(Clone, Debug, Default)]
+pub struct RoundReport {
+    /// Server-side Paillier encryption of the blinded inverses, or of the OT offers
+    /// under oblivious sampling (2.a).
     pub server_encryption: Duration,
     /// Silo-side weighted encryption of clipped deltas and noise (2.b) plus the fused
-    /// homomorphic cross-silo summation, streamed over all silos.
+    /// homomorphic cross-silo summation, streamed over all silos, plus the simulated
+    /// lateness of straggling silos ([`FaultPlan::delay_ms`] each).
     pub silo_weighting: Duration,
     /// Server-side decryption and decoding (2.c). (The homomorphic aggregation itself is
     /// fused into the streaming silo-weighting fold.)
     pub aggregation: Duration,
+    /// The round's dropout mask in silo order; all `false` without faults.
+    pub dropped: Vec<bool>,
+    /// Oblivious rounds only: which users' OT choice fetched a real slot. It exists for
+    /// validation and accounting tests; in a deployment no party observes it.
+    pub selected: Option<Vec<bool>>,
 }
 
-impl RoundTimings {
+impl RoundReport {
     /// Total round time.
     pub fn total(&self) -> Duration {
         self.server_encryption + self.silo_weighting + self.aggregation
+    }
+}
+
+/// How a round samples its users: the only thing that changes step 2.(a).
+///
+/// `Option<&SampleMask>` (`None` is [`Sampling::All`]) and [`ObliviousSubsampling`]
+/// convert into it.
+#[derive(Clone, Copy, Debug)]
+pub enum Sampling<'a> {
+    /// Every user participates.
+    All,
+    /// A user-level sample chosen in the clear. Under a dense mask, unsampled users'
+    /// inverses are encrypted as zero, so their deltas drop out exactly; under a sparse
+    /// mask they are skipped outright — no ciphertext, no cache entry, no fold work —
+    /// which yields the same aggregate bit for bit. The server sees the sample.
+    Mask(&'a SampleMask),
+    /// Private sub-sampling by 1-out-of-P oblivious transfer (Section 4.1): neither the
+    /// server nor the silos learn who was sampled.
+    Oblivious(ObliviousSubsampling),
+}
+
+impl<'a> From<Option<&'a SampleMask>> for Sampling<'a> {
+    fn from(mask: Option<&'a SampleMask>) -> Self {
+        mask.map_or(Sampling::All, Sampling::Mask)
+    }
+}
+
+impl From<ObliviousSubsampling> for Sampling<'_> {
+    fn from(sampling: ObliviousSubsampling) -> Self {
+        Sampling::Oblivious(sampling)
     }
 }
 
@@ -315,11 +358,6 @@ impl ObliviousSubsampling {
     ) -> OneOutOfP<Ciphertext> {
         let mut items = Vec::with_capacity(self.denominator as usize);
         for _ in 0..self.numerator {
-            // Homomorphic re-randomisation: multiplying by a fresh `r^n` is *exactly*
-            // the historical `add(real, encrypt(rng, 0))` — `Enc(0; r) = (1 + 0·n)·r^n
-            // = r^n` — with the same single `sample_unit` draw from `rng`, so the
-            // offer's ciphertext bits are unchanged; it just skips the redundant
-            // `(1 + m·n)` blinding step and one multiplication.
             items.push(public_key.rerandomise(rng, real));
         }
         for _ in self.numerator..self.denominator {
@@ -329,23 +367,321 @@ impl ObliviousSubsampling {
     }
 }
 
-/// The state of a completed setup phase, able to run any number of weighting rounds.
-pub struct PrivateWeightingProtocol {
-    num_silos: usize,
-    num_users: usize,
-    paillier: PaillierKeyPair,
+/// What every party holds after setup: the Paillier public key and the fixed-point
+/// parameters of Algorithm 5.
+struct Public {
+    key: PaillierPublicKey,
     codec: FixedPointCodec,
     c_lcm: BigUint,
-    /// The silos' shared blinding-factor expander (seeded by `R`, never sent to the server).
-    blinder: MultiplicativeBlinder,
-    /// Per-silo record histograms `n_{s,u}` (silo-private in the real deployment).
-    silo_histograms: Vec<Vec<u64>>,
-    /// Cross-silo totals `N_u` (kept only to validate inputs; not revealed by the protocol).
-    user_totals: Vec<u64>,
-    /// Server-side blinded inverses `B_inv(N_u)`; `None` for users with no records.
+}
+
+/// The server's side of Protocol 1. No silo-side step can reach it.
+struct Server {
+    public: Arc<Public>,
+    secret: PaillierSecretKey,
+    /// Blinded inverses `B_inv(N_u)` of setup step 1.(f); `None` for users with no
+    /// records.
     blinded_inverses: Vec<Option<BigUint>>,
-    /// Pairwise secure-aggregation seeds (symmetric).
-    pair_seeds: Vec<Vec<MaskSeed>>,
+    /// Cross-round ciphertext cache for step 2.(a) (see [`RoundCryptoCache`]).
+    cache: Mutex<RoundCryptoCache>,
+    /// Bypass the cache ([`ProtocolConfig::fresh_encrypt`]): every round freshly
+    /// encrypts all blinded inverses.
+    fresh_encrypt: bool,
+    /// Index of the next round, counted from 0 since setup; it selects the round's
+    /// fault set.
+    next_round: AtomicU64,
+}
+
+/// One silo's side of Protocol 1.
+struct SiloView {
+    public: Arc<Public>,
+    /// The silos' shared blinding-factor expander, seeded by `R`; the server never
+    /// sees it.
+    blinder: MultiplicativeBlinder,
+    /// This silo's record histogram row `n_{s,·}`.
+    histogram: Vec<u64>,
+    /// This silo's pairwise secure-aggregation seeds, one per silo.
+    pair_seeds: Vec<MaskSeed>,
+}
+
+/// What a silo derives in one round from the ids and ciphertexts the server sent and
+/// from `R` alone: each active user's blinding factor `r_u` and step 2.(b) evaluator.
+/// Every silo derives the same values, so the protocol builds them once per round and
+/// shares them across silos.
+struct Received {
+    /// `r_u` per active position.
+    factors: Vec<BigUint>,
+    /// Evaluator per active position; `None` for users no silo weighs this round.
+    evals: Vec<Option<InverseEval>>,
+}
+
+/// One term of a silo's step 2.(b) cells: a participating user's position in the
+/// received list, its id and its coordinate-independent scalar prefix
+/// `n_su · r_u · C_LCM mod n`.
+type Term = (usize, usize, BigUint);
+
+impl Server {
+    /// The round's *active* users — the users whose encrypted inverses are sent to the
+    /// silos — as an ascending id list.
+    ///
+    /// With no mask or a dense mask this is every user, and unsampled users receive
+    /// `Enc(0)`. A sparse mask keeps only sampled users that hold records — omitting a
+    /// user's `Enc(0)` term subtracts exactly zero from every decrypted total, so the
+    /// aggregate keeps identical bits while step 2.(a)–(b) cost drops to `O(q·|U|)`
+    /// crypto operations.
+    fn active_users(&self, sampled: Option<&SampleMask>) -> Vec<u32> {
+        match sampled {
+            Some(mask) if mask.is_sparse() => mask
+                .iter()
+                .filter(|&u| self.blinded_inverses[u].is_some())
+                .map(|u| u as u32)
+                .collect(),
+            _ => (0..self.blinded_inverses.len() as u32).collect(),
+        }
+    }
+
+    /// Step 2.(a) under a server-visible sample: either freshly encrypting everything
+    /// (bypass mode, first round, invalidated entries) or re-randomising cached
+    /// ciphertexts in one pooled batch. Returns the active user ids and their
+    /// ciphertexts, aligned position for position.
+    ///
+    /// Exactly one 256-bit batch seed is drawn from the caller's RNG whichever path
+    /// runs, so the cached, fresh-encryption, sparse and dense executions all consume
+    /// identical caller randomness streams and their aggregates compare bit for bit.
+    /// Per-user work is seeded from `(seed, user id)` — not the active
+    /// position — so a sparse round derives exactly the per-user streams the dense walk
+    /// would, and the output is bitwise-identical at any thread count.
+    fn encrypt_inverses<R: Rng + ?Sized>(
+        &self,
+        rt: &Runtime,
+        sampled: Option<&SampleMask>,
+        rng: &mut R,
+    ) -> (Vec<u32>, Vec<Ciphertext>) {
+        let key = &self.public.key;
+        let batch_seed = seeding::wide_seed_from_rng(rng);
+        let active = self.active_users(sampled);
+        let keep_of = |u: usize| -> bool {
+            sampled.is_none_or(|m| m.contains(u)) && self.blinded_inverses[u].is_some()
+        };
+        let plaintext = |u: usize| -> BigUint {
+            if keep_of(u) {
+                self.blinded_inverses[u].clone().expect("keep implies a blinded inverse")
+            } else {
+                BigUint::zero()
+            }
+        };
+        if self.fresh_encrypt {
+            let cts: Vec<Ciphertext> = rt.par_map(&active, |_, &u| {
+                let mut rng = StdRng::from_seed(seeding::index_seed_wide(batch_seed, u as u64));
+                key.encrypt(&mut rng, &plaintext(u as usize))
+            });
+            let mut cache = self.cache.lock().expect("cache mutex poisoned");
+            cache.last_fresh = active.len();
+            cache.last_rerandomised = 0;
+            return (active, cts);
+        }
+        let mut cache = self.cache.lock().expect("cache mutex poisoned");
+        if cache.rerand.is_none() {
+            // The context's secret unit ρ comes from the reserved slot of THIS round's
+            // batch seed: no extra caller draws, no collision with the user streams.
+            let mut ctx_rng =
+                StdRng::from_seed(seeding::index_seed_wide(batch_seed, RERAND_SEED_INDEX));
+            cache.rerand = Some(Arc::new(key.rerand_ctx(&mut ctx_rng)));
+        }
+        let rerand = Arc::clone(cache.rerand.as_ref().expect("context just initialised"));
+        let fresh: Vec<bool> = active
+            .iter()
+            .map(|&u| cache.entries.get(&u).is_none_or(|e| e.keep != keep_of(u as usize)))
+            .collect();
+        // One pooled pass over the active users: fresh entries pay a full Paillier
+        // encryption, cached ones one squaring-free `c · h^t`. The workers only read
+        // the entries through the guard held by this thread.
+        let entries = &cache.entries;
+        let cts: Vec<Ciphertext> = rt.par_map(&active, |i, &u| {
+            let mut rng = StdRng::from_seed(seeding::index_seed_wide(batch_seed, u as u64));
+            if fresh[i] {
+                key.encrypt(&mut rng, &plaintext(u as usize))
+            } else {
+                let entry = entries.get(&u).expect("non-fresh user has an entry");
+                rerand.rerandomise(&mut rng, &entry.current)
+            }
+        });
+        for (&u, ct) in active.iter().zip(&cts) {
+            cache.entries.insert(u, CacheEntry { keep: keep_of(u as usize), current: ct.clone() });
+        }
+        let fresh_count = fresh.iter().filter(|&&f| f).count();
+        cache.last_fresh = fresh_count;
+        cache.last_rerandomised = active.len() - fresh_count;
+        (active, cts)
+    }
+
+    /// Step 2.(a) under private sub-sampling: every user gets an OT offer
+    /// ([`ObliviousSubsampling::build_offer`]) and the silos fetch one slot. The server
+    /// cannot see the choice and a dummy looks like a real ciphertext, so every user is
+    /// active and nobody learns who was sampled. Offers and transfers draw from
+    /// `(seed, u)` streams of one batch seed, so the selection is identical at any
+    /// thread count. Returns every user id, one ciphertext per user and the selection.
+    fn offer_inverses<R: Rng + ?Sized>(
+        &self,
+        rt: &Runtime,
+        ot: ObliviousSubsampling,
+        rng: &mut R,
+    ) -> (Vec<u32>, Vec<Ciphertext>, Vec<bool>) {
+        let key = &self.public.key;
+        let zero = BigUint::zero();
+        let batch_seed = seeding::wide_seed_from_rng(rng);
+        let num_users = self.blinded_inverses.len();
+        let per_user: Vec<(Ciphertext, bool)> =
+            rt.par_map_wide_seeded(num_users, batch_seed, |u, rng| {
+                let inverse = self.blinded_inverses[u].as_ref();
+                let real = key.encrypt(rng, inverse.unwrap_or(&zero));
+                let (output, _sender_view) = ot.build_offer(key, &real, rng).transfer_uniform(rng);
+                let selected = output.chosen_index < ot.numerator as usize && inverse.is_some();
+                (output.item, selected)
+            });
+        let mut cache = self.cache.lock().expect("cache mutex poisoned");
+        cache.last_fresh = num_users;
+        cache.last_rerandomised = 0;
+        let (cts, selected) = per_user.into_iter().unzip();
+        ((0..num_users as u32).collect(), cts, selected)
+    }
+
+    /// Drops the cached ciphertexts of the users `affected` marks, so the next round
+    /// freshly re-encrypts them.
+    fn invalidate(&self, affected: impl Fn(usize) -> bool) {
+        let mut cache = self.cache.lock().expect("cache mutex poisoned");
+        cache.entries.retain(|&u, _| !affected(u as usize));
+    }
+
+    /// Step 2.(c): batched CRT decryption of the per-coordinate totals and fixed-point
+    /// decoding. (The homomorphic cross-silo sum is fused into the streaming fold.) The
+    /// CRT contexts are hoisted once per batch inside
+    /// [`uldp_crypto::paillier::PaillierSecretKey::decrypt_batch`]. The `aggregation`
+    /// span covers decryption plus decoding, with one nested `decryption` span for the
+    /// batch itself.
+    fn decrypt(&self, rt: &Runtime, totals: &[Ciphertext]) -> (Vec<f64>, Duration) {
+        let agg_span = trace::timed_span("protocol", "aggregation");
+        let dec_span = trace::span("protocol", "decryption").arg("coordinates", totals.len());
+        let decrypted = self.secret.decrypt_batch(rt, totals);
+        drop(dec_span);
+        let Public { codec, c_lcm, .. } = &*self.public;
+        let out: Vec<f64> = rt.par_map(&decrypted, |_, m| codec.decode(m, c_lcm));
+        (out, agg_span.finish())
+    }
+}
+
+impl Received {
+    /// Builds the round's shared silo-side state from the ids and ciphertexts the server
+    /// sent. `uses[i]` counts the cell exponentiations of active position `i`'s
+    /// ciphertext across all silos: a heavily used base gets a fixed-base table (no
+    /// squarings per `scalar_mul`), a lightly used one is fused into each cell's
+    /// multi-exponentiation, and an unused one gets no evaluator.
+    fn new(
+        rt: &Runtime,
+        silo: &SiloView,
+        active: &[u32],
+        ciphertexts: &[Ciphertext],
+        uses: &[usize],
+    ) -> Self {
+        debug_assert_eq!(active.len(), ciphertexts.len());
+        let key = &silo.public.key;
+        // The SHA-based blinding-factor expansion runs on the pool.
+        let factors = rt.par_map(active, |_, &u| silo.blinder.factor(u as u64));
+        let table_bytes =
+            FixedBaseCtx::estimated_table_bytes(key.n_squared.bit_length(), key.n.bit_length());
+        let participating = uses.iter().filter(|&&n| n > 0).count();
+        let tables_affordable =
+            participating.saturating_mul(table_bytes) <= FIXED_BASE_BUDGET_BYTES;
+        let n_bits = key.n.bit_length();
+        let evals = rt.par_map_range(active.len(), |i| {
+            (uses[i] > 0).then(|| {
+                let ct = &ciphertexts[i];
+                if !tables_affordable || uses[i] < FIXED_BASE_TABLE_MIN_MULS {
+                    return InverseEval::Fused { base: ct.0.clone() };
+                }
+                InverseEval::Table(FixedBaseCtx::new(Arc::clone(key.ctx_n2()), &ct.0, n_bits))
+            })
+        });
+        Received { factors, evals }
+    }
+}
+
+impl SiloView {
+    /// This silo's participants in a round: the active users it holds records *and* a
+    /// delta for, as (active position, user id) pairs. `active` is ascending, so the
+    /// list walks users in exactly the order of a dense `0..|U|` scan — the cell totals
+    /// keep identical bits — while the fold only ever touches the round's participants.
+    fn participants(&self, active: &[u32], deltas: &[Vec<f64>]) -> Vec<(usize, usize)> {
+        active
+            .iter()
+            .enumerate()
+            .filter(|&(_, &u)| self.histogram[u as usize] > 0 && !deltas[u as usize].is_empty())
+            .map(|(i, &u)| (i, u as usize))
+            .collect()
+    }
+
+    /// Attaches to each participant its scalar prefix `n_su · r_u · C_LCM mod n`, which
+    /// is independent of the coordinate and so computed once per round.
+    fn terms(&self, received: &Received, participants: Vec<(usize, usize)>) -> Vec<Term> {
+        let Public { key, c_lcm, .. } = &*self.public;
+        participants
+            .into_iter()
+            .map(|(i, u)| {
+                let n_su = BigUint::from_u64(self.histogram[u]);
+                let prefix = mod_mul(&mod_mul(&n_su, &received.factors[i], &key.n), c_lcm, &key.n);
+                (i, u, prefix)
+            })
+            .collect()
+    }
+
+    /// Step 2.(b) for coordinate `j`: `Π_u Enc(B_inv(N_u))^{Encode(δ_suj)·prefix_u}`
+    /// times `Enc(Encode(z_sj)·C_LCM)`, computed from this silo's view, what it received
+    /// and its own deltas and noise. The Paillier `scalar_mul` per user is the
+    /// protocol's dominant cost (Figures 10–11).
+    fn weigh_cell(
+        &self,
+        received: &Received,
+        terms: &[Term],
+        deltas: &[Vec<f64>],
+        noise: f64,
+        j: usize,
+    ) -> Ciphertext {
+        let Public { key, codec, c_lcm } = &*self.public;
+        let mut acc = key.trivial_zero();
+        // Table-free bases gather their `(base, scalar)` terms here and fuse into
+        // one interleaved multi-exponentiation after the loop; ciphertext addition
+        // is modular multiplication, which commutes, so hoisting these terms out of
+        // the running product leaves the cell total bit-identical.
+        let mut fused: Vec<(BigUint, BigUint)> = Vec::new();
+        for (i, u, prefix) in terms {
+            let scalar = mod_mul(&codec.encode(deltas[*u][j]), prefix, &key.n);
+            match received.evals[*i].as_ref().expect("evaluator built for participating user") {
+                InverseEval::Fused { base } => fused.push((base.clone(), scalar)),
+                InverseEval::Table(table) => {
+                    metrics::PAILLIER_SCALAR_MUL.inc();
+                    acc = key.add(&acc, &Ciphertext(table.pow(&scalar)));
+                }
+            }
+        }
+        if !fused.is_empty() {
+            metrics::PAILLIER_SCALAR_MUL.add(fused.len() as u64);
+            let product = key.ctx_n2().multi_exp(&fused);
+            acc = key.add(&acc, &Ciphertext(product));
+        }
+        key.add_plain(&acc, &mod_mul(&codec.encode(noise), c_lcm, &key.n))
+    }
+}
+
+/// The state of a completed setup phase, able to run any number of weighting rounds.
+///
+/// It holds the server's state and one view per silo, and drives the message flow
+/// between them.
+pub struct PrivateWeightingProtocol {
+    server: Server,
+    silos: Vec<SiloView>,
+    /// Cross-silo totals `N_u`, kept only to validate inputs and for the plaintext
+    /// references; no party learns them.
+    user_totals: Vec<u64>,
     setup_timings: ProtocolTimings,
     /// Worker pool for the parallel phases (shared, or dedicated per
     /// [`ProtocolConfig::threads`]).
@@ -353,13 +689,7 @@ pub struct PrivateWeightingProtocol {
     /// Resolved cells-per-chunk of the streaming cell fold
     /// ([`ProtocolConfig::chunk_size`] / `ULDP_CHUNK` / default).
     chunk_size: usize,
-    /// Fault plan for [`PrivateWeightingProtocol::weighting_round_faulted`].
     fault_plan: FaultPlan,
-    /// Cross-round ciphertext cache for step 2.(a) (see [`RoundCryptoCache`]).
-    cache: Mutex<RoundCryptoCache>,
-    /// Bypass the cache ([`ProtocolConfig::fresh_encrypt`]): every round freshly
-    /// encrypts all blinded inverses.
-    fresh_encrypt: bool,
 }
 
 impl PrivateWeightingProtocol {
@@ -367,7 +697,8 @@ impl PrivateWeightingProtocol {
     ///
     /// `histogram[s][u]` is the number of records user `u` holds in silo `s`. Every user
     /// total must be at most `config.n_max` for the `C_LCM` divisibility argument of
-    /// Theorem 4 to hold.
+    /// Theorem 4 to hold. Panics on a [`ProtocolConfig::fault_plan`] the rounds cannot
+    /// apply: an invalid one, or one with byzantine corruption.
     pub fn setup<R: Rng + ?Sized>(
         histogram: &[Vec<usize>],
         config: &ProtocolConfig,
@@ -379,15 +710,21 @@ impl PrivateWeightingProtocol {
         assert!(num_users >= 1, "the protocol needs at least one user");
         assert!(histogram.iter().all(|row| row.len() == num_users));
         config.fault_plan.validate();
+        assert!(
+            config.fault_plan.byzantine_fraction == 0.0,
+            "Protocol 1 receives already-clipped deltas and cannot corrupt them before \
+             clipping; ProtocolConfig::fault_plan must have byzantine_fraction 0"
+        );
         let runtime = Runtime::handle(config.threads);
 
         // --- Step 1.(a)-(c): key generation and pairwise seed agreement. ---
         let key_span = trace::timed_span("protocol", "key_exchange");
-        let paillier = PaillierKeyPair::generate(rng, config.paillier_bits);
+        let PaillierKeyPair { public: key, secret } =
+            PaillierKeyPair::generate(rng, config.paillier_bits);
         // Warm the ciphertext-modulus Montgomery context during setup so every round
         // (steps 2.(a)-(c)) shares the cached engine state and no phase ever pays for
         // context construction mid-round.
-        let _ = paillier.public.ctx_n2();
+        let _ = key.ctx_n2();
         let dh_group = if config.use_rfc_group {
             DhGroup::rfc3526_2048()
         } else {
@@ -410,7 +747,7 @@ impl PrivateWeightingProtocol {
         rng.fill(&mut blind_seed);
         let key_exchange = key_span.finish();
 
-        let modulus = paillier.public.n.clone();
+        let modulus = key.n.clone();
         let codec = FixedPointCodec::new(config.precision, modulus.clone());
         let c_lcm = uldp_bigint::lcm_up_to(config.n_max);
         let blinder = MultiplicativeBlinder::new(blind_seed, modulus.clone());
@@ -425,7 +762,7 @@ impl PrivateWeightingProtocol {
                 *t += c;
             }
         }
-        for (&total, _) in user_totals.iter().zip(0..num_users) {
+        for &total in &user_totals {
             assert!(
                 total <= config.n_max,
                 "user total {total} exceeds N_max = {} (required by Theorem 4)",
@@ -456,17 +793,33 @@ impl PrivateWeightingProtocol {
             );
         let inverse_computation = inv_span.finish();
 
+        let public = Arc::new(Public { key, codec, c_lcm });
+        let silos = silo_histograms
+            .into_iter()
+            .zip(pair_seeds)
+            .map(|(histogram, pair_seeds)| SiloView {
+                public: Arc::clone(&public),
+                blinder: blinder.clone(),
+                histogram,
+                pair_seeds,
+            })
+            .collect();
         PrivateWeightingProtocol {
-            num_silos,
-            num_users,
-            paillier,
-            codec,
-            c_lcm,
-            blinder,
-            silo_histograms,
+            server: Server {
+                public,
+                secret,
+                blinded_inverses,
+                cache: Mutex::new(RoundCryptoCache {
+                    rerand: None,
+                    entries: BTreeMap::new(),
+                    last_fresh: 0,
+                    last_rerandomised: 0,
+                }),
+                fresh_encrypt: config.fresh_encrypt,
+                next_round: AtomicU64::new(0),
+            },
+            silos,
             user_totals,
-            blinded_inverses,
-            pair_seeds,
             setup_timings: ProtocolTimings {
                 key_exchange,
                 histogram_blinding,
@@ -475,13 +828,6 @@ impl PrivateWeightingProtocol {
             runtime,
             chunk_size: uldp_runtime::resolve_chunk_size(config.chunk_size, DEFAULT_PROTOCOL_CHUNK),
             fault_plan: config.fault_plan,
-            cache: Mutex::new(RoundCryptoCache {
-                rerand: None,
-                entries: BTreeMap::new(),
-                last_fresh: 0,
-                last_rerandomised: 0,
-            }),
-            fresh_encrypt: config.fresh_encrypt,
         }
     }
 
@@ -499,17 +845,17 @@ impl PrivateWeightingProtocol {
 
     /// Number of silos.
     pub fn num_silos(&self) -> usize {
-        self.num_silos
+        self.silos.len()
     }
 
     /// Number of users.
     pub fn num_users(&self) -> usize {
-        self.num_users
+        self.user_totals.len()
     }
 
     /// Bit length of the Paillier modulus actually in use.
     pub fn modulus_bits(&self) -> usize {
-        self.paillier.public.modulus_bits()
+        self.server.public.key.modulus_bits()
     }
 
     /// Timings of the setup phase.
@@ -517,27 +863,29 @@ impl PrivateWeightingProtocol {
         &self.setup_timings
     }
 
-    /// The pairwise secure-aggregation seeds established during setup.
-    pub fn pair_seeds(&self) -> &[Vec<MaskSeed>] {
-        &self.pair_seeds
+    /// Silo `silo`'s pairwise secure-aggregation seeds established during setup, one
+    /// per silo (symmetric: silo `i`'s seed with `j` is silo `j`'s seed with `i`).
+    pub fn pair_seeds(&self, silo: usize) -> &[MaskSeed] {
+        &self.silos[silo].pair_seeds
     }
 
     /// The record-proportional weight matrix the protocol implicitly computes
     /// (`w_{s,u} = n_{s,u} / N_u`), exposed for validation against the plaintext path.
     pub fn reference_weights(&self) -> WeightMatrix {
         let histogram: Vec<Vec<usize>> = self
-            .silo_histograms
+            .silos
             .iter()
-            .map(|row| row.iter().map(|&c| c as usize).collect())
+            .map(|silo| silo.histogram.iter().map(|&c| c as usize).collect())
             .collect();
         WeightMatrix::from_histogram(WeightingStrategy::RecordProportional, &histogram)
     }
 
     /// `(fresh, rerandomised)` user counts of the most recent round's step 2.(a): how
     /// many encrypted inverses were freshly Paillier-encrypted vs re-randomised from
-    /// the cross-round cache. Bypass mode always reports `(num_users, 0)`.
+    /// the cross-round cache. Bypass mode and oblivious rounds always report
+    /// `(active users, 0)`.
     pub fn round_cache_stats(&self) -> (usize, usize) {
-        let cache = self.cache.lock().expect("cache mutex poisoned");
+        let cache = self.server.cache.lock().expect("cache mutex poisoned");
         (cache.last_fresh, cache.last_rerandomised)
     }
 
@@ -545,7 +893,7 @@ impl PrivateWeightingProtocol {
     /// materialise one entry per user; sparse sampled rounds only ever materialise
     /// entries for users that have been active in some round.
     pub fn cached_entry_count(&self) -> usize {
-        let cache = self.cache.lock().expect("cache mutex poisoned");
+        let cache = self.server.cache.lock().expect("cache mutex poisoned");
         cache.entries.len()
     }
 
@@ -555,120 +903,21 @@ impl PrivateWeightingProtocol {
     /// instead of `O(|U|)` — the population-scaling benchmarks report it alongside the
     /// fold gauge.
     pub fn cached_state_bytes(&self) -> usize {
-        let ct_bytes = self.paillier.public.n_squared.bit_length().div_ceil(64) * 8;
-        self.cached_entry_count() * ct_bytes
+        self.cached_entry_count() * self.ciphertext_bytes()
+    }
+
+    fn ciphertext_bytes(&self) -> usize {
+        self.server.public.key.n_squared.bit_length().div_ceil(64) * 8
     }
 
     /// Drops every cached ciphertext (and the re-randomisation context), so the next
     /// round freshly encrypts all inverses — used by benchmarks that run several rounds
-    /// of the same setup and need each to pay the full encryption cost.
+    /// of the same setup and need each to pay the full encryption cost. The round
+    /// counter, and with it the fault schedule, carries on.
     pub fn reset_round_cache(&self) {
-        let mut cache = self.cache.lock().expect("cache mutex poisoned");
+        let mut cache = self.server.cache.lock().expect("cache mutex poisoned");
         cache.rerand = None;
         cache.entries.clear();
-    }
-
-    /// The round's *active* users — the users whose encrypted inverses are actually
-    /// distributed to the silos — as an ascending id list.
-    ///
-    /// With no mask or a dense mask this is every user: unsampled users receive
-    /// `Enc(0)`, the legacy path, bitwise identical to earlier revisions. A sparse mask
-    /// keeps only sampled users that hold records — omitting a user's `Enc(0)` term
-    /// subtracts exactly zero from every decrypted total, so the aggregate keeps
-    /// identical bits while step 2.(a)–(b) cost drops to `O(q·|U|)` crypto operations.
-    fn active_users(&self, sampled: Option<&SampleMask>) -> Vec<u32> {
-        match sampled {
-            Some(mask) if mask.is_sparse() => mask
-                .iter()
-                .filter(|&u| self.blinded_inverses[u].is_some())
-                .map(|u| u as u32)
-                .collect(),
-            _ => (0..self.num_users as u32).collect(),
-        }
-    }
-
-    /// Step 2.(a): produces the encrypted blinded inverses for one round's active users
-    /// — either freshly encrypting everything (bypass mode, first round, invalidated
-    /// entries) or re-randomising cached ciphertexts in one pooled batch. Returns the
-    /// active user ids with their ciphertexts aligned position for position.
-    ///
-    /// Exactly one 256-bit batch seed is drawn from the caller's RNG whichever path
-    /// runs, so the cached, fresh-encryption, sparse and dense executions all consume
-    /// identical caller randomness streams and their aggregates compare bit for bit.
-    /// Per-user work is seeded from `(seed, user id)` — not the active
-    /// position — so a sparse round derives exactly the per-user streams the dense walk
-    /// would, and the output is bitwise-identical at any thread count.
-    fn distribute_inverses<R: Rng + ?Sized>(
-        &self,
-        sampled: Option<&SampleMask>,
-        rng: &mut R,
-    ) -> (Vec<u32>, Vec<Ciphertext>) {
-        let batch_seed = seeding::wide_seed_from_rng(rng);
-        let active = self.active_users(sampled);
-        let keep_of = |u: usize| -> bool {
-            sampled.is_none_or(|m| m.contains(u)) && self.blinded_inverses[u].is_some()
-        };
-        let plaintext = |u: usize| -> BigUint {
-            if keep_of(u) {
-                self.blinded_inverses[u].clone().expect("keep implies a blinded inverse")
-            } else {
-                BigUint::zero()
-            }
-        };
-        if self.fresh_encrypt {
-            let cts: Vec<Ciphertext> = self.runtime.par_map(&active, |_, &u| {
-                let mut rng = StdRng::from_seed(seeding::index_seed_wide(batch_seed, u as u64));
-                self.paillier.public.encrypt(&mut rng, &plaintext(u as usize))
-            });
-            let mut cache = self.cache.lock().expect("cache mutex poisoned");
-            cache.last_fresh = active.len();
-            cache.last_rerandomised = 0;
-            return (active, cts);
-        }
-        let mut cache = self.cache.lock().expect("cache mutex poisoned");
-        if cache.rerand.is_none() {
-            // The context's secret unit ρ comes from the reserved slot of THIS round's
-            // batch seed: no extra caller draws, no collision with the user streams.
-            let mut ctx_rng =
-                StdRng::from_seed(seeding::index_seed_wide(batch_seed, RERAND_SEED_INDEX));
-            cache.rerand = Some(Arc::new(self.paillier.public.rerand_ctx(&mut ctx_rng)));
-        }
-        let rerand = Arc::clone(cache.rerand.as_ref().expect("context just initialised"));
-        let fresh: Vec<bool> = active
-            .iter()
-            .map(|&u| cache.entries.get(&u).is_none_or(|e| e.keep != keep_of(u as usize)))
-            .collect();
-        // One pooled pass over the active users: fresh entries pay a full Paillier
-        // encryption, cached ones one squaring-free `c · h^t`. The workers only read
-        // the entries through the guard held by this thread.
-        let entries = &cache.entries;
-        let cts: Vec<Ciphertext> = self.runtime.par_map(&active, |i, &u| {
-            let mut rng = StdRng::from_seed(seeding::index_seed_wide(batch_seed, u as u64));
-            if fresh[i] {
-                self.paillier.public.encrypt(&mut rng, &plaintext(u as usize))
-            } else {
-                let entry = entries.get(&u).expect("non-fresh user has an entry");
-                rerand.rerandomise(&mut rng, &entry.current)
-            }
-        });
-        for (&u, ct) in active.iter().zip(&cts) {
-            cache.entries.insert(u, CacheEntry { keep: keep_of(u as usize), current: ct.clone() });
-        }
-        let fresh_count = fresh.iter().filter(|&&f| f).count();
-        cache.last_fresh = fresh_count;
-        cache.last_rerandomised = active.len() - fresh_count;
-        (active, cts)
-    }
-
-    /// Post-round cache invalidation after silo dropouts: any user with records in a
-    /// dropped silo gets freshly re-encrypted next round. (The server only learns of a
-    /// dropout when the round's reports are collected, so the invalidation necessarily
-    /// lands after the fact; users untouched by the dropped silos keep their entries.)
-    fn invalidate_users_of_dropped(&self, dropped: &[bool]) {
-        let mut cache = self.cache.lock().expect("cache mutex poisoned");
-        cache.entries.retain(|&u, _| {
-            !dropped.iter().enumerate().any(|(s, &d)| d && self.silo_histograms[s][u as usize] > 0)
-        });
     }
 
     /// Runs one weighting round (Protocol 1, step 2).
@@ -676,140 +925,113 @@ impl PrivateWeightingProtocol {
     /// * `clipped_deltas[s][u]` — silo `s`'s clipped model delta for user `u`
     ///   (`Δ̃_{s,u}` *before* weighting; empty when the user has no records in the silo).
     /// * `noises[s]` — the Gaussian noise vector `z_s` silo `s` adds.
-    /// * `sampled` — optional user-level sub-sampling [`SampleMask`]. Under a dense
-    ///   mask, unsampled users' inverses are encrypted as zero (step 2.a), so their
-    ///   deltas drop out exactly; under a sparse mask they are skipped outright — no
-    ///   ciphertext, no cache entry, no fold work — which yields the same aggregate bit
-    ///   for bit (an `Enc(0)` term adds exactly zero to every decrypted total).
+    /// * `sampling` — how step 2.(a) samples the users: `None`, `Some(&mask)` or an
+    ///   [`ObliviousSubsampling`] ([`Sampling`]).
     ///
-    /// Returns the decoded aggregate `Σ_s (Σ_u w_{s,u} Δ̃_{s,u} + z_s)` plus per-phase
-    /// timings.
+    /// The round applies its fault set of [`ProtocolConfig::fault_plan`]. Dropped silos
+    /// leave **between steps 2.(b) and 2.(c)**: their cells (deltas *and* noise) miss the
+    /// homomorphic fold, where the pairwise masks cancel over the silos that did
+    /// contribute, and the aggregate is re-weighted by `|S| / |S_surviving|`; users with
+    /// records in a dropped silo lose their cache entry. Stragglers add
+    /// [`FaultPlan::delay_ms`] each to `silo_weighting` and leave the result unchanged.
     ///
-    /// Panics when [`ProtocolConfig::fault_plan`] is active: this entry point cannot
-    /// inject faults, so such rounds go through
-    /// [`PrivateWeightingProtocol::weighting_round_faulted`].
-    pub fn weighting_round<R: Rng + ?Sized>(
+    /// Returns the decoded aggregate — exactly the surviving-silo, sampled-user sum
+    /// `Σ_s (Σ_u w_{s,u} Δ̃_{s,u} + z_s)`, re-weighted
+    /// ([`PrivateWeightingProtocol::plaintext_reference_faulted`]) — and the round's
+    /// [`RoundReport`], both bitwise-identical at every `(threads, chunk_size)`.
+    pub fn weighting_round<'a, R: Rng + ?Sized>(
         &self,
         clipped_deltas: &[Vec<Vec<f64>>],
         noises: &[Vec<f64>],
-        sampled: Option<&SampleMask>,
+        sampling: impl Into<Sampling<'a>>,
         rng: &mut R,
-    ) -> (Vec<f64>, RoundTimings) {
-        self.reject_fault_plan("weighting_round");
-        let (out, _, timings) = self.round(clipped_deltas, noises, sampled, None, rng);
-        (out, timings)
-    }
+    ) -> (Vec<f64>, RoundReport) {
+        let dim = self.check_round_inputs(clipped_deltas, noises);
+        let round = self.server.next_round.fetch_add(1, Ordering::Relaxed);
 
-    /// Panics if a fault plan is configured: `entry` is a round entry point that would
-    /// otherwise silently ignore it.
-    fn reject_fault_plan(&self, entry: &str) {
-        assert!(
-            !self.fault_plan.is_active(),
-            "{entry} cannot honour the active ProtocolConfig::fault_plan; run faulted rounds \
-             through weighting_round_faulted"
-        );
-    }
-
-    /// Runs one weighting round under the configured [`ProtocolConfig::fault_plan`]:
-    /// silos selected by the plan drop out **between steps 2.(b) and 2.(c)** — after the
-    /// server ships the encrypted blinded inverses, before silo reports aggregate — and
-    /// straggling silos inflate the round's `silo_weighting` timing by
-    /// [`FaultPlan::delay_ms`] each without touching the result.
-    ///
-    /// Degradation semantics: a dropped silo's `(silo, coordinate)` cells (deltas *and*
-    /// noise) are excluded from the streaming homomorphic fold — the Paillier path needs
-    /// no mask recovery because the pairwise masks cancel inside each per-coordinate sum
-    /// over the silos that actually contributed — and the decrypted aggregate is
-    /// re-weighted by `|S| / |S_surviving|` so the update keeps its expected scale. The
-    /// result is *exactly* the surviving-silo plaintext reference
-    /// ([`PrivateWeightingProtocol::plaintext_reference_faulted`]) and stays
-    /// bitwise-identical across every `(threads, chunk_size)` setting; at least one silo
-    /// always survives. Users with records in a dropped silo lose their cached
-    /// ciphertext, so the next round freshly re-encrypts them.
-    ///
-    /// `round` tells the plan which round's fault set to draw (faults are re-drawn every
-    /// round). Returns the re-weighted aggregate, the dropout mask in silo order, and
-    /// the per-phase timings.
-    pub fn weighting_round_faulted<R: Rng + ?Sized>(
-        &self,
-        clipped_deltas: &[Vec<Vec<f64>>],
-        noises: &[Vec<f64>],
-        sampled: Option<&SampleMask>,
-        round: u64,
-        rng: &mut R,
-    ) -> (Vec<f64>, Vec<bool>, RoundTimings) {
-        self.round(clipped_deltas, noises, sampled, Some(round), rng)
-    }
-
-    /// Panics unless the round inputs hold one delta set and one noise vector per silo;
-    /// returns the model dimension.
-    fn round_dim(&self, clipped_deltas: &[Vec<Vec<f64>>], noises: &[Vec<f64>]) -> usize {
-        assert_eq!(clipped_deltas.len(), self.num_silos, "one delta set per silo required");
-        assert_eq!(noises.len(), self.num_silos, "one noise vector per silo required");
-        let dim = noises[0].len();
-        assert!(dim > 0, "model dimension must be positive");
-        dim
-    }
-
-    /// The round body behind [`PrivateWeightingProtocol::weighting_round`] and
-    /// [`PrivateWeightingProtocol::weighting_round_faulted`]: step 2.(a), then the silo
-    /// fold and the decryption. `fault_round = Some(t)` draws round `t`'s fault set from
-    /// the configured plan; `None` runs the round with every silo reporting on time.
-    fn round<R: Rng + ?Sized>(
-        &self,
-        clipped_deltas: &[Vec<Vec<f64>>],
-        noises: &[Vec<f64>],
-        sampled: Option<&SampleMask>,
-        fault_round: Option<u64>,
-        rng: &mut R,
-    ) -> (Vec<f64>, Vec<bool>, RoundTimings) {
-        let dim = self.round_dim(clipped_deltas, noises);
-
-        // --- Step 2.(a): server encrypts (possibly sub-sampled) blinded inverses, or —
-        // when the cross-round cache holds them under an unchanged mask — re-randomises
-        // the cached ciphertexts in one pooled batch. One 256-bit seed drawn from the
-        // caller's RNG parameterises the whole batch; per-user randomness is derived
-        // from (seed, u), so the output is bitwise-identical at any thread count. It
-        // runs before any silo drops.
+        // --- Step 2.(a): the server sends one ciphertext per active user, before any
+        // silo drops.
         let enc_span = trace::timed_span("protocol", "server_encryption");
-        let (active, encrypted_inverses) = self.distribute_inverses(sampled, rng);
+        let (rt, server) = (&*self.runtime, &self.server);
+        let ((active, ciphertexts), selected) = match sampling.into() {
+            Sampling::All => (server.encrypt_inverses(rt, None, rng), None),
+            Sampling::Mask(mask) => (server.encrypt_inverses(rt, Some(mask), rng), None),
+            Sampling::Oblivious(ot) => {
+                let (active, cts, selected) = server.offer_inverses(rt, ot, rng);
+                ((active, cts), Some(selected))
+            }
+        };
         let server_encryption = enc_span.finish();
 
-        let (dropped, delay) = match fault_round {
-            Some(round) => self.draw_faults(round),
-            None => (vec![false; self.num_silos], Duration::ZERO),
-        };
+        let (dropped, delay) = self.draw_faults(round);
 
-        // --- Steps 2.(b)-(c): silo-side encrypted weighting, secure aggregation of
-        // ciphertexts, decryption and decoding. The pairwise additive masks cancel in the
-        // sum exactly as in step 1.(e); the decrypted aggregate is therefore the same with
-        // or without them.
-        let (totals, silo_weighting) = self.fold_round_totals(
-            clipped_deltas,
-            noises,
-            &active,
-            &encrypted_inverses,
-            dim,
-            &dropped,
-        );
-        let (mut out, aggregation) = self.decrypt_totals(&totals);
+        // --- Step 2.(b) and the secure aggregation of the silos' reports. The pairwise
+        // additive masks cancel in the sum exactly as in step 1.(e); the decrypted
+        // aggregate is therefore the same with or without them.
+        let silo_span = trace::timed_span("protocol", "silo_weighting");
+        let participants: Vec<Vec<(usize, usize)>> = self
+            .silos
+            .iter()
+            .zip(clipped_deltas)
+            .map(|(silo, deltas)| silo.participants(&active, deltas))
+            .collect();
+        let mut uses = vec![0usize; active.len()];
+        for &(i, _) in participants.iter().flatten() {
+            uses[i] += dim;
+        }
+        let received = Received::new(rt, &self.silos[0], &active, &ciphertexts, &uses);
+        let terms: Vec<Vec<Term>> = self
+            .silos
+            .iter()
+            .zip(participants)
+            .map(|(silo, participants)| silo.terms(&received, participants))
+            .collect();
+        let totals = self.fold_cells(dim, |silo, j| {
+            // A dropped silo's report never reaches the server: neither its weighted
+            // deltas nor its noise enter the per-coordinate total.
+            if dropped[silo] {
+                return self.server.public.key.trivial_zero();
+            }
+            let deltas = &clipped_deltas[silo];
+            self.silos[silo].weigh_cell(&received, &terms[silo], deltas, noises[silo][j], j)
+        });
+        let silo_weighting = silo_span.finish() + delay;
 
-        // Surviving-silo re-weighting: the decrypted value is the exact sum over the
-        // survivors, scaled up so the server update keeps its |S|-silo magnitude.
+        // --- Step 2.(c): decryption, then the surviving-silo re-weighting: the
+        // decrypted value is the exact sum over the survivors, scaled up so the server
+        // update keeps its |S|-silo magnitude.
+        let (mut out, aggregation) = server.decrypt(rt, &totals);
         let surviving = dropped.iter().filter(|&&d| !d).count();
         debug_assert!(surviving >= 1, "the fault plan must leave at least one silo");
-        let factor = self.num_silos as f64 / surviving as f64;
+        let factor = self.num_silos() as f64 / surviving as f64;
         if factor != 1.0 {
             for o in out.iter_mut() {
                 *o *= factor;
             }
-            // A user whose records sit in a dropped silo gets freshly re-encrypted next
-            // round; everyone else keeps their cached ciphertext.
-            self.invalidate_users_of_dropped(&dropped);
+            self.server.invalidate(|u| {
+                self.silos.iter().zip(&dropped).any(|(silo, &d)| d && silo.histogram[u] > 0)
+            });
         }
-        let timings =
-            RoundTimings { server_encryption, silo_weighting: silo_weighting + delay, aggregation };
-        (out, dropped, timings)
+        let report =
+            RoundReport { server_encryption, silo_weighting, aggregation, dropped, selected };
+        (out, report)
+    }
+
+    /// Panics unless the round inputs hold one per-user delta set and one noise vector
+    /// per silo, all of one dimension; returns that dimension.
+    fn check_round_inputs(&self, clipped_deltas: &[Vec<Vec<f64>>], noises: &[Vec<f64>]) -> usize {
+        assert_eq!(clipped_deltas.len(), self.num_silos(), "one delta set per silo required");
+        assert_eq!(noises.len(), self.num_silos(), "one noise vector per silo required");
+        let dim = noises[0].len();
+        assert!(dim > 0, "model dimension must be positive");
+        for (deltas, noise) in clipped_deltas.iter().zip(noises) {
+            assert_eq!(deltas.len(), self.num_users(), "per-user deltas required");
+            assert_eq!(noise.len(), dim, "noise dimensionality mismatch");
+            for delta in deltas.iter().filter(|d| !d.is_empty()) {
+                assert_eq!(delta.len(), dim, "delta dimensionality mismatch");
+            }
+        }
+        dim
     }
 
     /// Draws round `round`'s fault set from the configured plan: the dropout mask in
@@ -817,8 +1039,8 @@ impl PrivateWeightingProtocol {
     /// accounted in the timings only — no wall-clock sleep, the aggregate is
     /// untouched). Emits one structured trace event per affected silo.
     fn draw_faults(&self, round: u64) -> (Vec<bool>, Duration) {
-        let dropped = self.fault_plan.dropped_silos(round, self.num_silos);
-        let delayed = self.fault_plan.delayed_silos(round, self.num_silos);
+        let dropped = self.fault_plan.dropped_silos(round, self.num_silos());
+        let delayed = self.fault_plan.delayed_silos(round, self.num_silos());
         if uldp_telemetry::enabled() {
             // Tagged with the round so traces of multi-round runs stay attributable.
             for (silo, _) in dropped.iter().enumerate().filter(|(_, &d)| d) {
@@ -846,301 +1068,66 @@ impl PrivateWeightingProtocol {
         (dropped, Duration::from_millis(self.fault_plan.delay_ms * delayed_count))
     }
 
-    /// Runs one weighting round with **private user-level sub-sampling** via simulated
-    /// 1-out-of-P oblivious transfer (the extension sketched in Section 4.1 of the paper).
-    ///
-    /// For every user the server prepares `sampling.denominator` ciphertexts of which
-    /// `sampling.numerator` encrypt the real blinded inverse and the rest encrypt zero; a
-    /// single ciphertext is obtained through OT and used for the round. The server never
-    /// learns whether a user was sampled (it cannot see the OT choice) and the silos never
-    /// learn it either (a dummy is indistinguishable from a real Paillier ciphertext), so
-    /// the participation probability is exactly `numerator / denominator` but the outcome
-    /// stays hidden — unlike [`PrivateWeightingProtocol::weighting_round`], where the mask
-    /// is chosen by the server in the clear.
-    ///
-    /// Returns the decoded aggregate, the realised selection flags (**for validation and
-    /// accounting tests only** — in a deployment no party may observe them), and the
-    /// per-phase timings. Panics when [`ProtocolConfig::fault_plan`] is active, which
-    /// this entry point cannot honour.
-    pub fn weighting_round_with_oblivious_subsampling<R: Rng + ?Sized>(
+    /// Sums `cell(silo, j)` over the silos into one ciphertext total per coordinate `j`:
+    /// the cells stream in coordinate-major order through one chunked fold, whose
+    /// partials combine in fixed cell order, so the totals are bitwise-identical at any
+    /// `(threads, chunk_size)` and no per-cell ciphertext collection is materialised.
+    fn fold_cells(
         &self,
-        clipped_deltas: &[Vec<Vec<f64>>],
-        noises: &[Vec<f64>],
-        sampling: &ObliviousSubsampling,
-        rng: &mut R,
-    ) -> (Vec<f64>, Vec<bool>, RoundTimings) {
-        self.reject_fault_plan("weighting_round_with_oblivious_subsampling");
-        let dim = self.round_dim(clipped_deltas, noises);
-
-        // Server side: build the OT offers (step 2.a extended with dummies). Every user's
-        // offer and transfer draw from an RNG derived from a 256-bit (seed, u) stream, so
-        // the realised selection is identical at any thread count.
-        let enc_span = trace::timed_span("protocol", "server_encryption");
-        let batch_seed = seeding::wide_seed_from_rng(rng);
-        let per_user: Vec<(Ciphertext, bool)> =
-            self.runtime.par_map_wide_seeded(self.num_users, batch_seed, |u, rng| {
-                let real = match &self.blinded_inverses[u] {
-                    Some(inv) => self.paillier.public.encrypt(rng, inv),
-                    None => self.paillier.public.encrypt(rng, &BigUint::zero()),
-                };
-                let offer = sampling.build_offer(&self.paillier.public, &real, rng);
-                let (output, _sender_view) = offer.transfer_uniform(rng);
-                // The receiver keeps only the ciphertext; whether it was a real slot is
-                // recorded here purely so tests can validate correctness.
-                let was_real = output.chosen_index < sampling.numerator as usize
-                    && self.blinded_inverses[u].is_some();
-                (output.item, was_real)
-            });
-        let (chosen, selected_flags): (Vec<Ciphertext>, Vec<bool>) = per_user.into_iter().unzip();
-        let server_encryption = enc_span.finish();
-
-        // Silo side and aggregation are identical to the plain round, using the chosen
-        // ciphertexts in place of the server-published inverses. Every user gets an OT
-        // offer (the whole point is hiding who was sampled), so all users are active.
-        let active: Vec<u32> = (0..self.num_users as u32).collect();
-        let no_dropouts = vec![false; self.num_silos];
-        let (totals, silo_weighting) =
-            self.fold_round_totals(clipped_deltas, noises, &active, &chosen, dim, &no_dropouts);
-        let (out, aggregation) = self.decrypt_totals(&totals);
-        (out, selected_flags, RoundTimings { server_encryption, silo_weighting, aggregation })
-    }
-
-    /// The fold stage of one round — steps 2.(b) and the fused homomorphic cross-silo
-    /// sum — producing the per-coordinate ciphertext totals and the `silo_weighting`
-    /// wall-clock. `active` lists the round's active users and `encrypted_inverses`
-    /// their ciphertexts, aligned position for position; the silos marked in `dropped`
-    /// contribute no cells (deltas or noise) — their reports never reach the server.
-    ///
-    /// This is the silos' work: it reads only the public key, the ciphertexts the silos
-    /// received (`encrypted_inverses`) and silo-side inputs — never the server's cache.
-    fn fold_round_totals(
-        &self,
-        clipped_deltas: &[Vec<Vec<f64>>],
-        noises: &[Vec<f64>],
-        active: &[u32],
-        encrypted_inverses: &[Ciphertext],
         dim: usize,
-        dropped: &[bool],
-    ) -> (Vec<Ciphertext>, Duration) {
-        let n = &self.paillier.public.n;
-        let rt = &*self.runtime;
-        debug_assert_eq!(active.len(), encrypted_inverses.len());
-        let silo_span = trace::timed_span("protocol", "silo_weighting");
-        for silo in 0..self.num_silos {
-            assert_eq!(clipped_deltas[silo].len(), self.num_users, "per-user deltas required");
-            assert_eq!(noises[silo].len(), dim, "noise dimensionality mismatch");
-            for delta in clipped_deltas[silo].iter().filter(|d| !d.is_empty()) {
-                assert_eq!(delta.len(), dim, "delta dimensionality mismatch");
-            }
-        }
-        // Per-silo participant lists: active users with records *and* a delta in this
-        // silo, as (active position, user id) pairs. `active` is ascending, so each
-        // list walks users in exactly the order the dense `0..|U|` scan did — the cell
-        // totals keep identical bits — while the fold below only ever touches the
-        // round's participants instead of the whole population per cell.
-        let participants: Vec<Vec<(usize, usize)>> = (0..self.num_silos)
-            .map(|silo| {
-                active
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &u)| {
-                        self.silo_histograms[silo][u as usize] > 0
-                            && !clipped_deltas[silo][u as usize].is_empty()
-                    })
-                    .map(|(i, &u)| (i, u as usize))
-                    .collect()
-            })
-            .collect();
-        // The per-user scalar prefix `n_su · r_u · C_LCM mod n` is independent of the
-        // coordinate, so it is computed once per (silo, active user) instead of once
-        // per (silo, user, coordinate); the SHA-based blinding-factor expansion runs on
-        // the pool.
-        let factors: Vec<BigUint> = rt.par_map(active, |_, &u| self.blinder.factor(u as u64));
-        let prefixes: Vec<Vec<BigUint>> = (0..self.num_silos)
-            .map(|silo| {
-                active
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &u)| {
-                        let n_su = self.silo_histograms[silo][u as usize];
-                        let p = mod_mul(&BigUint::from_u64(n_su), &factors[i], n);
-                        mod_mul(&p, &self.c_lcm, n)
-                    })
-                    .collect()
-            })
-            .collect();
-        // User u's encrypted inverse is raised to one scalar per (participating silo,
-        // coordinate) cell, so one exponentiation context per user is hoisted out of the
-        // cell loop: for heavily-used bases it precomputes a fixed-base table (no
-        // squarings per scalar_mul), and no per-cell Montgomery context is ever rebuilt.
-        let mut ctx_uses = vec![0usize; active.len()];
-        for plist in &participants {
-            for &(i, _) in plist {
-                ctx_uses[i] += dim;
-            }
-        }
-        // All per-user contexts are alive for the whole region, and a fixed-base table
-        // costs megabytes per user at paper-scale key sizes — so the tables are only
-        // requested while the aggregate footprint stays within a fixed budget; beyond
-        // it, every user's terms fuse into the per-cell multi-exponentiation, which
-        // still shares the cached per-modulus engine state.
-        const FIXED_BASE_BUDGET_BYTES: usize = 256 << 20;
-        let table_bytes = FixedBaseCtx::estimated_table_bytes(
-            self.paillier.public.n_squared.bit_length(),
-            self.paillier.public.n.bit_length(),
-        );
-        let participating = ctx_uses.iter().filter(|&&uses| uses > 0).count();
-        let tables_affordable =
-            participating.saturating_mul(table_bytes) <= FIXED_BASE_BUDGET_BYTES;
-        let n_bits = n.bit_length();
-        let evals: Vec<Option<InverseEval>> = rt.par_map_range(active.len(), |i| {
-            (ctx_uses[i] > 0).then(|| {
-                let ct = &encrypted_inverses[i];
-                if !tables_affordable || ctx_uses[i] < FIXED_BASE_TABLE_MIN_MULS {
-                    return InverseEval::Fused { base: ct.0.clone() };
-                }
-                InverseEval::Table(FixedBaseCtx::new(
-                    Arc::clone(self.paillier.public.ctx_n2()),
-                    &ct.0,
-                    n_bits,
-                ))
-            })
-        });
-        // Steps 2.(b)+(c) silo side: every (silo, coordinate) cell is independent — the
-        // Paillier `scalar_mul` per user inside it is the protocol's dominant cost
-        // (Figures 10–11) — and ciphertext addition is exact modular arithmetic, so the
-        // cells stream through one chunked fold in coordinate-major order: each chunk
-        // folds its cells straight into per-coordinate ciphertext totals (the cross-silo
-        // homomorphic sum is fused into the fold), and chunk partials combine in fixed
-        // cell order. No per-cell ciphertext collection is ever materialised — transient
-        // memory is O(dim + chunks) ciphertexts instead of O(silos × dim) — and the
-        // result is bitwise-identical at any (threads, chunk_size) setting.
-        let num_cells = dim * self.num_silos;
-        let chunk_size = self.chunk_size;
-        let cell_ranges = uldp_runtime::fold_chunk_ranges(num_cells, chunk_size);
-        let ct_bytes = self.paillier.public.n_squared.bit_length().div_ceil(64) * 8;
-        let partial_entries: usize = cell_ranges
-            .iter()
-            .map(|r| (r.end - 1) / self.num_silos - r.start / self.num_silos + 1)
-            .sum();
-        rt.fold_gauge().record(partial_entries * ct_bytes);
-        let compute_cell = |silo: usize, j: usize| -> Ciphertext {
-            let mut acc = self.paillier.public.trivial_zero();
-            // A dropped silo's report never reaches the server: neither its weighted
-            // deltas nor its noise enter the per-coordinate total (the pairwise masks
-            // cancel over the silos that did contribute, so no recovery is needed).
-            if dropped[silo] {
-                return acc;
-            }
-            // Table-free bases gather their `(base, scalar)` terms here and fuse into
-            // one interleaved multi-exponentiation after the loop; ciphertext addition
-            // is modular multiplication, which commutes, so hoisting these terms out of
-            // the running product leaves the cell total bit-identical.
-            let mut fused: Vec<(BigUint, BigUint)> = Vec::new();
-            for &(i, u) in &participants[silo] {
-                let delta = &clipped_deltas[silo][u];
-                let scalar = mod_mul(&self.codec.encode(delta[j]), &prefixes[silo][i], n);
-                let eval = evals[i].as_ref().expect("evaluator built for participating user");
-                let term = match eval {
-                    InverseEval::Fused { base } => {
-                        fused.push((base.clone(), scalar));
-                        continue;
-                    }
-                    InverseEval::Table(table) => table.pow(&scalar),
-                };
-                metrics::PAILLIER_SCALAR_MUL.inc();
-                acc = self.paillier.public.add(&acc, &Ciphertext(term));
-            }
-            if !fused.is_empty() {
-                metrics::PAILLIER_SCALAR_MUL.add(fused.len() as u64);
-                let product = self.paillier.public.ctx_n2().multi_exp(&fused);
-                acc = self.paillier.public.add(&acc, &Ciphertext(product));
-            }
-            let noise_scalar = mod_mul(&self.codec.encode(noises[silo][j]), &self.c_lcm, n);
-            self.paillier.public.add_plain(&acc, &noise_scalar)
-        };
+        cell: impl Fn(usize, usize) -> Ciphertext + Sync,
+    ) -> Vec<Ciphertext> {
+        let key = &self.server.public.key;
+        let num_silos = self.num_silos();
+        let num_cells = dim * num_silos;
+        let cell_ranges = uldp_runtime::fold_chunk_ranges(num_cells, self.chunk_size);
+        let partial_entries: usize =
+            cell_ranges.iter().map(|r| (r.end - 1) / num_silos - r.start / num_silos + 1).sum();
+        self.runtime.fold_gauge().record(partial_entries * self.ciphertext_bytes());
         // Chunk partials carry (coordinate, running total) pairs; a chunk touches at
         // most ⌈chunk/|S|⌉ + 1 coordinates, and partials merge at shared boundaries.
+        let push =
+            |acc: &mut Vec<(usize, Ciphertext)>, j: usize, ct: Ciphertext| match acc.last_mut() {
+                Some((last_j, total)) if *last_j == j => *total = key.add(total, &ct),
+                _ => acc.push((j, ct)),
+            };
         let fold_cell = |acc: &mut Vec<(usize, Ciphertext)>, idx: usize| {
-            let j = idx / self.num_silos;
-            let silo = idx % self.num_silos;
-            let cell = compute_cell(silo, j);
-            match acc.last_mut() {
-                Some((last_j, total)) if *last_j == j => {
-                    *total = self.paillier.public.add(total, &cell);
-                }
-                _ => acc.push((j, cell)),
-            }
+            let j = idx / num_silos;
+            push(acc, j, cell(idx % num_silos, j));
         };
         let merge = |mut a: Vec<(usize, Ciphertext)>, b: Vec<(usize, Ciphertext)>| {
             for (j, partial) in b {
-                match a.last_mut() {
-                    Some((last_j, total)) if *last_j == j => {
-                        *total = self.paillier.public.add(total, &partial);
-                    }
-                    _ => a.push((j, partial)),
-                }
+                push(&mut a, j, partial);
             }
             a
         };
-        let totals: Vec<Ciphertext> = rt
-            .par_fold_reduce(num_cells, chunk_size, Vec::new, fold_cell, merge)
+        let totals: Vec<Ciphertext> = self
+            .runtime
+            .par_fold_reduce(num_cells, self.chunk_size, Vec::new, fold_cell, merge)
             .expect("at least one (silo, coordinate) cell")
             .into_iter()
             .map(|(_, total)| total)
             .collect();
         debug_assert_eq!(totals.len(), dim);
-        let silo_weighting = silo_span.finish();
-        (totals, silo_weighting)
-    }
-
-    /// The decrypt stage of one round — step 2.(c): batched CRT decryption of the
-    /// per-coordinate totals and fixed-point decoding. (The homomorphic cross-silo sum
-    /// is fused into the streaming fold.) The CRT contexts are hoisted once per batch
-    /// inside [`uldp_crypto::paillier::PaillierSecretKey::decrypt_batch`]. The
-    /// `aggregation` span covers decryption plus decoding, with one nested `decryption`
-    /// span for the batch itself.
-    fn decrypt_totals(&self, totals: &[Ciphertext]) -> (Vec<f64>, Duration) {
-        let rt = &*self.runtime;
-        let agg_span = trace::timed_span("protocol", "aggregation");
-        let dec_span = trace::span("protocol", "decryption").arg("coordinates", totals.len());
-        let decrypted = self.paillier.secret.decrypt_batch(rt, totals);
-        drop(dec_span);
-        let out: Vec<f64> = rt.par_map(&decrypted, |_, m| self.codec.decode(m, &self.c_lcm));
-        (out, agg_span.finish())
+        totals
     }
 
     /// The plaintext value the protocol is supposed to compute:
-    /// `Σ_s ( Σ_u (n_{s,u} / N_u) Δ̃_{s,u} + z_s )`, honouring the sub-sampling mask.
+    /// `Σ_s ( Σ_u (n_{s,u} / N_u) Δ̃_{s,u} + z_s )`, honouring the sub-sampling mask —
+    /// [`PrivateWeightingProtocol::plaintext_reference_faulted`] with every silo
+    /// surviving.
     pub fn plaintext_reference(
         &self,
         clipped_deltas: &[Vec<Vec<f64>>],
         noises: &[Vec<f64>],
         sampled: Option<&SampleMask>,
     ) -> Vec<f64> {
-        let dim = noises[0].len();
-        let mut out = vec![0.0; dim];
-        for silo in 0..self.num_silos {
-            for (u, delta) in clipped_deltas[silo].iter().enumerate() {
-                let keep = sampled.is_none_or(|s| s.contains(u));
-                let n_su = self.silo_histograms[silo][u];
-                if !keep || n_su == 0 || delta.is_empty() || self.user_totals[u] == 0 {
-                    continue;
-                }
-                let w = n_su as f64 / self.user_totals[u] as f64;
-                for (o, d) in out.iter_mut().zip(delta.iter()) {
-                    *o += w * d;
-                }
-            }
-            for (o, z) in out.iter_mut().zip(noises[silo].iter()) {
-                *o += z;
-            }
-        }
-        out
+        let all_survive = vec![false; self.num_silos()];
+        self.plaintext_reference_faulted(clipped_deltas, noises, sampled, &all_survive)
     }
 
-    /// The plaintext value a faulted round is supposed to compute: the
-    /// [`PrivateWeightingProtocol::plaintext_reference`] sum restricted to silos *not*
+    /// The plaintext value a faulted round is supposed to compute: the sum of
+    /// [`PrivateWeightingProtocol::plaintext_reference`] restricted to silos *not*
     /// marked in `dropped`, re-weighted by `|S| / |S_surviving|`.
     pub fn plaintext_reference_faulted(
         &self,
@@ -1149,16 +1136,12 @@ impl PrivateWeightingProtocol {
         sampled: Option<&SampleMask>,
         dropped: &[bool],
     ) -> Vec<f64> {
-        assert_eq!(dropped.len(), self.num_silos, "one dropout flag per silo required");
-        let dim = noises[0].len();
-        let mut out = vec![0.0; dim];
-        for silo in 0..self.num_silos {
-            if dropped[silo] {
-                continue;
-            }
+        assert_eq!(dropped.len(), self.num_silos(), "one dropout flag per silo required");
+        let mut out = vec![0.0; noises[0].len()];
+        for (silo, view) in self.silos.iter().enumerate().filter(|&(s, _)| !dropped[s]) {
             for (u, delta) in clipped_deltas[silo].iter().enumerate() {
                 let keep = sampled.is_none_or(|s| s.contains(u));
-                let n_su = self.silo_histograms[silo][u];
+                let n_su = view.histogram[u];
                 if !keep || n_su == 0 || delta.is_empty() || self.user_totals[u] == 0 {
                     continue;
                 }
@@ -1172,7 +1155,7 @@ impl PrivateWeightingProtocol {
             }
         }
         let surviving = dropped.iter().filter(|&&d| !d).count().max(1);
-        let factor = self.num_silos as f64 / surviving as f64;
+        let factor = self.num_silos() as f64 / surviving as f64;
         if factor != 1.0 {
             for o in out.iter_mut() {
                 *o *= factor;
@@ -1238,16 +1221,16 @@ mod tests {
         sampled: Option<&SampleMask>,
         dropped: &[bool],
     ) -> Vec<f64> {
-        let n = &protocol.paillier.public.n;
-        let (codec, c_lcm) = (&protocol.codec, &protocol.c_lcm);
+        let Public { key, codec, c_lcm } = &*protocol.server.public;
+        let n = &key.n;
         let surviving = dropped.iter().filter(|&&d| !d).count();
-        let factor = protocol.num_silos as f64 / surviving as f64;
+        let factor = protocol.num_silos() as f64 / surviving as f64;
         (0..noises[0].len())
             .map(|j| {
                 let mut total = BigUint::zero();
-                for silo in (0..protocol.num_silos).filter(|&s| !dropped[s]) {
+                for silo in (0..protocol.num_silos()).filter(|&s| !dropped[s]) {
                     for (u, delta) in deltas[silo].iter().enumerate() {
-                        let n_su = protocol.silo_histograms[silo][u];
+                        let n_su = protocol.silos[silo].histogram[u];
                         if delta.is_empty() || n_su == 0 || sampled.is_some_and(|m| !m.contains(u))
                         {
                             continue;
@@ -1330,7 +1313,8 @@ mod tests {
         assert!(protocol.modulus_bits() >= 255);
         assert_eq!(protocol.num_silos(), 3);
         assert_eq!(protocol.num_users(), 4);
-        assert_eq!(protocol.pair_seeds().len(), 3);
+        assert_eq!(protocol.pair_seeds(0).len(), 3);
+        assert_eq!(protocol.pair_seeds(0)[2], protocol.pair_seeds(2)[0]);
     }
 
     #[test]
@@ -1342,13 +1326,14 @@ mod tests {
         let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
         let (deltas, noises) = deltas_and_noise(&histogram, 3, 32);
         let sampling = ObliviousSubsampling::new(4, 4);
-        let (secure, flags, _) = protocol
-            .weighting_round_with_oblivious_subsampling(&deltas, &noises, &sampling, &mut rng);
-        assert!(flags.iter().all(|&f| f));
+        let (secure, report) = protocol.weighting_round(&deltas, &noises, sampling, &mut rng);
+        assert!(report.selected.expect("oblivious rounds report the selection").iter().all(|&f| f));
         let reference = protocol.plaintext_reference(&deltas, &noises, None);
         for (a, b) in secure.iter().zip(reference.iter()) {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
         }
+        let exact = exact_aggregate(&protocol, &deltas, &noises, None, &[false; 3]);
+        assert_exact(&secure, &exact, "oblivious, all selected");
     }
 
     #[test]
@@ -1358,18 +1343,18 @@ mod tests {
         let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
         let (deltas, noises) = deltas_and_noise(&histogram, 3, 34);
         let sampling = ObliviousSubsampling::new(0, 4);
-        let (secure, flags, _) = protocol
-            .weighting_round_with_oblivious_subsampling(&deltas, &noises, &sampling, &mut rng);
-        assert!(flags.iter().all(|&f| !f));
+        let (secure, report) = protocol.weighting_round(&deltas, &noises, sampling, &mut rng);
+        let selected = report.selected.expect("oblivious rounds report the selection");
+        assert!(selected.iter().all(|&f| !f));
         // Only the per-silo noise survives.
-        let noise_only = protocol.plaintext_reference(
-            &vec![vec![Vec::new(); protocol.num_users()]; protocol.num_silos()],
-            &noises,
-            None,
-        );
+        let no_deltas = vec![vec![Vec::new(); protocol.num_users()]; protocol.num_silos()];
+        let noise_only = protocol.plaintext_reference(&no_deltas, &noises, None);
         for (a, b) in secure.iter().zip(noise_only.iter()) {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
         }
+        let none = SampleMask::from_dense(selected);
+        let exact = exact_aggregate(&protocol, &deltas, &noises, Some(&none), &[false; 3]);
+        assert_exact(&secure, &exact, "oblivious, none selected");
     }
 
     #[test]
@@ -1380,13 +1365,14 @@ mod tests {
         let (deltas, noises) = deltas_and_noise(&histogram, 3, 36);
         let sampling = ObliviousSubsampling::new(1, 2);
         assert!((sampling.probability() - 0.5).abs() < 1e-12);
-        let (secure, flags, _) = protocol
-            .weighting_round_with_oblivious_subsampling(&deltas, &noises, &sampling, &mut rng);
-        let mask = SampleMask::from_dense(flags);
+        let (secure, report) = protocol.weighting_round(&deltas, &noises, sampling, &mut rng);
+        let mask = SampleMask::from_dense(report.selected.expect("oblivious selection"));
         let reference = protocol.plaintext_reference(&deltas, &noises, Some(&mask));
         for (a, b) in secure.iter().zip(reference.iter()) {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
         }
+        let exact = exact_aggregate(&protocol, &deltas, &noises, Some(&mask), &[false; 3]);
+        assert_exact(&secure, &exact, "oblivious, realised selection");
     }
 
     #[test]
@@ -1414,9 +1400,8 @@ mod tests {
             let protocol = PrivateWeightingProtocol::setup(&histogram, &cfg, &mut rng);
             let (deltas, noises) = deltas_and_noise(&histogram, 3, 14);
             let sampling = ObliviousSubsampling::new(1, 2);
-            let (out, flags, _) = protocol
-                .weighting_round_with_oblivious_subsampling(&deltas, &noises, &sampling, &mut rng);
-            (out.iter().map(|v| v.to_bits()).collect::<Vec<u64>>(), flags)
+            let (out, report) = protocol.weighting_round(&deltas, &noises, sampling, &mut rng);
+            (out.iter().map(|v| v.to_bits()).collect::<Vec<u64>>(), report.selected)
         };
         let sequential = run(1);
         assert_eq!(sequential, run(2));
@@ -1451,44 +1436,48 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "run faulted rounds through weighting_round_faulted")]
-    fn plain_round_rejects_an_active_fault_plan() {
-        let histogram = small_histogram();
-        let plan = FaultPlan { delay_fraction: 1.0, delay_ms: 1, ..FaultPlan::none() };
+    #[should_panic(expected = "must have byzantine_fraction 0")]
+    fn setup_rejects_a_byzantine_fault_plan() {
+        // Protocol 1 receives already-clipped deltas, so it cannot corrupt them before
+        // clipping; a plan asking for it is rejected rather than silently ignored.
+        let plan = FaultPlan { byzantine_fraction: 0.5, ..FaultPlan::none() };
         let mut rng = StdRng::seed_from_u64(59);
-        let protocol = PrivateWeightingProtocol::setup(&histogram, &faulted_config(plan), &mut rng);
-        let (deltas, noises) = deltas_and_noise(&histogram, 3, 60);
-        let _ = protocol.weighting_round(&deltas, &noises, None, &mut rng);
+        let _ =
+            PrivateWeightingProtocol::setup(&small_histogram(), &faulted_config(plan), &mut rng);
     }
 
     #[test]
-    #[should_panic(expected = "run faulted rounds through weighting_round_faulted")]
-    fn oblivious_round_rejects_an_active_fault_plan() {
-        let histogram = small_histogram();
+    fn fault_plan_applies_under_every_sampling_mode() {
+        // One protocol, rounds 0..6 cycling through oblivious, sparse-mask and
+        // unsampled rounds: round t drops exactly the plan's round-t silo whatever the
+        // sampling, and every aggregate is the exact surviving-silo reference.
+        let histogram = wide_histogram();
         let plan = FaultPlan { dropout_fraction: 0.4, seed: 77, ..FaultPlan::none() };
         let mut rng = StdRng::seed_from_u64(61);
         let protocol = PrivateWeightingProtocol::setup(&histogram, &faulted_config(plan), &mut rng);
-        let (deltas, noises) = deltas_and_noise(&histogram, 3, 62);
-        let sampling = ObliviousSubsampling::new(1, 2);
-        let _ = protocol
-            .weighting_round_with_oblivious_subsampling(&deltas, &noises, &sampling, &mut rng);
-    }
-
-    #[test]
-    fn faulted_round_without_faults_matches_plain_round() {
-        let histogram = small_histogram();
-        let mut rng = StdRng::seed_from_u64(51);
-        let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
-        let (deltas, noises) = deltas_and_noise(&histogram, 3, 52);
-        let round_rng = rng.clone();
-        let (plain, _) = protocol.weighting_round(&deltas, &noises, None, &mut round_rng.clone());
-        let (faulted, dropped, _) =
-            protocol.weighting_round_faulted(&deltas, &noises, None, 0, &mut round_rng.clone());
-        assert!(dropped.iter().all(|&d| !d));
-        assert_eq!(
-            plain.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            faulted.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        let mask = SampleMask::from_sorted_indices(13, vec![2, 7, 11]);
+        for round in 0..6u64 {
+            let (deltas, noises) = deltas_and_noise(&histogram, 3, 62 + round);
+            let (out, report) = match round % 3 {
+                0 => protocol.weighting_round(
+                    &deltas,
+                    &noises,
+                    ObliviousSubsampling::new(1, 2),
+                    &mut rng,
+                ),
+                1 => protocol.weighting_round(&deltas, &noises, Some(&mask), &mut rng),
+                _ => protocol.weighting_round(&deltas, &noises, None, &mut rng),
+            };
+            assert_eq!(report.dropped, plan.dropped_silos(round, 2), "round {round}");
+            assert_eq!(report.dropped.iter().filter(|&&d| d).count(), 1, "round {round}");
+            let sampled = match report.selected {
+                Some(selected) => Some(SampleMask::from_dense(selected)),
+                None => (round % 3 == 1).then(|| mask.clone()),
+            };
+            let exact =
+                exact_aggregate(&protocol, &deltas, &noises, sampled.as_ref(), &report.dropped);
+            assert_exact(&out, &exact, &format!("faulted round {round}"));
+        }
     }
 
     #[test]
@@ -1508,9 +1497,13 @@ mod tests {
             &mut StdRng::seed_from_u64(53),
         );
         let (deltas, noises) = deltas_and_noise(&histogram, 4, 54);
+        for _ in 0..3 {
+            let _ = protocol.weighting_round(&deltas, &noises, None, &mut rng);
+        }
         let round_rng = rng.clone();
-        let (faulted, dropped, _) =
-            protocol.weighting_round_faulted(&deltas, &noises, None, 3, &mut round_rng.clone());
+        let (faulted, report) =
+            protocol.weighting_round(&deltas, &noises, None, &mut round_rng.clone());
+        let dropped = report.dropped;
         assert_eq!(dropped.iter().filter(|&&d| d).count(), 1, "0.4 of 3 silos rounds to one");
 
         let reference = protocol.plaintext_reference_faulted(&deltas, &noises, None, &dropped);
@@ -1554,9 +1547,12 @@ mod tests {
             let cfg = ProtocolConfig { threads, chunk_size, ..faulted_config(plan) };
             let protocol = PrivateWeightingProtocol::setup(&histogram, &cfg, &mut rng);
             let (deltas, noises) = deltas_and_noise(&histogram, 3, 56);
-            let (out, dropped, _) =
-                protocol.weighting_round_faulted(&deltas, &noises, None, 1, &mut rng);
-            (out.iter().map(|v| v.to_bits()).collect::<Vec<u64>>(), dropped)
+            (0..2)
+                .map(|_| {
+                    let (out, report) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
+                    (out.iter().map(|v| v.to_bits()).collect::<Vec<u64>>(), report.dropped)
+                })
+                .collect::<Vec<_>>()
         };
         let sequential = run(1, usize::MAX);
         for (threads, chunk) in [(2, 1), (4, 7), (2, usize::MAX)] {
@@ -1645,33 +1641,31 @@ mod tests {
     #[test]
     fn dropout_invalidates_exactly_the_affected_users_entries() {
         // Consecutive faulted rounds carry the cache over; the plan drops exactly one of
-        // the three silos every round.
+        // the three silos every round. After each round exactly the users with records
+        // in its dropped silo have lost their entry, and the next round's encryption,
+        // which happens before its own dropout, re-encrypts exactly those.
         let histogram = small_histogram();
         let plan = FaultPlan { dropout_fraction: 0.4, seed: 77, ..FaultPlan::none() };
         let mut rng = StdRng::seed_from_u64(97);
         let protocol = PrivateWeightingProtocol::setup(&histogram, &faulted_config(plan), &mut rng);
         let (deltas, noises) = deltas_and_noise(&histogram, 4, 98);
-
-        let (_, first_dropped, _) =
-            protocol.weighting_round_faulted(&deltas, &noises, None, 0, &mut rng);
-        assert_eq!(protocol.round_cache_stats(), (4, 0));
-        // The next round's encryption happens before its own dropout, so it re-encrypts
-        // only the users the previous round's dropout invalidated…
-        let (_, dropped, _) = protocol.weighting_round_faulted(&deltas, &noises, None, 3, &mut rng);
-        assert_eq!(dropped.iter().filter(|&&d| d).count(), 1, "0.4 of 3 silos rounds to one");
-        let first_affected = users_of_dropped(&histogram, &first_dropped);
-        assert_eq!(protocol.round_cache_stats(), (first_affected, 4 - first_affected));
-        // …and afterwards exactly the users with records in round 3's dropped silo are
-        // invalidated, so the round after freshly re-encrypts them alone.
-        let affected = users_of_dropped(&histogram, &dropped);
-        assert!(affected > 0 && affected < 4, "the plan must split the users");
-        let (out, last_dropped, _) =
-            protocol.weighting_round_faulted(&deltas, &noises, None, 4, &mut rng);
-        assert_eq!(protocol.round_cache_stats(), (affected, 4 - affected));
-        let reference = protocol.plaintext_reference_faulted(&deltas, &noises, None, &last_dropped);
-        for (a, b) in out.iter().zip(reference.iter()) {
-            assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");
+        let mut fresh = 4;
+        let mut split = false;
+        for round in 0..5u64 {
+            let (out, report) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
+            assert_eq!(protocol.round_cache_stats(), (fresh, 4 - fresh), "round {round}");
+            assert_eq!(report.dropped.iter().filter(|&&d| d).count(), 1, "0.4 of 3 rounds to one");
+            let affected = users_of_dropped(&histogram, &report.dropped);
+            assert_eq!(protocol.cached_entry_count(), 4 - affected, "round {round}");
+            split |= affected > 0 && affected < 4;
+            let reference =
+                protocol.plaintext_reference_faulted(&deltas, &noises, None, &report.dropped);
+            for (a, b) in out.iter().zip(reference.iter()) {
+                assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");
+            }
+            fresh = affected;
         }
+        assert!(split, "the plan must split the users in some round");
     }
 
     #[test]
@@ -1686,8 +1680,8 @@ mod tests {
         let mut previous: Option<Vec<bool>> = None;
         for round in 0..5u64 {
             let (deltas, noises) = deltas_and_noise(&histogram, 4, 104 + round);
-            let (out, dropped, _) =
-                protocol.weighting_round_faulted(&deltas, &noises, None, round, &mut rng);
+            let (out, report) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
+            let dropped = report.dropped;
             assert_eq!(dropped.iter().filter(|&&d| d).count(), 1, "round {round}");
             let reference = protocol.plaintext_reference_faulted(&deltas, &noises, None, &dropped);
             for (a, b) in out.iter().zip(reference.iter()) {
@@ -1717,9 +1711,9 @@ mod tests {
         let round_rng = rng.clone();
         let (plain, plain_timings) =
             twin.weighting_round(&deltas, &noises, None, &mut round_rng.clone());
-        let (delayed, dropped, delayed_timings) =
-            protocol.weighting_round_faulted(&deltas, &noises, None, 0, &mut round_rng.clone());
-        assert!(dropped.iter().all(|&d| !d));
+        let (delayed, delayed_timings) =
+            protocol.weighting_round(&deltas, &noises, None, &mut round_rng.clone());
+        assert!(delayed_timings.dropped.iter().all(|&d| !d));
         assert_eq!(
             plain.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             delayed.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

@@ -15,7 +15,7 @@
 //! `O(q·|U| + 1)` RNG consumption and `O(q·|U|)` memory.
 //!
 //! The result is held as a [`SampleMask`], which picks its representation by density:
-//! sparse sorted `Vec<u32>` below [`DENSE_THRESHOLD_NUM`]`/`[`DENSE_THRESHOLD_DEN`]
+//! sparse sorted `Vec<u32>` below a `DENSE_THRESHOLD_NUM / DENSE_THRESHOLD_DEN`
 //! sampled fraction, dense `Vec<bool>` above (where a bitmap walk is cheaper and the
 //! sparse path saves nothing). The two representations are semantically identical
 //! ([`PartialEq`] compares the sampled *set*, not the layout) and every consumer must

@@ -25,6 +25,8 @@
 //!   pairwise masks cancel *inside* each per-coordinate ciphertext sum over the silos
 //!   that actually contributed (see `uldp-crypto::masking` for the precondition).
 //!   At least one silo always survives ([`FaultPlan::dropped_silos`] clamps the count).
+//!   Protocol 1 draws round `t`'s set from its own round counter, whatever the round's
+//!   sampling (all users, a mask, or oblivious sub-sampling).
 //! * **Delay** (Protocol 1): a delayed silo still contributes, but its report arrives
 //!   `delay_ms` late; the round's `silo_weighting` timing is inflated accordingly while
 //!   the aggregate stays bitwise-identical to the undelayed round.
@@ -33,6 +35,8 @@
 //!   defense applies: each corrupted `(silo, user)` task still contributes at most
 //!   `w_{s,u} · C` in norm, bounding the attacker's influence on the aggregate by
 //!   `2 · C · Σ_{corrupted (s,u)} w_{s,u}` regardless of the strategy's magnitude.
+//!   Protocol 1 receives deltas that are already clipped, so its setup rejects a plan
+//!   with `byzantine_fraction > 0`.
 //! * **Skewed allocation**: a [`Scenario`] can pair its plan with the Zipf user→silo
 //!   allocation of `uldp-datasets` ([`Allocation::zipf_default`]), concentrating records
 //!   on few silos/users — the regime where dropouts hurt most.

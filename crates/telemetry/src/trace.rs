@@ -133,7 +133,7 @@ pub fn flush_thread() {
 }
 
 /// A snapshot of every record drained to the registry so far (flushes the calling
-/// thread first). Records stay in the registry until [`clear_records`].
+/// thread first). Records stay in the registry until [`crate::reset`].
 pub fn snapshot_records() -> Vec<Record> {
     flush_thread();
     registry().lock().unwrap_or_else(|e| e.into_inner()).clone()
