@@ -486,11 +486,6 @@ impl ModulusCtx {
         }
         self.from_mont(&acc)
     }
-
-    /// [`ModulusCtx::multi_exp`] for many independent products over one shared context.
-    pub fn multi_exp_batch<P: AsRef<[(BigUint, BigUint)]>>(&self, groups: &[P]) -> Vec<BigUint> {
-        groups.iter().map(|pairs| self.multi_exp(pairs.as_ref())).collect()
-    }
 }
 
 /// Precomputed radix-2ʷ table for one base: many exponents, no squarings.
@@ -898,9 +893,6 @@ mod tests {
         // Zero base annihilates, bases ≥ n are reduced.
         assert_eq!(ctx.multi_exp(&[(BigUint::zero(), n(3)), (n(7), n(2))]), BigUint::zero());
         assert_eq!(ctx.multi_exp(&[(n(1_000_004), n(2))]), BigUint::one());
-        // Batch wrapper is pointwise.
-        let groups = vec![vec![(n(2), n(10))], vec![(n(3), n(4)), (n(5), n(3))]];
-        assert_eq!(ctx.multi_exp_batch(&groups), vec![n(1024), n(81 * 125)]);
     }
 
     #[test]

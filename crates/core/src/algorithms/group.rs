@@ -64,13 +64,11 @@ pub fn build_contribution_flags(dataset: &FederatedDataset, k: u64) -> Vec<bool>
 ///
 /// `flags` must come from [`build_contribution_flags`] and stay constant across rounds.
 /// The silo-level DP-SGD loops (inherently sequential per silo: every step depends on
-/// the previous one) stream through a chunked fold over the silos: each chunk folds its
-/// silos' noisy deltas straight into one exact accumulator, so the per-silo delta
-/// vectors are never materialised together (O(chunks × dim) transient memory). Each
-/// silo's RNG is derived from `(round_seed, silo)` exactly as with
-/// `map_silos`, so the
-/// round is bitwise-identical across all `(threads, chunk_size)` settings.
-/// [`FlConfig::shards`] does not apply here — a silo's DP-SGD loop cannot be split.
+/// the previous one) run as one pooled task per silo, each folding its noisy delta into
+/// an exact accumulator (O(silos × dim) transient memory); the accumulators merge
+/// exactly. Each silo's RNG is derived from `(round_seed, silo)`, so the round is
+/// bitwise-identical at any thread count. [`FlConfig::shards`] does not apply here — a
+/// silo's DP-SGD loop cannot be split.
 pub fn run_round(
     rt: &Runtime,
     model: &mut Box<dyn Model>,
@@ -87,52 +85,37 @@ pub fn run_round(
     let global = model.parameters().to_vec();
     let dim = global.len();
     let template = model.clone_model();
-    // One fold task here covers whole *silos*, not (silo, user) pairs, so the training
-    // default of 16 tasks per chunk would collapse typical silo counts into a single
-    // sequential chunk. Default to one silo per chunk — the same per-silo pooled
-    // parallelism (and O(silos × dim) footprint) as the previous map_silos path — and
-    // let an explicit `FlConfig::chunk_size` coarsen it.
-    let chunk_size = if config.chunk_size != 0 { config.chunk_size } else { 1 };
-    rt.fold_gauge().record(
-        uldp_runtime::fold_chunk_ranges(dataset.num_silos, chunk_size).len()
-            * DeltaAccumulator::bytes(dim),
-    );
-    let aggregate = rt
-        .par_fold_seeded(
-            dataset.num_silos,
-            chunk_size,
-            round_seed,
-            || DeltaAccumulator::new(dim),
-            |acc, silo_id, rng| {
-                let mut scratch = template.clone_model();
-                // D'_s: this silo's records that survive the contribution bound.
-                let records: Vec<&uldp_ml::Sample> = dataset
-                    .records()
-                    .iter()
-                    .zip(flags.iter())
-                    .filter(|(r, &keep)| keep && r.silo == silo_id)
-                    .map(|(r, _)| &r.sample)
-                    .collect();
-                let delta = silo::dp_sgd(
-                    scratch.as_mut(),
-                    &global,
-                    &records,
-                    config.local_epochs,
-                    config.local_lr,
-                    config.clip_bound,
-                    config.sigma,
-                    sampling_rate,
-                    rng,
-                );
-                acc.add(&delta);
-            },
-            |mut a, b| {
-                a.merge(b);
-                a
-            },
-        )
-        .map(DeltaAccumulator::finish)
-        .unwrap_or_else(|| vec![0.0; dim]);
+    rt.fold_gauge().record(dataset.num_silos * DeltaAccumulator::bytes(dim));
+    let per_silo = rt.par_map_seeded(dataset.num_silos, round_seed, |silo_id, rng| {
+        let mut scratch = template.clone_model();
+        // D'_s: this silo's records that survive the contribution bound.
+        let records: Vec<&uldp_ml::Sample> = dataset
+            .records()
+            .iter()
+            .zip(flags.iter())
+            .filter(|(r, &keep)| keep && r.silo == silo_id)
+            .map(|(r, _)| &r.sample)
+            .collect();
+        let delta = silo::dp_sgd(
+            scratch.as_mut(),
+            &global,
+            &records,
+            config.local_epochs,
+            config.local_lr,
+            config.clip_bound,
+            config.sigma,
+            sampling_rate,
+            rng,
+        );
+        let mut acc = DeltaAccumulator::new(dim);
+        acc.add(&delta);
+        acc
+    });
+    let mut total = DeltaAccumulator::new(dim);
+    for acc in per_silo {
+        total.merge(acc);
+    }
+    let aggregate = total.finish();
     apply_update(model.as_mut(), &aggregate, config.global_lr, 1.0 / dataset.num_silos as f64);
 }
 
@@ -217,9 +200,7 @@ mod tests {
 
     #[test]
     fn default_chunking_keeps_one_fold_task_per_silo() {
-        // Regression guard: the silo-granularity fold must not inherit the per-user
-        // training chunk default (16), which would serialise every dataset with ≤ 16
-        // silos. At defaults the gauge must see one chunk partial per silo.
+        // One pooled task per silo: the gauge must see one accumulator per silo.
         let dataset = tiny_federation(3, 5, 60);
         let mut model = tiny_model();
         let config = FlConfig {

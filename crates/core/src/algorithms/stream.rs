@@ -1,15 +1,14 @@
 //! The streaming sharded round engine behind ULDP-AVG / ULDP-SGD (and, via
 //! [`crate::algorithms::group`], the per-silo DP-SGD aggregation).
 //!
-//! The seed implementation materialised one dim-length delta per participating
-//! `(silo, user)` task and then accumulated them sequentially — O(tasks × dim) transient
-//! memory per round, which caps how many users a silo can serve. This engine replaces
-//! that with chunked in-place folds on [`Runtime::par_fold_ranges`]:
+//! Materialising one dim-length delta per participating `(silo, user)` task would cost
+//! O(tasks × dim) transient memory per round, which caps how many users a silo can
+//! serve. The engine instead runs chunked in-place folds on [`Runtime::par_fold_ranges`]:
 //!
 //! * each silo's participating users are split into [`FlConfig::shards`] contiguous
 //!   **shards** that run as independent pooled tasks (so one silo's round scales past a
-//!   single task), and each shard is further split into fixed-size **chunks** of
-//!   [`FlConfig::chunk_size`] tasks;
+//!   single task), and each shard is further split into **chunks** of [`TRAIN_CHUNK`]
+//!   tasks;
 //! * each `(silo, shard, chunk)` span folds its users' deltas into one
 //!   [`DeltaAccumulator`] — no per-task delta collection ever exists — giving
 //!   O(spans × dim) transient memory;
@@ -21,8 +20,7 @@
 //! merges are integer additions, so the per-silo sums are independent of how tasks are
 //! grouped into spans and of which worker ran what. Together with the per-task RNG
 //! streams (a pure function of `(round_seed, silo, user)`), this makes every round
-//! **bitwise-identical across all `(threads, shards, chunk_size)` settings** — a
-//! strictly stronger guarantee than the seed's thread-count invariance, asserted by
+//! **bitwise-identical across all `(threads, shards)` settings**, asserted by
 //! `tests/runtime_determinism.rs`.
 
 use std::ops::Range;
@@ -36,11 +34,10 @@ use uldp_runtime::Runtime;
 /// aggregate (|coordinate| ≤ C per user).
 const SCALE_BITS: i32 = 80;
 
-/// Default chunk size (tasks per fold span) for the training hot path when neither
-/// [`FlConfig::chunk_size`](crate::config::FlConfig::chunk_size) nor `ULDP_CHUNK` is
-/// set. Per-user training dominates each task, so modest chunks keep the pool busy
-/// without letting span partials approach the old per-task materialisation.
-pub(crate) const DEFAULT_TRAIN_CHUNK: usize = 16;
+/// Tasks per fold chunk of the training hot path. Per-user training dominates each
+/// task, so modest chunks keep the pool busy while a round holds about one span
+/// partial per 16 tasks.
+pub(crate) const TRAIN_CHUNK: usize = 16;
 
 /// An exact fixed-point accumulator for dim-length f64 delta vectors.
 ///
@@ -106,16 +103,15 @@ pub(crate) struct SiloSpan {
 /// Builds the `(silo, shard, chunk)` span grid over a silo-major task list.
 ///
 /// Each silo's contiguous task run is split into at most `shards` near-equal shards
-/// (empty shards are dropped), and each shard into chunks of `chunk_size` tasks. The
-/// grid depends only on the task list and the two knobs — never on the thread count.
+/// (empty shards are dropped), and each shard into chunks of [`TRAIN_CHUNK`] tasks. The
+/// grid depends only on the task list and the shard count — never on the thread count.
 pub(crate) fn shard_spans(
     tasks: &[(usize, usize)],
     num_silos: usize,
     shards: usize,
-    chunk_size: usize,
 ) -> Vec<SiloSpan> {
     debug_assert!(tasks.windows(2).all(|w| w[0].0 <= w[1].0), "task list must be silo-major");
-    let shards = shards.max(1);
+    assert!(shards > 0, "shards must be at least 1");
     let mut spans = Vec::new();
     let mut silo_start = 0usize;
     for silo in 0..num_silos {
@@ -135,10 +131,9 @@ pub(crate) fn shard_spans(
                 continue;
             }
             let shard_end = shard_start + shard_len;
-            let chunk = if chunk_size == 0 { shard_len } else { chunk_size.min(shard_len) };
             let mut start = shard_start;
             while start < shard_end {
-                let end = (start + chunk).min(shard_end);
+                let end = (start + TRAIN_CHUNK).min(shard_end);
                 spans.push(SiloSpan { silo, range: start..end });
                 start = end;
             }
@@ -155,20 +150,19 @@ pub(crate) fn shard_spans(
 /// `None` when the task contributes nothing; it is called exactly once per task, in a
 /// scheduling-independent order within each span. Returns one dim-length sum per silo
 /// (zeros for silos without contributions). Transient memory — reported to the
-/// runtime's fold gauge — is O(spans × dim) instead of the seed's O(tasks × dim).
+/// runtime's fold gauge — is O(spans × dim) instead of O(tasks × dim).
 pub(crate) fn stream_silo_deltas<F>(
     rt: &Runtime,
     tasks: &[(usize, usize)],
     num_silos: usize,
     shards: usize,
-    chunk_size: usize,
     dim: usize,
     per_task: F,
 ) -> Vec<Vec<f64>>
 where
     F: Fn(usize, usize) -> Option<Vec<f64>> + Sync,
 {
-    let spans = shard_spans(tasks, num_silos, shards, chunk_size);
+    let spans = shard_spans(tasks, num_silos, shards);
     // The whole streaming fold as one span; the runtime adds one nested `fold_chunk`
     // span per (silo, shard, chunk) range underneath it.
     let _stream_span = uldp_telemetry::trace::span("train", "stream_silo_deltas")
@@ -293,32 +287,36 @@ mod tests {
 
     #[test]
     fn shard_spans_cover_the_task_list_in_order() {
+        // Silo 0 has 40 tasks (more than two chunks), silo 1 none, silo 2 three.
         let tasks: Vec<(usize, usize)> =
-            vec![(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (2, 0), (2, 1), (2, 2)];
-        for shards in [1usize, 2, 3, 10] {
-            for chunk in [0usize, 1, 2, 7] {
-                let spans = shard_spans(&tasks, 3, shards, chunk);
-                // spans tile the list exactly, in order
-                let mut expect = 0;
-                for span in &spans {
-                    assert_eq!(span.range.start, expect);
-                    expect = span.range.end;
-                    // every task in the span belongs to the span's silo
-                    assert!(tasks[span.range.clone()].iter().all(|&(s, _)| s == span.silo));
-                }
-                assert_eq!(expect, tasks.len(), "shards={shards} chunk={chunk}");
+            (0..40).map(|u| (0, u)).chain((0..3).map(|u| (2, u))).collect();
+        for shards in [1usize, 2, 3, 10, 50] {
+            let spans = shard_spans(&tasks, 3, shards);
+            // spans tile the list exactly, in order, and never exceed one chunk
+            let mut expect = 0;
+            for span in &spans {
+                assert_eq!(span.range.start, expect);
+                expect = span.range.end;
+                assert!(span.range.len() <= TRAIN_CHUNK, "shards={shards}");
+                // every task in the span belongs to the span's silo
+                assert!(tasks[span.range.clone()].iter().all(|&(s, _)| s == span.silo));
             }
+            assert_eq!(expect, tasks.len(), "shards={shards}");
         }
-        // shards=2, chunk=all: silo 0 (5 tasks) splits 3+2, silo 2 (3 tasks) splits 2+1
-        let spans = shard_spans(&tasks, 3, 2, 0);
-        let shape: Vec<(usize, usize)> = spans.iter().map(|s| (s.silo, s.range.len())).collect();
-        assert_eq!(shape, vec![(0, 3), (0, 2), (2, 2), (2, 1)]);
+        let shape = |shards: usize| -> Vec<(usize, usize)> {
+            shard_spans(&tasks, 3, shards).iter().map(|s| (s.silo, s.range.len())).collect()
+        };
+        // One shard: silo 0 chunks 16+16+8, silo 2 is one short chunk.
+        assert_eq!(shape(1), vec![(0, 16), (0, 16), (0, 8), (2, 3)]);
+        // Two shards: silo 0 splits 20+20 (each 16+4), silo 2 splits 2+1.
+        assert_eq!(shape(2), vec![(0, 16), (0, 4), (0, 16), (0, 4), (2, 2), (2, 1)]);
     }
 
     #[test]
     fn stream_matches_naive_accumulation_and_is_structure_invariant() {
+        // 40 users per silo: a single shard already spans three chunks.
         let tasks: Vec<(usize, usize)> =
-            (0..3).flat_map(|s| (0..11).map(move |u| (s, u))).collect();
+            (0..3).flat_map(|s| (0..40).map(move |u| (s, u))).collect();
         let dim = 4;
         let per_task = |silo: usize, user: usize| {
             if user == 5 {
@@ -326,38 +324,31 @@ mod tests {
             }
             Some((0..dim).map(|j| (silo * 100 + user * 7 + j) as f64 * 0.013 - 1.5).collect())
         };
-        let reference = stream_silo_deltas(&Runtime::new(1), &tasks, 3, 1, 0, dim, per_task);
+        let reference = stream_silo_deltas(&Runtime::new(1), &tasks, 3, 1, dim, per_task);
         // naive sum tracks it to quantisation precision
         for (silo, sums) in reference.iter().enumerate() {
             for j in 0..dim {
-                let expect: f64 = (0..11).filter_map(|u| per_task(silo, u).map(|d| d[j])).sum();
+                let expect: f64 = (0..40).filter_map(|u| per_task(silo, u).map(|d| d[j])).sum();
                 assert!((sums[j] - expect).abs() < 1e-12, "silo {silo} coord {j}");
             }
         }
         let bits = |deltas: &Vec<Vec<f64>>| {
             deltas.iter().flat_map(|d| d.iter().map(|v| v.to_bits())).collect::<Vec<_>>()
         };
-        // bitwise-identical across every (threads, shards, chunk) combination
+        // bitwise-identical across every (threads, shards) combination
         for threads in [1usize, 2, 4] {
             let rt = Runtime::new(threads);
-            for shards in [1usize, 2, 3] {
-                for chunk in [1usize, 7, 0] {
-                    let out = stream_silo_deltas(&rt, &tasks, 3, shards, chunk, dim, per_task);
-                    assert_eq!(
-                        bits(&out),
-                        bits(&reference),
-                        "threads={threads} shards={shards} chunk={chunk}"
-                    );
-                }
+            for shards in [1usize, 2, 3, 40] {
+                let out = stream_silo_deltas(&rt, &tasks, 3, shards, dim, per_task);
+                assert_eq!(bits(&out), bits(&reference), "threads={threads} shards={shards}");
             }
         }
     }
 
     #[test]
     fn empty_task_list_yields_zero_sums() {
-        let out = stream_silo_deltas(&Runtime::new(2), &[], 2, 3, 4, 3, |_, _| {
-            panic!("no tasks to fold")
-        });
+        let out =
+            stream_silo_deltas(&Runtime::new(2), &[], 2, 3, 3, |_, _| panic!("no tasks to fold"));
         assert_eq!(out, vec![vec![0.0; 3]; 2]);
     }
 
@@ -366,8 +357,8 @@ mod tests {
         let tasks: Vec<(usize, usize)> = (0..10).map(|u| (0, u)).collect();
         let rt = Runtime::new(1);
         rt.fold_gauge().reset();
-        let _ = stream_silo_deltas(&rt, &tasks, 1, 2, 5, 6, |_, _| Some(vec![0.0; 6]));
-        // 2 shards × 5 tasks, chunk 5 → one span per shard
+        let _ = stream_silo_deltas(&rt, &tasks, 1, 2, 6, |_, _| Some(vec![0.0; 6]));
+        // 2 shards × 5 tasks, each within one chunk → one span per shard
         assert_eq!(rt.fold_gauge().last(), 2 * DeltaAccumulator::bytes(6));
     }
 }

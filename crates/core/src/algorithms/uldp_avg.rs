@@ -32,11 +32,12 @@ use uldp_telemetry::{metrics, trace};
 ///
 /// The per-user local training loops — the algorithm's dominant cost (Section 3.4) — run
 /// on the streaming sharded round engine (`algorithms::stream`): each silo's
-/// users are split into [`FlConfig::shards`] pooled shards whose chunks fold weighted
-/// deltas in place (O(chunks × dim) transient memory instead of O(users × dim)). Each
-/// `(silo, user)` task trains with an RNG derived from `(round_seed, silo, user)` and
-/// each silo draws its Gaussian noise from a separate per-silo stream, so the round is
-/// bitwise-identical across all `(threads, shards, chunk_size)` settings.
+/// users are split into [`FlConfig::shards`] pooled shards whose 16-task chunks fold
+/// weighted deltas in place (O(chunks × dim) transient memory instead of
+/// O(users × dim)). Each `(silo, user)` task trains with an RNG derived from
+/// `(round_seed, silo, user)` and each silo draws its Gaussian noise from a separate
+/// per-silo stream, so the round is bitwise-identical across all `(threads, shards)`
+/// settings.
 ///
 /// Degradation semantics under [`FlConfig::fault_plan`] ([`crate::scenario`]):
 ///
@@ -93,8 +94,7 @@ pub fn run_round(
         rt,
         &tasks,
         dataset.num_silos,
-        config.resolved_shards(),
-        config.resolved_chunk_size(),
+        config.shards,
         dim,
         |silo_id, user| {
             let records = dataset.silo_user_records(silo_id, user);

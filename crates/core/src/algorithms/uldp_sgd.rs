@@ -21,7 +21,7 @@ use uldp_telemetry::{metrics, trace};
 /// The per-user gradient computations run on the streaming sharded round engine
 /// (`algorithms::stream`) like ULDP-AVG's training loops (they consume no
 /// randomness); per-silo Gaussian noise comes from dedicated seeded streams, so the
-/// round is bitwise-identical across all `(threads, shards, chunk_size)` settings.
+/// round is bitwise-identical across all `(threads, shards)` settings.
 ///
 /// [`FlConfig::fault_plan`] degradation semantics match ULDP-AVG
 /// ([`crate::algorithms::uldp_avg::run_round`]): dropped silos contribute neither
@@ -71,8 +71,7 @@ pub fn run_round(
         rt,
         &tasks,
         dataset.num_silos,
-        config.resolved_shards(),
-        config.resolved_chunk_size(),
+        config.shards,
         dim,
         |silo_id, user| {
             let records = dataset.silo_user_records(silo_id, user);

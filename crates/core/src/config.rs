@@ -3,10 +3,6 @@
 use crate::scenario::FaultPlan;
 use serde::{Deserialize, Serialize};
 
-/// Name of the environment variable backing [`FlConfig::shards`]` = 0` (a positive
-/// number of shards per silo).
-pub const SHARDS_ENV: &str = "ULDP_SHARDS";
-
 /// Which per-user clipping weights `w_{s,u}` to use in ULDP-AVG / ULDP-SGD.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WeightingStrategy {
@@ -112,20 +108,12 @@ pub struct FlConfig {
     /// other value builds a dedicated pool. Training results are bitwise-identical at any
     /// setting.
     pub threads: usize,
-    /// Shards per silo for the streaming round engine: each silo's participating users
-    /// are split into this many contiguous shards that run as independent pooled tasks,
-    /// so one silo's round scales past a single task. `0` reads `ULDP_SHARDS`, falling
-    /// back to `1`. Training results are bitwise-identical at any setting.
+    /// Shards per silo for the streaming round engine of ULDP-AVG / ULDP-SGD (at least
+    /// 1): each silo's participating users are split into this many contiguous shards
+    /// that run as independent pooled tasks, so one silo's round scales past a single
+    /// task. Each shard streams its users in fixed chunks of 16 tasks. Training results
+    /// are bitwise-identical at any setting.
     pub shards: usize,
-    /// Fold chunk size (tasks per chunk) of the streaming round engine: each shard
-    /// streams its users in chunks of this many tasks, each folding one dim-length
-    /// partial in place — transient round memory is O(chunks × dim) instead of
-    /// O(users × dim). `0` reads `ULDP_CHUNK`, falling back to a small default.
-    /// Exception: ULDP-GROUP folds whole *silos*, not `(silo, user)` pairs, so at `0`
-    /// it uses one silo per chunk and ignores `ULDP_CHUNK` (a per-user-sized value
-    /// there would serialise typical silo counts); an explicit non-zero value still
-    /// wins. Training results are bitwise-identical at any setting.
-    pub chunk_size: usize,
     /// Deterministic fault injection for the round ([`crate::scenario`]): dropouts,
     /// stragglers and byzantine updates. Honoured by ULDP-AVG / ULDP-SGD; the silo-level
     /// baselines cannot honour it, so [`FlConfig::validate`] rejects an active plan
@@ -152,8 +140,7 @@ impl Default for FlConfig {
             eval_every: 1,
             seed: 42,
             threads: 0,
-            shards: 0,
-            chunk_size: 0,
+            shards: 1,
             fault_plan: FaultPlan::none(),
         }
     }
@@ -178,24 +165,6 @@ impl FlConfig {
         cfg
     }
 
-    /// The effective shard count: a non-zero [`FlConfig::shards`] wins, otherwise
-    /// `ULDP_SHARDS` (a positive integer; anything else panics), otherwise `1`.
-    pub fn resolved_shards(&self) -> usize {
-        if self.shards != 0 {
-            return self.shards;
-        }
-        uldp_runtime::positive_from_env(SHARDS_ENV).unwrap_or(1)
-    }
-
-    /// The effective fold chunk size: a non-zero [`FlConfig::chunk_size`] wins,
-    /// otherwise `ULDP_CHUNK`, otherwise the engine default.
-    pub fn resolved_chunk_size(&self) -> usize {
-        uldp_runtime::resolve_chunk_size(
-            self.chunk_size,
-            crate::algorithms::stream::DEFAULT_TRAIN_CHUNK,
-        )
-    }
-
     /// Validates parameter ranges, panicking with a descriptive message when invalid.
     pub fn validate(&self) {
         assert!(self.local_lr > 0.0, "local learning rate must be positive");
@@ -211,6 +180,7 @@ impl FlConfig {
         );
         assert!(self.delta > 0.0 && self.delta < 1.0, "delta must be in (0, 1)");
         assert!(self.eval_every > 0, "eval_every must be positive");
+        assert!(self.shards > 0, "shards must be at least 1");
         self.fault_plan.validate();
         assert!(
             !self.fault_plan.is_active()
@@ -275,19 +245,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_and_chunk_knobs_resolve_explicit_values() {
-        // Only the explicit-configuration path is testable without mutating the process
-        // environment (racy with concurrently running tests).
-        let cfg = FlConfig { shards: 3, chunk_size: 7, ..Default::default() };
-        assert_eq!(cfg.resolved_shards(), 3);
-        assert_eq!(cfg.resolved_chunk_size(), 7);
-        let auto = FlConfig::default();
-        if std::env::var(SHARDS_ENV).is_err() {
-            assert_eq!(auto.resolved_shards(), 1);
-        }
-        if std::env::var(uldp_runtime::CHUNK_ENV).is_err() {
-            assert_eq!(auto.resolved_chunk_size(), crate::algorithms::stream::DEFAULT_TRAIN_CHUNK);
-        }
+    #[should_panic(expected = "shards must be at least 1")]
+    fn zero_shards_rejected() {
+        FlConfig { shards: 0, ..Default::default() }.validate();
     }
 
     #[test]

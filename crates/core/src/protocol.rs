@@ -42,13 +42,13 @@
 //!
 //! The per-(silo, user) Paillier work of steps 2.(a)–(c) runs on the deterministic
 //! [`uldp_runtime::Runtime`] worker pool. Steps 2.(b)–(c) stream through one chunked
-//! fold over the `(silo, coordinate)` cells ([`uldp_runtime::Runtime::par_fold_reduce`])
-//! straight into per-coordinate ciphertext totals: O(dim + chunks) transient
-//! ciphertexts, never O(silos × dim). Encryption randomness is derived per user id from
-//! one 256-bit seed drawn from the caller's RNG, and ciphertext accumulation is exact
-//! modular arithmetic, so every ciphertext and aggregate is bitwise-identical at any
-//! thread count and chunk size (`ProtocolConfig::threads` / `ULDP_THREADS`,
-//! `ProtocolConfig::chunk_size` / `ULDP_CHUNK`).
+//! fold over the `(silo, coordinate)` cells, four cells per chunk
+//! ([`uldp_runtime::Runtime::par_fold_reduce`]), straight into per-coordinate
+//! ciphertext totals: O(dim + chunks) transient ciphertexts, never O(silos × dim).
+//! Encryption randomness is derived per user id from one 256-bit seed drawn from the
+//! caller's RNG, and ciphertext accumulation is exact modular arithmetic, so every
+//! ciphertext and aggregate is bitwise-identical at any thread count
+//! ([`ProtocolConfig::threads`] / `ULDP_THREADS`).
 //!
 //! All exponentiations run on the Montgomery engine of `uldp-bigint` through contexts
 //! cached in the Paillier keys at setup: step 2.(a) encrypts over the `n²` context, step
@@ -123,11 +123,6 @@ pub struct ProtocolConfig {
     /// runtime (`ULDP_THREADS` / available parallelism), `1` forces sequential execution,
     /// any other value builds a dedicated pool. Results are bitwise-identical regardless.
     pub threads: usize,
-    /// Fold chunk size (cells per chunk) for the streaming `(silo, coordinate)` cell
-    /// fold of step 2.(b)–(c): `0` reads `ULDP_CHUNK`, falling back to a small default.
-    /// Ciphertext accumulation is exact modular arithmetic, so results are
-    /// bitwise-identical at any setting.
-    pub chunk_size: usize,
     /// Deterministic fault injection for the protocol's rounds ([`crate::scenario`]):
     /// silos dropping or straggling between steps 2.(b) and 2.(c). Every
     /// [`PrivateWeightingProtocol::weighting_round`] honours it, whatever its
@@ -137,17 +132,15 @@ pub struct ProtocolConfig {
     /// positive `byzantine_fraction`. The default plan injects nothing.
     pub fault_plan: FaultPlan,
     /// Bypass the cross-round ciphertext cache: every round freshly encrypts all
-    /// blinded inverses (the pre-cache behaviour). Decrypted aggregates are
-    /// bitwise-identical either way, only the per-round `server_encryption` cost
-    /// changes.
+    /// blinded inverses. Decrypted aggregates are bitwise-identical either way, only the
+    /// per-round `server_encryption` cost changes.
     pub fresh_encrypt: bool,
 }
 
-/// Default cells-per-chunk of the protocol's streaming fold when neither
-/// [`ProtocolConfig::chunk_size`] nor `ULDP_CHUNK` is set. Each cell already amortises
-/// one Paillier exponentiation per participating user, so fine chunks cost little and
-/// keep the pool balanced even for small `silos × dim` grids.
-const DEFAULT_PROTOCOL_CHUNK: usize = 4;
+/// Cells per chunk of the protocol's streaming fold. Each cell already amortises one
+/// Paillier exponentiation per participating user, so fine chunks cost little and keep
+/// the pool balanced even for small `silos × dim` grids.
+const PROTOCOL_CHUNK: usize = 4;
 
 /// Reserved derivation index for the re-randomisation context's secret unit `ρ`. The
 /// per-user encryption streams use indices `0..num_users`, so the reserved slot can
@@ -156,9 +149,9 @@ const DEFAULT_PROTOCOL_CHUNK: usize = 4;
 /// and [`ProtocolConfig::fresh_encrypt`] executions stay stream-aligned round for round.
 const RERAND_SEED_INDEX: u64 = u64::MAX;
 
-/// Mirror of the crypto crate's fixed-base threshold (`FIXED_BASE_MIN_MULS`): below this
-/// many expected exponentiations of one base a table never amortises, and the cell
-/// terms are gathered into one interleaved multi-exponentiation instead.
+/// Below this many expected exponentiations of one base a fixed-base table never
+/// amortises, and the cell terms are gathered into one interleaved multi-exponentiation
+/// instead.
 const FIXED_BASE_TABLE_MIN_MULS: usize = 8;
 
 /// Ceiling on the round's step 2.(b) fixed-base tables, which are all alive at once and
@@ -214,7 +207,6 @@ impl Default for ProtocolConfig {
             precision: 1e-10,
             n_max: 64,
             threads: 0,
-            chunk_size: 0,
             fault_plan: FaultPlan::none(),
             fresh_encrypt: false,
         }
@@ -234,7 +226,6 @@ impl ProtocolConfig {
             precision: 1e-10,
             n_max: 2000,
             threads: 0,
-            chunk_size: 0,
             fault_plan: FaultPlan::none(),
             fresh_encrypt: false,
         }
@@ -686,9 +677,6 @@ pub struct PrivateWeightingProtocol {
     /// Worker pool for the parallel phases (shared, or dedicated per
     /// [`ProtocolConfig::threads`]).
     runtime: Arc<Runtime>,
-    /// Resolved cells-per-chunk of the streaming cell fold
-    /// ([`ProtocolConfig::chunk_size`] / `ULDP_CHUNK` / default).
-    chunk_size: usize,
     fault_plan: FaultPlan,
 }
 
@@ -750,6 +738,17 @@ impl PrivateWeightingProtocol {
         let modulus = key.n.clone();
         let codec = FixedPointCodec::new(config.precision, modulus.clone());
         let c_lcm = uldp_bigint::lcm_up_to(config.n_max);
+        // Decoding (Theorem 4) needs the encoded range to fit in the centred half of the
+        // field: a unit value carries the `C_LCM` factor at precision `P`, and from n/2
+        // on it wraps and decodes to garbage. The cast saturates only past what
+        // `FixedPointCodec::encode` accepts for any value.
+        let unit = BigUint::from_u128((1.0 / config.precision).ceil() as u128);
+        assert!(
+            c_lcm.mul(&unit) < modulus.shr_bits(1),
+            "C_LCM·⌈1/P⌉ must stay below n/2: N_max = {} needs a larger modulus than {} bits",
+            config.n_max,
+            modulus.bit_length()
+        );
         let blinder = MultiplicativeBlinder::new(blind_seed, modulus.clone());
 
         // --- Step 1.(d)-(e): blinded, masked histogram aggregation. ---
@@ -826,7 +825,6 @@ impl PrivateWeightingProtocol {
                 inverse_computation,
             },
             runtime,
-            chunk_size: uldp_runtime::resolve_chunk_size(config.chunk_size, DEFAULT_PROTOCOL_CHUNK),
             fault_plan: config.fault_plan,
         }
     }
@@ -938,7 +936,7 @@ impl PrivateWeightingProtocol {
     /// Returns the decoded aggregate — exactly the surviving-silo, sampled-user sum
     /// `Σ_s (Σ_u w_{s,u} Δ̃_{s,u} + z_s)`, re-weighted
     /// ([`PrivateWeightingProtocol::plaintext_reference_faulted`]) — and the round's
-    /// [`RoundReport`], both bitwise-identical at every `(threads, chunk_size)`.
+    /// [`RoundReport`], both bitwise-identical at every thread count.
     pub fn weighting_round<'a, R: Rng + ?Sized>(
         &self,
         clipped_deltas: &[Vec<Vec<f64>>],
@@ -1071,7 +1069,7 @@ impl PrivateWeightingProtocol {
     /// Sums `cell(silo, j)` over the silos into one ciphertext total per coordinate `j`:
     /// the cells stream in coordinate-major order through one chunked fold, whose
     /// partials combine in fixed cell order, so the totals are bitwise-identical at any
-    /// `(threads, chunk_size)` and no per-cell ciphertext collection is materialised.
+    /// thread count and no per-cell ciphertext collection is materialised.
     fn fold_cells(
         &self,
         dim: usize,
@@ -1080,7 +1078,7 @@ impl PrivateWeightingProtocol {
         let key = &self.server.public.key;
         let num_silos = self.num_silos();
         let num_cells = dim * num_silos;
-        let cell_ranges = uldp_runtime::fold_chunk_ranges(num_cells, self.chunk_size);
+        let cell_ranges = uldp_runtime::fold_chunk_ranges(num_cells, PROTOCOL_CHUNK);
         let partial_entries: usize =
             cell_ranges.iter().map(|r| (r.end - 1) / num_silos - r.start / num_silos + 1).sum();
         self.runtime.fold_gauge().record(partial_entries * self.ciphertext_bytes());
@@ -1103,7 +1101,7 @@ impl PrivateWeightingProtocol {
         };
         let totals: Vec<Ciphertext> = self
             .runtime
-            .par_fold_reduce(num_cells, self.chunk_size, Vec::new, fold_cell, merge)
+            .par_fold_reduce(num_cells, PROTOCOL_CHUNK, Vec::new, fold_cell, merge)
             .expect("at least one (silo, coordinate) cell")
             .into_iter()
             .map(|(_, total)| total)
@@ -1425,6 +1423,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "C_LCM·⌈1/P⌉ must stay below n/2")]
+    fn rejects_an_n_max_the_key_cannot_hold() {
+        // C_LCM(200) has 298 bits, more than a 256-bit modulus holds.
+        let mut rng = StdRng::seed_from_u64(9);
+        let cfg =
+            ProtocolConfig { n_max: 200, paillier_bits: 256, dh_bits: 64, ..Default::default() };
+        let _ = PrivateWeightingProtocol::setup(&[vec![1], vec![1]], &cfg, &mut rng);
+    }
+
+    #[test]
     #[should_panic(expected = "at least two silos")]
     fn rejects_single_silo() {
         let mut rng = StdRng::seed_from_u64(8);
@@ -1542,9 +1550,9 @@ mod tests {
             seed: 5,
             ..FaultPlan::none()
         };
-        let run = |threads: usize, chunk_size: usize| {
+        let run = |threads: usize| {
             let mut rng = StdRng::seed_from_u64(55);
-            let cfg = ProtocolConfig { threads, chunk_size, ..faulted_config(plan) };
+            let cfg = ProtocolConfig { threads, ..faulted_config(plan) };
             let protocol = PrivateWeightingProtocol::setup(&histogram, &cfg, &mut rng);
             let (deltas, noises) = deltas_and_noise(&histogram, 3, 56);
             (0..2)
@@ -1554,9 +1562,9 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let sequential = run(1, usize::MAX);
-        for (threads, chunk) in [(2, 1), (4, 7), (2, usize::MAX)] {
-            assert_eq!(sequential, run(threads, chunk), "threads={threads} chunk={chunk}");
+        let sequential = run(1);
+        for threads in [2, 4] {
+            assert_eq!(sequential, run(threads), "threads={threads}");
         }
     }
 

@@ -96,8 +96,8 @@ impl SampleMask {
         SampleMask::from_sorted_indices(num_users, indices)
     }
 
-    /// The everyone-sampled mask (dense; probing it is free and it round-trips the
-    /// legacy no-mask paths exactly).
+    /// The everyone-sampled mask (dense; probing it is free and it gives the no-mask
+    /// paths' results exactly).
     pub fn all(num_users: usize) -> SampleMask {
         SampleMask { num_users, repr: MaskRepr::Dense(vec![true; num_users]) }
     }
@@ -164,8 +164,8 @@ impl SampleMask {
         }
     }
 
-    /// The mask as a dense flag vector (allocates `O(|U|)`; for tests and the legacy
-    /// dense consumers only — hot paths should use [`SampleMask::iter`] /
+    /// The mask as a dense flag vector (allocates `O(|U|)`; for tests and dense
+    /// consumers only — hot paths should use [`SampleMask::iter`] /
     /// [`SampleMask::contains`]).
     pub fn to_dense_vec(&self) -> Vec<bool> {
         match &self.repr {

@@ -11,7 +11,7 @@
 //! [`seeding`] streams as the training RNGs, never through shared mutable state.
 //!
 //! That purity is what turns every scenario into a determinism test: a faulted round is
-//! still bitwise-identical across every `(threads, shards, chunk_size)` grid point, so the
+//! still bitwise-identical across every `(threads, shards)` grid point, so the
 //! runtime-grid oracle of `tests/runtime_determinism.rs` extends unchanged to the whole
 //! scenario catalogue (`tests/scenario_fuzz.rs`).
 //!

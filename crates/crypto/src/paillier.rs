@@ -21,24 +21,19 @@
 //! encryption/scalar multiplication, `p²`/`q²` for CRT decryption), so both keys carry
 //! lazily-built, shared [`ModulusCtx`] caches and route through the Montgomery engine of
 //! `uldp-bigint` by default; the `(1 + m·n) mod n²` encryption step and the `L(x)`
-//! decryption step stay in normal form at the boundaries. [`PaillierPublicKey::scalar_mul_ctx`]
-//! additionally amortises a *base*: Protocol 1 raises each encrypted inverse to one
-//! scalar per model coordinate, which a [`FixedBaseCtx`] turns into squaring-free
-//! table lookups. Results are bitwise-identical to the schoolbook square-and-multiply
-//! [`mod_pow`]; the tests below compare every engine call site against it.
+//! decryption step stay in normal form at the boundaries. [`RerandCtx`] additionally
+//! amortises a *base*: the cross-round ciphertext cache of Protocol 1 re-randomises every
+//! ciphertext by a power of one fixed `h`, which a [`FixedBaseCtx`] turns into
+//! squaring-free table lookups. Results are bitwise-identical to the schoolbook
+//! square-and-multiply [`mod_pow`]; the tests below compare every engine call site
+//! against it.
 
 use rand::Rng;
 use std::sync::{Arc, OnceLock};
 use uldp_bigint::modular::{mod_inv, mod_mul, mod_pow, mod_sub};
 use uldp_bigint::montgomery::{FixedBaseCtx, ModulusCtx};
 use uldp_bigint::{lcm, prime, BigUint};
-use uldp_runtime::seeding::WideSeed;
 use uldp_runtime::Runtime;
-
-/// Below this many expected exponentiations of one base, building a fixed-base table
-/// costs more than it saves and [`PaillierPublicKey::scalar_mul_ctx`] uses the plain
-/// sliding-window path instead.
-const FIXED_BASE_MIN_MULS: usize = 8;
 
 /// Ciphertexts per pooled chunk in [`PaillierSecretKey::decrypt_batch`]. Fixed (not
 /// thread-derived) so the chunk grid — and with it any telemetry — is identical at
@@ -168,42 +163,6 @@ impl PaillierKeyPair {
     }
 }
 
-/// A reusable exponentiation context for one ciphertext base, produced by
-/// [`PaillierPublicKey::scalar_mul_ctx`].
-///
-/// Protocol 1 step 2.(b) raises each user's encrypted inverse to one scalar per
-/// `(silo, coordinate)` cell; hoisting this context out of the cell loop amortises the
-/// per-base fixed-base table (or, for rarely-used bases, at least shares the per-modulus
-/// Montgomery state). All methods take `&self`, so one context serves a whole parallel
-/// region.
-#[derive(Debug)]
-pub struct ScalarMulCtx {
-    /// Plaintext modulus, for the `k mod n` scalar reduction `scalar_mul` performs.
-    n: BigUint,
-    inner: ScalarMulCtxInner,
-}
-
-#[derive(Debug)]
-enum ScalarMulCtxInner {
-    /// Montgomery sliding window (few expected uses; no per-base table).
-    Window { ctx: Arc<ModulusCtx>, base: BigUint },
-    /// Fixed-base radix-2ʷ table (many expected uses of the same base).
-    FixedBase(FixedBaseCtx),
-}
-
-impl ScalarMulCtx {
-    /// `Dec(pow(k)) = k · Dec(base) mod n` — the hoisted form of
-    /// [`PaillierPublicKey::scalar_mul`], bitwise-identical to it.
-    pub fn pow(&self, k: &BigUint) -> Ciphertext {
-        uldp_telemetry::metrics::PAILLIER_SCALAR_MUL.inc();
-        let k = k.rem(&self.n);
-        Ciphertext(match &self.inner {
-            ScalarMulCtxInner::Window { ctx, base } => ctx.pow(base, &k),
-            ScalarMulCtxInner::FixedBase(fixed) => fixed.pow(&k),
-        })
-    }
-}
-
 /// Digit width of the [`RerandCtx`] table. One table serves every re-randomisation of
 /// a whole federation across all rounds, so it affords a wider digit (fewer
 /// multiplications per exponentiation) than the per-base [`FixedBaseCtx::new`] default.
@@ -252,18 +211,6 @@ impl RerandCtx {
             }
         };
         Ciphertext(mod_mul(&c.0, &self.pow_h(&t), &self.n_squared))
-    }
-
-    /// Re-randomises a batch on the runtime's worker pool with the same deterministic
-    /// per-index seeding as [`PaillierPublicKey::encrypt_batch`], so the outputs are
-    /// bitwise-identical at any thread count.
-    pub fn rerandomise_batch(
-        &self,
-        rt: &Runtime,
-        seed: WideSeed,
-        cts: &[Ciphertext],
-    ) -> Vec<Ciphertext> {
-        rt.par_map_wide_seeded(cts.len(), seed, |i, rng| self.rerandomise(rng, &cts[i]))
     }
 }
 
@@ -322,18 +269,6 @@ impl PaillierPublicKey {
         Ciphertext(mod_mul(&c.0, &rn, &self.n_squared))
     }
 
-    /// Re-randomises a batch of ciphertexts on the runtime's worker pool with the same
-    /// deterministic per-index seeding as [`PaillierPublicKey::encrypt_batch`]: the
-    /// refreshed ciphertexts are bitwise-identical at any thread count.
-    pub fn rerandomise_batch(
-        &self,
-        rt: &Runtime,
-        seed: WideSeed,
-        cts: &[Ciphertext],
-    ) -> Vec<Ciphertext> {
-        rt.par_map_wide_seeded(cts.len(), seed, |i, rng| self.rerandomise(rng, &cts[i]))
-    }
-
     /// Builds a [`RerandCtx`]: samples a secret unit `ρ`, computes `h = ρ^n mod n²`
     /// and precomputes its wide fixed-base table, after which each re-randomisation is
     /// squaring-free (see the [`RerandCtx`] docs for the subgroup caveat).
@@ -371,121 +306,10 @@ impl PaillierPublicKey {
         Ciphertext(self.ctx_n2().pow(&a.0, &k))
     }
 
-    /// Builds a reusable [`ScalarMulCtx`] for repeated scalar multiplications of one
-    /// ciphertext. `expected_muls` is the number of [`ScalarMulCtx::pow`] calls the
-    /// caller anticipates: above a small threshold the context precomputes a fixed-base
-    /// table (no squarings per exponentiation), below it the sliding-window path is used
-    /// so a rarely-used base never pays for a table.
-    pub fn scalar_mul_ctx(&self, a: &Ciphertext, expected_muls: usize) -> ScalarMulCtx {
-        let inner = if expected_muls >= FIXED_BASE_MIN_MULS {
-            // Scalars are reduced mod n before exponentiation, so the table only needs
-            // to cover n-sized exponents.
-            ScalarMulCtxInner::FixedBase(FixedBaseCtx::new(
-                Arc::clone(self.ctx_n2()),
-                &a.0,
-                self.n.bit_length(),
-            ))
-        } else {
-            ScalarMulCtxInner::Window { ctx: Arc::clone(self.ctx_n2()), base: a.0.clone() }
-        };
-        ScalarMulCtx { n: self.n.clone(), inner }
-    }
-
-    /// Sums an iterator of ciphertexts homomorphically.
-    pub fn sum<'a, I: IntoIterator<Item = &'a Ciphertext>>(&self, items: I) -> Ciphertext {
-        let mut acc = self.trivial_zero();
-        for c in items {
-            acc = self.add(&acc, c);
-        }
-        acc
-    }
-
-    /// Encrypts a batch of plaintexts on the runtime's worker pool.
-    ///
-    /// Plaintext `i` is encrypted with randomness drawn from an RNG derived from
-    /// `(seed, i)` ([`uldp_runtime::seeding::index_seed_wide`]), so the produced
-    /// ciphertexts — not just their decryptions — are bitwise-identical at any thread
-    /// count. The 256-bit batch seed (draw it with
-    /// [`uldp_runtime::seeding::wide_seed_from_rng`]) preserves the source RNG's full
-    /// entropy, so batching does not weaken the encryption randomness. This is the server
-    /// hot path of Protocol 1 step 2.(a).
-    pub fn encrypt_batch(
-        &self,
-        rt: &Runtime,
-        seed: WideSeed,
-        plaintexts: &[BigUint],
-    ) -> Vec<Ciphertext> {
-        rt.par_map_wide_seeded(plaintexts.len(), seed, |i, rng| self.encrypt(rng, &plaintexts[i]))
-    }
-
-    /// Homomorphically multiplies each `(ciphertext, scalar)` pair on the worker pool.
-    /// Scalar multiplication is deterministic, so no seeding is involved.
-    ///
-    /// This is the standalone batch form of the `scalar_mul` loop that dominates Protocol
-    /// 1 step 2.(b); the protocol itself fuses that loop with scalar preparation and
-    /// accumulation per `(silo, coordinate)` cell (`uldp-core`'s `weighting_round`), so
-    /// this API is for callers batching scalar multiplications outside the protocol.
-    pub fn scalar_mul_batch(
-        &self,
-        rt: &Runtime,
-        pairs: &[(&Ciphertext, BigUint)],
-    ) -> Vec<Ciphertext> {
-        rt.par_map(pairs, |_, (c, k)| self.scalar_mul(c, k))
-    }
-
-    /// Sums a slice of ciphertexts with a fixed-shape parallel tree reduction.
-    /// Ciphertext addition is exact modular arithmetic, so the result is
-    /// bitwise-identical to [`PaillierPublicKey::sum`] at any thread count.
-    ///
-    /// The standalone form of the tree aggregation in Protocol 1 step 2.(c); the protocol
-    /// reduces whole per-silo ciphertext *vectors* in one tree instead, so this API is for
-    /// callers summing a flat ciphertext list.
-    pub fn sum_par(&self, rt: &Runtime, items: &[Ciphertext]) -> Ciphertext {
-        match items {
-            [] => return self.trivial_zero(),
-            [only] => return only.clone(),
-            _ => {}
-        }
-        // First tree level reads the borrowed ciphertexts directly (no up-front deep copy
-        // of the whole slice); it pairs adjacent elements with the odd leftover appended,
-        // exactly the shape `par_reduce` uses, so the overall tree is unchanged.
-        let mut level: Vec<Ciphertext> =
-            rt.par_map_range(items.len() / 2, |i| self.add(&items[2 * i], &items[2 * i + 1]));
-        if items.len() % 2 == 1 {
-            level.push(items[items.len() - 1].clone());
-        }
-        rt.par_reduce(level, |a, b| self.add(&a, &b)).expect("level is non-empty")
-    }
-
-    /// Sums a slice of ciphertexts with a streaming chunked fold
-    /// ([`Runtime::par_fold_reduce`]): the items are split into fixed-size chunks whose
-    /// shape depends only on `(len, chunk_size)`, each chunk folds its ciphertexts into
-    /// one running product in place, and chunk partials combine in fixed order — no
-    /// intermediate tree level is ever materialised. Ciphertext addition is exact
-    /// modular arithmetic, so the result is bitwise-identical to
-    /// [`PaillierPublicKey::sum`] and [`PaillierPublicKey::sum_par`] at any thread count
-    /// and any chunk size. `chunk_size = 0` means one chunk (sequential accumulation).
-    pub fn sum_par_chunked(
-        &self,
-        rt: &Runtime,
-        items: &[Ciphertext],
-        chunk_size: usize,
-    ) -> Ciphertext {
-        rt.par_fold_reduce(
-            items.len(),
-            chunk_size,
-            || self.trivial_zero(),
-            |acc, i| *acc = self.add(acc, &items[i]),
-            |a, b| self.add(&a, &b),
-        )
-        .unwrap_or_else(|| self.trivial_zero())
-    }
-
     /// Samples a uniformly random unit modulo `n`.
     ///
     /// The gcd test alone rejects zero (`gcd(0, n) = n ≠ 1`), so no separate zero
-    /// pre-check is needed; the rejection loop draws again either way, consuming the RNG
-    /// identically to the historical two-check version.
+    /// pre-check is needed.
     fn sample_unit<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
         loop {
             let r = BigUint::random_below(rng, &self.n);
@@ -561,8 +385,7 @@ impl PaillierSecretKey {
     }
 
     /// Decrypts via the direct `c^λ mod n²` exponentiation with the schoolbook
-    /// square-and-multiply (the seed implementation). Kept as the reference the CRT path
-    /// is cross-checked against.
+    /// square-and-multiply: the reference the CRT path is cross-checked against.
     pub fn decrypt_generic(&self, c: &Ciphertext) -> BigUint {
         let pk = &self.public;
         let x = mod_pow(&c.0, &self.lambda, &pk.n_squared);
@@ -712,7 +535,8 @@ mod tests {
         let values: Vec<u64> = (1..=20).collect();
         let ciphertexts: Vec<Ciphertext> =
             values.iter().map(|&v| kp.public.encrypt(&mut rng, &BigUint::from_u64(v))).collect();
-        let total = kp.public.sum(ciphertexts.iter());
+        let total =
+            ciphertexts.iter().fold(kp.public.trivial_zero(), |acc, c| kp.public.add(&acc, c));
         assert_eq!(kp.secret.decrypt(&total), BigUint::from_u64(values.iter().sum()));
     }
 
@@ -726,39 +550,6 @@ mod tests {
     fn modulus_has_requested_size() {
         let kp = keypair(256, 16);
         assert!(kp.public.modulus_bits() >= 255);
-    }
-
-    #[test]
-    fn encrypt_batch_is_bitwise_identical_across_thread_counts() {
-        let kp = keypair(256, 17);
-        let plaintexts: Vec<BigUint> = (0..12).map(BigUint::from_u64).collect();
-        let seed: WideSeed = [5, 6, 7, 8];
-        let seq = kp.public.encrypt_batch(&Runtime::new(1), seed, &plaintexts);
-        let par = kp.public.encrypt_batch(&Runtime::new(4), seed, &plaintexts);
-        assert_eq!(seq, par);
-        for (c, m) in seq.iter().zip(plaintexts.iter()) {
-            assert_eq!(&kp.secret.decrypt(c), m);
-        }
-        // a different seed (in any lane) produces different randomness
-        let other = kp.public.encrypt_batch(&Runtime::new(1), [5, 6, 7, 9], &plaintexts);
-        assert_ne!(seq, other);
-    }
-
-    #[test]
-    fn scalar_mul_batch_matches_pointwise() {
-        let kp = keypair(256, 18);
-        let mut rng = StdRng::seed_from_u64(19);
-        let ciphertexts: Vec<Ciphertext> =
-            (1..=8u64).map(|v| kp.public.encrypt(&mut rng, &BigUint::from_u64(v))).collect();
-        let pairs: Vec<(&Ciphertext, BigUint)> = ciphertexts
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c, BigUint::from_u64(10 + i as u64)))
-            .collect();
-        let batch = kp.public.scalar_mul_batch(&Runtime::new(4), &pairs);
-        for (i, (out, (c, k))) in batch.iter().zip(pairs.iter()).enumerate() {
-            assert_eq!(out, &kp.public.scalar_mul(c, k), "pair {i}");
-        }
     }
 
     #[test]
@@ -799,24 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn scalar_mul_ctx_matches_scalar_mul() {
-        let kp = keypair(256, 26);
-        let mut rng = StdRng::seed_from_u64(27);
-        let c = kp.public.encrypt(&mut rng, &BigUint::from_u64(9));
-        // Both the fixed-base (many expected muls) and the sliding-window (few) variants
-        // must agree with the one-shot scalar_mul — and with the schoolbook mod_pow.
-        for expected in [1usize, FIXED_BASE_MIN_MULS] {
-            let ctx = kp.public.scalar_mul_ctx(&c, expected);
-            for k in [0u64, 1, 5, 1 << 40] {
-                let k = BigUint::from_u64(k);
-                let hoisted = ctx.pow(&k);
-                assert_eq!(hoisted, kp.public.scalar_mul(&c, &k));
-                assert_eq!(hoisted.0, mod_pow(&c.0, &k.rem(&kp.public.n), &kp.public.n_squared));
-            }
-        }
-    }
-
-    #[test]
     fn rerandomise_preserves_plaintext_and_matches_add_of_zero() {
         let kp = keypair(256, 30);
         let mut rng = StdRng::seed_from_u64(31);
@@ -842,22 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn rerandomise_batch_is_bitwise_identical_across_thread_counts() {
-        let kp = keypair(256, 32);
-        let mut rng = StdRng::seed_from_u64(33);
-        let cts: Vec<Ciphertext> =
-            (0..9u64).map(|v| kp.public.encrypt(&mut rng, &BigUint::from_u64(v))).collect();
-        let seed: WideSeed = [9, 8, 7, 6];
-        let seq = kp.public.rerandomise_batch(&Runtime::new(1), seed, &cts);
-        let par = kp.public.rerandomise_batch(&Runtime::new(4), seed, &cts);
-        assert_eq!(seq, par);
-        for (i, (fresh, orig)) in seq.iter().zip(cts.iter()).enumerate() {
-            assert_eq!(kp.secret.decrypt(fresh), BigUint::from_u64(i as u64));
-            assert_ne!(fresh, orig, "index {i}");
-        }
-    }
-
-    #[test]
     fn rerand_ctx_preserves_plaintext_and_pow_h_matches_mod_pow() {
         let kp = keypair(256, 34);
         let mut rng = StdRng::seed_from_u64(35);
@@ -878,47 +635,5 @@ mod tests {
         for t in [in_range, past_range] {
             assert_eq!(ctx.pow_h(&t), mod_pow(&h, &t, &kp.public.n_squared));
         }
-        // Batch form: deterministic in the seed, identical across thread counts.
-        let cts = vec![c1.clone(), c2.clone()];
-        let seq = ctx.rerandomise_batch(&Runtime::new(1), [1, 2, 3, 4], &cts);
-        let par = ctx.rerandomise_batch(&Runtime::new(4), [1, 2, 3, 4], &cts);
-        assert_eq!(seq, par);
-        for fresh in &seq {
-            assert_eq!(kp.secret.decrypt(fresh), m);
-        }
-    }
-
-    #[test]
-    fn sum_par_matches_sequential_sum() {
-        let kp = keypair(256, 20);
-        let mut rng = StdRng::seed_from_u64(21);
-        let ciphertexts: Vec<Ciphertext> =
-            (1..=13u64).map(|v| kp.public.encrypt(&mut rng, &BigUint::from_u64(v))).collect();
-        let tree = kp.public.sum_par(&Runtime::new(4), &ciphertexts);
-        assert_eq!(tree, kp.public.sum(ciphertexts.iter()));
-        assert_eq!(kp.secret.decrypt(&tree), BigUint::from_u64((1..=13).sum()));
-        // empty input is the additive identity
-        assert_eq!(kp.public.sum_par(&Runtime::new(2), &[]), kp.public.trivial_zero());
-    }
-
-    #[test]
-    fn sum_par_chunked_matches_sequential_sum_at_any_chunk_size() {
-        let kp = keypair(256, 28);
-        let mut rng = StdRng::seed_from_u64(29);
-        let ciphertexts: Vec<Ciphertext> =
-            (1..=17u64).map(|v| kp.public.encrypt(&mut rng, &BigUint::from_u64(v))).collect();
-        let expected = kp.public.sum(ciphertexts.iter());
-        for threads in [1usize, 4] {
-            let rt = Runtime::new(threads);
-            for chunk in [0usize, 1, 3, 16, usize::MAX] {
-                assert_eq!(
-                    kp.public.sum_par_chunked(&rt, &ciphertexts, chunk),
-                    expected,
-                    "threads={threads} chunk={chunk}"
-                );
-            }
-        }
-        // empty input is the additive identity
-        assert_eq!(kp.public.sum_par_chunked(&Runtime::new(2), &[], 4), kp.public.trivial_zero());
     }
 }

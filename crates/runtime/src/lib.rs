@@ -3,7 +3,7 @@
 //! A deterministic parallel execution substrate for the Uldp-FL workspace.
 //!
 //! Every compute-heavy layer of the reproduction — the per-round training loops in
-//! `uldp-core`, the Paillier hot path of Protocol 1, and the batch primitives in
+//! `uldp-core`, the Paillier hot path of Protocol 1, and batched decryption in
 //! `uldp-crypto` — runs on one persistent worker pool instead of spawning ad-hoc OS
 //! threads per call site. The pool exposes three primitives, all of which produce results
 //! that are **bitwise-identical at any thread count**:
@@ -15,16 +15,14 @@
 //!   ([`seeding::index_seed`]), so randomised work is a pure function of `(seed, index)`.
 //!   [`Runtime::par_map_wide_seeded`] is the 256-bit-seed variant for security-relevant
 //!   randomness (encryption randomizers), preserving the source RNG's full entropy.
-//! * [`Runtime::par_reduce`] — a fixed-shape binary tree reduction whose shape depends
-//!   only on the input length, never on scheduling.
-//! * [`Runtime::par_fold_reduce`] / [`Runtime::par_fold_seeded`] — streaming chunked
-//!   folds: `0..n` is split into **fixed-size chunks whose shape depends only on
-//!   `(n, chunk_size)`**, never on the thread count; each chunk folds its indices into
-//!   one accumulator in index order (no per-task value is ever materialised), and the
-//!   chunk partials combine left-to-right in chunk order. Transient memory is
-//!   O(chunks × accumulator) instead of O(n × item). [`Runtime::par_fold_ranges`] is
-//!   the underlying span-level building block for callers (e.g. the sharded round
-//!   engine in `uldp-core`) that derive their own chunk grid.
+//! * [`Runtime::par_fold_reduce`] — a streaming chunked fold: `0..n` is split into
+//!   **fixed-size chunks whose shape depends only on `(n, chunk_size)`**, never on the
+//!   thread count; each chunk folds its indices into one accumulator in index order (no
+//!   per-task value is ever materialised), and the chunk partials combine left-to-right
+//!   in chunk order. Transient memory is O(chunks × accumulator) instead of
+//!   O(n × item). [`Runtime::par_fold_ranges`] is the underlying span-level building
+//!   block for callers (e.g. the sharded round engine in `uldp-core`) that derive their
+//!   own chunk grid.
 //!
 //! ## Sizing
 //!
@@ -52,15 +50,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// Name of the environment variable that overrides the global pool size.
 pub const THREADS_ENV: &str = "ULDP_THREADS";
-
-/// Name of the environment variable that overrides the default streaming-fold chunk size
-/// (a positive number of tasks per chunk) for components left at `chunk_size = 0`.
-///
-/// Chunk shape never affects the *structure-invariant* call sites (exact integer /
-/// modular accumulation, or the exact fixed-point delta accumulation in `uldp-core`);
-/// it only trades transient memory (O(chunks × accumulator)) against load-balancing
-/// granularity.
-pub const CHUNK_ENV: &str = "ULDP_CHUNK";
 
 /// How many chunks each worker gets on average in a `par_map`; > 1 smooths imbalance
 /// between chunks without making per-chunk overhead noticeable.
@@ -242,34 +231,6 @@ impl Runtime {
         })
     }
 
-    /// Fixed-shape binary tree reduction: pairs adjacent elements level by level until one
-    /// remains. Returns `None` for an empty input.
-    ///
-    /// The reduction shape depends only on `items.len()`, so for any `combine` (even a
-    /// non-associative one) the result is identical at any thread count; for associative
-    /// operations it also equals the sequential fold.
-    pub fn par_reduce<T, F>(&self, mut items: Vec<T>, combine: F) -> Option<T>
-    where
-        T: Send,
-        F: Fn(T, T) -> T + Sync,
-    {
-        while items.len() > 1 {
-            let leftover = if items.len() % 2 == 1 { items.pop() } else { None };
-            let pairs: Vec<(T, T)> = {
-                let mut drain = items.drain(..);
-                let mut out = Vec::new();
-                while let (Some(a), Some(b)) = (drain.next(), drain.next()) {
-                    out.push((a, b));
-                }
-                out
-            };
-            let mut next = self.par_map_consume(pairs, |(a, b)| combine(a, b));
-            next.extend(leftover);
-            items = next;
-        }
-        items.pop()
-    }
-
     /// Streaming fold over caller-provided index spans: each span folds its indices, in
     /// order, into one fresh accumulator, and the per-span partials are returned in span
     /// order. Spans run as independent pooled tasks.
@@ -361,55 +322,6 @@ impl Runtime {
         self.par_fold_ranges(&ranges, init, fold).into_iter().reduce(combine)
     }
 
-    /// Like [`Runtime::par_fold_reduce`], but index `i` additionally receives a fresh
-    /// `StdRng` seeded with [`seeding::index_seed`]`(seed, i)` — the same derivation as
-    /// [`Runtime::par_map_seeded`], so every index's randomness is a pure function of
-    /// `(seed, index)`, independent of thread count *and* of the chunk grid.
-    pub fn par_fold_seeded<A, I, F, G>(
-        &self,
-        n: usize,
-        chunk_size: usize,
-        seed: u64,
-        init: I,
-        fold: F,
-        combine: G,
-    ) -> Option<A>
-    where
-        A: Send,
-        I: Fn() -> A + Sync,
-        F: Fn(&mut A, usize, &mut StdRng) + Sync,
-        G: Fn(A, A) -> A,
-    {
-        self.par_fold_reduce(
-            n,
-            chunk_size,
-            init,
-            |acc, i| {
-                let mut rng = StdRng::seed_from_u64(seeding::index_seed(seed, i as u64));
-                fold(acc, i, &mut rng);
-            },
-            combine,
-        )
-    }
-
-    /// Parallel map that consumes its inputs (used by [`Runtime::par_reduce`] to move
-    /// operands into `combine`).
-    fn par_map_consume<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        if self.usable_pool(items.len()).is_none() {
-            return items.into_iter().map(f).collect();
-        }
-        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        self.par_map(&slots, |_, slot| {
-            let item = slot.lock().expect("reduce slot poisoned").take().expect("item taken twice");
-            f(item)
-        })
-    }
-
     /// The pool to use for a region of `n` items, or `None` when the region should run
     /// inline (sequential runtime, trivial size, or already on a worker thread).
     ///
@@ -436,7 +348,7 @@ fn threads_from_env() -> usize {
 /// Parses the raw value of the positive-integer environment knob `name`: unset
 /// (`None`) is `Ok(None)`, a positive integer (surrounding whitespace allowed) is
 /// `Ok(Some(n))`, and anything else is an error naming the variable and the value.
-pub fn parse_positive(name: &str, raw: Option<&str>) -> Result<Option<usize>, String> {
+fn parse_positive(name: &str, raw: Option<&str>) -> Result<Option<usize>, String> {
     match raw {
         None => Ok(None),
         Some(v) => match v.trim().parse::<usize>() {
@@ -449,7 +361,7 @@ pub fn parse_positive(name: &str, raw: Option<&str>) -> Result<Option<usize>, St
 /// Reads the positive-integer environment knob `name` through [`parse_positive`]:
 /// `None` when unset, panicking (naming the variable and the value) when set but
 /// invalid.
-pub fn positive_from_env(name: &str) -> Option<usize> {
+fn positive_from_env(name: &str) -> Option<usize> {
     let raw = match std::env::var(name) {
         Ok(v) => Some(v),
         Err(std::env::VarError::NotPresent) => None,
@@ -474,19 +386,6 @@ pub fn fold_chunk_ranges(n: usize, chunk_size: usize) -> Vec<std::ops::Range<usi
     }
     let chunk = if chunk_size == 0 { n } else { chunk_size.min(n) };
     (0..n).step_by(chunk).map(|start| start..(start + chunk).min(n)).collect()
-}
-
-/// Resolves a configured fold chunk size: a non-zero configuration wins, otherwise the
-/// `ULDP_CHUNK` environment variable (a positive integer; anything else panics),
-/// otherwise `default_chunk`.
-///
-/// Mirrors how `ULDP_THREADS` backs `threads = 0`, so every component exposes the same
-/// "0 = auto" convention for its chunk knob.
-pub fn resolve_chunk_size(configured: usize, default_chunk: usize) -> usize {
-    if configured != 0 {
-        return configured;
-    }
-    positive_from_env(CHUNK_ENV).unwrap_or(default_chunk)
 }
 
 /// Splits `0..n` into at most `max_chunks` contiguous ranges of near-equal size.
@@ -556,28 +455,6 @@ mod tests {
         let other =
             Runtime::new(1).par_map_wide_seeded(32, [3, 1, 4, 2], |_, rng| rng.gen::<u64>());
         assert_ne!(one[0].1, other[0]);
-    }
-
-    #[test]
-    fn par_reduce_shape_is_thread_count_independent() {
-        // String concatenation is non-associative-in-shape: any shape difference shows up
-        // in the bracketing.
-        let bracketed = |threads: usize, n: usize| {
-            let items: Vec<String> = (0..n).map(|i| i.to_string()).collect();
-            Runtime::new(threads).par_reduce(items, |a, b| format!("({a}{b})")).unwrap_or_default()
-        };
-        for n in [1usize, 2, 3, 5, 8, 13] {
-            assert_eq!(bracketed(1, n), bracketed(4, n), "shape differs for n = {n}");
-        }
-    }
-
-    #[test]
-    fn par_reduce_sums_correctly() {
-        let rt = Runtime::new(4);
-        let total = rt.par_reduce((1..=100u64).collect(), |a, b| a + b);
-        assert_eq!(total, Some(5050));
-        assert_eq!(rt.par_reduce(Vec::<u64>::new(), |a, b| a + b), None);
-        assert_eq!(rt.par_reduce(vec![42u64], |a, b| a + b), Some(42));
     }
 
     #[test]
@@ -701,33 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn fold_seeded_rng_streams_are_chunk_and_thread_invariant() {
-        // Wrapping adds are exact, so the fold over per-index RNG draws must be identical
-        // across every (threads, chunk) combination — and must equal the draws the seeded
-        // *map* produces for the same (seed, index) pairs.
-        let via_map: u64 = Runtime::new(1)
-            .par_map_seeded(23, 77, |_, rng| rng.gen::<u64>())
-            .into_iter()
-            .fold(0u64, u64::wrapping_add);
-        for threads in [1usize, 3] {
-            let rt = Runtime::new(threads);
-            for chunk in [1usize, 5, usize::MAX] {
-                let total = rt
-                    .par_fold_seeded(
-                        23,
-                        chunk,
-                        77,
-                        || 0u64,
-                        |acc, _, rng| *acc = acc.wrapping_add(rng.gen::<u64>()),
-                        u64::wrapping_add,
-                    )
-                    .unwrap();
-                assert_eq!(total, via_map, "threads={threads} chunk={chunk}");
-            }
-        }
-    }
-
-    #[test]
     fn memory_gauge_tracks_last_and_peak() {
         let rt = Runtime::new(1);
         let gauge = rt.fold_gauge();
@@ -740,20 +590,10 @@ mod tests {
     }
 
     #[test]
-    fn resolve_chunk_size_prefers_explicit_configuration() {
-        // Only the configured-value path is testable without mutating the process
-        // environment (racy with concurrently running tests).
-        assert_eq!(resolve_chunk_size(5, 16), 5);
-        if std::env::var(CHUNK_ENV).is_err() {
-            assert_eq!(resolve_chunk_size(0, 16), 16);
-        }
-    }
-
-    #[test]
     fn parse_positive_accepts_positive_integers_and_names_anything_else() {
         assert_eq!(parse_positive(THREADS_ENV, None), Ok(None));
         for (value, n) in [("1", 1), ("4", 4), (" 8 ", 8), ("1000000", 1_000_000)] {
-            assert_eq!(parse_positive(CHUNK_ENV, Some(value)), Ok(Some(n)));
+            assert_eq!(parse_positive(THREADS_ENV, Some(value)), Ok(Some(n)));
         }
         for bad in ["0", "", "-2", "two", "1.5", "4x"] {
             let err = parse_positive(THREADS_ENV, Some(bad)).unwrap_err();

@@ -20,8 +20,8 @@
 //! **once per process** into an atomic that hot paths
 //! check with a single relaxed load. With tracing off, a counter bump is one load and a
 //! branch, and a span is a no-op that never calls [`std::time::Instant::now`] —
-//! protocol-phase spans that must report durations regardless (the `ProtocolTimings` /
-//! `RoundTimings` structs predate tracing) use [`trace::timed_span`], which always
+//! protocol-phase spans that must report durations regardless (they fill the
+//! `ProtocolTimings` / `RoundReport` phase fields) use [`trace::timed_span`], which always
 //! measures but only records when enabled. [`set_enabled`] exists for tests and binaries
 //! that need to flip tracing programmatically (e.g. the traced-vs-untraced bitwise
 //! determinism oracle in `tests/trace_determinism.rs`).
@@ -30,7 +30,7 @@
 //!
 //! Telemetry must never perturb results: timestamps live only in timing fields, spans
 //! and events never branch the instrumented code and never touch an RNG stream. The
-//! bitwise grid oracle (threads × shards × chunk) holds with tracing on.
+//! bitwise grid oracle (threads × shards) holds with tracing on.
 
 pub mod export;
 pub mod metrics;

@@ -172,7 +172,7 @@ pub fn span(cat: &'static str, name: &'static str) -> Span {
 /// real elapsed duration even when telemetry is off (nothing is recorded then).
 ///
 /// For call sites like the Protocol 1 phases, whose timings feed `ProtocolTimings` /
-/// `RoundTimings` regardless of tracing.
+/// `RoundReport` regardless of tracing.
 #[inline]
 pub fn timed_span(cat: &'static str, name: &'static str) -> Span {
     Span::start(cat, name, crate::enabled())

@@ -1,11 +1,10 @@
 //! The measured memory claim of the streaming sharded round engine: transient
-//! delta-buffer bytes per round scale with the number of fold spans (shards × chunks),
-//! **not** with the number of users — the seed implementation held one dim-length delta
-//! per participating `(silo, user)` task instead.
+//! delta-buffer bytes per round scale with the number of fold spans (shards × chunks of
+//! 16 tasks), not with one dim-length delta per participating `(silo, user)` task.
 //!
 //! The fold sites report their live accumulator bytes to the runtime's
 //! [`uldp_fl::runtime::MemoryGauge`]; these tests pin the reported peak against the
-//! span-grid arithmetic and against the old O(tasks × dim) equivalent.
+//! span-grid arithmetic and against the O(tasks × dim) of materialising every delta.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,13 +15,12 @@ use uldp_fl::ml::{LinearClassifier, Model};
 /// Size of one exact fixed-point accumulator coordinate (`i128`).
 const ACC_COORD_BYTES: usize = 16;
 
+/// Tasks per fold chunk of the training round engine.
+const CHUNK_TASKS: usize = 16;
+
 /// Runs one noiseless ULDP-AVG round with the given structure and returns
 /// `(peak fold bytes, participating tasks, per-silo task counts, model dim)`.
-fn round_peak(
-    num_users: usize,
-    shards: usize,
-    chunk_size: usize,
-) -> (usize, usize, Vec<usize>, usize) {
+fn round_peak(num_users: usize, shards: usize) -> (usize, usize, Vec<usize>, usize) {
     let mut rng = StdRng::seed_from_u64(123);
     let dataset = creditcard::generate(
         &mut rng,
@@ -40,7 +38,6 @@ fn round_peak(
     config.sigma = 0.0;
     config.threads = 2; // dedicated pool, so the gauge is isolated from other tests
     config.shards = shards;
-    config.chunk_size = chunk_size;
     // Uniform weights and no sub-sampling: every (silo, user) pair with records is one
     // task of the round.
     let per_silo_tasks: Vec<usize> = (0..dataset.num_silos)
@@ -62,8 +59,8 @@ fn round_peak(
 }
 
 /// Expected span count of one round: per silo, tasks split into `shards` near-equal
-/// shards (empty ones dropped), each split into `chunk_size`-task chunks.
-fn expected_spans(per_silo_tasks: &[usize], shards: usize, chunk_size: usize) -> usize {
+/// shards (empty ones dropped), each split into chunks of [`CHUNK_TASKS`] tasks.
+fn expected_spans(per_silo_tasks: &[usize], shards: usize) -> usize {
     per_silo_tasks
         .iter()
         .map(|&len| {
@@ -72,11 +69,7 @@ fn expected_spans(per_silo_tasks: &[usize], shards: usize, chunk_size: usize) ->
             (0..shards)
                 .map(|s| {
                     let shard_len = base + usize::from(s < extra);
-                    if shard_len == 0 {
-                        0
-                    } else {
-                        shard_len.div_ceil(chunk_size.min(shard_len))
-                    }
+                    shard_len.div_ceil(CHUNK_TASKS)
                 })
                 .sum::<usize>()
         })
@@ -85,26 +78,32 @@ fn expected_spans(per_silo_tasks: &[usize], shards: usize, chunk_size: usize) ->
 
 #[test]
 fn peak_bytes_scale_with_span_count_not_user_count() {
-    // Fixed structure (2 shards per silo, whole shard per chunk): doubling the user
-    // population must not change the transient footprint at all.
-    let (peak_small, tasks_small, per_silo_small, dim) = round_peak(40, 2, usize::MAX);
-    let (peak_large, tasks_large, _, dim_large) = round_peak(80, 2, usize::MAX);
+    // Fixed span structure (8 shards per silo, each within one chunk at both sizes):
+    // doubling the user population must not change the transient footprint at all.
+    let (peak_small, tasks_small, per_silo_small, dim) = round_peak(40, 8);
+    let (peak_large, tasks_large, per_silo_large, dim_large) = round_peak(80, 8);
     assert_eq!(dim, dim_large);
     assert!(tasks_large > tasks_small, "doubling users must add tasks");
+    for per_silo in [&per_silo_small, &per_silo_large] {
+        assert!(
+            per_silo.iter().all(|&t| (8..=8 * CHUNK_TASKS).contains(&t)),
+            "every silo must fill 8 shards of at most one chunk: {per_silo:?}"
+        );
+    }
     assert_eq!(
         peak_small,
-        expected_spans(&per_silo_small, 2, usize::MAX) * dim * ACC_COORD_BYTES,
+        expected_spans(&per_silo_small, 8) * dim * ACC_COORD_BYTES,
         "peak must equal spans × accumulator bytes"
     );
     assert_eq!(
         peak_small, peak_large,
         "fixed span structure: the footprint may not grow with the user count"
     );
-    // And it beats the seed's O(tasks × dim) materialisation by a growing margin.
-    let old_equivalent = tasks_large * dim * std::mem::size_of::<f64>();
+    // And it beats the O(tasks × dim) materialisation by a growing margin.
+    let materialised = tasks_large * dim * std::mem::size_of::<f64>();
     assert!(
-        peak_large < old_equivalent,
-        "streamed peak {peak_large} should undercut the materialised {old_equivalent}"
+        peak_large < materialised,
+        "streamed peak {peak_large} should undercut the materialised {materialised}"
     );
 }
 
@@ -126,15 +125,18 @@ fn per_section_reset_prevents_peak_inheritance() {
 
 #[test]
 fn peak_bytes_grow_with_the_chunk_count() {
-    // Finer chunks mean more live partials: chunk_size = 1 degenerates to one span per
-    // task (the seed's footprint shape, in accumulator units), so the gauge must report
-    // exactly tasks × dim × 16 — and more than the whole-shard-per-chunk setting.
-    let (peak_fine, tasks, per_silo, dim) = round_peak(40, 1, 1);
-    assert_eq!(peak_fine, tasks * dim * ACC_COORD_BYTES);
-    assert_eq!(peak_fine, expected_spans(&per_silo, 1, 1) * dim * ACC_COORD_BYTES);
-    let (peak_coarse, _, _, _) = round_peak(40, 1, usize::MAX);
+    // One shard per silo: each silo's tasks fold in ⌈tasks / 16⌉ chunks, so quadrupling
+    // the population adds chunks, and the gauge must report exactly their partials —
+    // fewer than one per task.
+    let (peak_small, tasks_small, per_silo_small, dim) = round_peak(40, 1);
+    let (peak_large, tasks_large, per_silo_large, _) = round_peak(160, 1);
+    assert_eq!(peak_small, expected_spans(&per_silo_small, 1) * dim * ACC_COORD_BYTES);
+    assert_eq!(peak_large, expected_spans(&per_silo_large, 1) * dim * ACC_COORD_BYTES);
     assert!(
-        peak_coarse < peak_fine,
-        "coarser chunks ({peak_coarse}) must hold fewer live partials than chunk=1 ({peak_fine})"
+        peak_large > peak_small,
+        "more chunks ({peak_large}) must hold more live partials than fewer ({peak_small})"
     );
+    for (peak, tasks) in [(peak_small, tasks_small), (peak_large, tasks_large)] {
+        assert!(peak < tasks * dim * ACC_COORD_BYTES, "one partial per task is the ceiling");
+    }
 }

@@ -1,12 +1,12 @@
 //! Determinism guarantees of the pooled runtime, end to end: training through
 //! [`Trainer::run`] and a full Protocol 1 weighting round must produce **bitwise
-//! identical** results at 1, 2 and N worker threads — and, since the streaming sharded
-//! round engine, across every `(shards, chunk_size)` setting as well.
+//! identical** results at 1, 2 and N worker threads — and training across every
+//! [`FlConfig::shards`] setting as well.
 //!
 //! These are the acceptance tests of the `uldp-runtime` refactors: any scheduling
 //! dependence — a shared RNG handed across tasks, a reduction whose shape follows the
 //! thread count, a racy accumulation order, a float sum whose bracketing follows the
-//! shard or chunk grid — shows up here as a bit difference.
+//! shard grid — shows up here as a bit difference.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -36,7 +36,6 @@ fn train_with_structure(
     method: Method,
     threads: usize,
     shards: usize,
-    chunk_size: usize,
     seed: u64,
     rounds: u64,
 ) -> TrainingHistory {
@@ -52,13 +51,12 @@ fn train_with_structure(
     config.user_sampling = if matches!(method, Method::UldpAvg { .. }) { 0.7 } else { 1.0 };
     config.threads = threads;
     config.shards = shards;
-    config.chunk_size = chunk_size;
     let model = Box::new(LinearClassifier::new(dataset.feature_dim(), 2));
     Trainer::new(config, dataset, model).run()
 }
 
 fn train_with_threads(method: Method, threads: usize) -> TrainingHistory {
-    train_with_structure(method, threads, 0, 0, 7, 3)
+    train_with_structure(method, threads, 1, 7, 3)
 }
 
 #[test]
@@ -112,43 +110,36 @@ fn group_training_is_bitwise_identical_at_any_thread_count() {
 #[test]
 fn training_history_is_bitwise_identical_across_the_structure_grid() {
     // The streaming sharded round engine's acceptance grid: every combination of
-    // (threads, shards, chunk_size) must reproduce the (1 thread, 1 shard, one-chunk)
-    // reference bit for bit. The exact fixed-point accumulation makes the per-silo sums
-    // independent of the span grid; the per-task RNG streams are already independent of
-    // it. chunk_size = usize::MAX means "whole shard in one chunk".
+    // (threads, shards) must reproduce the (1 thread, 1 shard) reference bit for bit.
+    // The exact fixed-point accumulation makes the per-silo sums independent of the span
+    // grid; the per-task RNG streams are already independent of it.
     let method = Method::UldpAvg { weighting: WeightingStrategy::RecordProportional };
-    let reference = history_bits(&train_with_structure(method, 1, 1, usize::MAX, 7, 2));
+    let reference = history_bits(&train_with_structure(method, 1, 1, 7, 2));
     for threads in [1usize, 2, 4] {
-        for shards in [1usize, 2, 3] {
-            for chunk in [1usize, 7, usize::MAX] {
-                let run = history_bits(&train_with_structure(method, threads, shards, chunk, 7, 2));
-                assert_eq!(
-                    run, reference,
-                    "threads={threads} shards={shards} chunk={chunk} diverged"
-                );
-            }
+        for shards in [1usize, 2, 3, 20] {
+            let run = history_bits(&train_with_structure(method, threads, shards, 7, 2));
+            assert_eq!(run, reference, "threads={threads} shards={shards} diverged");
         }
     }
     // ULDP-SGD rides the same engine: spot-check the grid corners.
     let method = Method::UldpSgd { weighting: WeightingStrategy::Uniform };
-    let reference = history_bits(&train_with_structure(method, 1, 1, usize::MAX, 8, 2));
-    for (threads, shards, chunk) in [(2, 3, 1), (4, 2, 7)] {
-        let run = history_bits(&train_with_structure(method, threads, shards, chunk, 8, 2));
-        assert_eq!(run, reference, "threads={threads} shards={shards} chunk={chunk} diverged");
+    let reference = history_bits(&train_with_structure(method, 1, 1, 8, 2));
+    for (threads, shards) in [(2, 3), (4, 2)] {
+        let run = history_bits(&train_with_structure(method, threads, shards, 8, 2));
+        assert_eq!(run, reference, "threads={threads} shards={shards} diverged");
     }
 }
 
 #[test]
 fn protocol_round_is_bitwise_identical_across_threads_and_chunks() {
     let histogram = vec![vec![3usize, 1, 0, 5, 2], vec![1, 0, 2, 5, 1], vec![0, 4, 2, 0, 3]];
-    let run = |threads: usize, chunk_size: usize| {
+    let run = |threads: usize| {
         let mut rng = StdRng::seed_from_u64(91);
         let config = ProtocolConfig {
             paillier_bits: 256,
             dh_bits: 128,
             n_max: 16,
             threads,
-            chunk_size,
             ..Default::default()
         };
         let protocol = PrivateWeightingProtocol::setup(&histogram, &config, &mut rng);
@@ -175,22 +166,19 @@ fn protocol_round_is_bitwise_identical_across_threads_and_chunks() {
         out.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
     };
     // Ciphertext accumulation is exact modular arithmetic, so the streamed cell fold
-    // must reproduce the (1 thread, one-chunk) reference at every grid point.
-    let sequential = run(1, usize::MAX);
-    for threads in [1usize, 2, 6] {
-        for chunk in [1usize, 7, usize::MAX] {
-            assert_eq!(sequential, run(threads, chunk), "threads={threads} chunk={chunk}");
-        }
+    // must reproduce the sequential reference at every pool size.
+    let sequential = run(1);
+    for threads in [2usize, 6] {
+        assert_eq!(sequential, run(threads), "threads={threads}");
     }
 }
 
 #[test]
 fn sparse_and_dense_masks_agree_bitwise_across_threads_and_chunks() {
-    // The dense-vs-sparse determinism oracle on the structure grid: 3 of 13 users
+    // The dense-vs-sparse determinism oracle across pool sizes: 3 of 13 users
     // sampled keeps the mask below the ¼ density threshold (sparse index-list
     // layout), and `densified()` forces the dense flag layout of the same selection.
-    // Every (threads, chunk) grid point must produce ONE bit pattern for both
-    // representations, across two rounds so the cross-round cache (fresh round 1,
+    // Every thread count must produce ONE bit pattern for both representations, across two rounds so the cross-round cache (fresh round 1,
     // re-randomised round 2, lazily materialised under the sparse mask) is on the
     // grid too.
     let histogram: Vec<Vec<usize>> = vec![
@@ -198,14 +186,13 @@ fn sparse_and_dense_masks_agree_bitwise_across_threads_and_chunks() {
         vec![2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 0, 1],
     ];
     let mask = SampleMask::from_sorted_indices(13, vec![2, 7, 11]);
-    let run = |threads: usize, chunk_size: usize, mask: &SampleMask| {
+    let run = |threads: usize, mask: &SampleMask| {
         let mut rng = StdRng::seed_from_u64(93);
         let config = ProtocolConfig {
             paillier_bits: 256,
             dh_bits: 128,
             n_max: 16,
             threads,
-            chunk_size,
             ..Default::default()
         };
         let protocol = PrivateWeightingProtocol::setup(&histogram, &config, &mut rng);
@@ -235,20 +222,15 @@ fn sparse_and_dense_masks_agree_bitwise_across_threads_and_chunks() {
         }
         out
     };
-    let reference = run(1, usize::MAX, &mask);
-    for threads in [1usize, 2, 4] {
-        for chunk in [1usize, 3, usize::MAX] {
-            assert_eq!(
-                run(threads, chunk, &mask),
-                reference,
-                "sparse mask diverged at threads={threads} chunk={chunk}"
-            );
-            assert_eq!(
-                run(threads, chunk, &mask.densified()),
-                reference,
-                "dense mask diverged at threads={threads} chunk={chunk}"
-            );
-        }
+    let reference = run(1, &mask);
+    assert_eq!(run(1, &mask.densified()), reference, "dense mask diverged sequentially");
+    for threads in [2usize, 4] {
+        assert_eq!(run(threads, &mask), reference, "sparse mask diverged at threads={threads}");
+        assert_eq!(
+            run(threads, &mask.densified()),
+            reference,
+            "dense mask diverged at threads={threads}"
+        );
     }
 }
 
@@ -274,8 +256,8 @@ fn swapping_the_runtime_after_setup_preserves_bits() {
     );
 }
 
-// Property test: random (threads, shards, chunk) grid points must reproduce the
-// sequential single-shard single-chunk training reference bit for bit.
+// Property test: random (threads, shards) grid points must reproduce the sequential
+// single-shard training reference bit for bit.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -283,13 +265,11 @@ proptest! {
     fn random_structure_grid_points_reproduce_training_bitwise(
         seed in any::<u64>(),
         threads in 1usize..5,
-        shards in 1usize..4,
-        chunk_pick in 0usize..3,
+        shards in 1usize..24,
     ) {
-        let chunk = [1usize, 7, usize::MAX][chunk_pick];
         let method = Method::UldpAvg { weighting: WeightingStrategy::RecordProportional };
-        let reference = history_bits(&train_with_structure(method, 1, 1, usize::MAX, seed, 2));
-        let run = history_bits(&train_with_structure(method, threads, shards, chunk, seed, 2));
+        let reference = history_bits(&train_with_structure(method, 1, 1, seed, 2));
+        let run = history_bits(&train_with_structure(method, threads, shards, seed, 2));
         prop_assert_eq!(run, reference);
     }
 }
@@ -339,18 +319,16 @@ proptest! {
         seed in any::<u64>(),
         histogram in prop::collection::vec(prop::collection::vec(0usize..5, 4), 2..4),
         dim in 1usize..4,
-        chunk in 1usize..9,
     ) {
         // Guard: the protocol requires at least one record overall to be interesting;
         // all-zero histograms are still valid (every inverse is None) and must agree too.
-        let run = |threads: usize, chunk_size: usize| {
+        let run = |threads: usize| {
             let mut rng = StdRng::seed_from_u64(seed);
             let config = ProtocolConfig {
                 paillier_bits: 128,
                 dh_bits: 64,
                 n_max: 32,
                 threads,
-                chunk_size,
                 ..Default::default()
             };
             let protocol = PrivateWeightingProtocol::setup(&histogram, &config, &mut rng);
@@ -375,6 +353,6 @@ proptest! {
             let (out, _) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
             out.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
         };
-        prop_assert_eq!(run(1, usize::MAX), run(3, chunk));
+        prop_assert_eq!(run(1), run(3));
     }
 }

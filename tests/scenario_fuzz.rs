@@ -2,8 +2,8 @@
 //!
 //! Every [`Scenario`] in the catalogue — dropouts, stragglers, byzantine silos, Zipf
 //! skew, and their worst-case mix — must keep the streaming round engine's core
-//! guarantee: training is **bitwise identical** across every `(threads, shards,
-//! chunk_size)` grid point. Because all fault decisions are pure functions of
+//! guarantee: training is **bitwise identical** across every `(threads, shards)` grid
+//! point. Because all fault decisions are pure functions of
 //! `(plan seed, round seed, silo[, user])`, a faulted round has no more scheduling
 //! freedom than a clean one; any hidden shared state in the fault injection shows up
 //! here as a bit difference. The grid sweep samples ≥ 32 (scenario × structure) cases,
@@ -44,12 +44,7 @@ fn history_bits(h: &TrainingHistory) -> Vec<u64> {
 /// Two private ULDP-AVG rounds under the scenario's fault plan and allocation, at the
 /// given runtime structure. Same dataset seed everywhere so only (scenario, structure)
 /// varies.
-fn train_scenario(
-    scenario: &Scenario,
-    threads: usize,
-    shards: usize,
-    chunk_size: usize,
-) -> TrainingHistory {
+fn train_scenario(scenario: &Scenario, threads: usize, shards: usize) -> TrainingHistory {
     let mut rng = StdRng::seed_from_u64(7);
     let dataset = creditcard::generate(
         &mut rng,
@@ -68,7 +63,6 @@ fn train_scenario(
     config.user_sampling = 0.7;
     config.threads = threads;
     config.shards = shards;
-    config.chunk_size = chunk_size;
     config.fault_plan = scenario.plan;
     let model = Box::new(LinearClassifier::new(dataset.feature_dim(), 2));
     Trainer::new(config, dataset, model).run()
@@ -77,17 +71,17 @@ fn train_scenario(
 #[test]
 fn every_catalogue_scenario_is_bitwise_identical_across_the_runtime_grid() {
     // 9 scenarios × 4 structure points = 36 sampled cases, each checked against the
-    // scenario's own sequential single-shard single-chunk reference.
-    let structures = [(2usize, 2usize, 1usize), (4, 1, 7), (2, 3, usize::MAX), (4, 2, 16)];
+    // scenario's own sequential single-shard reference.
+    let structures = [(2usize, 2usize), (4, 1), (2, 3), (4, 16)];
     let scenarios = Scenario::catalogue();
     let mut cases = 0usize;
     for scenario in &scenarios {
-        let reference = history_bits(&train_scenario(scenario, 1, 1, usize::MAX));
-        for &(threads, shards, chunk) in &structures {
-            let run = history_bits(&train_scenario(scenario, threads, shards, chunk));
+        let reference = history_bits(&train_scenario(scenario, 1, 1));
+        for &(threads, shards) in &structures {
+            let run = history_bits(&train_scenario(scenario, threads, shards));
             assert_eq!(
                 run, reference,
-                "scenario {} diverged at threads={threads} shards={shards} chunk={chunk}",
+                "scenario {} diverged at threads={threads} shards={shards}",
                 scenario.name
             );
             cases += 1;
@@ -108,7 +102,7 @@ fn sparse_and_dense_masks_train_identically_across_the_scenario_catalogue() {
     let mask = SampleMask::from_sorted_indices(20, vec![3, 11, 17]);
     let dense = mask.densified();
     for scenario in &Scenario::catalogue() {
-        let run = |threads: usize, shards: usize, chunk: usize, mask: &SampleMask| {
+        let run = |threads: usize, shards: usize, mask: &SampleMask| {
             let mut rng = StdRng::seed_from_u64(29);
             let dataset = creditcard::generate(
                 &mut rng,
@@ -137,29 +131,28 @@ fn sparse_and_dense_masks_train_identically_across_the_scenario_catalogue() {
             let rt = Runtime::new(threads);
             let mut cfg2 = cfg.clone();
             cfg2.shards = shards;
-            cfg2.chunk_size = chunk;
             let mut model: Box<dyn Model> =
                 Box::new(LinearClassifier::new(dataset.feature_dim(), 2));
             uldp_avg::run_round(&rt, &mut model, &dataset, &cfg2, &weights, Some(mask), 0.15, 3);
             model.parameters().iter().map(|p| p.to_bits()).collect::<Vec<u64>>()
         };
-        let reference = run(1, 1, usize::MAX, &mask);
+        let reference = run(1, 1, &mask);
         assert_eq!(
             reference,
-            run(1, 1, usize::MAX, &dense),
+            run(1, 1, &dense),
             "scenario {}: dense mask diverged sequentially",
             scenario.name
         );
-        for &(threads, shards, chunk) in &[(2usize, 2usize, 3usize), (4, 3, usize::MAX)] {
+        for &(threads, shards) in &[(2usize, 2usize), (4, 3)] {
             assert_eq!(
                 reference,
-                run(threads, shards, chunk, &mask),
+                run(threads, shards, &mask),
                 "scenario {}: sparse mask diverged at threads={threads}",
                 scenario.name
             );
             assert_eq!(
                 reference,
-                run(threads, shards, chunk, &dense),
+                run(threads, shards, &dense),
                 "scenario {}: dense mask diverged at threads={threads}",
                 scenario.name
             );
@@ -172,10 +165,10 @@ fn faulted_rounds_differ_from_clean_rounds() {
     // The oracle would be vacuous if the fault injection were a no-op: dropout and
     // byzantine scenarios must actually change the trajectory relative to baseline.
     let scenarios = Scenario::catalogue();
-    let baseline = history_bits(&train_scenario(&scenarios[0], 1, 1, usize::MAX));
+    let baseline = history_bits(&train_scenario(&scenarios[0], 1, 1));
     for name in ["dropout_heavy", "byz_sign_flip", "mixed_worst_case"] {
         let scenario = scenarios.iter().find(|s| s.name == name).unwrap();
-        let run = history_bits(&train_scenario(scenario, 1, 1, usize::MAX));
+        let run = history_bits(&train_scenario(scenario, 1, 1));
         assert_ne!(run, baseline, "scenario {name} did not perturb training");
     }
 }
@@ -312,7 +305,7 @@ fn byzantine_influence_is_bounded_by_the_clipping_norm() {
     }
 }
 
-// Property test: random (scenario, threads, shards, chunk) grid points must reproduce
+// Property test: random (scenario, threads, shards) grid points must reproduce
 // the scenario's sequential reference bit for bit — the fuzz oracle on random samples
 // beyond the fixed sweep above.
 proptest! {
@@ -322,14 +315,12 @@ proptest! {
     fn random_scenario_grid_points_reproduce_training_bitwise(
         scenario_pick in 0usize..9,
         threads in 1usize..5,
-        shards in 1usize..4,
-        chunk_pick in 0usize..4,
+        shards in 1usize..24,
     ) {
         let scenarios = Scenario::catalogue();
         let scenario = &scenarios[scenario_pick % scenarios.len()];
-        let chunk = [1usize, 7, 16, usize::MAX][chunk_pick];
-        let reference = history_bits(&train_scenario(scenario, 1, 1, usize::MAX));
-        let run = history_bits(&train_scenario(scenario, threads, shards, chunk));
+        let reference = history_bits(&train_scenario(scenario, 1, 1));
+        let run = history_bits(&train_scenario(scenario, threads, shards));
         prop_assert_eq!(run, reference);
     }
 }

@@ -28,7 +28,7 @@ fn bits(h: &TrainingHistory) -> Vec<u64> {
 }
 
 /// One faulted ULDP-AVG run with the given runtime structure.
-fn train(threads: usize, shards: usize, chunk: usize) -> TrainingHistory {
+fn train(threads: usize, shards: usize) -> TrainingHistory {
     let mut rng = StdRng::seed_from_u64(41);
     let dataset = creditcard::generate(
         &mut rng,
@@ -48,7 +48,6 @@ fn train(threads: usize, shards: usize, chunk: usize) -> TrainingHistory {
     config.user_sampling = 0.7;
     config.threads = threads;
     config.shards = shards;
-    config.chunk_size = chunk;
     // Faults on, so the traced run also walks the fault-event emission paths.
     config.fault_plan = FaultPlan {
         dropout_fraction: 0.5,
@@ -106,17 +105,14 @@ fn traced_and_untraced_histories_are_bitwise_identical() {
     assert_eq!(protocol_rounds(), protocol_reference, "traced protocol rounds diverged");
 
     uldp_fl::telemetry::set_enabled(false);
-    let reference = bits(&train(1, 1, usize::MAX));
+    let reference = bits(&train(1, 1));
 
     uldp_fl::telemetry::set_enabled(true);
-    // Tracing on, across a small (threads × shards × chunk) grid: every cell must land
-    // on the untraced sequential reference bit for bit.
-    for (threads, shards, chunk) in [(1, 1, usize::MAX), (2, 2, 4), (4, 3, 1)] {
-        let traced = bits(&train(threads, shards, chunk));
-        assert_eq!(
-            traced, reference,
-            "traced run diverged at threads={threads} shards={shards} chunk={chunk}"
-        );
+    // Tracing on, across a small (threads × shards) grid: every cell must land on the
+    // untraced sequential reference bit for bit.
+    for (threads, shards) in [(1, 1), (2, 2), (4, 3), (4, 12)] {
+        let traced = bits(&train(threads, shards));
+        assert_eq!(traced, reference, "traced run diverged at threads={threads} shards={shards}");
     }
     // The traced runs actually recorded something (the flag was honoured)...
     assert!(
@@ -129,7 +125,7 @@ fn traced_and_untraced_histories_are_bitwise_identical() {
     // ...and an untraced re-run still matches after tracing is switched back off.
     uldp_fl::telemetry::set_enabled(false);
     uldp_fl::telemetry::reset();
-    assert_eq!(bits(&train(2, 2, 4)), reference);
+    assert_eq!(bits(&train(2, 2)), reference);
     assert!(
         uldp_fl::telemetry::trace::snapshot_records().is_empty(),
         "disabled tracing must record nothing"
