@@ -13,8 +13,9 @@
 //! * [`modular`] — modular add/sub/mul/pow/inverse on [`BigUint`].
 //! * [`montgomery`] — the batched-exponentiation engine: [`montgomery::ModulusCtx`]
 //!   (CIOS Montgomery multiplication with cached per-modulus constants, sliding-window
-//!   `pow`, `mod_pow_batch`) and [`montgomery::FixedBaseCtx`] (per-base radix-2ʷ tables
-//!   for one-base/many-exponent batches). Bitwise-identical to the schoolbook path.
+//!   `pow`, `mod_pow_batch`, interleaved `multi_exp`, simultaneous `batch_inv`) and
+//!   [`montgomery::FixedBaseCtx`] (per-base radix-2ʷ tables for one-base/many-exponent
+//!   batches). Bitwise-identical to the schoolbook path.
 //! * [`prime`] — Miller–Rabin primality testing and random prime generation (sharing
 //!   one Montgomery context across all witness bases).
 //! * Utility functions [`gcd`], [`lcm`], and [`lcm_up_to`] (the `C_LCM` constant of the

@@ -3,14 +3,16 @@
 //! [`crate::modular::mod_pow`] pays a full `div_rem`-based reduction on every multiply.
 //! The Paillier hot path of Protocol 1, however, performs thousands of independent
 //! exponentiations over the *same* modulus (`n²` for `encrypt`/`scalar_mul`, `p²`/`q²`
-//! for CRT decryption) and often over the same *base* (one encrypted inverse raised to
-//! one scalar per model coordinate). This module amortises exactly those two axes:
+//! for CRT decryption) and often over the same *base* (one secret re-randomiser raised
+//! to a fresh exponent per ciphertext). This module amortises exactly those two axes:
 //!
 //! * [`ModulusCtx`] — per-modulus precomputation (the word inverse `n' = -n⁻¹ mod 2⁶⁴`
 //!   and `R² mod n` with `R = 2⁶⁴ˢ`), enabling CIOS Montgomery multiplication in which
 //!   every reduction is a word-by-word interleaved pass instead of a long division.
-//!   On top of it sit a sliding-window [`ModulusCtx::pow`] and
-//!   [`ModulusCtx::mod_pow_batch`] for many `(base, exp)` pairs over one modulus.
+//!   On top of it sit a sliding-window [`ModulusCtx::pow`],
+//!   [`ModulusCtx::mod_pow_batch`] for many `(base, exp)` pairs over one modulus, the
+//!   interleaved [`ModulusCtx::multi_exp`] for one product of many powers, and
+//!   [`ModulusCtx::batch_inv`] for many inverses at the cost of one.
 //! * [`FixedBaseCtx`] — per-base precomputation (a radix-2ʷ table of
 //!   `base^(j·2^(w·t))`), so a batch of exponentiations of one base needs no squarings
 //!   at all: each exponentiation is at most `⌈bits/w⌉` Montgomery multiplications.
@@ -486,6 +488,44 @@ impl ModulusCtx {
         }
         self.from_mont(&acc)
     }
+
+    /// Inverts every value modulo `n` with one [`crate::modular::mod_inv`]
+    /// (Montgomery's simultaneous inversion): prefix products of the non-zero values,
+    /// one inverse of their total, then a backward pass peeling off one inverse per
+    /// value — about three multiplications each instead of one extended Euclid each.
+    ///
+    /// Inverses are unique, so the result equals `mod_inv(v, n)` element for element:
+    /// `None` for zero and for every other non-unit. A non-unit makes the total a
+    /// non-unit, and the method then falls back to the per-element loop.
+    pub fn batch_inv(&self, values: &[BigUint]) -> Vec<Option<BigUint>> {
+        use crate::modular::mod_inv;
+        let mont: Vec<(usize, MontElem)> = values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (i, self.to_mont(v)))
+            .filter(|(_, m)| m.limbs.iter().any(|&w| w != 0))
+            .collect();
+        // prefix[k] = a_0·…·a_k (Montgomery form).
+        let mut prefix: Vec<MontElem> = Vec::with_capacity(mont.len());
+        for (_, m) in &mont {
+            let next = prefix.last().map_or_else(|| m.clone(), |p| self.mont_mul(p, m));
+            prefix.push(next);
+        }
+        let mut out = vec![None; values.len()];
+        let Some(total) = prefix.last() else { return out };
+        let Some(total_inv) = mod_inv(&self.from_mont(total), &self.n) else {
+            return values.iter().map(|v| mod_inv(v, &self.n)).collect();
+        };
+        // Invariant: acc = (a_0·…·a_k)⁻¹, so acc·prefix[k−1] = a_k⁻¹.
+        let mut acc = self.to_mont(&total_inv);
+        for k in (1..mont.len()).rev() {
+            let (i, m) = &mont[k];
+            out[*i] = Some(self.from_mont(&self.mont_mul(&acc, &prefix[k - 1])));
+            acc = self.mont_mul(&acc, m);
+        }
+        out[mont[0].0] = Some(self.from_mont(&acc));
+        out
+    }
 }
 
 /// Precomputed radix-2ʷ table for one base: many exponents, no squarings.
@@ -493,8 +533,8 @@ impl ModulusCtx {
 /// `table[t][j − 1]` holds `base^(j·2^(w·t))` in Montgomery form, so an exponent split
 /// into `w`-bit digits `d_t` is evaluated as `∏_t table[t][d_t − 1]` — at most
 /// `⌈max_bits/w⌉` Montgomery multiplications per exponentiation, with the table built
-/// once per base. This is the shape of Protocol 1 step 2.(b): one encrypted inverse
-/// raised to one scalar per `(silo, coordinate)` cell.
+/// once per base. Paillier's `RerandCtx` uses it: one secret `h` raised to a fresh
+/// exponent per re-randomised ciphertext.
 pub struct FixedBaseCtx {
     ctx: std::sync::Arc<ModulusCtx>,
     /// Digit width `w` in bits.
@@ -518,20 +558,6 @@ impl std::fmt::Debug for FixedBaseCtx {
 }
 
 impl FixedBaseCtx {
-    /// Estimated table footprint in bytes for one base over a `modulus_bits`-bit
-    /// modulus, covering exponents of up to `max_bits` bits.
-    ///
-    /// Fixed-base tables trade memory for speed (several megabytes per base at
-    /// paper-scale key sizes); callers hoisting many of them at once can budget with
-    /// this before committing to [`FixedBaseCtx::new`].
-    pub fn estimated_table_bytes(modulus_bits: usize, max_bits: usize) -> usize {
-        let max_bits = max_bits.max(1);
-        let window = fixed_base_window(max_bits);
-        let rows = max_bits.div_ceil(window);
-        let limbs = modulus_bits.max(1).div_ceil(LIMB_BITS);
-        rows * ((1 << window) - 1) * limbs * 8
-    }
-
     /// Builds the fixed-base table for `base` covering exponents of up to `max_bits`
     /// bits (larger exponents fall back to the sliding-window path).
     pub fn new(ctx: std::sync::Arc<ModulusCtx>, base: &BigUint, max_bits: usize) -> FixedBaseCtx {
@@ -924,12 +950,32 @@ mod tests {
     }
 
     #[test]
-    fn estimated_table_bytes_matches_actual_table() {
-        let modulus = BigUint::from_hex("f123456789abcdef123456789abcdef1").unwrap();
-        let bits = modulus.bit_length();
-        let ctx = Arc::new(ModulusCtx::new(&modulus));
-        let fixed = FixedBaseCtx::new(Arc::clone(&ctx), &n(7), bits);
-        let actual: usize = fixed.table.iter().map(|row| row.len() * row[0].limbs.len() * 8).sum();
-        assert_eq!(FixedBaseCtx::estimated_table_bytes(bits, bits), actual);
+    fn batch_inv_matches_per_element_mod_inv() {
+        use crate::modular::mod_inv;
+        let mut rng = StdRng::seed_from_u64(23);
+        // n = p·q, so multiples of p are non-zero non-units.
+        let p = n(1_000_003);
+        let modulus = p.mul(&n(999_983));
+        let ctx = ModulusCtx::new(&modulus);
+        let mut values: Vec<BigUint> =
+            (0..9).map(|_| BigUint::random_below(&mut rng, &modulus)).collect();
+        values[3] = BigUint::zero();
+        values.push(modulus.add(&n(5))); // unreduced input
+        let expected: Vec<Option<BigUint>> = values.iter().map(|v| mod_inv(v, &modulus)).collect();
+        assert_eq!(expected.iter().filter(|e| e.is_none()).count(), 1, "only the zero");
+        assert_eq!(ctx.batch_inv(&values), expected, "all units but a zero: the batched path");
+        // A non-unit makes the running product a non-unit, which forces the fallback.
+        values[6] = p.mul(&n(17));
+        let total = values
+            .iter()
+            .filter(|v| !v.is_zero())
+            .fold(BigUint::one(), |acc, v| crate::modular::mod_mul(&acc, v, &modulus));
+        assert!(!crate::gcd(&total, &modulus).is_one());
+        let expected: Vec<Option<BigUint>> = values.iter().map(|v| mod_inv(v, &modulus)).collect();
+        assert_eq!(expected.iter().filter(|e| e.is_none()).count(), 2);
+        assert_eq!(ctx.batch_inv(&values), expected, "a non-unit: the per-element fallback");
+        assert!(ctx.batch_inv(&[]).is_empty());
+        assert_eq!(ctx.batch_inv(&[BigUint::zero()]), vec![None]);
+        assert_eq!(ctx.batch_inv(&[n(2)]), vec![mod_inv(&n(2), &modulus)]);
     }
 }

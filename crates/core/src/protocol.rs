@@ -40,21 +40,45 @@
 //!
 //! ## Parallel execution
 //!
-//! The per-(silo, user) Paillier work of steps 2.(a)–(c) runs on the deterministic
+//! The per-user Paillier work of steps 2.(a)–(b) runs on the deterministic
 //! [`uldp_runtime::Runtime`] worker pool. Steps 2.(b)–(c) stream through one chunked
 //! fold over the `(silo, coordinate)` cells, four cells per chunk
 //! ([`uldp_runtime::Runtime::par_fold_reduce`]), straight into per-coordinate
 //! ciphertext totals: O(dim + chunks) transient ciphertexts, never O(silos × dim).
 //! Encryption randomness is derived per user id from one 256-bit seed drawn from the
-//! caller's RNG, and ciphertext accumulation is exact modular arithmetic, so every
-//! ciphertext and aggregate is bitwise-identical at any thread count
-//! ([`ProtocolConfig::threads`] / `ULDP_THREADS`).
+//! caller's RNG, each silo's output randomness per `(round, coordinate)` from its own
+//! secret (see "Output randomness"), and ciphertext accumulation is exact modular
+//! arithmetic, so every ciphertext and aggregate is bitwise-identical at any thread
+//! count ([`ProtocolConfig::threads`] / `ULDP_THREADS`).
 //!
 //! All exponentiations run on the Montgomery engine of `uldp-bigint` through contexts
-//! cached in the Paillier keys at setup: step 2.(a) encrypts over the `n²` context, step
-//! 2.(b) hoists one evaluator per received ciphertext out of the cell loop, and step
-//! 2.(c) decrypts by CRT over `p²`/`q²` contexts. The tests pin every round's aggregate
-//! bit for bit to an exact `BigUint` reference of what the ciphertexts encode.
+//! cached in the Paillier keys at setup. Step 2.(a) encrypts over the `n²` context and
+//! step 2.(c) decrypts by CRT over `p²`/`q²` contexts. Step 2.(b) splits its exponent:
+//! the full-width blinding part `f_u = r_u·C_LCM mod n` is raised once per user and
+//! round, `b_u = c_u^{f_u} mod n²`, with all the `b_u⁻¹` from one batch inversion
+//! (`ModulusCtx::batch_inv`). Each cell is then one interleaved multi-exponentiation
+//! (`ModulusCtx::multi_exp`) `∏_u b_u^{n_su·x}` for `Encode(δ) = x ≤ n/2` and
+//! `(b_u⁻¹)^{n_su·(n−x)}` otherwise, whose exponents have about
+//! `log₂(N_max·C/P) + 1` bits (≈ 40 at the defaults) instead of `|n|`. Both forms
+//! encode `B_inv(N_u)·f_u·n_su·x mod n`, the plaintext of the unsplit
+//! `c_u^{x·n_su·f_u mod n}`. The tests pin every round's aggregate bit for bit to an
+//! exact `BigUint` reference of what the ciphertexts encode.
+//!
+//! ## Output randomness
+//!
+//! The split changes what a silo's cell reveals through its randomness (Theorem 5).
+//! The server knows the randomness `s_u` of every `c_u` it sent, because it encrypted
+//! or re-randomised `c_u` itself, and it knows `f_u` up to `N_max` guesses, because
+//! `f_u = (r_u·N_u)·C_LCM·N_u⁻¹` and it holds `r_u·N_u`. A bare cell's randomness
+//! `∏_u (s_u^{f_u})^{±n_su·x_u}` thus depends on its data only through ~41-bit
+//! unknowns, which the key holder could recover by baby-step giant-step search and
+//! with them a small silo's noise-free weighted deltas. So every silo multiplies each
+//! outgoing cell by a fresh full-group `Enc(0)`
+//! ([`PaillierPublicKey::rerandomise`]) whose unit comes from a stream only that silo
+//! holds: its Diffie–Hellman secret hashed with a domain label, the round index and
+//! the coordinate. It draws nothing from the caller's RNG and gives the same bits at
+//! any thread count. (A `RerandCtx` would not do: its `⟨ρ⟩` subgroup leaves the coset
+//! of the randomness visible.)
 //!
 //! ## Multi-round ciphertext reuse
 //!
@@ -64,10 +88,9 @@
 //! squaring-free fixed-base lookup per user). Mask flips and silo dropouts invalidate
 //! exactly the affected users' entries; [`ProtocolConfig::fresh_encrypt`] bypasses the
 //! cache, and oblivious rounds, which encrypt every OT slot afresh, never read it. Step
-//! 2.(b) sees only the received ciphertexts — a fixed-base table per heavily used one,
-//! dropped with the round, or one interleaved multi-exponentiation per cell
-//! (`ModulusCtx::multi_exp`) — so cached and fresh rounds share it and decrypt to the
-//! same bits.
+//! 2.(b) sees only the received ciphertexts: its per-user powers `b_u` and their
+//! inverses are rebuilt from them every round and dropped with it, so cached and fresh
+//! rounds share one step 2.(b) and decrypt to the same bits.
 //!
 //! ## Population scaling
 //!
@@ -90,8 +113,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use uldp_bigint::modular::{mod_inv, mod_mul};
-use uldp_bigint::montgomery::FixedBaseCtx;
+use uldp_bigint::modular::mod_mul;
 use uldp_bigint::BigUint;
 use uldp_crypto::dh::{DhGroup, DhKeyPair};
 use uldp_crypto::masking::MaskSeed;
@@ -99,6 +121,7 @@ use uldp_crypto::oblivious_transfer::OneOutOfP;
 use uldp_crypto::paillier::{
     Ciphertext, PaillierKeyPair, PaillierPublicKey, PaillierSecretKey, RerandCtx,
 };
+use uldp_crypto::sha256::hash_parts;
 use uldp_crypto::{FixedPointCodec, MultiplicativeBlinder};
 use uldp_runtime::{seeding, Runtime};
 use uldp_telemetry::{metrics, trace};
@@ -137,9 +160,9 @@ pub struct ProtocolConfig {
     pub fresh_encrypt: bool,
 }
 
-/// Cells per chunk of the protocol's streaming fold. Each cell already amortises one
-/// Paillier exponentiation per participating user, so fine chunks cost little and keep
-/// the pool balanced even for small `silos × dim` grids.
+/// Cells per chunk of the protocol's streaming fold. Each cell is one multi-exponentiation
+/// over the silo's participants plus one full-width output re-randomisation, so fine
+/// chunks cost little and keep the pool balanced even for small `silos × dim` grids.
 const PROTOCOL_CHUNK: usize = 4;
 
 /// Reserved derivation index for the re-randomisation context's secret unit `ρ`. The
@@ -149,15 +172,8 @@ const PROTOCOL_CHUNK: usize = 4;
 /// and [`ProtocolConfig::fresh_encrypt`] executions stay stream-aligned round for round.
 const RERAND_SEED_INDEX: u64 = u64::MAX;
 
-/// Below this many expected exponentiations of one base a fixed-base table never
-/// amortises, and the cell terms are gathered into one interleaved multi-exponentiation
-/// instead.
-const FIXED_BASE_TABLE_MIN_MULS: usize = 8;
-
-/// Ceiling on the round's step 2.(b) fixed-base tables, which are all alive at once and
-/// cost megabytes per user at paper-scale key sizes; beyond it every user's terms fuse
-/// into the per-cell multi-exponentiation, which still shares the cached engine state.
-const FIXED_BASE_BUDGET_BYTES: usize = 256 << 20;
+/// Domain label of a silo's private output-randomness seed (see "Output randomness").
+const OUTPUT_SEED_LABEL: &str = "uldp-fl/silo-output-randomness";
 
 /// One user's cached encrypted inverse: the ciphertext the server distributed in the
 /// most recent round, which the next round re-randomises.
@@ -184,18 +200,6 @@ struct RoundCryptoCache {
     last_fresh: usize,
     /// Users re-randomised from cache by the most recent round's step 2.(a).
     last_rerandomised: usize,
-}
-
-/// How step 2.(b) evaluates `inverse^scalar` for one participating user this round.
-/// Every variant is built from the ciphertext the silos received this round and
-/// nothing else.
-enum InverseEval {
-    /// Too few uses for a table: the cell's terms are gathered and fused into one
-    /// interleaved (Shamir-trick) multi-exponentiation over the cached `n²` context —
-    /// the shared squaring ladder replaces one ladder per term.
-    Fused { base: BigUint },
-    /// Fixed-base table over the received ciphertext, dropped at the end of the round.
-    Table(FixedBaseCtx),
 }
 
 impl Default for ProtocolConfig {
@@ -393,23 +397,19 @@ struct SiloView {
     histogram: Vec<u64>,
     /// This silo's pairwise secure-aggregation seeds, one per silo.
     pair_seeds: Vec<MaskSeed>,
+    /// Seed of this silo's output re-randomisation stream, hashed from its
+    /// Diffie–Hellman secret: no other party can derive it.
+    output_seed: [u8; 32],
 }
 
 /// What a silo derives in one round from the ids and ciphertexts the server sent and
-/// from `R` alone: each active user's blinding factor `r_u` and step 2.(b) evaluator.
-/// Every silo derives the same values, so the protocol builds them once per round and
-/// shares them across silos.
+/// from `R` alone: each participating user's power `b_u = c_u^{r_u·C_LCM mod n} mod n²`
+/// and its inverse mod `n²`. Every silo derives the same values, so the protocol builds
+/// them once per round and shares them across silos.
 struct Received {
-    /// `r_u` per active position.
-    factors: Vec<BigUint>,
-    /// Evaluator per active position; `None` for users no silo weighs this round.
-    evals: Vec<Option<InverseEval>>,
+    /// `(b_u, b_u⁻¹)` per active position; `None` for users no silo weighs this round.
+    bases: Vec<Option<(BigUint, BigUint)>>,
 }
-
-/// One term of a silo's step 2.(b) cells: a participating user's position in the
-/// received list, its id and its coordinate-independent scalar prefix
-/// `n_su · r_u · C_LCM mod n`.
-type Term = (usize, usize, BigUint);
 
 impl Server {
     /// The round's *active* users — the users whose encrypted inverses are sent to the
@@ -563,37 +563,30 @@ impl Server {
 
 impl Received {
     /// Builds the round's shared silo-side state from the ids and ciphertexts the server
-    /// sent. `uses[i]` counts the cell exponentiations of active position `i`'s
-    /// ciphertext across all silos: a heavily used base gets a fixed-base table (no
-    /// squarings per `scalar_mul`), a lightly used one is fused into each cell's
-    /// multi-exponentiation, and an unused one gets no evaluator.
+    /// sent: one full-width power per active position `i` with `used[i]` (some silo
+    /// weighs that user this round), then one batch inversion of all of them.
     fn new(
         rt: &Runtime,
         silo: &SiloView,
         active: &[u32],
         ciphertexts: &[Ciphertext],
-        uses: &[usize],
+        used: &[bool],
     ) -> Self {
         debug_assert_eq!(active.len(), ciphertexts.len());
-        let key = &silo.public.key;
-        // The SHA-based blinding-factor expansion runs on the pool.
-        let factors = rt.par_map(active, |_, &u| silo.blinder.factor(u as u64));
-        let table_bytes =
-            FixedBaseCtx::estimated_table_bytes(key.n_squared.bit_length(), key.n.bit_length());
-        let participating = uses.iter().filter(|&&n| n > 0).count();
-        let tables_affordable =
-            participating.saturating_mul(table_bytes) <= FIXED_BASE_BUDGET_BYTES;
-        let n_bits = key.n.bit_length();
-        let evals = rt.par_map_range(active.len(), |i| {
-            (uses[i] > 0).then(|| {
-                let ct = &ciphertexts[i];
-                if !tables_affordable || uses[i] < FIXED_BASE_TABLE_MIN_MULS {
-                    return InverseEval::Fused { base: ct.0.clone() };
-                }
-                InverseEval::Table(FixedBaseCtx::new(Arc::clone(key.ctx_n2()), &ct.0, n_bits))
-            })
+        let Public { key, c_lcm, .. } = &*silo.public;
+        let positions: Vec<usize> = (0..active.len()).filter(|&i| used[i]).collect();
+        // The SHA-based blinding-factor expansion and the powers run on the pool.
+        let powers = rt.par_map(&positions, |_, &i| {
+            let f = mod_mul(&silo.blinder.factor(active[i] as u64), c_lcm, &key.n);
+            key.ctx_n2().pow(&ciphertexts[i].0, &f)
         });
-        Received { factors, evals }
+        let inverses = key.ctx_n2().batch_inv(&powers);
+        let mut bases = vec![None; active.len()];
+        for ((i, power), inverse) in positions.into_iter().zip(powers).zip(inverses) {
+            let inverse = inverse.expect("a Paillier ciphertext is a unit mod n²");
+            bases[i] = Some((power, inverse));
+        }
+        Received { bases }
     }
 }
 
@@ -611,55 +604,57 @@ impl SiloView {
             .collect()
     }
 
-    /// Attaches to each participant its scalar prefix `n_su · r_u · C_LCM mod n`, which
-    /// is independent of the coordinate and so computed once per round.
-    fn terms(&self, received: &Received, participants: Vec<(usize, usize)>) -> Vec<Term> {
-        let Public { key, c_lcm, .. } = &*self.public;
-        participants
-            .into_iter()
-            .map(|(i, u)| {
-                let n_su = BigUint::from_u64(self.histogram[u]);
-                let prefix = mod_mul(&mod_mul(&n_su, &received.factors[i], &key.n), c_lcm, &key.n);
-                (i, u, prefix)
-            })
-            .collect()
-    }
-
-    /// Step 2.(b) for coordinate `j`: `Π_u Enc(B_inv(N_u))^{Encode(δ_suj)·prefix_u}`
-    /// times `Enc(Encode(z_sj)·C_LCM)`, computed from this silo's view, what it received
-    /// and its own deltas and noise. The Paillier `scalar_mul` per user is the
-    /// protocol's dominant cost (Figures 10–11).
+    /// Step 2.(b) for coordinate `j` of round `round`: the bare cell
+    /// ([`SiloView::bare_cell`]) times a fresh `Enc(0)` whose unit only this silo can
+    /// derive (see "Output randomness"). This is the ciphertext the silo sends.
     fn weigh_cell(
         &self,
         received: &Received,
-        terms: &[Term],
+        participants: &[(usize, usize)],
+        deltas: &[Vec<f64>],
+        noise: f64,
+        round: u64,
+        j: usize,
+    ) -> Ciphertext {
+        let bare = self.bare_cell(received, participants, deltas, noise, j);
+        let seed = hash_parts(
+            OUTPUT_SEED_LABEL,
+            &[&self.output_seed, &round.to_be_bytes(), &(j as u64).to_be_bytes()],
+        );
+        self.public.key.rerandomise(&mut StdRng::from_seed(seed), &bare)
+    }
+
+    /// `∏_u b_u^{n_su·x} · Enc(Encode(z_sj)·C_LCM)` with `x = Encode(δ_suj)`, taking
+    /// `(b_u⁻¹)^{n_su·(n−x)}` for `x > n/2`: one multi-exponentiation over short
+    /// exponents, computed from this silo's view, what it received and its own deltas
+    /// and noise. Each term is one Paillier `scalar_mul`, the protocol's dominant cost
+    /// (Figures 10–11).
+    fn bare_cell(
+        &self,
+        received: &Received,
+        participants: &[(usize, usize)],
         deltas: &[Vec<f64>],
         noise: f64,
         j: usize,
     ) -> Ciphertext {
         let Public { key, codec, c_lcm } = &*self.public;
-        let mut acc = key.trivial_zero();
-        // Table-free bases gather their `(base, scalar)` terms here and fuse into
-        // one interleaved multi-exponentiation after the loop; ciphertext addition
-        // is modular multiplication, which commutes, so hoisting these terms out of
-        // the running product leaves the cell total bit-identical.
-        let mut fused: Vec<(BigUint, BigUint)> = Vec::new();
-        for (i, u, prefix) in terms {
-            let scalar = mod_mul(&codec.encode(deltas[*u][j]), prefix, &key.n);
-            match received.evals[*i].as_ref().expect("evaluator built for participating user") {
-                InverseEval::Fused { base } => fused.push((base.clone(), scalar)),
-                InverseEval::Table(table) => {
-                    metrics::PAILLIER_SCALAR_MUL.inc();
-                    acc = key.add(&acc, &Ciphertext(table.pow(&scalar)));
+        let half = key.n.shr_bits(1);
+        let terms: Vec<(BigUint, BigUint)> = participants
+            .iter()
+            .map(|&(i, u)| {
+                let (power, inverse) = received.bases[i].as_ref().expect("participant base");
+                let n_su = BigUint::from_u64(self.histogram[u]);
+                let x = codec.encode(deltas[u][j]);
+                if x <= half {
+                    (power.clone(), n_su.mul(&x))
+                } else {
+                    (inverse.clone(), n_su.mul(&key.n.sub(&x)))
                 }
-            }
-        }
-        if !fused.is_empty() {
-            metrics::PAILLIER_SCALAR_MUL.add(fused.len() as u64);
-            let product = key.ctx_n2().multi_exp(&fused);
-            acc = key.add(&acc, &Ciphertext(product));
-        }
-        key.add_plain(&acc, &mod_mul(&codec.encode(noise), c_lcm, &key.n))
+            })
+            .collect();
+        metrics::PAILLIER_SCALAR_MUL.add(terms.len() as u64);
+        let product = Ciphertext(key.ctx_n2().multi_exp(&terms));
+        key.add_plain(&product, &mod_mul(&codec.encode(noise), c_lcm, &key.n))
     }
 }
 
@@ -783,24 +778,23 @@ impl PrivateWeightingProtocol {
         });
         let histogram_blinding = hist_span.finish();
 
-        // --- Step 1.(f): server inverts the blinded totals (one mod_inv per user). ---
+        // --- Step 1.(f): server inverts the blinded totals in one batch inversion
+        // (zero totals, users without records, stay `None`). ---
         let inv_span = trace::timed_span("protocol", "inverse_computation");
-        let blinded_inverses: Vec<Option<BigUint>> =
-            runtime.par_map(
-                &blinded_totals,
-                |_, b| if b.is_zero() { None } else { mod_inv(b, &modulus) },
-            );
+        let blinded_inverses = key.ctx_n().batch_inv(&blinded_totals);
         let inverse_computation = inv_span.finish();
 
         let public = Arc::new(Public { key, codec, c_lcm });
         let silos = silo_histograms
             .into_iter()
             .zip(pair_seeds)
-            .map(|(histogram, pair_seeds)| SiloView {
+            .zip(&keypairs)
+            .map(|((histogram, pair_seeds), keypair)| SiloView {
                 public: Arc::clone(&public),
                 blinder: blinder.clone(),
                 histogram,
                 pair_seeds,
+                output_seed: keypair.private_seed(OUTPUT_SEED_LABEL),
             })
             .collect();
         PrivateWeightingProtocol {
@@ -896,8 +890,8 @@ impl PrivateWeightingProtocol {
     }
 
     /// Estimated resident bytes of the cross-round per-user crypto state: one
-    /// ciphertext per entry. Step 2.(b)'s fixed-base tables live only for their round,
-    /// so nothing else persists. With a sparse [`SampleMask`] this tracks `O(q·|U|)`
+    /// ciphertext per entry. Step 2.(b)'s per-user powers and inverses live only for
+    /// their round, so nothing else persists. With a sparse [`SampleMask`] this tracks `O(q·|U|)`
     /// instead of `O(|U|)` — the population-scaling benchmarks report it alongside the
     /// fold gauge.
     pub fn cached_state_bytes(&self) -> usize {
@@ -973,25 +967,19 @@ impl PrivateWeightingProtocol {
             .zip(clipped_deltas)
             .map(|(silo, deltas)| silo.participants(&active, deltas))
             .collect();
-        let mut uses = vec![0usize; active.len()];
+        let mut used = vec![false; active.len()];
         for &(i, _) in participants.iter().flatten() {
-            uses[i] += dim;
+            used[i] = true;
         }
-        let received = Received::new(rt, &self.silos[0], &active, &ciphertexts, &uses);
-        let terms: Vec<Vec<Term>> = self
-            .silos
-            .iter()
-            .zip(participants)
-            .map(|(silo, participants)| silo.terms(&received, participants))
-            .collect();
-        let totals = self.fold_cells(dim, |silo, j| {
+        let received = Received::new(rt, &self.silos[0], &active, &ciphertexts, &used);
+        let totals = self.fold_cells(dim, |s, j| {
             // A dropped silo's report never reaches the server: neither its weighted
             // deltas nor its noise enter the per-coordinate total.
-            if dropped[silo] {
+            if dropped[s] {
                 return self.server.public.key.trivial_zero();
             }
-            let deltas = &clipped_deltas[silo];
-            self.silos[silo].weigh_cell(&received, &terms[silo], deltas, noises[silo][j], j)
+            let (silo, deltas) = (&self.silos[s], &clipped_deltas[s]);
+            silo.weigh_cell(&received, &participants[s], deltas, noises[s][j], round, j)
         });
         let silo_weighting = silo_span.finish() + delay;
 
@@ -1810,9 +1798,9 @@ mod tests {
         for (a, b) in out.iter().zip(reference.iter()) {
             assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");
         }
-        // Two more rounds wide enough (8 coordinates) that every participant gets a
-        // step 2.(b) fixed-base table: none outlives its round, so the cache holds
-        // exactly one ciphertext per entry.
+        // Two more rounds of 8 coordinates: step 2.(b)'s per-user powers and inverses
+        // never outlive their round, so the cache holds exactly one ciphertext per
+        // entry.
         let (wide_deltas, wide_noises) = deltas_and_noise(&histogram, 8, 73);
         for sample in [&mask, &other] {
             let _ = protocol.weighting_round(&wide_deltas, &wide_noises, Some(sample), &mut rng);
@@ -1821,5 +1809,62 @@ mod tests {
         let ct_bytes = (2 * protocol.modulus_bits()).div_ceil(64) * 8;
         assert_eq!(protocol.cached_entry_count(), 4);
         assert_eq!(protocol.cached_state_bytes(), protocol.cached_entry_count() * ct_bytes);
+    }
+
+    #[test]
+    fn sent_cells_are_rerandomised_beyond_what_the_server_can_rebuild() {
+        // The bare cell ∏ b_u^{±n_su·x} · Enc(noise) is a function of what the server
+        // sent, R and the silo's inputs: rebuilt here independently with the schoolbook
+        // mod_pow/mod_inv, it matches bare_cell bit for bit. The cell a silo sends
+        // decrypts to the same plaintext but carries fresh randomness from the silo's
+        // private stream: deterministic per (round, coordinate), different across them.
+        use uldp_bigint::modular::{mod_inv, mod_pow};
+        let mut rng = StdRng::seed_from_u64(111);
+        let histogram = small_histogram();
+        let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
+        let (deltas, noises) = deltas_and_noise(&histogram, 4, 112);
+        let rt = protocol.runtime();
+        let (active, cts) = protocol.server.encrypt_inverses(rt, None, &mut rng);
+        let used = vec![true; active.len()];
+        let received = Received::new(rt, &protocol.silos[0], &active, &cts, &used);
+        let Public { key, codec, c_lcm } = &*protocol.server.public;
+        let (n, n2) = (&key.n, &key.n_squared);
+        let mut negative_terms = 0;
+        for (s, silo) in protocol.silos.iter().enumerate() {
+            let participants = silo.participants(&active, &deltas[s]);
+            for j in 0..4 {
+                let mut rebuilt = BigUint::one();
+                for &(i, u) in &participants {
+                    let f = mod_mul(&silo.blinder.factor(u as u64), c_lcm, n);
+                    let b = mod_pow(&cts[i].0, &f, n2);
+                    let n_su = BigUint::from_u64(silo.histogram[u]);
+                    let x = codec.encode(deltas[s][u][j]);
+                    let term = if x <= n.shr_bits(1) {
+                        mod_pow(&b, &n_su.mul(&x), n2)
+                    } else {
+                        negative_terms += 1;
+                        let b_inv = mod_inv(&b, n2).expect("ciphertexts are units");
+                        mod_pow(&b_inv, &n_su.mul(&n.sub(&x)), n2)
+                    };
+                    rebuilt = mod_mul(&rebuilt, &term, n2);
+                }
+                let noise = mod_mul(&codec.encode(noises[s][j]), c_lcm, n);
+                let rebuilt = key.add_plain(&Ciphertext(rebuilt), &noise);
+                let bare = silo.bare_cell(&received, &participants, &deltas[s], noises[s][j], j);
+                assert_eq!(bare, rebuilt, "silo {s} coordinate {j}: bare cell");
+                let sent =
+                    silo.weigh_cell(&received, &participants, &deltas[s], noises[s][j], 0, j);
+                assert_ne!(sent, bare, "silo {s} coordinate {j}: the sent cell is re-randomised");
+                let secret = &protocol.server.secret;
+                assert_eq!(secret.decrypt(&sent), secret.decrypt(&bare));
+                let again =
+                    silo.weigh_cell(&received, &participants, &deltas[s], noises[s][j], 0, j);
+                assert_eq!(sent, again, "the output stream is deterministic");
+                let next_round =
+                    silo.weigh_cell(&received, &participants, &deltas[s], noises[s][j], 1, j);
+                assert_ne!(sent, next_round, "every round draws fresh output randomness");
+            }
+        }
+        assert!(negative_terms > 0, "some deltas must take the b_u⁻¹ form");
     }
 }

@@ -122,6 +122,12 @@ impl DhKeyPair {
         let shared = self.shared_secret(their_public);
         hash_parts("uldp-fl/dh-shared-seed", &[&shared.to_bytes_be()])
     }
+
+    /// Derives a 32-byte seed only this key pair's holder can compute: SHA-256 of the
+    /// secret exponent under the domain `label`. Distinct labels give unrelated seeds.
+    pub fn private_seed(&self, label: &str) -> [u8; 32] {
+        hash_parts(label, &[&self.secret.to_bytes_be()])
+    }
 }
 
 #[cfg(test)]
@@ -175,6 +181,9 @@ mod tests {
         let b = DhKeyPair::generate(&mut rng, &group);
         let c = DhKeyPair::generate(&mut rng, &group);
         assert_ne!(a.shared_seed(b.public_key()), a.shared_seed(c.public_key()));
+        assert_ne!(a.private_seed("x"), b.private_seed("x"));
+        assert_ne!(a.private_seed("x"), a.private_seed("y"));
+        assert_eq!(a.private_seed("x"), a.clone().private_seed("x"));
     }
 
     #[test]

@@ -16,6 +16,8 @@ use uldp_fl::core::{PrivateWeightingProtocol, ProtocolConfig, SampleMask};
 use uldp_fl::telemetry::metrics;
 
 const SILOS: usize = 2;
+/// Coordinates of the three rounds.
+const DIMS: [usize; 3] = [8, 8, 3];
 
 /// Records user `u` holds in silo `s`: a pure function of `(s, u)`, so the two
 /// populations agree on every user they share. Every user holds at least one record.
@@ -50,8 +52,8 @@ fn run(population: usize, samples: &[Vec<u32>]) -> RoundCosts {
     uldp_fl::telemetry::reset();
     uldp_fl::telemetry::set_enabled(true);
     let mut aggregates = Vec::new();
-    // 8 coordinates give every participant a step 2.(b) table; 3 keep them fused.
-    for (round, (sampled, dim)) in samples.iter().zip([8usize, 8, 3]).enumerate() {
+    // Rounds of 8, 8 and 3 coordinates: SILOS × 19 step 2.(b) cells in all.
+    for (round, (sampled, dim)) in samples.iter().zip(DIMS).enumerate() {
         let mask = SampleMask::from_sorted_indices(population, sampled.clone());
         assert!(mask.is_sparse(), "round {round} must take the sparse path");
         let mut deltas = vec![vec![Vec::new(); population]; SILOS];
@@ -101,7 +103,9 @@ fn sparse_round_costs_do_not_depend_on_the_population() {
     assert!(small.peak_fold_bytes > 0);
     let count = |name: &str| small.counters.iter().find(|c| c.0 == name).map(|c| c.1);
     assert_eq!(count("crypto.paillier_encrypt"), Some(20 + 10), "fresh users only");
-    assert_eq!(count("crypto.paillier_rerandomise"), Some(20 + 10), "cached users only");
-    assert!(count("bigint.mod_pow_fixed_base").unwrap() > 0, "rounds 1-2 use tables");
-    assert!(count("bigint.multi_exp").unwrap() > 0, "round 3 fuses its cells");
+    // The server refreshes its cached users; every silo re-randomises each cell it sends.
+    let cells = (SILOS * DIMS.iter().sum::<usize>()) as u64;
+    assert_eq!(count("crypto.paillier_rerandomise"), Some(20 + 10 + cells), "cached users, cells");
+    assert!(count("bigint.mod_pow_fixed_base").unwrap() > 0, "rounds 2-3 refresh from cache");
+    assert!(count("bigint.multi_exp").unwrap() > 0, "every cell is a multi-exponentiation");
 }

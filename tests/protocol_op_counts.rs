@@ -1,15 +1,17 @@
 //! Exact operation counts of a fresh and a cached Protocol 1 round.
 //!
-//! Round 1 freshly encrypts every user's blinded inverse and re-randomises nothing; the
-//! cached round after it encrypts nothing and re-randomises every user.
+//! Round 1 freshly encrypts every user's blinded inverse; the cached round after it
+//! encrypts nothing and re-randomises every user from the server's cache, one
+//! fixed-base exponentiation each.
 //!
-//! Step 2.(b) is the silos' work and must be computed from the ciphertexts they
-//! receive: one fixed-base exponentiation per `(silo, user, coordinate)` cell over a
-//! table built from the received ciphertext. The server's step 2.(a) re-randomisation
-//! adds one more fixed-base exponentiation per cached user. So on a cached round where
-//! every participating user is used often enough to get a table,
-//! `bigint.mod_pow_fixed_base = crypto.paillier_scalar_mul + crypto.paillier_rerandomise`
-//! exactly. Counts are deterministic, so the gate is an equality, not a tolerance.
+//! Step 2.(b) is the silos' work and is computed from the ciphertexts they receive.
+//! Per round it raises each participating user's ciphertext once to its full-width
+//! blinding exponent (`b_u`, one sliding-window exponentiation), evaluates each
+//! `(silo, coordinate)` cell as one multi-exponentiation with one Paillier `scalar_mul`
+//! term per `(silo, user, coordinate)`, and re-randomises each outgoing cell (one more
+//! sliding-window exponentiation). Step 2.(c) decrypts one total per coordinate by CRT,
+//! two half-width sliding-window exponentiations each. Counts are deterministic, so the
+//! gates are equalities, not tolerances.
 //!
 //! A single test function owns the whole file: the telemetry flag and counters are
 //! process-global, so concurrent test functions in this binary would race on them.
@@ -20,9 +22,8 @@ use uldp_fl::core::{PrivateWeightingProtocol, ProtocolConfig};
 use uldp_fl::telemetry::metrics;
 
 #[test]
-fn cached_round_costs_one_fixed_base_exponentiation_per_cell_and_refresh() {
-    // 3 silos × 6 users, every user holding records somewhere; 8 coordinates give
-    // every participating user at least 8 uses, enough for a fixed-base table.
+fn cached_round_costs_one_multi_exponentiation_per_cell_and_refresh() {
+    // 3 silos × 6 users, every user holding records somewhere, 8 coordinates.
     let histogram: Vec<Vec<usize>> =
         vec![vec![2, 0, 1, 3, 1, 0], vec![1, 4, 0, 1, 0, 2], vec![0, 2, 2, 0, 1, 1]];
     let dim = 8usize;
@@ -48,32 +49,37 @@ fn cached_round_costs_one_fixed_base_exponentiation_per_cell_and_refresh() {
     let protocol = PrivateWeightingProtocol::setup(&histogram, &config, &mut rng);
 
     let users = histogram[0].len() as u64;
+    // One multi-exponentiation and one output re-randomisation per surviving
+    // (silo, coordinate) cell; no silo drops here.
+    let cells = (histogram.len() * dim) as u64;
+    // One scalar_mul term per participating (silo, user, coordinate).
+    let terms = histogram.iter().flatten().filter(|&&c| c > 0).count() as u64 * dim as u64;
+    // b_u powers, output re-randomisations and the p²/q² halves of CRT decryption.
+    let window = users + cells + 2 * dim as u64;
     uldp_fl::telemetry::reset();
     uldp_fl::telemetry::set_enabled(true);
     // Round 1 encrypts fresh and builds the server's re-randomisation table.
     let _ = protocol.weighting_round(&deltas, &noises, None, &mut rng);
     assert_eq!(metrics::PAILLIER_ENCRYPT.get(), users, "round 1 encrypts every user");
-    assert_eq!(metrics::PAILLIER_RERANDOMISE.get(), 0, "round 1 re-randomises nothing");
+    assert_eq!(metrics::PAILLIER_RERANDOMISE.get(), cells, "round 1 re-randomises only cells");
+    assert_eq!(metrics::MODPOW_FIXED_BASE.get(), 0, "round 1 refreshes nothing from cache");
     uldp_fl::telemetry::reset();
     // Round 2 is served from the cache.
     let (out, _) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
     let encrypt = metrics::PAILLIER_ENCRYPT.get();
     let fixed_base = metrics::MODPOW_FIXED_BASE.get();
+    let sliding_window = metrics::MODPOW_WINDOW.get();
     let scalar_mul = metrics::PAILLIER_SCALAR_MUL.get();
     let rerandomise = metrics::PAILLIER_RERANDOMISE.get();
     let multi_exp = metrics::MULTI_EXP.get();
     uldp_fl::telemetry::set_enabled(false);
 
-    let cells = histogram.iter().flatten().filter(|&&c| c > 0).count() as u64 * dim as u64;
-    assert_eq!(scalar_mul, cells, "one scalar_mul per participating (silo, user, coordinate)");
-    assert_eq!(multi_exp, 0, "every participating user gets a table, none is fused");
+    assert_eq!(scalar_mul, terms, "one scalar_mul per participating (silo, user, coordinate)");
+    assert_eq!(multi_exp, cells, "one multi-exponentiation per (silo, coordinate) cell");
     assert_eq!(encrypt, 0, "the cached round encrypts nothing");
-    assert_eq!(rerandomise, users, "the cached round re-randomises every user");
-    assert_eq!(
-        fixed_base,
-        scalar_mul + rerandomise,
-        "step 2.(b) must cost one fixed-base exponentiation per cell"
-    );
+    assert_eq!(rerandomise, users + cells, "every cached user and every outgoing cell");
+    assert_eq!(fixed_base, users, "only the server's cache refreshes use a fixed base");
+    assert_eq!(sliding_window, window, "b_u powers, cell re-randomisations, decryption");
 
     let reference = protocol.plaintext_reference(&deltas, &noises, None);
     for (a, b) in out.iter().zip(reference.iter()) {
