@@ -38,6 +38,18 @@
 //! 1, 2, …, and round `t` applies the round-`t` fault set of
 //! [`ProtocolConfig::fault_plan`] under every sampling mode.
 //!
+//! ## Setup cost
+//!
+//! Steps 1.(d)–(e) blind every silo's histogram as `r_u·n_su mod n`. Every silo derives
+//! the same `r_u` from `R`, so setup expands each user's factor once and multiplies it
+//! into every silo's count: `|U|` SHA-256 expansions, not `|S|·|U|`. The users run in
+//! blocks of [`SETUP_BLOCK`] on the pool, and one `gcd` of a block's factor product mod
+//! `n` checks all of its factors for coprimality
+//! ([`MultiplicativeBlinder::factors`]), so setup runs `⌈|U| / SETUP_BLOCK⌉` gcds
+//! instead of one per (silo, user). Step 1.(f) inverts all blinded totals in one
+//! simultaneous inversion (`ModulusCtx::batch_inv`). A round's step 2.(b) takes its
+//! participating users' factors from one `factors` call as well.
+//!
 //! ## Parallel execution
 //!
 //! The per-user Paillier work of steps 2.(a)–(b) runs on the deterministic
@@ -113,7 +125,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use uldp_bigint::modular::mod_mul;
+use uldp_bigint::modular::{mod_add, mod_mul};
 use uldp_bigint::BigUint;
 use uldp_crypto::dh::{DhGroup, DhKeyPair};
 use uldp_crypto::masking::MaskSeed;
@@ -164,6 +176,11 @@ pub struct ProtocolConfig {
 /// over the silo's participants plus one full-width output re-randomisation, so fine
 /// chunks cost little and keep the pool balanced even for small `silos × dim` grids.
 const PROTOCOL_CHUNK: usize = 4;
+
+/// Users per block of setup steps 1.(d)–(e). One coprimality `gcd` checks a whole
+/// block's blinding factors, which are dropped with the block, so setup never holds a
+/// `|U|`-long factor vector.
+pub const SETUP_BLOCK: usize = 256;
 
 /// Reserved derivation index for the re-randomisation context's secret unit `ρ`. The
 /// per-user encryption streams use indices `0..num_users`, so the reserved slot can
@@ -575,9 +592,10 @@ impl Received {
         debug_assert_eq!(active.len(), ciphertexts.len());
         let Public { key, c_lcm, .. } = &*silo.public;
         let positions: Vec<usize> = (0..active.len()).filter(|&i| used[i]).collect();
-        // The SHA-based blinding-factor expansion and the powers run on the pool.
-        let powers = rt.par_map(&positions, |_, &i| {
-            let f = mod_mul(&silo.blinder.factor(active[i] as u64), c_lcm, &key.n);
+        let users: Vec<u64> = positions.iter().map(|&i| active[i] as u64).collect();
+        let factors = silo.blinder.factors(&users);
+        let powers = rt.par_map(&positions, |k, &i| {
+            let f = mod_mul(&factors[k], c_lcm, &key.n);
             key.ctx_n2().pow(&ciphertexts[i].0, &f)
         });
         let inverses = key.ctx_n2().batch_inv(&powers);
@@ -656,6 +674,34 @@ impl SiloView {
         let product = Ciphertext(key.ctx_n2().multi_exp(&terms));
         key.add_plain(&product, &mod_mul(&codec.encode(noise), c_lcm, &key.n))
     }
+}
+
+/// Setup steps 1.(d)–(e): user `u`'s blinded total `Σ_s r_u·n_su mod n`, the sum of the
+/// silos' blinded histograms. The pairwise masks cancel in the server's sum, so the sum
+/// is computed directly while still blinding each silo's count. Blocks of
+/// [`SETUP_BLOCK`] users run on the pool (see "Setup cost"); the result is
+/// bitwise-identical at any thread count.
+fn blinded_totals(
+    rt: &Runtime,
+    blinder: &MultiplicativeBlinder,
+    histograms: &[Vec<u64>],
+) -> Vec<BigUint> {
+    let n = blinder.modulus();
+    let blocks = uldp_runtime::fold_chunk_ranges(histograms[0].len(), SETUP_BLOCK);
+    let per_block = rt.par_map(&blocks, |_, block| {
+        let users: Vec<u64> = block.clone().map(|u| u as u64).collect();
+        let factors = blinder.factors(&users);
+        block
+            .clone()
+            .zip(&factors)
+            .map(|(u, r)| {
+                histograms.iter().fold(BigUint::zero(), |total, row| {
+                    mod_add(&total, &mod_mul(r, &BigUint::from_u64(row[u]), n), n)
+                })
+            })
+            .collect::<Vec<BigUint>>()
+    });
+    per_block.into_iter().flatten().collect()
 }
 
 /// The state of a completed setup phase, able to run any number of weighting rounds.
@@ -763,19 +809,7 @@ impl PrivateWeightingProtocol {
                 config.n_max
             );
         }
-        // Each silo blinds and masks its histogram; the server sums the masked values.
-        // The pairwise masks cancel in the sum, so we compute the aggregate directly while
-        // still exercising the blinding (what the server actually sees is r_u * N_u).
-        // Blinding-factor expansion is SHA-256-based and per-user independent, so the
-        // per-user columns run on the worker pool.
-        let blinded_totals: Vec<BigUint> = runtime.par_map_range(num_users, |u| {
-            let mut total = BigUint::zero();
-            for row in &silo_histograms {
-                let blinded = blinder.blind(u as u64, &BigUint::from_u64(row[u]));
-                total = uldp_bigint::modular::mod_add(&total, &blinded, &modulus);
-            }
-            total
-        });
+        let blinded_totals = blinded_totals(&runtime, &blinder, &silo_histograms);
         let histogram_blinding = hist_span.finish();
 
         // --- Step 1.(f): server inverts the blinded totals in one batch inversion
@@ -1809,6 +1843,42 @@ mod tests {
         let ct_bytes = (2 * protocol.modulus_bits()).div_ceil(64) * 8;
         assert_eq!(protocol.cached_entry_count(), 4);
         assert_eq!(protocol.cached_state_bytes(), protocol.cached_entry_count() * ct_bytes);
+    }
+
+    /// Steps 1.(d)–(e) as the paper states them: each silo blinds each of its counts
+    /// with its own `blind` call (one factor expansion and one `gcd` each), and the
+    /// server sums the blinded values mod `n`.
+    fn schoolbook_blinded_totals(protocol: &PrivateWeightingProtocol) -> Vec<BigUint> {
+        let n = &protocol.server.public.key.n;
+        (0..protocol.num_users())
+            .map(|u| {
+                protocol.silos.iter().fold(BigUint::zero(), |total, silo| {
+                    let count = BigUint::from_u64(silo.histogram[u]);
+                    mod_add(&total, &silo.blinder.blind(u as u64, &count), n)
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn setup_blinds_exactly_as_the_schoolbook_per_silo_blinding() {
+        // Two full blocks, a ragged third and users without records; the server's
+        // blinded inverses are those of the schoolbook totals, bit for bit.
+        use uldp_bigint::modular::mod_inv;
+        let users = 2 * SETUP_BLOCK + 37;
+        let records = |s: usize, u: usize| if u.is_multiple_of(10) { 0 } else { (u + s) % 3 };
+        let histogram: Vec<Vec<usize>> =
+            (0..3).map(|s| (0..users).map(|u| records(s, u)).collect()).collect();
+        for threads in [1, 3] {
+            let config = ProtocolConfig { threads, ..test_config() };
+            let protocol =
+                PrivateWeightingProtocol::setup(&histogram, &config, &mut StdRng::seed_from_u64(9));
+            let n = &protocol.server.public.key.n;
+            let expected: Vec<Option<BigUint>> =
+                schoolbook_blinded_totals(&protocol).iter().map(|t| mod_inv(t, n)).collect();
+            assert!(expected.iter().any(Option::is_none), "some user holds no records");
+            assert_eq!(protocol.server.blinded_inverses, expected, "{threads} threads");
+        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! Paillier ciphertext.
 
 use crate::sha256::hash_parts;
-use uldp_bigint::modular::{mod_inv, mod_mul};
+use uldp_bigint::modular::mod_mul;
 use uldp_bigint::BigUint;
+use uldp_telemetry::metrics;
 
 /// Expands per-user multiplicative blinding factors from the silo-shared seed `R`.
 #[derive(Clone, Debug)]
@@ -30,11 +31,48 @@ impl MultiplicativeBlinder {
     ///
     /// Factors are sampled to be invertible (coprime to the modulus); for a Paillier
     /// modulus `n = p·q` with large primes the rejection probability is negligible
-    /// (Eq. (4) of the paper).
+    /// (Eq. (4) of the paper). Each candidate pays its own coprimality `gcd`; expand
+    /// many users at once with [`MultiplicativeBlinder::factors`].
     pub fn factor(&self, user_index: u64) -> BigUint {
+        let mut counter = 0u64;
+        loop {
+            let (candidate, at) = self.candidate(user_index, counter);
+            metrics::BLIND_COPRIMALITY_CHECK.inc();
+            if uldp_bigint::gcd(&candidate, &self.modulus).is_one() {
+                return candidate;
+            }
+            counter = at + 1;
+        }
+    }
+
+    /// The blinding factors of `users`, in order: equal to
+    /// [`MultiplicativeBlinder::factor`] element for element, at one coprimality `gcd`
+    /// for the whole slice.
+    ///
+    /// Each user's first nonzero in-range candidate is expanded once, and one `gcd` of
+    /// their product mod `n` checks them all: `gcd(∏ r_u mod n, n) = 1` exactly when
+    /// every `r_u` is coprime to `n`. Otherwise (probability about `1/p + 1/q` per user
+    /// for a Paillier `n = p·q`, `2⁻²⁵⁵` at 512 bits) every user is re-derived through
+    /// `factor`.
+    pub fn factors(&self, users: &[u64]) -> Vec<BigUint> {
+        let candidates: Vec<BigUint> = users.iter().map(|&u| self.candidate(u, 0).0).collect();
+        let product =
+            candidates.iter().fold(BigUint::one(), |acc, r| mod_mul(&acc, r, &self.modulus));
+        metrics::BLIND_COPRIMALITY_CHECK.inc();
+        if uldp_bigint::gcd(&product, &self.modulus).is_one() {
+            candidates
+        } else {
+            users.iter().map(|&u| self.factor(u)).collect()
+        }
+    }
+
+    /// The first nonzero candidate below the modulus from `counter` on, with the counter
+    /// that produced it: the SHA-256 expansion of `(R, u, counter)`, cut to the
+    /// modulus's bit length.
+    fn candidate(&self, user_index: u64, mut counter: u64) -> (BigUint, u64) {
+        metrics::BLIND_FACTOR.inc();
         let bits = self.modulus.bit_length();
         let bytes_needed = bits.div_ceil(8);
-        let mut counter = 0u64;
         loop {
             let mut material = Vec::with_capacity(bytes_needed + 32);
             while material.len() < bytes_needed {
@@ -51,12 +89,8 @@ impl MultiplicativeBlinder {
             }
             material.truncate(bytes_needed);
             let candidate = BigUint::from_bytes_be(&material).shr_bits(bytes_needed * 8 - bits);
-            if candidate.is_zero() || candidate >= self.modulus {
-                counter += 1;
-                continue;
-            }
-            if uldp_bigint::gcd(&candidate, &self.modulus).is_one() {
-                return candidate;
+            if !candidate.is_zero() && candidate < self.modulus {
+                return (candidate, counter);
             }
             counter += 1;
         }
@@ -65,13 +99,6 @@ impl MultiplicativeBlinder {
     /// Blinds `value` for user `user_index`: `r_u · value mod n`.
     pub fn blind(&self, user_index: u64, value: &BigUint) -> BigUint {
         mod_mul(&self.factor(user_index), value, &self.modulus)
-    }
-
-    /// Removes the blinding factor from `value`: `r_u^{-1} · value mod n`.
-    pub fn unblind(&self, user_index: u64, value: &BigUint) -> BigUint {
-        let inv = mod_inv(&self.factor(user_index), &self.modulus)
-            .expect("blinding factors are sampled invertible");
-        mod_mul(&inv, value, &self.modulus)
     }
 
     /// The field modulus.
@@ -98,12 +125,40 @@ mod tests {
     #[test]
     fn blind_unblind_roundtrip() {
         let b = blinder(1);
+        let inv = uldp_bigint::modular::mod_inv(&b.factor(7), b.modulus()).expect("a unit");
         for v in [1u64, 2, 57, 1999, 123_456] {
             let value = BigUint::from_u64(v);
             let blinded = b.blind(7, &value);
             assert_ne!(blinded, value);
-            assert_eq!(b.unblind(7, &blinded), value);
+            assert_eq!(mod_mul(&inv, &blinded, b.modulus()), value);
         }
+    }
+
+    #[test]
+    fn batch_factors_match_per_user_factors() {
+        // Every first candidate is coprime to the test modulus: the one-gcd path.
+        let b = blinder(6);
+        let users: Vec<u64> = (0..64).chain([1 << 40, u64::MAX]).collect();
+        let expected: Vec<BigUint> = users.iter().map(|&u| b.factor(u)).collect();
+        assert!(users.iter().zip(&expected).all(|(&u, f)| b.candidate(u, 0).0 == *f));
+        assert_eq!(b.factors(&users), expected);
+        assert_eq!(b.factors(&users[5..6]), expected[5..6]);
+        assert!(b.factors(&[]).is_empty());
+    }
+
+    #[test]
+    fn batch_factors_fall_back_when_a_candidate_shares_a_factor() {
+        // Small prime factors make many first candidates non-units, so the product
+        // check fails and every user goes through `factor`.
+        let m = [3u64, 5, 7, 11, 13, 1_000_003]
+            .iter()
+            .fold(BigUint::one(), |acc, &p| acc.mul(&BigUint::from_u64(p)));
+        let b = MultiplicativeBlinder::new([8; 32], m.clone());
+        let users: Vec<u64> = (0..32).collect();
+        let expected: Vec<BigUint> = users.iter().map(|&u| b.factor(u)).collect();
+        assert!(users.iter().zip(&expected).any(|(&u, f)| b.candidate(u, 0).0 != *f));
+        assert!(expected.iter().all(|f| uldp_bigint::gcd(f, &m).is_one()));
+        assert_eq!(b.factors(&users), expected);
     }
 
     #[test]

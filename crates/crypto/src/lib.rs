@@ -14,7 +14,7 @@
 //!   compute weighted model deltas under encryption.
 //! * [`masking`] — pairwise additive masks in the finite field `F_n` (Bonawitz-style secure
 //!   aggregation) that cancel when all silos' contributions are summed by the server.
-//! * [`blinding`] — multiplicative blinding/unblinding in `F_n` used to hide the user
+//! * [`blinding`] — multiplicative blinding in `F_n` used to hide the user
 //!   histograms from the server while letting it compute modular inverses.
 //! * [`fixed_point`] — the `Encode`/`Decode` pair of Algorithm 5 mapping real-valued model
 //!   deltas to the finite field and back, including the `C_LCM` factor handling.

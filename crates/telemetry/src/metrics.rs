@@ -221,6 +221,12 @@ pub static PAILLIER_RERANDOMISE: Counter = Counter::new("crypto.paillier_rerando
 pub static PAILLIER_SCALAR_MUL: Counter = Counter::new("crypto.paillier_scalar_mul");
 /// Paillier decryptions (CRT and generic).
 pub static PAILLIER_DECRYPT: Counter = Counter::new("crypto.paillier_decrypt");
+/// Blinding-factor expansions: one SHA-256 candidate `r_u` per user, and one more per
+/// retry after a failed coprimality check (`MultiplicativeBlinder`).
+pub static BLIND_FACTOR: Counter = Counter::new("crypto.blind_factor");
+/// Coprimality `gcd`s of blinding factors: one per `MultiplicativeBlinder::factors`
+/// batch, one per `MultiplicativeBlinder::factor` candidate.
+pub static BLIND_COPRIMALITY_CHECK: Counter = Counter::new("crypto.blind_coprimality_check");
 /// Jobs executed by the worker pool.
 pub static POOL_JOBS: Counter = Counter::new("runtime.pool_jobs");
 /// Structured fault events emitted by the scenario engine.
@@ -238,7 +244,7 @@ pub static JOB_QUEUE_US: Histogram = Histogram::new("runtime.job_queue_wait_us")
 /// Pool job execution time.
 pub static JOB_EXEC_US: Histogram = Histogram::new("runtime.job_exec_us");
 
-static COUNTERS: [&Counter; 13] = [
+static COUNTERS: [&Counter; 15] = [
     &MONT_MUL,
     &MONT_SQR,
     &MODPOW_GENERIC,
@@ -249,6 +255,8 @@ static COUNTERS: [&Counter; 13] = [
     &PAILLIER_SCALAR_MUL,
     &PAILLIER_RERANDOMISE,
     &PAILLIER_DECRYPT,
+    &BLIND_FACTOR,
+    &BLIND_COPRIMALITY_CHECK,
     &POOL_JOBS,
     &FAULT_EVENTS,
     &LEDGER_ENTRIES,
@@ -350,6 +358,7 @@ mod tests {
         assert!(all_counters().iter().any(|c| c.name() == "bigint.mont_mul"));
         assert!(all_counters().iter().any(|c| c.name() == "bigint.multi_exp"));
         assert!(all_counters().iter().any(|c| c.name() == "crypto.paillier_rerandomise"));
+        assert!(all_counters().iter().any(|c| c.name() == "crypto.blind_coprimality_check"));
         assert!(all_counters().iter().any(|c| c.name() == "privacy.ledger_entries"));
         assert!(all_gauges().iter().any(|g| g.name() == "runtime.pool_occupancy"));
         assert!(all_histograms().iter().any(|h| h.name() == "runtime.job_exec_us"));
