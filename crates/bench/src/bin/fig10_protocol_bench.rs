@@ -9,8 +9,8 @@
 //!
 //! Every round is executed twice — on the pooled runtime (`ULDP_THREADS` / available
 //! parallelism) and on a 1-thread runtime — and the aggregates are asserted
-//! bitwise-identical; the table reports the pooled speedup next to the per-phase
-//! timings.
+//! bitwise-identical and within `1e-6` of the plaintext aggregate; the table reports
+//! the pooled speedup next to the per-phase timings.
 //!
 //! The Paillier key size defaults to 768 bits at quick scale and 3072 bits (the paper's
 //! security level) at full scale; the table reports the size actually used.
@@ -27,6 +27,10 @@ use uldp_datasets::heart_disease::{self, HeartDiseaseConfig};
 use uldp_datasets::tcga_brca::{self, TcgaBrcaConfig};
 use uldp_datasets::{Allocation, FederatedDataset};
 use uldp_runtime::Runtime;
+
+/// Largest deviation of a decrypted coordinate from the plaintext reference; each
+/// fixed-point term carries at most `precision = 1e-10` of rounding.
+const MAX_ERR: f64 = 1e-6;
 
 fn bench_scenario(
     name: &str,
@@ -73,6 +77,7 @@ fn bench_scenario(
     let reference = protocol.plaintext_reference(&deltas, &noises, None);
     let max_err =
         aggregate.iter().zip(reference.iter()).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
+    assert!(max_err <= MAX_ERR, "{name}: aggregate deviates from the plaintext one by {max_err:e}");
 
     let setup = protocol.setup_timings();
     let mut row = ResultRow::new(name);

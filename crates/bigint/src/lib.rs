@@ -12,8 +12,9 @@
 //!   negative (extended Euclid, fixed-point decoding).
 //! * [`modular`] — modular add/sub/mul/pow/inverse on [`BigUint`].
 //! * [`montgomery`] — the batched-exponentiation engine: [`montgomery::ModulusCtx`]
-//!   (CIOS Montgomery multiplication with cached per-modulus constants, sliding-window
-//!   `pow`, `mod_pow_batch`, interleaved `multi_exp`, simultaneous `batch_inv`) and
+//!   (CIOS Montgomery multiplication with cached per-modulus constants, one
+//!   sliding-window ladder behind `pow` and the interleaved `multi_exp_tables` over
+//!   reusable odd-power [`montgomery::WindowTable`]s, simultaneous `batch_inv`) and
 //!   [`montgomery::FixedBaseCtx`] (per-base radix-2ʷ tables for one-base/many-exponent
 //!   batches). Bitwise-identical to the schoolbook path.
 //! * [`prime`] — Miller–Rabin primality testing and random prime generation (sharing

@@ -9,10 +9,12 @@
 //! * [`ModulusCtx`] — per-modulus precomputation (the word inverse `n' = -n⁻¹ mod 2⁶⁴`
 //!   and `R² mod n` with `R = 2⁶⁴ˢ`), enabling CIOS Montgomery multiplication in which
 //!   every reduction is a word-by-word interleaved pass instead of a long division.
-//!   On top of it sit a sliding-window [`ModulusCtx::pow`],
-//!   [`ModulusCtx::mod_pow_batch`] for many `(base, exp)` pairs over one modulus, the
-//!   interleaved [`ModulusCtx::multi_exp`] for one product of many powers, and
-//!   [`ModulusCtx::batch_inv`] for many inverses at the cost of one.
+//!   On top of it sits one sliding-window ladder over odd-power [`WindowTable`]s: a
+//!   single exponentiation ([`ModulusCtx::pow`]) runs it with one freshly built table,
+//!   a product of many powers ([`ModulusCtx::multi_exp_tables`]) runs it once over
+//!   tables built once per base and shared by every product that base enters
+//!   ([`ModulusCtx::multi_exp`] builds them per call). [`ModulusCtx::batch_inv`] gives
+//!   many inverses at the cost of one.
 //! * [`FixedBaseCtx`] — per-base precomputation (a radix-2ʷ table of
 //!   `base^(j·2^(w·t))`), so a batch of exponentiations of one base needs no squarings
 //!   at all: each exponentiation is at most `⌈bits/w⌉` Montgomery multiplications.
@@ -26,6 +28,7 @@
 //! call sites in `uldp-crypto` keep their own tests against `mod_pow`.
 
 use crate::biguint::{BigUint, LIMB_BITS};
+use std::borrow::Borrow;
 
 /// An element of `Z_n` in Montgomery form (`a·R mod n`, fixed width of `n`'s limb count).
 ///
@@ -55,6 +58,20 @@ impl std::fmt::Debug for ModulusCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ModulusCtx").field("modulus_bits", &self.n.bit_length()).finish()
     }
+}
+
+/// The odd powers `b, b³, …, b^(2^w − 1)` of one base `b` in Montgomery form, stored
+/// back to back: the per-base table of the shared sliding-window ladder
+/// ([`ModulusCtx::window_table`], [`ModulusCtx::multi_exp_tables`]).
+///
+/// `2^(w−1)` entries of `|n|` bits each. Only meaningful together with the
+/// [`ModulusCtx`] that built it.
+#[derive(Clone, Debug)]
+pub struct WindowTable {
+    /// Window width `w` in bits.
+    window: usize,
+    /// Entry `k` (`b^(2k+1)`) occupies limbs `k·s .. (k+1)·s`.
+    limbs: Vec<u64>,
 }
 
 /// Below this many limbs [`ModulusCtx::mont_sqr`] uses the generic CIOS product of a
@@ -135,8 +152,13 @@ impl ModulusCtx {
 
     /// Montgomery product `a·b·R⁻¹ mod n`.
     pub fn mont_mul(&self, a: &MontElem, b: &MontElem) -> MontElem {
+        MontElem { limbs: self.mul_limbs(&a.limbs, &b.limbs) }
+    }
+
+    /// [`ModulusCtx::mont_mul`] on limb slices, counted the same way.
+    fn mul_limbs(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
         uldp_telemetry::metrics::MONT_MUL.inc();
-        MontElem { limbs: self.mont_mul_limbs(&a.limbs, &b.limbs) }
+        self.mont_mul_limbs(a, b)
     }
 
     /// Montgomery square `a·a·R⁻¹ mod n`, bitwise-identical to
@@ -366,44 +388,13 @@ impl ModulusCtx {
         t
     }
 
-    /// Montgomery-domain exponentiation by left-to-right sliding window.
+    /// Montgomery-domain exponentiation by left-to-right sliding window: the
+    /// single-term case of the shared ladder ([`ModulusCtx::multi_exp_tables`]) over a
+    /// table sized for this one exponent.
     pub fn pow_mont(&self, base: &MontElem, exp: &BigUint) -> MontElem {
         uldp_telemetry::metrics::MODPOW_WINDOW.inc();
-        let bits = exp.bit_length();
-        if bits == 0 {
-            return self.one();
-        }
-        let w = window_size(bits);
-        // Odd powers base^1, base^3, …, base^(2^w − 1).
-        let mut table = Vec::with_capacity(1 << (w - 1));
-        table.push(base.clone());
-        let base_sq = self.mont_sqr(base);
-        for i in 1..(1usize << (w - 1)) {
-            let next = self.mont_mul(&table[i - 1], &base_sq);
-            table.push(next);
-        }
-        let mut acc = self.one();
-        let mut i = bits as isize - 1;
-        while i >= 0 {
-            if !exp.bit(i as usize) {
-                acc = self.mont_sqr(&acc);
-                i -= 1;
-                continue;
-            }
-            // Find the longest window [l, i] of at most w bits ending in a set bit.
-            let mut l = (i - w as isize + 1).max(0);
-            while !exp.bit(l as usize) {
-                l += 1;
-            }
-            let mut value = 0usize;
-            for b in (l..=i).rev() {
-                acc = self.mont_sqr(&acc);
-                value = (value << 1) | usize::from(exp.bit(b as usize));
-            }
-            acc = self.mont_mul(&acc, &table[(value - 1) / 2]);
-            i = l - 1;
-        }
-        acc
+        let table = self.odd_powers(base, window_size(exp.bit_length()));
+        self.ladder(&[(&table, exp)])
     }
 
     /// `base^exp mod n` via Montgomery sliding-window exponentiation.
@@ -417,76 +408,106 @@ impl ModulusCtx {
         self.from_mont(&self.pow_mont(&self.to_mont(base), exp))
     }
 
-    /// Exponentiates every `(base, exp)` pair over this shared context.
+    /// Builds the odd-power table of `base` at window `w` ([`WindowTable`]): one
+    /// squaring and `2^(w−1) − 1` multiplications, none at `w = 1`. Built once, a table
+    /// serves any number of [`ModulusCtx::multi_exp_tables`] products.
     ///
-    /// The per-modulus precomputation is paid once for the whole batch. The method (like
-    /// every other on this type) takes `&self`, so callers that want parallelism can
-    /// split the slice across a worker pool and share one context.
-    pub fn mod_pow_batch(&self, pairs: &[(BigUint, BigUint)]) -> Vec<BigUint> {
-        pairs.iter().map(|(base, exp)| self.pow(base, exp)).collect()
+    /// # Panics
+    /// Panics unless `window ∈ 1..=16`.
+    pub fn window_table(&self, base: &BigUint, window: usize) -> WindowTable {
+        uldp_telemetry::metrics::WINDOW_TABLE.inc();
+        self.odd_powers(&self.to_mont(base), window)
     }
 
-    /// Interleaved (Shamir-trick) multi-exponentiation: `∏ baseᵢ^expᵢ mod n` with one
-    /// shared squaring ladder instead of one per base.
+    /// Interleaved sliding-window multi-exponentiation (Möller, *Algorithms for
+    /// multi-exponentiation*, SAC 2001): `∏ baseᵢ^expᵢ mod n` over prebuilt tables,
+    /// with one squaring ladder shared by every term.
     ///
-    /// A separate `pow` per base followed by a `mont_mul` chain pays
-    /// `k·⌈bits/w⌉` squarings for `k` pairs; here each fixed-width digit position costs
-    /// `w` squarings *total* plus at most one multiplication per base with a non-zero
-    /// digit — the squaring ladder is shared across all `k` bases. This is the shape of
-    /// Protocol 1 step 2.(b)'s per-cell `scalar_mul`-then-`add` chain.
+    /// Each exponent is split into sliding windows of at most its table's width, each
+    /// ending in a set bit. The ladder squares once per bit below the highest window
+    /// and multiplies once per window, by a reference into the table, so it converts,
+    /// copies and tabulates nothing per term. Terms may mix window widths.
     ///
     /// Montgomery arithmetic is exact, so the result is bitwise-identical to the unfused
-    /// `pow` + `mod_mul` product for every input. Pairs with a zero exponent contribute
-    /// the neutral element and are skipped; an empty slice yields `1`.
-    pub fn multi_exp(&self, pairs: &[(BigUint, BigUint)]) -> BigUint {
+    /// `pow` + `mod_mul` product for every input. Zero exponents contribute the neutral
+    /// element; an empty slice yields `1`.
+    pub fn multi_exp_tables<E: Borrow<BigUint>>(&self, terms: &[(&WindowTable, E)]) -> BigUint {
         uldp_telemetry::metrics::MULTI_EXP.inc();
-        let live: Vec<(MontElem, &BigUint)> = pairs
-            .iter()
-            .filter(|(_, exp)| !exp.is_zero())
-            .map(|(base, exp)| (self.to_mont(base), exp))
-            .collect();
-        let max_bits = live.iter().map(|(_, exp)| exp.bit_length()).max().unwrap_or(0);
-        if max_bits == 0 {
-            return BigUint::one();
-        }
-        let w = multi_exp_window(max_bits);
-        // Per-base table of base^1 … base^(2^w − 1): full (not odd-only) powers, so a
-        // digit is a single table lookup inside the shared ladder.
-        let tables: Vec<Vec<MontElem>> = live
-            .iter()
-            .map(|(base, _)| {
-                let mut row = Vec::with_capacity((1 << w) - 1);
-                row.push(base.clone());
-                for j in 1..((1usize << w) - 1) {
-                    let next = self.mont_mul(&row[j - 1], base);
-                    row.push(next);
-                }
-                row
-            })
-            .collect();
-        let mut acc = self.one();
-        let mut started = false;
-        for d in (0..max_bits.div_ceil(w)).rev() {
-            if started {
-                for _ in 0..w {
-                    acc = self.mont_sqr(&acc);
-                }
-            }
-            for (k, (_, exp)) in live.iter().enumerate() {
-                let mut digit = 0usize;
-                for b in 0..w {
-                    let bit = d * w + b;
-                    if bit < max_bits && exp.bit(bit) {
-                        digit |= 1 << b;
-                    }
-                }
-                if digit != 0 {
-                    acc = self.mont_mul(&acc, &tables[k][digit - 1]);
-                    started = true;
-                }
+        self.from_mont(&self.ladder(terms))
+    }
+
+    /// `∏ baseᵢ^expᵢ mod n` in one call: builds one table per base with a non-zero
+    /// exponent at the window [`multi_exp_window`] picks for the longest exponent, then
+    /// runs [`ModulusCtx::multi_exp_tables`]. Callers that raise the same bases in many
+    /// products build the tables once themselves instead.
+    pub fn multi_exp(&self, pairs: &[(BigUint, BigUint)]) -> BigUint {
+        let max_bits = pairs.iter().map(|(_, exp)| exp.bit_length()).max().unwrap_or(0);
+        let window = multi_exp_window(max_bits);
+        let live: Vec<&(BigUint, BigUint)> = pairs.iter().filter(|(_, e)| !e.is_zero()).collect();
+        let tables: Vec<WindowTable> =
+            live.iter().map(|(base, _)| self.window_table(base, window)).collect();
+        let terms: Vec<(&WindowTable, &BigUint)> =
+            tables.iter().zip(live).map(|(table, (_, exp))| (table, exp)).collect();
+        self.multi_exp_tables(&terms)
+    }
+
+    /// The odd powers `base^1, base^3, …, base^(2^w − 1)`, back to back.
+    fn odd_powers(&self, base: &MontElem, window: usize) -> WindowTable {
+        assert!((1..=16).contains(&window), "window must be in 1..=16");
+        let s = self.n_limbs.len();
+        let mut limbs = Vec::with_capacity(s << (window - 1));
+        limbs.extend_from_slice(&base.limbs);
+        if window > 1 {
+            let square = self.mont_sqr(base);
+            for k in 1..(1usize << (window - 1)) {
+                let next = self.mul_limbs(&limbs[(k - 1) * s..k * s], &square.limbs);
+                limbs.extend_from_slice(&next);
             }
         }
-        self.from_mont(&acc)
+        WindowTable { window, limbs }
+    }
+
+    /// The shared ladder behind [`ModulusCtx::pow_mont`] and
+    /// [`ModulusCtx::multi_exp_tables`], in Montgomery form.
+    fn ladder<E: Borrow<BigUint>>(&self, terms: &[(&WindowTable, E)]) -> MontElem {
+        let s = self.n_limbs.len();
+        // Every term's windows as (lowest bit, table entry), scanned from the top.
+        let mut windows: Vec<(usize, &[u64])> = Vec::new();
+        for (table, exp) in terms {
+            let exp = exp.borrow();
+            let mut i = exp.bit_length();
+            while i > 0 {
+                if !exp.bit(i - 1) {
+                    i -= 1;
+                    continue;
+                }
+                // The longest window [low, i − 1] of at most w bits ending in a set bit.
+                let mut low = i.saturating_sub(table.window);
+                while !exp.bit(low) {
+                    low += 1;
+                }
+                let value = (low..i).rev().fold(0, |v, b| (v << 1) | usize::from(exp.bit(b)));
+                let k = value >> 1;
+                windows.push((low, &table.limbs[k * s..(k + 1) * s]));
+                i = low;
+            }
+        }
+        // Highest window first; the sort is stable and the product exact, so equal
+        // positions only fix the order of the multiplications.
+        windows.sort_by_key(|&(low, _)| std::cmp::Reverse(low));
+        let Some((&(mut bit, first), rest)) = windows.split_first() else { return self.one() };
+        let mut acc = MontElem { limbs: first.to_vec() };
+        for &(low, entry) in rest {
+            for _ in low..bit {
+                acc = self.mont_sqr(&acc);
+            }
+            acc = MontElem { limbs: self.mul_limbs(&acc.limbs, entry) };
+            bit = low;
+        }
+        for _ in 0..bit {
+            acc = self.mont_sqr(&acc);
+        }
+        acc
     }
 
     /// Inverts every value modulo `n` with one [`crate::modular::mod_inv`]
@@ -601,11 +622,6 @@ impl FixedBaseCtx {
         FixedBaseCtx { ctx, window, max_bits, table, base: base_m }
     }
 
-    /// The shared modulus context the table was built over.
-    pub fn modulus_ctx(&self) -> &ModulusCtx {
-        &self.ctx
-    }
-
     /// `base^exp mod n`, bitwise-identical to [`crate::modular::mod_pow`].
     pub fn pow(&self, exp: &BigUint) -> BigUint {
         let bits = exp.bit_length();
@@ -647,14 +663,18 @@ fn window_size(bits: usize) -> usize {
     }
 }
 
-/// Digit width of the interleaved multi-exponentiation ladder. The per-base table has
-/// `2^w − 1` entries and every base pays its construction, so the crossover sits lower
-/// than the single-base sliding window's.
-fn multi_exp_window(max_bits: usize) -> usize {
+/// Window width of the shared multi-exponentiation ladder for exponents of at most
+/// `max_bits` bits. A [`WindowTable`] holds `2^(w−1)` odd powers and serves every
+/// product its base enters, so its build is amortised and the width runs one step
+/// wider than the single-exponent [`ModulusCtx::pow`] rule from 25 bits up: each step
+/// cuts the multiplications per term from about `bits/(w+1)` to `bits/(w+2)` and doubles
+/// the table. Protocol 1's ≈35–40-bit cell exponents take `w = 4`.
+pub fn multi_exp_window(max_bits: usize) -> usize {
     match max_bits {
-        0..=32 => 2,
-        33..=256 => 3,
-        257..=768 => 4,
+        0..=8 => 1,
+        9..=24 => 2,
+        25..=32 => 3,
+        33..=239 => 4,
         _ => 5,
     }
 }
@@ -865,22 +885,6 @@ mod tests {
     }
 
     #[test]
-    fn mod_pow_batch_matches_pointwise() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let modulus = n(0xFFFF_FFFF_FFFF_FFC5); // largest 64-bit prime
-        let ctx = ModulusCtx::new(&modulus);
-        let pairs: Vec<(BigUint, BigUint)> = (0..16)
-            .map(|_| {
-                (BigUint::random_below(&mut rng, &modulus), BigUint::random_with_bits(&mut rng, 64))
-            })
-            .collect();
-        let batch = ctx.mod_pow_batch(&pairs);
-        for (out, (base, exp)) in batch.iter().zip(pairs.iter()) {
-            assert_eq!(out, &mod_pow(base, exp, &modulus));
-        }
-    }
-
-    #[test]
     fn multi_exp_matches_unfused_chain() {
         let mut rng = StdRng::seed_from_u64(5);
         for bits in [64usize, 192, 512] {
@@ -919,6 +923,28 @@ mod tests {
         // Zero base annihilates, bases ≥ n are reduced.
         assert_eq!(ctx.multi_exp(&[(BigUint::zero(), n(3)), (n(7), n(2))]), BigUint::zero());
         assert_eq!(ctx.multi_exp(&[(n(1_000_004), n(2))]), BigUint::one());
+    }
+
+    #[test]
+    fn multi_exp_tables_edge_cases() {
+        let ctx = ModulusCtx::new(&n(1_000_003));
+        let (seven, big) = (ctx.window_table(&n(7), 3), ctx.window_table(&n(1_000_004), 1));
+        let zero = ctx.window_table(&BigUint::zero(), 2);
+        // Empty products and zero exponents are the neutral element.
+        assert_eq!(ctx.multi_exp_tables::<BigUint>(&[]), BigUint::one());
+        assert_eq!(ctx.multi_exp_tables(&[(&seven, BigUint::zero())]), BigUint::one());
+        // One table serves many products; widths mix; bases ≥ n were reduced.
+        assert_eq!(ctx.multi_exp_tables(&[(&seven, n(2)), (&big, n(5))]), n(49));
+        assert_eq!(ctx.multi_exp_tables(&[(&seven, n(13))]), mod_pow(&n(7), &n(13), &n(1_000_003)));
+        // A zero base annihilates unless its exponent is zero.
+        assert_eq!(ctx.multi_exp_tables(&[(&zero, n(3)), (&seven, n(2))]), BigUint::zero());
+        assert_eq!(ctx.multi_exp_tables(&[(&zero, BigUint::zero()), (&seven, n(2))]), n(49));
+    }
+
+    #[test]
+    #[should_panic(expected = "window must be in 1..=16")]
+    fn window_table_rejects_zero_width() {
+        let _ = ModulusCtx::new(&n(1_000_003)).window_table(&n(7), 0);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property tests pinning the Montgomery engine to the schoolbook reference.
 //!
-//! Over random odd moduli up to 2048 bits, `ModulusCtx::pow`, `mod_pow_batch` and
-//! `FixedBaseCtx::pow` must agree bit for bit with `modular::mod_pow` — this is the
+//! Over random odd moduli up to 2048 bits, `ModulusCtx::pow`, `FixedBaseCtx::pow` and
+//! the shared multi-exponentiation ladder (`ModulusCtx::multi_exp`, and
+//! `ModulusCtx::multi_exp_tables` over reused `WindowTable`s) must agree bit for bit
+//! with `modular::mod_pow` and its unfused `mod_mul` chain — this is the
 //! invariant that makes the engine a drop-in for the Paillier/DH/Miller–Rabin call
 //! sites without perturbing any ciphertext or key. Edge cases (exponent zero, base
 //! larger than the modulus, modulus-one rejection) ride along as unit tests.
@@ -9,7 +11,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use uldp_bigint::modular::mod_pow;
-use uldp_bigint::montgomery::{FixedBaseCtx, ModulusCtx};
+use uldp_bigint::montgomery::{FixedBaseCtx, ModulusCtx, WindowTable};
 use uldp_bigint::BigUint;
 
 /// Builds an odd modulus `> 1` from arbitrary limbs (up to 2048 bits).
@@ -39,24 +41,6 @@ proptest! {
         let exp = BigUint::from_limbs(exp_limbs);
         let ctx = ModulusCtx::new(&n);
         prop_assert_eq!(ctx.pow(&base, &exp), mod_pow(&base, &exp, &n));
-    }
-
-    #[test]
-    fn mod_pow_batch_matches_schoolbook(
-        mod_limbs in prop::collection::vec(any::<u64>(), 1..16),
-        pair_seeds in prop::collection::vec((any::<u64>(), any::<u64>()), 1..8),
-    ) {
-        let n = odd_modulus(&mod_limbs);
-        let ctx = ModulusCtx::new(&n);
-        let pairs: Vec<(BigUint, BigUint)> = pair_seeds
-            .iter()
-            .map(|&(b, e)| (BigUint::from_u64(b), BigUint::from_u64(e)))
-            .collect();
-        let batch = ctx.mod_pow_batch(&pairs);
-        prop_assert_eq!(batch.len(), pairs.len());
-        for (out, (base, exp)) in batch.iter().zip(pairs.iter()) {
-            prop_assert_eq!(out, &mod_pow(base, exp, &n));
-        }
     }
 
     #[test]
@@ -95,6 +79,36 @@ proptest! {
             unfused = uldp_bigint::modular::mod_mul(&unfused, &mod_pow(base, exp, &n), &n);
         }
         prop_assert_eq!(ctx.multi_exp(&pairs), unfused);
+    }
+
+    #[test]
+    fn shared_tables_match_unfused_chain(
+        mod_limbs in prop::collection::vec(any::<u64>(), 1..=32),
+        base_limbs in prop::collection::vec(prop::collection::vec(any::<u64>(), 1..=33), 1..5),
+        windows in prop::collection::vec(1usize..=6, 4),
+        exp_rows in prop::collection::vec(
+            prop::collection::vec(prop::collection::vec(any::<u64>(), 0..4), 4),
+            1..4,
+        ),
+    ) {
+        // One table set, built once (window widths 1..=6, mixed across bases), serves
+        // several exponent vectors. Each row gives every base an exponent of 0 to 3 limbs:
+        // zero exponents and unequal lengths ride along, and one base is the plain pow.
+        let n = odd_modulus(&mod_limbs);
+        let ctx = ModulusCtx::new(&n);
+        let bases: Vec<BigUint> = base_limbs.into_iter().map(BigUint::from_limbs).collect();
+        let tables: Vec<WindowTable> =
+            bases.iter().zip(&windows).map(|(b, &w)| ctx.window_table(b, w)).collect();
+        for row in &exp_rows {
+            let exps: Vec<BigUint> =
+                row.iter().take(bases.len()).map(|e| BigUint::from_limbs(e.clone())).collect();
+            let mut unfused = BigUint::one().rem(&n);
+            for (base, exp) in bases.iter().zip(&exps) {
+                unfused = uldp_bigint::modular::mod_mul(&unfused, &mod_pow(base, exp, &n), &n);
+            }
+            let terms: Vec<(&WindowTable, &BigUint)> = tables.iter().zip(&exps).collect();
+            prop_assert_eq!(ctx.multi_exp_tables(&terms), unfused);
+        }
     }
 
     #[test]

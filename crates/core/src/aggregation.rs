@@ -2,10 +2,11 @@
 //!
 //! The paper assumes every aggregation is performed with secure aggregation so that the
 //! server only ever sees the *sum* of the silo contributions (plus the DP noise each silo
-//! added locally). Because the sum is numerically identical whether or not masks are
-//! applied, the trainer uses the plaintext sum for speed; [`SecureAggregationSim::masked_sum`] implements the
-//! masked path over the fixed-point field and is verified against the plaintext sum in
-//! tests and used by the full private weighting protocol ([`crate::protocol`]).
+//! added locally). The trainer uses the plaintext sum, the numerically identical ideal
+//! functionality. [`SecureAggregationSim::masked_sum`] implements the masked path over
+//! the fixed-point field and is verified against the plaintext sum in its own tests; no
+//! other code calls it. Protocol 1 ([`crate::protocol`]) masks nothing either: its
+//! server sums the silos' values directly (ROADMAP.md, item G).
 
 use rand::Rng;
 use uldp_bigint::modular::mod_add;

@@ -7,9 +7,9 @@
 //! 1. **Multiplicative blinding** — silos share a random seed `R` (unknown to the server)
 //!    and blind their histograms as `B(n_{s,u}) = r_u · n_{s,u} mod n`; the server can sum
 //!    and invert blinded totals but learns nothing about the underlying counts.
-//! 2. **Secure aggregation** — pairwise additive masks derived from Diffie–Hellman shared
-//!    seeds hide the individual blinded histograms (and later the per-silo encrypted model
-//!    deltas) so the server only ever sees sums.
+//! 2. **Secure aggregation** — in the paper, pairwise masks from Diffie–Hellman seeds hide
+//!    each silo's blinded histogram and encrypted cells. Here setup derives the seeds but
+//!    masks nothing: the server sums the silos' values directly (ROADMAP.md, item G).
 //! 3. **Paillier encryption** — the server returns `Enc_p(B_inv(N_u))` to the silos, which
 //!    then compute the weighted, clipped model deltas *under encryption*
 //!    (scalar-multiplying by `Encode(Δ̃) · n_{s,u} · r_u · C_LCM`), cancelling the blinding
@@ -68,13 +68,15 @@
 //! step 2.(c) decrypts by CRT over `p²`/`q²` contexts. Step 2.(b) splits its exponent:
 //! the full-width blinding part `f_u = r_u·C_LCM mod n` is raised once per user and
 //! round, `b_u = c_u^{f_u} mod n²`, with all the `b_u⁻¹` from one batch inversion
-//! (`ModulusCtx::batch_inv`). Each cell is then one interleaved multi-exponentiation
-//! (`ModulusCtx::multi_exp`) `∏_u b_u^{n_su·x}` for `Encode(δ) = x ≤ n/2` and
-//! `(b_u⁻¹)^{n_su·(n−x)}` otherwise, whose exponents have about
-//! `log₂(N_max·C/P) + 1` bits (≈ 40 at the defaults) instead of `|n|`. Both forms
-//! encode `B_inv(N_u)·f_u·n_su·x mod n`, the plaintext of the unsplit
-//! `c_u^{x·n_su·f_u mod n}`. The tests pin every round's aggregate bit for bit to an
-//! exact `BigUint` reference of what the ciphertexts encode.
+//! (`ModulusCtx::batch_inv`), and each of `b_u`, `b_u⁻¹` gets one odd-power window
+//! table per round (`ModulusCtx::window_table`), built on the pool and shared by every
+//! silo and cell. Each cell is then one pass of the shared sliding-window ladder
+//! (`ModulusCtx::multi_exp_tables`) over references into those tables:
+//! `∏_u b_u^{n_su·x}` for `Encode(δ) = x ≤ n/2` and `(b_u⁻¹)^{n_su·(n−x)}` otherwise,
+//! whose exponents have about `log₂(N_max·C/P) + 1` bits (≈ 40 at the defaults, window
+//! `w = 4`) instead of `|n|`. Both forms encode `B_inv(N_u)·f_u·n_su·x mod n`, the
+//! plaintext of the unsplit `c_u^{x·n_su·f_u mod n}`. The tests pin every round's
+//! aggregate bit for bit to an exact `BigUint` reference of what the ciphertexts encode.
 //!
 //! ## Output randomness
 //!
@@ -100,9 +102,9 @@
 //! squaring-free fixed-base lookup per user). Mask flips and silo dropouts invalidate
 //! exactly the affected users' entries; [`ProtocolConfig::fresh_encrypt`] bypasses the
 //! cache, and oblivious rounds, which encrypt every OT slot afresh, never read it. Step
-//! 2.(b) sees only the received ciphertexts: its per-user powers `b_u` and their
-//! inverses are rebuilt from them every round and dropped with it, so cached and fresh
-//! rounds share one step 2.(b) and decrypt to the same bits.
+//! 2.(b) sees only the received ciphertexts: its per-user tables of `b_u` and `b_u⁻¹`
+//! are rebuilt from them every round and dropped with it, so cached and fresh rounds
+//! share one step 2.(b) and decrypt to the same bits.
 //!
 //! ## Population scaling
 //!
@@ -126,6 +128,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use uldp_bigint::modular::{mod_add, mod_mul};
+use uldp_bigint::montgomery::{multi_exp_window, WindowTable};
 use uldp_bigint::BigUint;
 use uldp_crypto::dh::{DhGroup, DhKeyPair};
 use uldp_crypto::masking::MaskSeed;
@@ -258,7 +261,8 @@ impl ProtocolConfig {
 pub struct ProtocolTimings {
     /// Paillier + Diffie–Hellman key generation and pairwise seed agreement (steps a–c).
     pub key_exchange: Duration,
-    /// Blinded-histogram construction, masking and aggregation (steps d–e).
+    /// Blinded-histogram construction and summation (steps d–e); no pairwise mask is
+    /// applied (ROADMAP.md, item G).
     pub histogram_blinding: Duration,
     /// Modular inversion of the blinded totals on the server (step f).
     pub inverse_computation: Duration,
@@ -420,12 +424,12 @@ struct SiloView {
 }
 
 /// What a silo derives in one round from the ids and ciphertexts the server sent and
-/// from `R` alone: each participating user's power `b_u = c_u^{r_u·C_LCM mod n} mod n²`
-/// and its inverse mod `n²`. Every silo derives the same values, so the protocol builds
-/// them once per round and shares them across silos.
+/// from `R` alone: each participating user's odd-power window tables of
+/// `b_u = c_u^{r_u·C_LCM mod n} mod n²` and of its inverse mod `n²`. Every silo derives
+/// the same tables, so the protocol builds them once per round and shares them.
 struct Received {
-    /// `(b_u, b_u⁻¹)` per active position; `None` for users no silo weighs this round.
-    bases: Vec<Option<(BigUint, BigUint)>>,
+    /// `[b_u, b_u⁻¹]` tables per active position; `None` unless a surviving silo weighs u.
+    tables: Vec<Option<[WindowTable; 2]>>,
 }
 
 impl Server {
@@ -580,31 +584,48 @@ impl Server {
 
 impl Received {
     /// Builds the round's shared silo-side state from the ids and ciphertexts the server
-    /// sent: one full-width power per active position `i` with `used[i]` (some silo
-    /// weighs that user this round), then one batch inversion of all of them.
+    /// sent: one full-width power for each user some surviving silo weighs, one batch
+    /// inversion of all of them, then their two tables at the window [`multi_exp_window`]
+    /// picks for the round's longest cell exponent `n_su·|Encode(δ_suj)|`. The window
+    /// only sets speed, never bits; a deployed silo would size it from its own cells.
     fn new(
         rt: &Runtime,
-        silo: &SiloView,
+        silos: &[SiloView],
         active: &[u32],
         ciphertexts: &[Ciphertext],
-        used: &[bool],
+        participants: &[Vec<(usize, usize)>],
+        clipped_deltas: &[Vec<Vec<f64>>],
     ) -> Self {
         debug_assert_eq!(active.len(), ciphertexts.len());
-        let Public { key, c_lcm, .. } = &*silo.public;
+        let Public { key, codec, c_lcm } = &*silos[0].public;
+        let (mut used, mut largest) = (vec![false; active.len()], 0u128);
+        for ((silo, participants), deltas) in silos.iter().zip(participants).zip(clipped_deltas) {
+            for &(i, u) in participants {
+                used[i] = true;
+                let n_su = silo.histogram[u] as u128;
+                // `(|δ|/P).round()` is exactly `Encode`'s magnitude.
+                for d in &deltas[u] {
+                    let magnitude = (d.abs() / codec.precision()).round() as u128;
+                    largest = largest.max(n_su.saturating_mul(magnitude));
+                }
+            }
+        }
         let positions: Vec<usize> = (0..active.len()).filter(|&i| used[i]).collect();
         let users: Vec<u64> = positions.iter().map(|&i| active[i] as u64).collect();
-        let factors = silo.blinder.factors(&users);
+        let factors = silos[0].blinder.factors(&users);
         let powers = rt.par_map(&positions, |k, &i| {
             let f = mod_mul(&factors[k], c_lcm, &key.n);
             key.ctx_n2().pow(&ciphertexts[i].0, &f)
         });
         let inverses = key.ctx_n2().batch_inv(&powers);
-        let mut bases = vec![None; active.len()];
-        for ((i, power), inverse) in positions.into_iter().zip(powers).zip(inverses) {
-            let inverse = inverse.expect("a Paillier ciphertext is a unit mod n²");
-            bases[i] = Some((power, inverse));
-        }
-        Received { bases }
+        let window = multi_exp_window((u128::BITS - largest.leading_zeros()) as usize);
+        let mut built = rt
+            .par_map(&positions, |k, _| {
+                let inverse = inverses[k].as_ref().expect("a Paillier ciphertext is a unit mod n²");
+                [&powers[k], inverse].map(|base| key.ctx_n2().window_table(base, window))
+            })
+            .into_iter();
+        Received { tables: used.iter().map(|&u| if u { built.next() } else { None }).collect() }
     }
 }
 
@@ -643,10 +664,10 @@ impl SiloView {
     }
 
     /// `∏_u b_u^{n_su·x} · Enc(Encode(z_sj)·C_LCM)` with `x = Encode(δ_suj)`, taking
-    /// `(b_u⁻¹)^{n_su·(n−x)}` for `x > n/2`: one multi-exponentiation over short
-    /// exponents, computed from this silo's view, what it received and its own deltas
-    /// and noise. Each term is one Paillier `scalar_mul`, the protocol's dominant cost
-    /// (Figures 10–11).
+    /// `(b_u⁻¹)^{n_su·(n−x)}` for `x > n/2`: one pass of the shared ladder over the
+    /// round's window tables ([`Received`]) and short exponents, computed from this
+    /// silo's view, what it received and its own deltas and noise. Each term is one
+    /// Paillier `scalar_mul`, the protocol's dominant cost (Figures 10–11).
     fn bare_cell(
         &self,
         received: &Received,
@@ -657,21 +678,21 @@ impl SiloView {
     ) -> Ciphertext {
         let Public { key, codec, c_lcm } = &*self.public;
         let half = key.n.shr_bits(1);
-        let terms: Vec<(BigUint, BigUint)> = participants
+        let terms: Vec<(&WindowTable, BigUint)> = participants
             .iter()
             .map(|&(i, u)| {
-                let (power, inverse) = received.bases[i].as_ref().expect("participant base");
+                let [power, inverse] = received.tables[i].as_ref().expect("participant table");
                 let n_su = BigUint::from_u64(self.histogram[u]);
                 let x = codec.encode(deltas[u][j]);
                 if x <= half {
-                    (power.clone(), n_su.mul(&x))
+                    (power, n_su.mul(&x))
                 } else {
-                    (inverse.clone(), n_su.mul(&key.n.sub(&x)))
+                    (inverse, n_su.mul(&key.n.sub(&x)))
                 }
             })
             .collect();
         metrics::PAILLIER_SCALAR_MUL.add(terms.len() as u64);
-        let product = Ciphertext(key.ctx_n2().multi_exp(&terms));
+        let product = Ciphertext(key.ctx_n2().multi_exp_tables(&terms));
         key.add_plain(&product, &mod_mul(&codec.encode(noise), c_lcm, &key.n))
     }
 }
@@ -991,21 +1012,16 @@ impl PrivateWeightingProtocol {
 
         let (dropped, delay) = self.draw_faults(round);
 
-        // --- Step 2.(b) and the secure aggregation of the silos' reports. The pairwise
-        // additive masks cancel in the sum exactly as in step 1.(e); the decrypted
-        // aggregate is therefore the same with or without them.
+        // --- Step 2.(b), then the server's sum of the surviving silos' cells. No
+        // pairwise mask is applied: the server sums the cells themselves, an ideal
+        // secure aggregation (see ROADMAP.md, item G). A dropped silo weighs nobody.
         let silo_span = trace::timed_span("protocol", "silo_weighting");
-        let participants: Vec<Vec<(usize, usize)>> = self
-            .silos
-            .iter()
-            .zip(clipped_deltas)
-            .map(|(silo, deltas)| silo.participants(&active, deltas))
+        let participants: Vec<Vec<(usize, usize)>> = (self.silos.iter().zip(clipped_deltas))
+            .zip(&dropped)
+            .map(|((silo, deltas), &d)| if d { vec![] } else { silo.participants(&active, deltas) })
             .collect();
-        let mut used = vec![false; active.len()];
-        for &(i, _) in participants.iter().flatten() {
-            used[i] = true;
-        }
-        let received = Received::new(rt, &self.silos[0], &active, &ciphertexts, &used);
+        let received =
+            Received::new(rt, &self.silos, &active, &ciphertexts, &participants, clipped_deltas);
         let totals = self.fold_cells(dim, |s, j| {
             // A dropped silo's report never reaches the server: neither its weighted
             // deltas nor its noise enter the per-coordinate total.
@@ -1895,16 +1911,20 @@ mod tests {
         let (deltas, noises) = deltas_and_noise(&histogram, 4, 112);
         let rt = protocol.runtime();
         let (active, cts) = protocol.server.encrypt_inverses(rt, None, &mut rng);
-        let used = vec![true; active.len()];
-        let received = Received::new(rt, &protocol.silos[0], &active, &cts, &used);
+        let participants: Vec<Vec<(usize, usize)>> = protocol
+            .silos
+            .iter()
+            .zip(&deltas)
+            .map(|(silo, d)| silo.participants(&active, d))
+            .collect();
+        let received = Received::new(rt, &protocol.silos, &active, &cts, &participants, &deltas);
         let Public { key, codec, c_lcm } = &*protocol.server.public;
         let (n, n2) = (&key.n, &key.n_squared);
         let mut negative_terms = 0;
-        for (s, silo) in protocol.silos.iter().enumerate() {
-            let participants = silo.participants(&active, &deltas[s]);
+        for ((s, silo), participants) in protocol.silos.iter().enumerate().zip(&participants) {
             for j in 0..4 {
                 let mut rebuilt = BigUint::one();
-                for &(i, u) in &participants {
+                for &(i, u) in participants {
                     let f = mod_mul(&silo.blinder.factor(u as u64), c_lcm, n);
                     let b = mod_pow(&cts[i].0, &f, n2);
                     let n_su = BigUint::from_u64(silo.histogram[u]);
@@ -1920,18 +1940,17 @@ mod tests {
                 }
                 let noise = mod_mul(&codec.encode(noises[s][j]), c_lcm, n);
                 let rebuilt = key.add_plain(&Ciphertext(rebuilt), &noise);
-                let bare = silo.bare_cell(&received, &participants, &deltas[s], noises[s][j], j);
+                let bare = silo.bare_cell(&received, participants, &deltas[s], noises[s][j], j);
                 assert_eq!(bare, rebuilt, "silo {s} coordinate {j}: bare cell");
-                let sent =
-                    silo.weigh_cell(&received, &participants, &deltas[s], noises[s][j], 0, j);
+                let sent = silo.weigh_cell(&received, participants, &deltas[s], noises[s][j], 0, j);
                 assert_ne!(sent, bare, "silo {s} coordinate {j}: the sent cell is re-randomised");
                 let secret = &protocol.server.secret;
                 assert_eq!(secret.decrypt(&sent), secret.decrypt(&bare));
                 let again =
-                    silo.weigh_cell(&received, &participants, &deltas[s], noises[s][j], 0, j);
+                    silo.weigh_cell(&received, participants, &deltas[s], noises[s][j], 0, j);
                 assert_eq!(sent, again, "the output stream is deterministic");
                 let next_round =
-                    silo.weigh_cell(&received, &participants, &deltas[s], noises[s][j], 1, j);
+                    silo.weigh_cell(&received, participants, &deltas[s], noises[s][j], 1, j);
                 assert_ne!(sent, next_round, "every round draws fresh output randomness");
             }
         }

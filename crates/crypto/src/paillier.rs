@@ -351,24 +351,20 @@ impl PaillierSecretKey {
     /// per-item [`PaillierSecretKey::decrypt`] at any thread count.
     ///
     /// The CRT contexts for `p²`/`q²` are hoisted once for the whole batch and each
-    /// pooled chunk routes its half-width exponentiations through
-    /// [`ModulusCtx::mod_pow_batch`] over the shared contexts, so a multi-round caller
-    /// never re-derives per-round state. The chunk grid depends only on the batch
-    /// length, never the pool size.
+    /// pooled chunk runs its half-width exponentiations ([`ModulusCtx::pow`]) over the
+    /// shared contexts, so a multi-round caller never re-derives per-round state. The
+    /// chunk grid depends only on the batch length, never the pool size.
     pub fn decrypt_batch(&self, rt: &Runtime, items: &[Ciphertext]) -> Vec<BigUint> {
         uldp_telemetry::metrics::PAILLIER_DECRYPT.add(items.len() as u64);
         let ctx_p2 = Arc::clone(self.ctx_p2());
         let ctx_q2 = Arc::clone(self.ctx_q2());
         let chunks = uldp_runtime::fold_chunk_ranges(items.len(), DECRYPT_BATCH_CHUNK);
         let decrypted: Vec<Vec<BigUint>> = rt.par_map(&chunks, |_, range| {
-            let pairs = |sq: &BigUint, exp: &BigUint| -> Vec<(BigUint, BigUint)> {
-                range.clone().map(|i| (items[i].0.rem(sq), exp.clone())).collect()
-            };
-            let xs_p = ctx_p2.mod_pow_batch(&pairs(&self.p_squared, &self.exp_p));
-            let xs_q = ctx_q2.mod_pow_batch(&pairs(&self.q_squared, &self.exp_q));
-            xs_p.into_iter()
-                .zip(xs_q)
-                .map(|(x_p, x_q)| {
+            range
+                .clone()
+                .map(|i| {
+                    let x_p = ctx_p2.pow(&items[i].0.rem(&self.p_squared), &self.exp_p);
+                    let x_q = ctx_q2.pow(&items[i].0.rem(&self.q_squared), &self.exp_q);
                     let diff = mod_sub(&x_q, &x_p.rem(&self.q_squared), &self.q_squared);
                     let h = mod_mul(&diff, &self.p2_inv_mod_q2, &self.q_squared);
                     let x = x_p.add(&self.p_squared.mul(&h));

@@ -211,8 +211,11 @@ pub static MODPOW_GENERIC: Counter = Counter::new("bigint.mod_pow_generic");
 pub static MODPOW_WINDOW: Counter = Counter::new("bigint.mod_pow_window");
 /// Fixed-base table exponentiations (`FixedBaseCtx::pow`).
 pub static MODPOW_FIXED_BASE: Counter = Counter::new("bigint.mod_pow_fixed_base");
-/// Interleaved multi-exponentiations (`ModulusCtx::multi_exp`, incl. batch members).
+/// Interleaved multi-exponentiations (`ModulusCtx::multi_exp_tables`, which
+/// `ModulusCtx::multi_exp` runs once per call).
 pub static MULTI_EXP: Counter = Counter::new("bigint.multi_exp");
+/// Odd-power window tables built for the shared ladder (`ModulusCtx::window_table`).
+pub static WINDOW_TABLE: Counter = Counter::new("bigint.window_table");
 /// Paillier encryptions (`encrypt` / `encrypt_with_randomness`, incl. batch members).
 pub static PAILLIER_ENCRYPT: Counter = Counter::new("crypto.paillier_encrypt");
 /// Paillier ciphertext re-randomisations (all `rerandomise*` variants).
@@ -244,13 +247,14 @@ pub static JOB_QUEUE_US: Histogram = Histogram::new("runtime.job_queue_wait_us")
 /// Pool job execution time.
 pub static JOB_EXEC_US: Histogram = Histogram::new("runtime.job_exec_us");
 
-static COUNTERS: [&Counter; 15] = [
+static COUNTERS: [&Counter; 16] = [
     &MONT_MUL,
     &MONT_SQR,
     &MODPOW_GENERIC,
     &MODPOW_WINDOW,
     &MODPOW_FIXED_BASE,
     &MULTI_EXP,
+    &WINDOW_TABLE,
     &PAILLIER_ENCRYPT,
     &PAILLIER_SCALAR_MUL,
     &PAILLIER_RERANDOMISE,
@@ -357,6 +361,7 @@ mod tests {
     fn registry_covers_workspace_metrics() {
         assert!(all_counters().iter().any(|c| c.name() == "bigint.mont_mul"));
         assert!(all_counters().iter().any(|c| c.name() == "bigint.multi_exp"));
+        assert!(all_counters().iter().any(|c| c.name() == "bigint.window_table"));
         assert!(all_counters().iter().any(|c| c.name() == "crypto.paillier_rerandomise"));
         assert!(all_counters().iter().any(|c| c.name() == "crypto.blind_coprimality_check"));
         assert!(all_counters().iter().any(|c| c.name() == "privacy.ledger_entries"));

@@ -1,4 +1,4 @@
-//! Exact operation counts of a fresh and a cached Protocol 1 round.
+//! Exact operation counts of fresh, cached and faulted Protocol 1 rounds.
 //!
 //! Round 1 freshly encrypts every user's blinded inverse; the cached round after it
 //! encrypts nothing and re-randomises every user from the server's cache, one
@@ -6,42 +6,60 @@
 //!
 //! Step 2.(b) is the silos' work and is computed from the ciphertexts they receive.
 //! Per round it raises each participating user's ciphertext once to its full-width
-//! blinding exponent (`b_u`, one sliding-window exponentiation), evaluates each
-//! `(silo, coordinate)` cell as one multi-exponentiation with one Paillier `scalar_mul`
-//! term per `(silo, user, coordinate)`, and re-randomises each outgoing cell (one more
-//! sliding-window exponentiation). Step 2.(c) decrypts one total per coordinate by CRT,
-//! two half-width sliding-window exponentiations each. Counts are deterministic, so the
-//! gates are equalities, not tolerances.
+//! blinding exponent (`b_u`, one sliding-window exponentiation) and builds one odd-power
+//! window table for each of `b_u` and `b_u⁻¹`, shared by every silo and cell. It then
+//! evaluates each `(silo, coordinate)` cell as one pass of the shared ladder over those
+//! tables, with one Paillier `scalar_mul` term per `(silo, user, coordinate)`, and
+//! re-randomises each outgoing cell (one more sliding-window exponentiation). Step
+//! 2.(c) decrypts one total per coordinate by CRT, two half-width sliding-window
+//! exponentiations each. A dropped silo weighs nobody, so only users that a surviving
+//! silo weighs get tables. Counts are deterministic, so the gates are equalities, not
+//! tolerances.
 //!
 //! A single test function owns the whole file: the telemetry flag and counters are
 //! process-global, so concurrent test functions in this binary would race on them.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use uldp_fl::core::{PrivateWeightingProtocol, ProtocolConfig};
+use uldp_fl::bigint::montgomery::multi_exp_window;
+use uldp_fl::core::{FaultPlan, PrivateWeightingProtocol, ProtocolConfig};
 use uldp_fl::telemetry::metrics;
+
+type Deltas = Vec<Vec<Vec<f64>>>;
+
+/// One delta vector per (silo, user) holding records, `value(silo, user, coordinate)`.
+fn deltas_from(
+    histogram: &[Vec<usize>],
+    dim: usize,
+    mut value: impl FnMut(usize, usize, usize) -> f64,
+) -> Deltas {
+    let mut deltas = vec![vec![Vec::new(); histogram[0].len()]; histogram.len()];
+    for (s, row) in histogram.iter().enumerate() {
+        for (u, _) in row.iter().enumerate().filter(|&(_, &c)| c > 0) {
+            deltas[s][u] = (0..dim).map(|j| value(s, u, j)).collect();
+        }
+    }
+    deltas
+}
+
+/// `(mont_mul, mont_sqr)` counted since the last reset.
+fn mont_ops() -> (u64, u64) {
+    (metrics::MONT_MUL.get(), metrics::MONT_SQR.get())
+}
 
 #[test]
 fn cached_round_costs_one_multi_exponentiation_per_cell_and_refresh() {
-    // 3 silos × 6 users, every user holding records somewhere, 8 coordinates.
-    let histogram: Vec<Vec<usize>> =
-        vec![vec![2, 0, 1, 3, 1, 0], vec![1, 4, 0, 1, 0, 2], vec![0, 2, 2, 0, 1, 1]];
+    // 3 silos × 9 users, every user holding records somewhere and each of users 6–8 in
+    // one silo only; every count is a power of two. 8 coordinates.
+    let histogram: Vec<Vec<usize>> = vec![
+        vec![2, 0, 1, 4, 1, 0, 1, 0, 0],
+        vec![1, 4, 0, 1, 0, 2, 0, 2, 0],
+        vec![0, 2, 2, 0, 1, 1, 0, 0, 4],
+    ];
     let dim = 8usize;
     let mut rng = StdRng::seed_from_u64(131);
-    let deltas: Vec<Vec<Vec<f64>>> = histogram
-        .iter()
-        .map(|row| {
-            row.iter()
-                .map(|&c| {
-                    if c == 0 {
-                        Vec::new()
-                    } else {
-                        (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect()
-                    }
-                })
-                .collect()
-        })
-        .collect();
+    let mut draws = StdRng::seed_from_u64(132);
+    let deltas = deltas_from(&histogram, dim, |_, _, _| draws.gen_range(-1.0..1.0));
     let noises: Vec<Vec<f64>> =
         histogram.iter().map(|_| (0..dim).map(|_| rng.gen_range(-0.01..0.01)).collect()).collect();
     let config =
@@ -63,6 +81,7 @@ fn cached_round_costs_one_multi_exponentiation_per_cell_and_refresh() {
     assert_eq!(metrics::PAILLIER_ENCRYPT.get(), users, "round 1 encrypts every user");
     assert_eq!(metrics::PAILLIER_RERANDOMISE.get(), cells, "round 1 re-randomises only cells");
     assert_eq!(metrics::MODPOW_FIXED_BASE.get(), 0, "round 1 refreshes nothing from cache");
+    assert_eq!(metrics::WINDOW_TABLE.get(), 2 * users, "tables of b_u and b_u⁻¹ per user");
     uldp_fl::telemetry::reset();
     // Round 2 is served from the cache.
     let (out, _) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
@@ -72,16 +91,85 @@ fn cached_round_costs_one_multi_exponentiation_per_cell_and_refresh() {
     let scalar_mul = metrics::PAILLIER_SCALAR_MUL.get();
     let rerandomise = metrics::PAILLIER_RERANDOMISE.get();
     let multi_exp = metrics::MULTI_EXP.get();
-    uldp_fl::telemetry::set_enabled(false);
+    let tables = metrics::WINDOW_TABLE.get();
 
     assert_eq!(scalar_mul, terms, "one scalar_mul per participating (silo, user, coordinate)");
     assert_eq!(multi_exp, cells, "one multi-exponentiation per (silo, coordinate) cell");
+    assert_eq!(tables, 2 * users, "tables are built per user and round, not per cell");
     assert_eq!(encrypt, 0, "the cached round encrypts nothing");
     assert_eq!(rerandomise, users + cells, "every cached user and every outgoing cell");
     assert_eq!(fixed_base, users, "only the server's cache refreshes use a fixed base");
     assert_eq!(sliding_window, window, "b_u powers, cell re-randomisations, decryption");
-
     let reference = protocol.plaintext_reference(&deltas, &noises, None);
+    for (a, b) in out.iter().zip(reference.iter()) {
+        assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");
+    }
+
+    // The tables' and the ladder's own Montgomery operations. Two fresh rounds differ
+    // only in their deltas, so every other operation count cancels between them. All
+    // zero deltas give zero exponents: no ladder work, and `w = 1` tables that cost
+    // nothing. Deltas of ±2^m·P give exponents n_su·2^m = 2^k, one window each, so a
+    // cell costs (terms − 1) multiplications and max k squarings.
+    let precision = config.precision;
+    let bit = |s: usize, u: usize, j: usize| 30 + (s + u + j) % 4;
+    let sign = |u: usize, j: usize| if (u + j).is_multiple_of(2) { 1.0 } else { -1.0 };
+    let powers = deltas_from(&histogram, dim, |s, u, j| {
+        sign(u, j) * (1u64 << bit(s, u, j)) as f64 * precision
+    });
+    let zeros = deltas_from(&histogram, dim, |_, _, _| 0.0);
+    let fresh_round = |deltas: &Deltas, rng: &mut StdRng| {
+        protocol.reset_round_cache();
+        uldp_fl::telemetry::reset();
+        let (out, _) = protocol.weighting_round(deltas, &noises, None, rng);
+        let reference = protocol.plaintext_reference(deltas, &noises, None);
+        for (a, b) in out.iter().zip(reference.iter()) {
+            assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");
+        }
+        assert_eq!(metrics::WINDOW_TABLE.get(), 2 * users);
+        mont_ops()
+    };
+    let (zero_mul, zero_sqr) = fresh_round(&zeros, &mut rng);
+    let (power_mul, power_sqr) = fresh_round(&powers, &mut rng);
+    let log2 = |c: usize| c.trailing_zeros() as usize;
+    let exponent_bits = |s: usize, u: usize, j: usize| log2(histogram[s][u]) + bit(s, u, j) + 1;
+    let longest = (0..histogram.len())
+        .flat_map(|s| (0..users as usize).map(move |u| (s, u)))
+        .filter(|&(s, u)| histogram[s][u] > 0)
+        .flat_map(|(s, u)| (0..dim).map(move |j| exponent_bits(s, u, j)))
+        .max()
+        .unwrap();
+    assert_eq!(longest, 36);
+    let w = multi_exp_window(longest);
+    assert_eq!(w, 4, "≈36-bit cell exponents take 8-entry odd-power tables");
+    let (mut ladder_mul, mut ladder_sqr) = (0u64, 0u64);
+    for (s, row) in histogram.iter().enumerate() {
+        let holders: Vec<usize> = (0..row.len()).filter(|&u| row[u] > 0).collect();
+        for j in 0..dim {
+            ladder_mul += holders.len() as u64 - 1;
+            ladder_sqr += holders.iter().map(|&u| exponent_bits(s, u, j) - 1).max().unwrap() as u64;
+        }
+    }
+    let (table_mul, table_sqr) = (2 * users * ((1 << (w - 1)) - 1), 2 * users);
+    assert_eq!(power_mul - zero_mul, table_mul + ladder_mul, "table and ladder multiplications");
+    assert_eq!(power_sqr - zero_sqr, table_sqr + ladder_sqr, "table and ladder squarings");
+
+    // A round in which one of the three silos drops: users that only the dropped silo
+    // weighs get no tables, and its cells cost nothing.
+    let plan = FaultPlan { dropout_fraction: 0.34, seed: 5, ..FaultPlan::none() };
+    let faulted_config = ProtocolConfig { fault_plan: plan, ..config };
+    let faulted = PrivateWeightingProtocol::setup(&histogram, &faulted_config, &mut rng);
+    uldp_fl::telemetry::reset();
+    let (out, report) = faulted.weighting_round(&deltas, &noises, None, &mut rng);
+    let weighed = (0..users as usize)
+        .filter(|&u| (0..histogram.len()).any(|s| !report.dropped[s] && histogram[s][u] > 0))
+        .count() as u64;
+    let survivors = report.dropped.iter().filter(|&&d| !d).count() as u64;
+    assert_eq!(survivors, 2, "exactly one silo drops");
+    assert_eq!(weighed, users - 1, "the dropped silo's own user is weighed by nobody");
+    assert_eq!(metrics::WINDOW_TABLE.get(), 2 * weighed, "tables only for surviving weights");
+    assert_eq!(metrics::MULTI_EXP.get(), survivors * dim as u64, "surviving cells only");
+    uldp_fl::telemetry::set_enabled(false);
+    let reference = faulted.plaintext_reference_faulted(&deltas, &noises, None, &report.dropped);
     for (a, b) in out.iter().zip(reference.iter()) {
         assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");
     }
