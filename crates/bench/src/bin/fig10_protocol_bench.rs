@@ -43,9 +43,10 @@ fn bench_scenario(
     let n_max = dataset.max_records_per_user().next_power_of_two().max(64) as u64;
     let config = ProtocolConfig {
         paillier_bits,
-        dh_bits: 512,
+        dh_bits: 0,
         use_rfc_group: true,
         n_max,
+        fresh_encrypt: true,
         ..Default::default()
     };
     let protocol = PrivateWeightingProtocol::setup(&histogram, &config, rng);

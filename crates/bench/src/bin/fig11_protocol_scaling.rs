@@ -33,9 +33,10 @@ fn one_round(
     let histogram = random_histogram(rng, num_silos, num_users);
     let config = ProtocolConfig {
         paillier_bits,
-        dh_bits: 512,
+        dh_bits: 0,
         use_rfc_group: true,
         n_max: 64,
+        fresh_encrypt: true,
         ..Default::default()
     };
     let protocol = PrivateWeightingProtocol::setup(&histogram, &config, rng);

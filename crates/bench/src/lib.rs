@@ -177,29 +177,25 @@ pub struct RoundComparison {
 /// decrypted aggregates are bitwise-identical (the runtime's determinism guarantee).
 ///
 /// Shared by `fig10_protocol_bench` and `fig11_protocol_scaling` so the comparison
-/// harness cannot drift between them. `rng` advances exactly as one round
-/// would; the protocol is returned with the 1-thread runtime installed.
+/// harness cannot drift between them. Both set [`uldp_core::ProtocolConfig::fresh_encrypt`],
+/// so each round pays its own step 2.(a) encryption. `rng` advances exactly as one
+/// round would; the protocol is returned with the 1-thread runtime installed.
 pub fn pooled_vs_sequential_round(
     protocol: PrivateWeightingProtocol,
     deltas: &[Vec<Vec<f64>>],
     noises: &[Vec<f64>],
     rng: &mut StdRng,
 ) -> (PrivateWeightingProtocol, RoundComparison) {
-    // Warm-up round on a cloned RNG, output and cache discarded: the first round over
-    // a fresh protocol pays one-time lazy initialisation (CRT decryption contexts,
-    // re-randomisation tables, allocator growth) that belongs to neither side of the
-    // threads comparison — without this the pooled round, which runs first, absorbed
-    // that cost and a 1-thread "pooled" run read as slower than sequential.
+    // Warm-up round on a cloned RNG, output discarded: the first round over a fresh
+    // protocol pays one-time lazy initialisation (CRT decryption contexts, allocator
+    // growth) that belongs to neither side of the threads comparison — without this
+    // the pooled round, which runs first, absorbed that cost and a 1-thread "pooled"
+    // run read as slower than sequential.
     let mut warm_rng = rng.clone();
     let _ = protocol.weighting_round(deltas, noises, None, &mut warm_rng);
-    protocol.reset_round_cache();
     let mut seq_rng = rng.clone();
     let (aggregate, timings) = protocol.weighting_round(deltas, noises, None, rng);
     let protocol = protocol.with_runtime(Runtime::handle(1));
-    // The pooled round populated the cross-round ciphertext cache; drop it so the
-    // sequential replay pays the same full encryption cost and the speedup stays a
-    // pure threads comparison.
-    protocol.reset_round_cache();
     let (seq_aggregate, seq_timings) = protocol.weighting_round(deltas, noises, None, &mut seq_rng);
     assert_eq!(
         aggregate.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

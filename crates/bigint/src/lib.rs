@@ -14,9 +14,8 @@
 //! * [`montgomery`] — the batched-exponentiation engine: [`montgomery::ModulusCtx`]
 //!   (CIOS Montgomery multiplication with cached per-modulus constants, one
 //!   sliding-window ladder behind `pow` and the interleaved `multi_exp_tables` over
-//!   reusable odd-power [`montgomery::WindowTable`]s, simultaneous `batch_inv`) and
-//!   [`montgomery::FixedBaseCtx`] (per-base radix-2ʷ tables for one-base/many-exponent
-//!   batches). Bitwise-identical to the schoolbook path.
+//!   reusable odd-power [`montgomery::WindowTable`]s, simultaneous `batch_inv`).
+//!   Bitwise-identical to the schoolbook path.
 //! * [`prime`] — Miller–Rabin primality testing and random prime generation (sharing
 //!   one Montgomery context across all witness bases).
 //! * Utility functions [`gcd`], [`lcm`], and [`lcm_up_to`] (the `C_LCM` constant of the

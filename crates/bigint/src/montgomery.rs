@@ -3,8 +3,8 @@
 //! [`crate::modular::mod_pow`] pays a full `div_rem`-based reduction on every multiply.
 //! The Paillier hot path of Protocol 1, however, performs thousands of independent
 //! exponentiations over the *same* modulus (`n²` for `encrypt`/`scalar_mul`, `p²`/`q²`
-//! for CRT decryption) and often over the same *base* (one secret re-randomiser raised
-//! to a fresh exponent per ciphertext). This module amortises exactly those two axes:
+//! for CRT decryption), and step 2.(b) raises the same per-user bases in every cell.
+//! This module amortises both:
 //!
 //! * [`ModulusCtx`] — per-modulus precomputation (the word inverse `n' = -n⁻¹ mod 2⁶⁴`
 //!   and `R² mod n` with `R = 2⁶⁴ˢ`), enabling CIOS Montgomery multiplication in which
@@ -15,9 +15,6 @@
 //!   tables built once per base and shared by every product that base enters
 //!   ([`ModulusCtx::multi_exp`] builds them per call). [`ModulusCtx::batch_inv`] gives
 //!   many inverses at the cost of one.
-//! * [`FixedBaseCtx`] — per-base precomputation (a radix-2ʷ table of
-//!   `base^(j·2^(w·t))`), so a batch of exponentiations of one base needs no squarings
-//!   at all: each exponentiation is at most `⌈bits/w⌉` Montgomery multiplications.
 //!
 //! All methods take `&self`, so one context can be shared freely across the worker pool
 //! (`uldp-runtime`): the contexts are immutable after construction.
@@ -124,11 +121,6 @@ impl ModulusCtx {
     /// The modulus this context reduces by.
     pub fn modulus(&self) -> &BigUint {
         &self.n
-    }
-
-    /// Bit length of the modulus.
-    pub fn bits(&self) -> usize {
-        self.n.bit_length()
     }
 
     /// Converts a value into Montgomery form (reducing it modulo `n` first if needed).
@@ -549,108 +541,6 @@ impl ModulusCtx {
     }
 }
 
-/// Precomputed radix-2ʷ table for one base: many exponents, no squarings.
-///
-/// `table[t][j − 1]` holds `base^(j·2^(w·t))` in Montgomery form, so an exponent split
-/// into `w`-bit digits `d_t` is evaluated as `∏_t table[t][d_t − 1]` — at most
-/// `⌈max_bits/w⌉` Montgomery multiplications per exponentiation, with the table built
-/// once per base. Paillier's `RerandCtx` uses it: one secret `h` raised to a fresh
-/// exponent per re-randomised ciphertext.
-pub struct FixedBaseCtx {
-    ctx: std::sync::Arc<ModulusCtx>,
-    /// Digit width `w` in bits.
-    window: usize,
-    /// Largest exponent bit length the table covers.
-    max_bits: usize,
-    /// `table[t][j − 1] = base^(j·2^(w·t))` (Montgomery form), `j ∈ 1..2^w`.
-    table: Vec<Vec<MontElem>>,
-    /// The base in Montgomery form (fallback for out-of-range exponents).
-    base: MontElem,
-}
-
-impl std::fmt::Debug for FixedBaseCtx {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FixedBaseCtx")
-            .field("modulus_bits", &self.ctx.bits())
-            .field("window", &self.window)
-            .field("max_bits", &self.max_bits)
-            .finish()
-    }
-}
-
-impl FixedBaseCtx {
-    /// Builds the fixed-base table for `base` covering exponents of up to `max_bits`
-    /// bits (larger exponents fall back to the sliding-window path).
-    pub fn new(ctx: std::sync::Arc<ModulusCtx>, base: &BigUint, max_bits: usize) -> FixedBaseCtx {
-        let max_bits = max_bits.max(1);
-        Self::with_window(ctx, base, max_bits, fixed_base_window(max_bits))
-    }
-
-    /// Builds the table with an explicit digit width instead of the
-    /// `fixed_base_window` default. Wider digits cost exponentially more table
-    /// construction but fewer multiplications per exponentiation — worthwhile for
-    /// tables reused far beyond their build cost (e.g. one per federation rather than
-    /// one per user). Results are bitwise-identical at any width.
-    pub fn with_window(
-        ctx: std::sync::Arc<ModulusCtx>,
-        base: &BigUint,
-        max_bits: usize,
-        window: usize,
-    ) -> FixedBaseCtx {
-        let max_bits = max_bits.max(1);
-        assert!((1..=16).contains(&window), "fixed-base window must be in 1..=16");
-        let windows = max_bits.div_ceil(window);
-        let base_m = ctx.to_mont(base);
-        let mut table = Vec::with_capacity(windows);
-        let mut row_base = base_m.clone();
-        for t in 0..windows {
-            // Row t: j·2^(w·t)-th powers, built by repeated multiplication by row_base.
-            let mut row = Vec::with_capacity((1 << window) - 1);
-            row.push(row_base.clone());
-            for j in 1..((1usize << window) - 1) {
-                let next = ctx.mont_mul(&row[j - 1], &row_base);
-                row.push(next);
-            }
-            if t + 1 < windows {
-                // Next row's base: row_base^(2^w), by w squarings.
-                for _ in 0..window {
-                    row_base = ctx.mont_sqr(&row_base);
-                }
-            }
-            table.push(row);
-        }
-        FixedBaseCtx { ctx, window, max_bits, table, base: base_m }
-    }
-
-    /// `base^exp mod n`, bitwise-identical to [`crate::modular::mod_pow`].
-    pub fn pow(&self, exp: &BigUint) -> BigUint {
-        let bits = exp.bit_length();
-        if bits == 0 {
-            return BigUint::one();
-        }
-        if bits > self.max_bits {
-            // Out of table range (callers normally reduce exponents first); counted by
-            // `pow_mont` as a sliding-window exponentiation, which it is.
-            return self.ctx.from_mont(&self.ctx.pow_mont(&self.base, exp));
-        }
-        uldp_telemetry::metrics::MODPOW_FIXED_BASE.inc();
-        let mut acc = self.ctx.one();
-        for (t, row) in self.table.iter().enumerate() {
-            let mut digit = 0usize;
-            for b in 0..self.window {
-                let bit = t * self.window + b;
-                if bit < bits && exp.bit(bit) {
-                    digit |= 1 << b;
-                }
-            }
-            if digit != 0 {
-                acc = self.ctx.mont_mul(&acc, &row[digit - 1]);
-            }
-        }
-        self.ctx.from_mont(&acc)
-    }
-}
-
 /// Sliding-window width for an exponent of `bits` bits (standard thresholds balancing
 /// the 2^(w−1)-entry odd-power table against saved multiplications).
 fn window_size(bits: usize) -> usize {
@@ -675,16 +565,6 @@ pub fn multi_exp_window(max_bits: usize) -> usize {
         9..=24 => 2,
         25..=32 => 3,
         33..=239 => 4,
-        _ => 5,
-    }
-}
-
-/// Fixed-base digit width: larger tables only pay off for longer exponents.
-fn fixed_base_window(max_bits: usize) -> usize {
-    match max_bits {
-        0..=63 => 2,
-        64..=255 => 3,
-        256..=1023 => 4,
         _ => 5,
     }
 }
@@ -715,7 +595,6 @@ mod tests {
     use crate::modular::mod_pow;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::Arc;
 
     fn n(v: u64) -> BigUint {
         BigUint::from_u64(v)
@@ -945,34 +824,6 @@ mod tests {
     #[should_panic(expected = "window must be in 1..=16")]
     fn window_table_rejects_zero_width() {
         let _ = ModulusCtx::new(&n(1_000_003)).window_table(&n(7), 0);
-    }
-
-    #[test]
-    fn fixed_base_matches_schoolbook() {
-        let mut rng = StdRng::seed_from_u64(4);
-        for bits in [64usize, 256, 768] {
-            let mut modulus = BigUint::random_with_bits(&mut rng, bits);
-            if modulus.is_even() {
-                modulus = modulus.add(&BigUint::one());
-            }
-            let ctx = Arc::new(ModulusCtx::new(&modulus));
-            let base = BigUint::random_below(&mut rng, &modulus);
-            let fixed = FixedBaseCtx::new(Arc::clone(&ctx), &base, bits);
-            for exp_bits in [1usize, 8, bits / 2, bits] {
-                let exp = BigUint::random_with_bits(&mut rng, exp_bits);
-                assert_eq!(fixed.pow(&exp), mod_pow(&base, &exp, &modulus), "bits={bits}");
-            }
-            // exponent 0 and out-of-table-range exponents
-            assert_eq!(fixed.pow(&BigUint::zero()), BigUint::one());
-            let big_exp = BigUint::random_with_bits(&mut rng, bits + 64);
-            assert_eq!(fixed.pow(&big_exp), mod_pow(&base, &big_exp, &modulus));
-            // explicit window widths are bitwise-identical to the default pick
-            for window in [1usize, 2, 7] {
-                let wide = FixedBaseCtx::with_window(Arc::clone(&ctx), &base, bits, window);
-                let exp = BigUint::random_with_bits(&mut rng, bits);
-                assert_eq!(wide.pow(&exp), fixed.pow(&exp), "bits={bits} window={window}");
-            }
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests pinning the Montgomery engine to the schoolbook reference.
 //!
-//! Over random odd moduli up to 2048 bits, `ModulusCtx::pow`, `FixedBaseCtx::pow` and
-//! the shared multi-exponentiation ladder (`ModulusCtx::multi_exp`, and
+//! Over random odd moduli up to 2048 bits, `ModulusCtx::pow` and the shared
+//! multi-exponentiation ladder (`ModulusCtx::multi_exp`, and
 //! `ModulusCtx::multi_exp_tables` over reused `WindowTable`s) must agree bit for bit
 //! with `modular::mod_pow` and its unfused `mod_mul` chain — this is the
 //! invariant that makes the engine a drop-in for the Paillier/DH/Miller–Rabin call
@@ -9,9 +9,8 @@
 //! larger than the modulus, modulus-one rejection) ride along as unit tests.
 
 use proptest::prelude::*;
-use std::sync::Arc;
 use uldp_bigint::modular::mod_pow;
-use uldp_bigint::montgomery::{FixedBaseCtx, ModulusCtx, WindowTable};
+use uldp_bigint::montgomery::{ModulusCtx, WindowTable};
 use uldp_bigint::BigUint;
 
 /// Builds an odd modulus `> 1` from arbitrary limbs (up to 2048 bits).
@@ -41,20 +40,6 @@ proptest! {
         let exp = BigUint::from_limbs(exp_limbs);
         let ctx = ModulusCtx::new(&n);
         prop_assert_eq!(ctx.pow(&base, &exp), mod_pow(&base, &exp, &n));
-    }
-
-    #[test]
-    fn fixed_base_matches_schoolbook(
-        mod_limbs in prop::collection::vec(any::<u64>(), 1..32),
-        base_limbs in prop::collection::vec(any::<u64>(), 1..32),
-        exp_limbs in prop::collection::vec(any::<u64>(), 1..16),
-    ) {
-        let n = odd_modulus(&mod_limbs);
-        let base = BigUint::from_limbs(base_limbs);
-        let exp = BigUint::from_limbs(exp_limbs);
-        let ctx = Arc::new(ModulusCtx::new(&n));
-        let fixed = FixedBaseCtx::new(Arc::clone(&ctx), &base, 16 * 64);
-        prop_assert_eq!(fixed.pow(&exp), mod_pow(&base, &exp, &n));
     }
 
     #[test]
@@ -147,8 +132,6 @@ fn exponent_zero_yields_one() {
     assert_eq!(ctx.pow(&BigUint::from_u64(12345), &BigUint::zero()), BigUint::one());
     // 0^0 = 1, matching mod_pow's convention.
     assert_eq!(ctx.pow(&BigUint::zero(), &BigUint::zero()), BigUint::one());
-    let fixed = FixedBaseCtx::new(Arc::new(ModulusCtx::new(&n)), &BigUint::from_u64(7), 64);
-    assert_eq!(fixed.pow(&BigUint::zero()), BigUint::one());
 }
 
 #[test]

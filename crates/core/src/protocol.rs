@@ -25,11 +25,11 @@
 //! ## Roles and the round entry point
 //!
 //! The state is split by party. The server holds the Paillier secret key, the blinded
-//! inverses `B_inv(N_u)`, the cross-round ciphertext cache and the round counter. Each
-//! silo holds a view of its own: the public key, the codec and `C_LCM`, the blinder
-//! seeded by `R`, its histogram row and its pairwise seeds. Step 2.(b) is a function of
-//! a silo's view, what the server sent that round and the silo's own deltas and noise,
-//! so it has no path to the server's state.
+//! inverses `B_inv(N_u)`, the q = 1 ciphertexts and the round counter. Each silo holds
+//! a view of its own: the public key, the codec and `C_LCM`, the blinder seeded by `R`,
+//! its histogram row and its pairwise seeds. Step 2.(b) is a function of a silo's view,
+//! what the server sent that round and the silo's own deltas and noise, so it has no
+//! path to the server's state.
 //!
 //! Every round runs through [`PrivateWeightingProtocol::weighting_round`]. Its
 //! [`Sampling`] argument only changes how step 2.(a) picks the ciphertexts: every user,
@@ -82,7 +82,7 @@
 //!
 //! The split changes what a silo's cell reveals through its randomness (Theorem 5).
 //! The server knows the randomness `s_u` of every `c_u` it sent, because it encrypted
-//! or re-randomised `c_u` itself, and it knows `f_u` up to `N_max` guesses, because
+//! `c_u` itself, and it knows `f_u` up to `N_max` guesses, because
 //! `f_u = (r_u·N_u)·C_LCM·N_u⁻¹` and it holds `r_u·N_u`. A bare cell's randomness
 //! `∏_u (s_u^{f_u})^{±n_su·x_u}` thus depends on its data only through ~41-bit
 //! unknowns, which the key holder could recover by baby-step giant-step search and
@@ -91,31 +91,30 @@
 //! ([`PaillierPublicKey::rerandomise`]) whose unit comes from a stream only that silo
 //! holds: its Diffie–Hellman secret hashed with a domain label, the round index and
 //! the coordinate. It draws nothing from the caller's RNG and gives the same bits at
-//! any thread count. (A `RerandCtx` would not do: its `⟨ρ⟩` subgroup leaves the coset
-//! of the randomness visible.)
+//! any thread count. A refresh of the server's ciphertexts would add nothing to this:
+//! the server knows its own refresh randomness.
 //!
-//! ## Multi-round ciphertext reuse
+//! ## q = 1 ciphertexts are sent once
 //!
-//! The server's step 2.(a) plaintexts change only when the sampling mask does, so a
-//! per-federation `RoundCryptoCache` holds the ciphertext last sent per user: round 1
-//! encrypts, later rounds under an unchanged mask *re-randomise* (`c · h^t`, one
-//! squaring-free fixed-base lookup per user). Mask flips and silo dropouts invalidate
-//! exactly the affected users' entries; [`ProtocolConfig::fresh_encrypt`] bypasses the
-//! cache, and oblivious rounds, which encrypt every OT slot afresh, never read it. Step
-//! 2.(b) sees only the received ciphertexts: its per-user tables of `b_u` and `b_u⁻¹`
-//! are rebuilt from them every round and dropped with it, so cached and fresh rounds
-//! share one step 2.(b) and decrypt to the same bits.
+//! Under [`Sampling::All`] the server's step 2.(a) plaintexts `B_inv(N_u)` never
+//! change, and each outgoing cell already carries the silo's own `Enc(0)`. So the
+//! first such round encrypts every user's inverse and the server keeps that one set;
+//! every later `Sampling::All` round sends it again unchanged, dropouts included. A
+//! [`Sampling::Mask`] round encrypts its active users afresh, and oblivious rounds
+//! encrypt every OT slot afresh. [`ProtocolConfig::fresh_encrypt`] makes every round
+//! encrypt afresh. Step 2.(b) sees only the received ciphertexts: its per-user tables
+//! of `b_u` and `b_u⁻¹` are rebuilt from them every round and dropped with it, so
+//! re-sent and fresh rounds share one step 2.(b) and decrypt to the same bits.
 //!
 //! ## Population scaling
 //!
 //! Round cost tracks the *sampled* users, not the population. Under a sparse
 //! [`SampleMask`] ([`crate::sampling`]) step 2.(a) encrypts only the sampled users'
-//! inverses, the cache holds entries only for users that have been sampled (a
-//! `BTreeMap`, not an `O(|U|)` vector), and the cell fold walks per-silo participant
-//! lists instead of `0..|U|`. Omitting an unsampled user's `Enc(0)` term subtracts
-//! exactly zero from every total, so sparse and dense masks give bitwise-identical
-//! aggregates; the tests compare a sparse mask against its densified copy. Such a mask
-//! is visible to the server.
+//! inverses, the server keeps no per-user state between such rounds, and the cell
+//! fold walks per-silo participant lists instead of `0..|U|`. Omitting an unsampled
+//! user's `Enc(0)` term subtracts exactly zero from every total, so sparse and dense
+//! masks give bitwise-identical aggregates; the tests compare a sparse mask against
+//! its densified copy. Such a mask is visible to the server.
 
 use crate::config::WeightingStrategy;
 use crate::sampling::SampleMask;
@@ -123,9 +122,9 @@ use crate::scenario::FaultPlan;
 use crate::weighting::WeightMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 use uldp_bigint::modular::{mod_add, mod_mul};
 use uldp_bigint::montgomery::{multi_exp_window, WindowTable};
@@ -133,9 +132,7 @@ use uldp_bigint::BigUint;
 use uldp_crypto::dh::{DhGroup, DhKeyPair};
 use uldp_crypto::masking::MaskSeed;
 use uldp_crypto::oblivious_transfer::OneOutOfP;
-use uldp_crypto::paillier::{
-    Ciphertext, PaillierKeyPair, PaillierPublicKey, PaillierSecretKey, RerandCtx,
-};
+use uldp_crypto::paillier::{Ciphertext, PaillierKeyPair, PaillierPublicKey, PaillierSecretKey};
 use uldp_crypto::sha256::hash_parts;
 use uldp_crypto::{FixedPointCodec, MultiplicativeBlinder};
 use uldp_runtime::{seeding, Runtime};
@@ -147,8 +144,9 @@ pub struct ProtocolConfig {
     /// Paillier modulus size in bits (the paper's default security level is 3072; tests
     /// and quick demos use smaller moduli).
     pub paillier_bits: usize,
-    /// Size of the custom Diffie–Hellman safe-prime group used for the silo key exchange.
-    /// Ignored when [`ProtocolConfig::use_rfc_group`] is set.
+    /// Size of the custom Diffie–Hellman safe-prime group used for the silo key exchange,
+    /// at least 64 bits. Must be `0` when [`ProtocolConfig::use_rfc_group`] is set;
+    /// [`PrivateWeightingProtocol::setup`] rejects any other value rather than ignore it.
     pub dh_bits: usize,
     /// Use the RFC 3526 2048-bit MODP group instead of generating a custom group.
     pub use_rfc_group: bool,
@@ -169,9 +167,9 @@ pub struct ProtocolConfig {
     /// before clipping; [`PrivateWeightingProtocol::setup`] rejects a plan with a
     /// positive `byzantine_fraction`. The default plan injects nothing.
     pub fault_plan: FaultPlan,
-    /// Bypass the cross-round ciphertext cache: every round freshly encrypts all
-    /// blinded inverses. Decrypted aggregates are bitwise-identical either way, only the
-    /// per-round `server_encryption` cost changes.
+    /// Encrypt afresh every round: [`Sampling::All`] rounds do not re-send the first
+    /// such round's ciphertexts. Decrypted aggregates are bitwise-identical either way,
+    /// only the per-round `server_encryption` cost changes.
     pub fresh_encrypt: bool,
 }
 
@@ -185,42 +183,8 @@ const PROTOCOL_CHUNK: usize = 4;
 /// `|U|`-long factor vector.
 pub const SETUP_BLOCK: usize = 256;
 
-/// Reserved derivation index for the re-randomisation context's secret unit `ρ`. The
-/// per-user encryption streams use indices `0..num_users`, so the reserved slot can
-/// never collide with them — and because `ρ` is derived from the round's batch seed,
-/// building the context consumes **no** extra draws from the caller's RNG: the cached
-/// and [`ProtocolConfig::fresh_encrypt`] executions stay stream-aligned round for round.
-const RERAND_SEED_INDEX: u64 = u64::MAX;
-
 /// Domain label of a silo's private output-randomness seed (see "Output randomness").
 const OUTPUT_SEED_LABEL: &str = "uldp-fl/silo-output-randomness";
-
-/// One user's cached encrypted inverse: the ciphertext the server distributed in the
-/// most recent round, which the next round re-randomises.
-struct CacheEntry {
-    /// The sampling decision the entry was encrypted under; a flip invalidates it (the
-    /// plaintext changes between the blinded inverse and zero).
-    keep: bool,
-    /// Most recently distributed ciphertext.
-    current: Ciphertext,
-}
-
-/// Per-federation cross-round ciphertext cache (see "Multi-round ciphertext reuse"
-/// above): multi-round step 2.(a) cost is `encrypt + (R − 1) · rerandomise`, with
-/// decrypted aggregates bitwise-identical to the fresh-encryption path.
-struct RoundCryptoCache {
-    /// Shared re-randomisation context (`h = ρ^n mod n²` plus its wide fixed-base
-    /// table), derived once per federation from the first round's reserved seed slot.
-    rerand: Option<Arc<RerandCtx>>,
-    /// Per-user entries keyed by user id, created lazily the first round a user is
-    /// active and removed on invalidation. Sparse sampled rounds therefore hold
-    /// `O(q·|U|)`-many entries — an unsampled user never allocates cache state.
-    entries: BTreeMap<u32, CacheEntry>,
-    /// Users freshly encrypted by the most recent round's step 2.(a).
-    last_fresh: usize,
-    /// Users re-randomised from cache by the most recent round's step 2.(a).
-    last_rerandomised: usize,
-}
 
 impl Default for ProtocolConfig {
     fn default() -> Self {
@@ -313,8 +277,8 @@ pub enum Sampling<'a> {
     All,
     /// A user-level sample chosen in the clear. Under a dense mask, unsampled users'
     /// inverses are encrypted as zero, so their deltas drop out exactly; under a sparse
-    /// mask they are skipped outright — no ciphertext, no cache entry, no fold work —
-    /// which yields the same aggregate bit for bit. The server sees the sample.
+    /// mask they are skipped outright — no ciphertext, no fold work — which yields the
+    /// same aggregate bit for bit. The server sees the sample.
     Mask(&'a SampleMask),
     /// Private sub-sampling by 1-out-of-P oblivious transfer (Section 4.1): neither the
     /// server nor the silos learn who was sampled.
@@ -398,11 +362,13 @@ struct Server {
     /// Blinded inverses `B_inv(N_u)` of setup step 1.(f); `None` for users with no
     /// records.
     blinded_inverses: Vec<Option<BigUint>>,
-    /// Cross-round ciphertext cache for step 2.(a) (see [`RoundCryptoCache`]).
-    cache: Mutex<RoundCryptoCache>,
-    /// Bypass the cache ([`ProtocolConfig::fresh_encrypt`]): every round freshly
-    /// encrypts all blinded inverses.
+    /// Every user's encrypted inverse, encrypted by the first [`Sampling::All`] round
+    /// and sent unchanged by every later one (see "q = 1 ciphertexts are sent once").
+    held: OnceLock<Vec<Ciphertext>>,
+    /// [`ProtocolConfig::fresh_encrypt`]: never fill or send `held`.
     fresh_encrypt: bool,
+    /// `(encrypted, re-sent)` ciphertexts of the most recent round's step 2.(a).
+    last_sent: Mutex<(usize, usize)>,
     /// Index of the next round, counted from 0 since setup; it selects the round's
     /// fault set.
     next_round: AtomicU64,
@@ -452,78 +418,46 @@ impl Server {
         }
     }
 
-    /// Step 2.(a) under a server-visible sample: either freshly encrypting everything
-    /// (bypass mode, first round, invalidated entries) or re-randomising cached
-    /// ciphertexts in one pooled batch. Returns the active user ids and their
-    /// ciphertexts, aligned position for position.
+    /// Step 2.(a) under a server-visible sample or none: returns the active user ids
+    /// and their ciphertexts, aligned position for position. A [`Sampling::Mask`]
+    /// round encrypts its active users in one pooled batch; a [`Sampling::All`] round
+    /// lends the ciphertexts the first such round encrypted, unless
+    /// [`ProtocolConfig::fresh_encrypt`] is set.
     ///
     /// Exactly one 256-bit batch seed is drawn from the caller's RNG whichever path
-    /// runs, so the cached, fresh-encryption, sparse and dense executions all consume
-    /// identical caller randomness streams and their aggregates compare bit for bit.
-    /// Per-user work is seeded from `(seed, user id)` — not the active
-    /// position — so a sparse round derives exactly the per-user streams the dense walk
-    /// would, and the output is bitwise-identical at any thread count.
+    /// runs, so re-sent, fresh, sparse and dense executions all consume identical
+    /// caller randomness streams and their aggregates compare bit for bit. Per-user
+    /// encryption is seeded from `(seed, user id)`, not the active position, so a
+    /// sparse round derives exactly the per-user streams the dense walk would, and the
+    /// output is bitwise-identical at any thread count.
     fn encrypt_inverses<R: Rng + ?Sized>(
         &self,
         rt: &Runtime,
         sampled: Option<&SampleMask>,
         rng: &mut R,
-    ) -> (Vec<u32>, Vec<Ciphertext>) {
+    ) -> (Vec<u32>, Cow<'_, [Ciphertext]>) {
         let key = &self.public.key;
+        let zero = BigUint::zero();
         let batch_seed = seeding::wide_seed_from_rng(rng);
         let active = self.active_users(sampled);
-        let keep_of = |u: usize| -> bool {
-            sampled.is_none_or(|m| m.contains(u)) && self.blinded_inverses[u].is_some()
-        };
-        let plaintext = |u: usize| -> BigUint {
-            if keep_of(u) {
-                self.blinded_inverses[u].clone().expect("keep implies a blinded inverse")
-            } else {
-                BigUint::zero()
-            }
-        };
-        if self.fresh_encrypt {
-            let cts: Vec<Ciphertext> = rt.par_map(&active, |_, &u| {
+        let encrypt = || {
+            rt.par_map(&active, |_, &u| {
                 let mut rng = StdRng::from_seed(seeding::index_seed_wide(batch_seed, u as u64));
-                key.encrypt(&mut rng, &plaintext(u as usize))
-            });
-            let mut cache = self.cache.lock().expect("cache mutex poisoned");
-            cache.last_fresh = active.len();
-            cache.last_rerandomised = 0;
-            return (active, cts);
-        }
-        let mut cache = self.cache.lock().expect("cache mutex poisoned");
-        if cache.rerand.is_none() {
-            // The context's secret unit ρ comes from the reserved slot of THIS round's
-            // batch seed: no extra caller draws, no collision with the user streams.
-            let mut ctx_rng =
-                StdRng::from_seed(seeding::index_seed_wide(batch_seed, RERAND_SEED_INDEX));
-            cache.rerand = Some(Arc::new(key.rerand_ctx(&mut ctx_rng)));
-        }
-        let rerand = Arc::clone(cache.rerand.as_ref().expect("context just initialised"));
-        let fresh: Vec<bool> = active
-            .iter()
-            .map(|&u| cache.entries.get(&u).is_none_or(|e| e.keep != keep_of(u as usize)))
-            .collect();
-        // One pooled pass over the active users: fresh entries pay a full Paillier
-        // encryption, cached ones one squaring-free `c · h^t`. The workers only read
-        // the entries through the guard held by this thread.
-        let entries = &cache.entries;
-        let cts: Vec<Ciphertext> = rt.par_map(&active, |i, &u| {
-            let mut rng = StdRng::from_seed(seeding::index_seed_wide(batch_seed, u as u64));
-            if fresh[i] {
-                key.encrypt(&mut rng, &plaintext(u as usize))
-            } else {
-                let entry = entries.get(&u).expect("non-fresh user has an entry");
-                rerand.rerandomise(&mut rng, &entry.current)
-            }
-        });
-        for (&u, ct) in active.iter().zip(&cts) {
-            cache.entries.insert(u, CacheEntry { keep: keep_of(u as usize), current: ct.clone() });
-        }
-        let fresh_count = fresh.iter().filter(|&&f| f).count();
-        cache.last_fresh = fresh_count;
-        cache.last_rerandomised = active.len() - fresh_count;
+                let u = u as usize;
+                let inverse = self.blinded_inverses[u].as_ref();
+                let kept = inverse.filter(|_| sampled.is_none_or(|m| m.contains(u)));
+                key.encrypt(&mut rng, kept.unwrap_or(&zero))
+            })
+        };
+        let (cts, encrypted) = if sampled.is_some() || self.fresh_encrypt {
+            (Cow::Owned(encrypt()), active.len())
+        } else if let Some(held) = self.held.get() {
+            (Cow::Borrowed(held.as_slice()), 0)
+        } else {
+            (Cow::Borrowed(self.held.get_or_init(encrypt).as_slice()), active.len())
+        };
+        *self.last_sent.lock().expect("round stats mutex poisoned") =
+            (encrypted, active.len() - encrypted);
         (active, cts)
     }
 
@@ -551,18 +485,9 @@ impl Server {
                 let selected = output.chosen_index < ot.numerator as usize && inverse.is_some();
                 (output.item, selected)
             });
-        let mut cache = self.cache.lock().expect("cache mutex poisoned");
-        cache.last_fresh = num_users;
-        cache.last_rerandomised = 0;
+        *self.last_sent.lock().expect("round stats mutex poisoned") = (num_users, 0);
         let (cts, selected) = per_user.into_iter().unzip();
         ((0..num_users as u32).collect(), cts, selected)
-    }
-
-    /// Drops the cached ciphertexts of the users `affected` marks, so the next round
-    /// freshly re-encrypts them.
-    fn invalidate(&self, affected: impl Fn(usize) -> bool) {
-        let mut cache = self.cache.lock().expect("cache mutex poisoned");
-        cache.entries.retain(|&u, _| !affected(u as usize));
     }
 
     /// Step 2.(c): batched CRT decryption of the per-coordinate totals and fixed-point
@@ -748,7 +673,9 @@ impl PrivateWeightingProtocol {
     /// `histogram[s][u]` is the number of records user `u` holds in silo `s`. Every user
     /// total must be at most `config.n_max` for the `C_LCM` divisibility argument of
     /// Theorem 4 to hold. Panics on a [`ProtocolConfig::fault_plan`] the rounds cannot
-    /// apply: an invalid one, or one with byzantine corruption.
+    /// apply (an invalid one, or one with byzantine corruption) and on a
+    /// [`ProtocolConfig::dh_bits`] it would not honour: non-zero with the RFC group,
+    /// below 64 without it.
     pub fn setup<R: Rng + ?Sized>(
         histogram: &[Vec<usize>],
         config: &ProtocolConfig,
@@ -765,6 +692,20 @@ impl PrivateWeightingProtocol {
             "Protocol 1 receives already-clipped deltas and cannot corrupt them before \
              clipping; ProtocolConfig::fault_plan must have byzantine_fraction 0"
         );
+        if config.use_rfc_group {
+            assert!(
+                config.dh_bits == 0,
+                "ProtocolConfig::dh_bits = {} would be ignored: use_rfc_group runs the RFC 3526 \
+                 2048-bit group, so dh_bits must be 0",
+                config.dh_bits
+            );
+        } else {
+            assert!(
+                config.dh_bits >= 64,
+                "ProtocolConfig::dh_bits = {} is below the 64-bit minimum of a custom DH group",
+                config.dh_bits
+            );
+        }
         let runtime = Runtime::handle(config.threads);
 
         // --- Step 1.(a)-(c): key generation and pairwise seed agreement. ---
@@ -778,7 +719,7 @@ impl PrivateWeightingProtocol {
         let dh_group = if config.use_rfc_group {
             DhGroup::rfc3526_2048()
         } else {
-            DhGroup::generate(rng, config.dh_bits.max(64))
+            DhGroup::generate(rng, config.dh_bits)
         };
         let keypairs: Vec<DhKeyPair> =
             (0..num_silos).map(|_| DhKeyPair::generate(rng, &dh_group)).collect();
@@ -857,13 +798,9 @@ impl PrivateWeightingProtocol {
                 public,
                 secret,
                 blinded_inverses,
-                cache: Mutex::new(RoundCryptoCache {
-                    rerand: None,
-                    entries: BTreeMap::new(),
-                    last_fresh: 0,
-                    last_rerandomised: 0,
-                }),
+                held: OnceLock::new(),
                 fresh_encrypt: config.fresh_encrypt,
+                last_sent: Mutex::new((0, 0)),
                 next_round: AtomicU64::new(0),
             },
             silos,
@@ -927,44 +864,30 @@ impl PrivateWeightingProtocol {
         WeightMatrix::from_histogram(WeightingStrategy::RecordProportional, &histogram)
     }
 
-    /// `(fresh, rerandomised)` user counts of the most recent round's step 2.(a): how
-    /// many encrypted inverses were freshly Paillier-encrypted vs re-randomised from
-    /// the cross-round cache. Bypass mode and oblivious rounds always report
-    /// `(active users, 0)`.
+    /// `(encrypted, re-sent)` ciphertext counts of the most recent round's step 2.(a):
+    /// how many encrypted inverses were freshly Paillier-encrypted vs sent again as the
+    /// first [`Sampling::All`] round encrypted them. Mask and oblivious rounds, and
+    /// every round under [`ProtocolConfig::fresh_encrypt`], report `(active users, 0)`.
     pub fn round_cache_stats(&self) -> (usize, usize) {
-        let cache = self.server.cache.lock().expect("cache mutex poisoned");
-        (cache.last_fresh, cache.last_rerandomised)
+        *self.server.last_sent.lock().expect("round stats mutex poisoned")
     }
 
-    /// Number of users currently holding a cross-round cache entry. Dense rounds
-    /// materialise one entry per user; sparse sampled rounds only ever materialise
-    /// entries for users that have been active in some round.
+    /// Number of ciphertexts the server holds across rounds: every user's once a
+    /// [`Sampling::All`] round has run without [`ProtocolConfig::fresh_encrypt`], zero
+    /// before. Mask and oblivious rounds hold nothing.
     pub fn cached_entry_count(&self) -> usize {
-        let cache = self.server.cache.lock().expect("cache mutex poisoned");
-        cache.entries.len()
+        self.server.held.get().map_or(0, Vec::len)
     }
 
-    /// Estimated resident bytes of the cross-round per-user crypto state: one
-    /// ciphertext per entry. Step 2.(b)'s per-user powers and inverses live only for
-    /// their round, so nothing else persists. With a sparse [`SampleMask`] this tracks `O(q·|U|)`
-    /// instead of `O(|U|)` — the population-scaling benchmarks report it alongside the
-    /// fold gauge.
+    /// Resident bytes of the ciphertexts the server holds across rounds
+    /// ([`PrivateWeightingProtocol::cached_entry_count`] ciphertexts). Step 2.(b)'s
+    /// per-user powers, inverses and tables live only for their round.
     pub fn cached_state_bytes(&self) -> usize {
         self.cached_entry_count() * self.ciphertext_bytes()
     }
 
     fn ciphertext_bytes(&self) -> usize {
         self.server.public.key.n_squared.bit_length().div_ceil(64) * 8
-    }
-
-    /// Drops every cached ciphertext (and the re-randomisation context), so the next
-    /// round freshly encrypts all inverses — used by benchmarks that run several rounds
-    /// of the same setup and need each to pay the full encryption cost. The round
-    /// counter, and with it the fault schedule, carries on.
-    pub fn reset_round_cache(&self) {
-        let mut cache = self.server.cache.lock().expect("cache mutex poisoned");
-        cache.rerand = None;
-        cache.entries.clear();
     }
 
     /// Runs one weighting round (Protocol 1, step 2).
@@ -978,8 +901,7 @@ impl PrivateWeightingProtocol {
     /// The round applies its fault set of [`ProtocolConfig::fault_plan`]. Dropped silos
     /// leave **between steps 2.(b) and 2.(c)**: their cells (deltas *and* noise) miss the
     /// homomorphic fold, where the pairwise masks cancel over the silos that did
-    /// contribute, and the aggregate is re-weighted by `|S| / |S_surviving|`; users with
-    /// records in a dropped silo lose their cache entry. Stragglers add
+    /// contribute, and the aggregate is re-weighted by `|S| / |S_surviving|`. Stragglers add
     /// [`FaultPlan::delay_ms`] each to `silo_weighting` and leave the result unchanged.
     ///
     /// Returns the decoded aggregate — exactly the surviving-silo, sampled-user sum
@@ -1005,7 +927,7 @@ impl PrivateWeightingProtocol {
             Sampling::Mask(mask) => (server.encrypt_inverses(rt, Some(mask), rng), None),
             Sampling::Oblivious(ot) => {
                 let (active, cts, selected) = server.offer_inverses(rt, ot, rng);
-                ((active, cts), Some(selected))
+                ((active, Cow::Owned(cts)), Some(selected))
             }
         };
         let server_encryption = enc_span.finish();
@@ -1044,9 +966,6 @@ impl PrivateWeightingProtocol {
             for o in out.iter_mut() {
                 *o *= factor;
             }
-            self.server.invalidate(|u| {
-                self.silos.iter().zip(&dropped).any(|(silo, &d)| d && silo.histogram[u] > 0)
-            });
         }
         let report =
             RoundReport { server_encryption, silo_weighting, aggregation, dropped, selected };
@@ -1248,7 +1167,7 @@ mod tests {
     /// `Σ_s [Σ_u Encode(δ_suj)·n_su·(C_LCM/N_u) + Encode(z_sj)·C_LCM] mod n` over the
     /// surviving silos and the sampled users holding a delta, decoded with the
     /// protocol's codec and re-weighted by `|S| / |S_surviving|` as the round does.
-    /// No ciphertext, cache or engine path is involved, so a round whose aggregate
+    /// No ciphertext or engine path is involved, so a round whose aggregate
     /// matches it bit for bit computed exactly what the ciphertexts encode.
     fn exact_aggregate(
         protocol: &PrivateWeightingProtocol,
@@ -1471,6 +1390,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "dh_bits = 512 would be ignored")]
+    fn rejects_dh_bits_with_the_rfc_group() {
+        let cfg = ProtocolConfig { use_rfc_group: true, dh_bits: 512, ..test_config() };
+        let mut rng = StdRng::seed_from_u64(10);
+        let _ = PrivateWeightingProtocol::setup(&small_histogram(), &cfg, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "dh_bits = 32 is below the 64-bit minimum")]
+    fn rejects_a_custom_dh_group_below_64_bits() {
+        let cfg = ProtocolConfig { dh_bits: 32, ..test_config() };
+        let mut rng = StdRng::seed_from_u64(11);
+        let _ = PrivateWeightingProtocol::setup(&small_histogram(), &cfg, &mut rng);
+    }
+
+    #[test]
     #[should_panic(expected = "at least two silos")]
     fn rejects_single_silo() {
         let mut rng = StdRng::seed_from_u64(8);
@@ -1608,13 +1543,13 @@ mod tests {
 
     #[test]
     fn cached_rounds_match_fresh_encryption_rounds_bitwise() {
-        // Eight rounds of the same setup, identical caller RNG streams: the cached
-        // protocol re-randomises rounds 2..8 while the bypass instance re-encrypts every
-        // round. At 1 and 4 threads, every aggregate must hit the exact reference, so
-        // cached and fresh rounds agree bit for bit.
+        // Eight rounds of the same setup, identical caller RNG streams: the default
+        // protocol re-sends round 1's ciphertexts in rounds 2..8 while the
+        // `fresh_encrypt` instance encrypts every round. At 1 and 4 threads, every
+        // aggregate must hit the exact reference, so both agree bit for bit.
         let histogram = small_histogram();
         let mut runs = Vec::new();
-        for (threads, fresh_encrypt) in [(1, false), (4, false), (4, true)] {
+        for (threads, fresh_encrypt) in [(1, false), (1, true), (4, false), (4, true)] {
             let mut rng = StdRng::seed_from_u64(91);
             let cfg = ProtocolConfig { threads, fresh_encrypt, ..test_config() };
             let protocol = PrivateWeightingProtocol::setup(&histogram, &cfg, &mut rng);
@@ -1629,116 +1564,15 @@ mod tests {
                 }
                 let exact = exact_aggregate(&protocol, &deltas, &noises, None, &[false; 3]);
                 assert_exact(&out, &exact, &what);
-                // Cached: round 1 encrypts all 4 users, later rounds re-randomise all 4.
-                // Bypass: every round encrypts everything.
+                // Default: round 1 encrypts all 4 users, later rounds re-send all 4.
+                // `fresh_encrypt`: every round encrypts everything.
                 let stats = if round == 0 || fresh_encrypt { (4, 0) } else { (0, 4) };
                 assert_eq!(protocol.round_cache_stats(), stats, "{what}");
                 rounds.push(out.iter().map(|v| v.to_bits()).collect::<Vec<u64>>());
             }
             runs.push(rounds);
         }
-        assert!(runs.windows(2).all(|w| w[0] == w[1]), "aggregates must not depend on the cache");
-    }
-
-    #[test]
-    fn mask_change_reencrypts_exactly_the_changed_users() {
-        let histogram = small_histogram();
-        let mut rng = StdRng::seed_from_u64(95);
-        let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
-        let (deltas, noises) = deltas_and_noise(&histogram, 3, 96);
-        let all = SampleMask::from_dense(vec![true; 4]);
-        let half = SampleMask::from_dense(vec![true, false, true, false]);
-
-        let _ = protocol.weighting_round(&deltas, &noises, Some(&all), &mut rng);
-        assert_eq!(protocol.round_cache_stats(), (4, 0), "first round encrypts everyone");
-        let _ = protocol.weighting_round(&deltas, &noises, Some(&all), &mut rng);
-        assert_eq!(protocol.round_cache_stats(), (0, 4), "unchanged mask reuses everyone");
-
-        // Users 1 and 3 flip to unsampled: exactly those two re-encrypt (as zero), the
-        // other two re-randomise — and the round still matches its reference.
-        let (out, _) = protocol.weighting_round(&deltas, &noises, Some(&half), &mut rng);
-        assert_eq!(protocol.round_cache_stats(), (2, 2), "only flipped users re-encrypt");
-        let reference = protocol.plaintext_reference(&deltas, &noises, Some(&half));
-        for (a, b) in out.iter().zip(reference.iter()) {
-            assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");
-        }
-
-        // Flipping back re-encrypts the same two users again.
-        let (out, _) = protocol.weighting_round(&deltas, &noises, Some(&all), &mut rng);
-        assert_eq!(protocol.round_cache_stats(), (2, 2), "flip-back re-encrypts the pair");
-        let reference = protocol.plaintext_reference(&deltas, &noises, Some(&all));
-        for (a, b) in out.iter().zip(reference.iter()) {
-            assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");
-        }
-
-        // reset_round_cache drops everything: the next round is fully fresh.
-        protocol.reset_round_cache();
-        let _ = protocol.weighting_round(&deltas, &noises, Some(&all), &mut rng);
-        assert_eq!(protocol.round_cache_stats(), (4, 0), "reset forces full re-encryption");
-    }
-
-    /// Users with records in a silo marked in `dropped`.
-    fn users_of_dropped(histogram: &[Vec<usize>], dropped: &[bool]) -> usize {
-        (0..histogram[0].len())
-            .filter(|&u| dropped.iter().enumerate().any(|(s, &d)| d && histogram[s][u] > 0))
-            .count()
-    }
-
-    #[test]
-    fn dropout_invalidates_exactly_the_affected_users_entries() {
-        // Consecutive faulted rounds carry the cache over; the plan drops exactly one of
-        // the three silos every round. After each round exactly the users with records
-        // in its dropped silo have lost their entry, and the next round's encryption,
-        // which happens before its own dropout, re-encrypts exactly those.
-        let histogram = small_histogram();
-        let plan = FaultPlan { dropout_fraction: 0.4, seed: 77, ..FaultPlan::none() };
-        let mut rng = StdRng::seed_from_u64(97);
-        let protocol = PrivateWeightingProtocol::setup(&histogram, &faulted_config(plan), &mut rng);
-        let (deltas, noises) = deltas_and_noise(&histogram, 4, 98);
-        let mut fresh = 4;
-        let mut split = false;
-        for round in 0..5u64 {
-            let (out, report) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
-            assert_eq!(protocol.round_cache_stats(), (fresh, 4 - fresh), "round {round}");
-            assert_eq!(report.dropped.iter().filter(|&&d| d).count(), 1, "0.4 of 3 rounds to one");
-            let affected = users_of_dropped(&histogram, &report.dropped);
-            assert_eq!(protocol.cached_entry_count(), 4 - affected, "round {round}");
-            split |= affected > 0 && affected < 4;
-            let reference =
-                protocol.plaintext_reference_faulted(&deltas, &noises, None, &report.dropped);
-            for (a, b) in out.iter().zip(reference.iter()) {
-                assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");
-            }
-            fresh = affected;
-        }
-        assert!(split, "the plan must split the users in some round");
-    }
-
-    #[test]
-    fn faulted_round_sequence_reencrypts_exactly_the_dropped_users() {
-        // Five consecutive faulted rounds with fresh inputs each: every aggregate matches
-        // its surviving-silo reference, and every round after the first freshly
-        // re-encrypts exactly the users of the silo the previous round dropped.
-        let histogram = small_histogram();
-        let plan = FaultPlan { dropout_fraction: 0.4, seed: 77, ..FaultPlan::none() };
-        let mut rng = StdRng::seed_from_u64(103);
-        let protocol = PrivateWeightingProtocol::setup(&histogram, &faulted_config(plan), &mut rng);
-        let mut previous: Option<Vec<bool>> = None;
-        for round in 0..5u64 {
-            let (deltas, noises) = deltas_and_noise(&histogram, 4, 104 + round);
-            let (out, report) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
-            let dropped = report.dropped;
-            assert_eq!(dropped.iter().filter(|&&d| d).count(), 1, "round {round}");
-            let reference = protocol.plaintext_reference_faulted(&deltas, &noises, None, &dropped);
-            for (a, b) in out.iter().zip(reference.iter()) {
-                assert!((a - b).abs() < 1e-6, "round {round}: secure {a} vs plaintext {b}");
-            }
-            let exact = exact_aggregate(&protocol, &deltas, &noises, None, &dropped);
-            assert_exact(&out, &exact, &format!("faulted round {round}"));
-            let fresh = previous.as_deref().map_or(4, |prev| users_of_dropped(&histogram, prev));
-            assert_eq!(protocol.round_cache_stats(), (fresh, 4 - fresh), "round {round}");
-            previous = Some(dropped);
-        }
+        assert!(runs.windows(2).all(|w| w[0] == w[1]), "aggregates must not depend on re-sending");
     }
 
     #[test]
@@ -1785,8 +1619,8 @@ mod tests {
     fn sparse_and_dense_masks_agree_bitwise_across_rounds() {
         // The tentpole determinism oracle at unit scale: the same multi-round run under
         // the sparse index-list mask and under its densified copy must produce
-        // bit-identical aggregates (cross-round cache interplay included), equal to the
-        // exact reference and close to the plaintext one.
+        // bit-identical aggregates, equal to the exact reference and close to the
+        // plaintext one.
         let histogram = wide_histogram();
         let mask = SampleMask::from_sorted_indices(13, vec![2, 7, 11]);
         let run = |mask: &SampleMask| {
@@ -1817,48 +1651,40 @@ mod tests {
     }
 
     #[test]
-    fn sparse_rounds_materialise_only_sampled_state() {
+    fn q1_rounds_resend_one_encryption_and_mask_rounds_encrypt_afresh() {
+        // One protocol whose plan drops one of its two silos every round. Mask rounds,
+        // sparse or dense, encrypt their active users afresh and leave the server
+        // holding nothing. The first q = 1 round encrypts every user; every later one
+        // re-sends that set unchanged, although each follows a dropout round, and a
+        // mask round in between still encrypts afresh. Every aggregate is exact.
         let histogram = wide_histogram();
-        let mut rng = StdRng::seed_from_u64(71);
-        let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
-        let (deltas, noises) = deltas_and_noise(&histogram, 3, 72);
-        let mask = SampleMask::from_sorted_indices(13, vec![2, 7, 11]);
-        assert!(mask.is_sparse());
-
-        // Round 1: only the sampled users with records encrypt — user 11 holds no
-        // records and costs neither a ciphertext nor a cache entry.
-        let _ = protocol.weighting_round(&deltas, &noises, Some(&mask), &mut rng);
-        assert_eq!(protocol.round_cache_stats(), (2, 0));
-        assert_eq!(protocol.cached_entry_count(), 2);
-        // Round 2: both served from cache.
-        let _ = protocol.weighting_round(&deltas, &noises, Some(&mask), &mut rng);
-        assert_eq!(protocol.round_cache_stats(), (0, 2));
-
-        // A different sample: newcomers encrypt fresh; leavers keep their lazy entries
-        // (their cached plaintext is still the real inverse)…
-        let other = SampleMask::from_sorted_indices(13, vec![0, 4]);
-        assert!(other.is_sparse());
-        let _ = protocol.weighting_round(&deltas, &noises, Some(&other), &mut rng);
-        assert_eq!(protocol.round_cache_stats(), (2, 0));
-        assert_eq!(protocol.cached_entry_count(), 4);
-        // …so re-entering users re-randomise instead of re-encrypting.
-        let (out, _) = protocol.weighting_round(&deltas, &noises, Some(&mask), &mut rng);
-        assert_eq!(protocol.round_cache_stats(), (0, 2));
-        let reference = protocol.plaintext_reference(&deltas, &noises, Some(&mask));
-        for (a, b) in out.iter().zip(reference.iter()) {
-            assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");
-        }
-        // Two more rounds of 8 coordinates: step 2.(b)'s per-user powers and inverses
-        // never outlive their round, so the cache holds exactly one ciphertext per
-        // entry.
-        let (wide_deltas, wide_noises) = deltas_and_noise(&histogram, 8, 73);
-        for sample in [&mask, &other] {
-            let _ = protocol.weighting_round(&wide_deltas, &wide_noises, Some(sample), &mut rng);
-        }
-        assert_eq!(protocol.round_cache_stats(), (0, 2));
+        let plan = FaultPlan { dropout_fraction: 0.4, seed: 77, ..FaultPlan::none() };
+        let mut rng = StdRng::seed_from_u64(97);
+        let protocol = PrivateWeightingProtocol::setup(&histogram, &faulted_config(plan), &mut rng);
+        let sparse = SampleMask::from_sorted_indices(13, vec![2, 7, 11]);
+        let dense = SampleMask::from_dense((0..13).map(|u| u % 3 != 0).collect());
+        assert!(sparse.is_sparse() && !dense.is_sparse());
         let ct_bytes = (2 * protocol.modulus_bits()).div_ceil(64) * 8;
-        assert_eq!(protocol.cached_entry_count(), 4);
-        assert_eq!(protocol.cached_state_bytes(), protocol.cached_entry_count() * ct_bytes);
+        // (sampling, (encrypted, re-sent), ciphertexts held after the round); user 11
+        // holds no records, so the sparse mask has two active users.
+        let schedule = [
+            (Some(&sparse), (2, 0), 0),
+            (Some(&dense), (13, 0), 0),
+            (None, (13, 0), 13),
+            (None, (0, 13), 13),
+            (Some(&sparse), (2, 0), 13),
+            (None, (0, 13), 13),
+        ];
+        for (round, (sampled, sent, held)) in schedule.into_iter().enumerate() {
+            let (deltas, noises) = deltas_and_noise(&histogram, 3, 98 + round as u64);
+            let (out, report) = protocol.weighting_round(&deltas, &noises, sampled, &mut rng);
+            assert_eq!(report.dropped.iter().filter(|&&d| d).count(), 1, "round {round}");
+            assert_eq!(protocol.round_cache_stats(), sent, "round {round}");
+            assert_eq!(protocol.cached_entry_count(), held, "round {round}");
+            assert_eq!(protocol.cached_state_bytes(), held * ct_bytes, "round {round}");
+            let exact = exact_aggregate(&protocol, &deltas, &noises, sampled, &report.dropped);
+            assert_exact(&out, &exact, &format!("round {round}"));
+        }
     }
 
     /// Steps 1.(d)–(e) as the paper states them: each silo blinds each of its counts

@@ -21,17 +21,14 @@
 //! encryption/scalar multiplication, `p²`/`q²` for CRT decryption), so both keys carry
 //! lazily-built, shared [`ModulusCtx`] caches and route through the Montgomery engine of
 //! `uldp-bigint` by default; the `(1 + m·n) mod n²` encryption step and the `L(x)`
-//! decryption step stay in normal form at the boundaries. [`RerandCtx`] additionally
-//! amortises a *base*: the cross-round ciphertext cache of Protocol 1 re-randomises every
-//! ciphertext by a power of one fixed `h`, which a [`FixedBaseCtx`] turns into
-//! squaring-free table lookups. Results are bitwise-identical to the schoolbook
-//! square-and-multiply [`mod_pow`]; the tests below compare every engine call site
-//! against it.
+//! decryption step stay in normal form at the boundaries. Results are
+//! bitwise-identical to the schoolbook square-and-multiply [`mod_pow`]; the tests below
+//! compare every engine call site against it.
 
 use rand::Rng;
 use std::sync::{Arc, OnceLock};
 use uldp_bigint::modular::{mod_inv, mod_mul, mod_pow, mod_sub};
-use uldp_bigint::montgomery::{FixedBaseCtx, ModulusCtx};
+use uldp_bigint::montgomery::ModulusCtx;
 use uldp_bigint::{lcm, prime, BigUint};
 use uldp_runtime::Runtime;
 
@@ -163,57 +160,6 @@ impl PaillierKeyPair {
     }
 }
 
-/// Digit width of the [`RerandCtx`] table. One table serves every re-randomisation of
-/// a whole federation across all rounds, so it affords a wider digit (fewer
-/// multiplications per exponentiation) than the per-base [`FixedBaseCtx::new`] default.
-const RERAND_WINDOW: usize = 7;
-
-/// A reusable re-randomisation context produced by [`PaillierPublicKey::rerand_ctx`].
-///
-/// Samples one secret unit `ρ` at construction and holds `h = ρ^n mod n²` behind a
-/// wide fixed-base table. Each re-randomisation then multiplies by `h^t` for a fresh
-/// exponent `t ∈ [1, n)` — squaring-free table lookups instead of the full
-/// sliding-window `r^n` a fresh encryption (or [`PaillierPublicKey::rerandomise`])
-/// pays. `h^t = (ρ^t)^n` is an n-th power, i.e. an encryption of zero with randomiser
-/// `ρ^t mod n`, so decryption is unchanged exactly.
-///
-/// The obliviousness trade-off: randomisers are drawn from the subgroup `⟨ρ⟩` instead
-/// of all units mod `n`. Under the decisional composite residuosity assumption the
-/// re-randomised ciphertext remains indistinguishable from a fresh encryption (the
-/// standard fixed-generator re-randomisation argument); callers needing full-group
-/// randomisers use [`PaillierPublicKey::rerandomise`] instead.
-#[derive(Debug)]
-pub struct RerandCtx {
-    /// Plaintext modulus; exponents are drawn from `[1, n)`.
-    n: BigUint,
-    /// Ciphertext modulus `n²`.
-    n_squared: BigUint,
-    /// Fixed-base table for `h = ρ^n mod n²`.
-    table: FixedBaseCtx,
-}
-
-impl RerandCtx {
-    /// `h^t mod n²` — the n-th power a re-randomisation by exponent `t` multiplies in.
-    ///
-    /// The table covers the `|n|`-bit exponents [`RerandCtx::rerandomise`] draws;
-    /// longer exponents take the sliding-window path with identical results.
-    pub fn pow_h(&self, t: &BigUint) -> BigUint {
-        self.table.pow(t)
-    }
-
-    /// Re-randomises `c` with a fresh exponent `t ∈ [1, n)`, returning `c·h^t`.
-    pub fn rerandomise<R: Rng + ?Sized>(&self, rng: &mut R, c: &Ciphertext) -> Ciphertext {
-        uldp_telemetry::metrics::PAILLIER_RERANDOMISE.inc();
-        let t = loop {
-            let t = BigUint::random_below(rng, &self.n);
-            if !t.is_zero() {
-                break t;
-            }
-        };
-        Ciphertext(mod_mul(&c.0, &self.pow_h(&t), &self.n_squared))
-    }
-}
-
 impl PaillierPublicKey {
     /// Builds a public key from the modulus `n` (caching `n²`; the Montgomery contexts
     /// are built lazily on first exponentiation and shared from then on).
@@ -267,19 +213,6 @@ impl PaillierPublicKey {
         uldp_telemetry::metrics::PAILLIER_RERANDOMISE.inc();
         let rn = self.ctx_n2().pow(r, &self.n);
         Ciphertext(mod_mul(&c.0, &rn, &self.n_squared))
-    }
-
-    /// Builds a [`RerandCtx`]: samples a secret unit `ρ`, computes `h = ρ^n mod n²`
-    /// and precomputes its wide fixed-base table, after which each re-randomisation is
-    /// squaring-free (see the [`RerandCtx`] docs for the subgroup caveat).
-    pub fn rerand_ctx<R: Rng + ?Sized>(&self, rng: &mut R) -> RerandCtx {
-        let rho = self.sample_unit(rng);
-        let h = self.ctx_n2().pow(&rho, &self.n);
-        // Covers the exponents t < n that RerandCtx::rerandomise draws.
-        let max_bits = self.n.bit_length();
-        let table =
-            FixedBaseCtx::with_window(Arc::clone(self.ctx_n2()), &h, max_bits, RERAND_WINDOW);
-        RerandCtx { n: self.n.clone(), n_squared: self.n_squared.clone(), table }
     }
 
     /// The encryption of zero with randomness one (useful as an additive identity).
@@ -608,28 +541,5 @@ mod tests {
             kp.public.rerandomise_with_randomness(&c, &r).0,
             mod_mul(&c.0, &mod_pow(&r, &kp.public.n, n2), n2),
         );
-    }
-
-    #[test]
-    fn rerand_ctx_preserves_plaintext_and_pow_h_matches_mod_pow() {
-        let kp = keypair(256, 34);
-        let mut rng = StdRng::seed_from_u64(35);
-        let ctx = kp.public.rerand_ctx(&mut rng);
-        let m = BigUint::from_u64(777);
-        let c1 = kp.public.encrypt(&mut rng, &m);
-        let c2 = ctx.rerandomise(&mut rng, &c1);
-        let c3 = ctx.rerandomise(&mut rng, &c2);
-        for c in [&c2, &c3] {
-            assert_eq!(kp.secret.decrypt(c), m);
-            assert_ne!(c, &c1);
-        }
-        // pow_h is the schoolbook h^t (h = pow_h(1)), inside the table's |n|-bit range
-        // and past it.
-        let h = ctx.pow_h(&BigUint::one());
-        let in_range = kp.public.n.sub(&BigUint::one());
-        let past_range = kp.public.n.mul(&BigUint::from_u64(3));
-        for t in [in_range, past_range] {
-            assert_eq!(ctx.pow_h(&t), mod_pow(&h, &t, &kp.public.n_squared));
-        }
     }
 }

@@ -1,8 +1,9 @@
-//! Exact operation counts of fresh, cached and faulted Protocol 1 rounds.
+//! Exact operation counts of first, steady and faulted Protocol 1 rounds.
 //!
-//! Round 1 freshly encrypts every user's blinded inverse; the cached round after it
-//! encrypts nothing and re-randomises every user from the server's cache, one
-//! fixed-base exponentiation each.
+//! Round 1 encrypts every user's blinded inverse; every later q = 1 round sends the
+//! same ciphertexts again, so it encrypts nothing and the server re-randomises nothing.
+//! The only re-randomisations of a steady round are the silos' refreshes of their
+//! outgoing cells.
 //!
 //! Step 2.(b) is the silos' work and is computed from the ciphertexts they receive.
 //! Per round it raises each participating user's ciphertext once to its full-width
@@ -76,15 +77,17 @@ fn cached_round_costs_one_multi_exponentiation_per_cell_and_refresh() {
     let window = users + cells + 2 * dim as u64;
     uldp_fl::telemetry::reset();
     uldp_fl::telemetry::set_enabled(true);
-    // Round 1 encrypts fresh and builds the server's re-randomisation table.
+    // Round 1 encrypts every user's inverse once.
     let _ = protocol.weighting_round(&deltas, &noises, None, &mut rng);
     assert_eq!(metrics::PAILLIER_ENCRYPT.get(), users, "round 1 encrypts every user");
     assert_eq!(metrics::PAILLIER_RERANDOMISE.get(), cells, "round 1 re-randomises only cells");
-    assert_eq!(metrics::MODPOW_FIXED_BASE.get(), 0, "round 1 refreshes nothing from cache");
+    assert_eq!(metrics::MODPOW_FIXED_BASE.get(), 0, "no fixed-base exponentiation");
     assert_eq!(metrics::WINDOW_TABLE.get(), 2 * users, "tables of b_u and b_u⁻¹ per user");
+    assert_eq!(protocol.round_cache_stats(), (users as usize, 0));
     uldp_fl::telemetry::reset();
-    // Round 2 is served from the cache.
+    // Round 2 sends round 1's ciphertexts again.
     let (out, _) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
+    assert_eq!(protocol.round_cache_stats(), (0, users as usize));
     let encrypt = metrics::PAILLIER_ENCRYPT.get();
     let fixed_base = metrics::MODPOW_FIXED_BASE.get();
     let sliding_window = metrics::MODPOW_WINDOW.get();
@@ -96,16 +99,16 @@ fn cached_round_costs_one_multi_exponentiation_per_cell_and_refresh() {
     assert_eq!(scalar_mul, terms, "one scalar_mul per participating (silo, user, coordinate)");
     assert_eq!(multi_exp, cells, "one multi-exponentiation per (silo, coordinate) cell");
     assert_eq!(tables, 2 * users, "tables are built per user and round, not per cell");
-    assert_eq!(encrypt, 0, "the cached round encrypts nothing");
-    assert_eq!(rerandomise, users + cells, "every cached user and every outgoing cell");
-    assert_eq!(fixed_base, users, "only the server's cache refreshes use a fixed base");
+    assert_eq!(encrypt, 0, "a steady q = 1 round encrypts nothing");
+    assert_eq!(rerandomise, cells, "only the outgoing cells are re-randomised");
+    assert_eq!(fixed_base, 0, "no fixed-base exponentiation");
     assert_eq!(sliding_window, window, "b_u powers, cell re-randomisations, decryption");
     let reference = protocol.plaintext_reference(&deltas, &noises, None);
     for (a, b) in out.iter().zip(reference.iter()) {
         assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");
     }
 
-    // The tables' and the ladder's own Montgomery operations. Two fresh rounds differ
+    // The tables' and the ladder's own Montgomery operations. Two steady rounds differ
     // only in their deltas, so every other operation count cancels between them. All
     // zero deltas give zero exponents: no ladder work, and `w = 1` tables that cost
     // nothing. Deltas of ±2^m·P give exponents n_su·2^m = 2^k, one window each, so a
@@ -118,7 +121,6 @@ fn cached_round_costs_one_multi_exponentiation_per_cell_and_refresh() {
     });
     let zeros = deltas_from(&histogram, dim, |_, _, _| 0.0);
     let fresh_round = |deltas: &Deltas, rng: &mut StdRng| {
-        protocol.reset_round_cache();
         uldp_fl::telemetry::reset();
         let (out, _) = protocol.weighting_round(deltas, &noises, None, rng);
         let reference = protocol.plaintext_reference(deltas, &noises, None);
