@@ -27,9 +27,10 @@
 //! The state is split by party. The server holds the Paillier secret key, the blinded
 //! inverses `B_inv(N_u)`, the q = 1 ciphertexts and the round counter. Each silo holds
 //! a view of its own: the public key, the codec and `C_LCM`, the blinder seeded by `R`,
-//! its histogram row and its pairwise seeds. Step 2.(b) is a function of a silo's view,
-//! what the server sent that round and the silo's own deltas and noise, so it has no
-//! path to the server's state.
+//! its histogram row and its pairwise seeds; beside the views, the silos keep the q = 1
+//! `[b_u, b_u⁻¹]` pairs they derived from what they received. Step 2.(b) is a function
+//! of a silo's view, what the server sent (that round, or the first q = 1 round) and
+//! the silo's own deltas and noise, so it has no path to the server's state.
 //!
 //! Every round runs through [`PrivateWeightingProtocol::weighting_round`]. Its
 //! [`Sampling`] argument only changes how step 2.(a) picks the ciphertexts: every user,
@@ -47,8 +48,10 @@
 //! `n` checks all of its factors for coprimality
 //! ([`MultiplicativeBlinder::factors`]), so setup runs `⌈|U| / SETUP_BLOCK⌉` gcds
 //! instead of one per (silo, user). Step 1.(f) inverts all blinded totals in one
-//! simultaneous inversion (`ModulusCtx::batch_inv`). A round's step 2.(b) takes its
-//! participating users' factors from one `factors` call as well.
+//! simultaneous inversion (`ModulusCtx::batch_inv`). A mask or oblivious round's step
+//! 2.(b) takes its participating users' factors from one `factors` call as well, and
+//! so does the first [`Sampling::All`] round for every record holder; later
+//! `Sampling::All` rounds expand no factor.
 //!
 //! ## Parallel execution
 //!
@@ -66,12 +69,14 @@
 //! All exponentiations run on the Montgomery engine of `uldp-bigint` through contexts
 //! cached in the Paillier keys at setup. Step 2.(a) encrypts over the `n²` context and
 //! step 2.(c) decrypts by CRT over `p²`/`q²` contexts. Step 2.(b) splits its exponent:
-//! the full-width blinding part `f_u = r_u·C_LCM mod n` is raised once per user and
-//! round, `b_u = c_u^{f_u} mod n²`, with all the `b_u⁻¹` from one batch inversion
-//! (`ModulusCtx::batch_inv`), and each of `b_u`, `b_u⁻¹` gets one odd-power window
-//! table per round (`ModulusCtx::window_table`), built on the pool and shared by every
-//! silo and cell. Each cell is then one pass of the shared sliding-window ladder
-//! (`ModulusCtx::multi_exp_tables`) over references into those tables:
+//! the full-width blinding part `f_u = r_u·C_LCM mod n` is raised once per user,
+//! `b_u = c_u^{f_u} mod n²`, with all the `b_u⁻¹` from one batch inversion
+//! (`ModulusCtx::batch_inv`): every round under a mask or oblivious sampling, once
+//! under [`Sampling::All`] (see "q = 1 ciphertexts are sent once"). Each of `b_u`,
+//! `b_u⁻¹` gets one odd-power window table per round (`ModulusCtx::window_table`),
+//! built on the pool and shared by every silo and cell. Each cell is then one pass of
+//! the shared sliding-window ladder (`ModulusCtx::multi_exp_tables`) over references
+//! into those tables:
 //! `∏_u b_u^{n_su·x}` for `Encode(δ) = x ≤ n/2` and `(b_u⁻¹)^{n_su·(n−x)}` otherwise,
 //! whose exponents have about `log₂(N_max·C/P) + 1` bits (≈ 40 at the defaults, window
 //! `w = 4`) instead of `|n|`. Both forms encode `B_inv(N_u)·f_u·n_su·x mod n`, the
@@ -101,20 +106,28 @@
 //! first such round encrypts every user's inverse and the server keeps that one set;
 //! every later `Sampling::All` round sends it again unchanged, dropouts included. A
 //! [`Sampling::Mask`] round encrypts its active users afresh, and oblivious rounds
-//! encrypt every OT slot afresh. [`ProtocolConfig::fresh_encrypt`] makes every round
-//! encrypt afresh. Step 2.(b) sees only the received ciphertexts: its per-user tables
-//! of `b_u` and `b_u⁻¹` are rebuilt from them every round and dropped with it, so
-//! re-sent and fresh rounds share one step 2.(b) and decrypt to the same bits.
+//! encrypt every OT slot afresh.
+//!
+//! The silos' `b_u = c_u^{f_u}` depend only on those unchanged ciphertexts and on `R`,
+//! so the silos keep them too: the first `Sampling::All` round derives `[b_u, b_u⁻¹]`
+//! for every user some silo holds records of, weighed that round or not, and later
+//! `Sampling::All` rounds only build their window tables from these pairs. Both sides
+//! decide to hold on the same public condition, and the pairs live beside the silo
+//! views, never with the server. They cost two `n²`-wide values per record holder
+//! (≈256 B at 512-bit n, ≈1.5 KB at 3072-bit); the tables (≈2 KB per user at `w = 4`
+//! and 512 bits) are still dropped with their round. [`ProtocolConfig::fresh_encrypt`]
+//! makes every round encrypt afresh and derive every pair afresh. Re-sent, held and
+//! fresh rounds share one step 2.(b) and decrypt to the same bits.
 //!
 //! ## Population scaling
 //!
 //! Round cost tracks the *sampled* users, not the population. Under a sparse
 //! [`SampleMask`] ([`crate::sampling`]) step 2.(a) encrypts only the sampled users'
-//! inverses, the server keeps no per-user state between such rounds, and the cell
-//! fold walks per-silo participant lists instead of `0..|U|`. Omitting an unsampled
-//! user's `Enc(0)` term subtracts exactly zero from every total, so sparse and dense
-//! masks give bitwise-identical aggregates; the tests compare a sparse mask against
-//! its densified copy. Such a mask is visible to the server.
+//! inverses, neither the server nor the silos keep per-user state between such
+//! rounds, and the cell fold walks per-silo participant lists instead of `0..|U|`.
+//! Omitting an unsampled user's `Enc(0)` term subtracts exactly zero from every total,
+//! so sparse and dense masks give bitwise-identical aggregates; the tests compare a
+//! sparse mask against its densified copy. Such a mask is visible to the server.
 
 use crate::config::WeightingStrategy;
 use crate::sampling::SampleMask;
@@ -168,8 +181,10 @@ pub struct ProtocolConfig {
     /// positive `byzantine_fraction`. The default plan injects nothing.
     pub fault_plan: FaultPlan,
     /// Encrypt afresh every round: [`Sampling::All`] rounds do not re-send the first
-    /// such round's ciphertexts. Decrypted aggregates are bitwise-identical either way,
-    /// only the per-round `server_encryption` cost changes.
+    /// such round's ciphertexts, and the silos derive every `b_u` and `b_u⁻¹` from each
+    /// round's ciphertexts instead of holding the first round's. Decrypted aggregates
+    /// are bitwise-identical either way; only the per-round `server_encryption` and
+    /// `silo_weighting` costs change.
     pub fresh_encrypt: bool,
 }
 
@@ -365,8 +380,6 @@ struct Server {
     /// Every user's encrypted inverse, encrypted by the first [`Sampling::All`] round
     /// and sent unchanged by every later one (see "q = 1 ciphertexts are sent once").
     held: OnceLock<Vec<Ciphertext>>,
-    /// [`ProtocolConfig::fresh_encrypt`]: never fill or send `held`.
-    fresh_encrypt: bool,
     /// `(encrypted, re-sent)` ciphertexts of the most recent round's step 2.(a).
     last_sent: Mutex<(usize, usize)>,
     /// Index of the next round, counted from 0 since setup; it selects the round's
@@ -392,7 +405,10 @@ struct SiloView {
 /// What a silo derives in one round from the ids and ciphertexts the server sent and
 /// from `R` alone: each participating user's odd-power window tables of
 /// `b_u = c_u^{r_u·C_LCM mod n} mod n²` and of its inverse mod `n²`. Every silo derives
-/// the same tables, so the protocol builds them once per round and shares them.
+/// the same tables, so the protocol builds them once per round and shares them. Under
+/// [`Sampling::All`] the tables are built from the `[b_u, b_u⁻¹]` pairs the silos hold
+/// across rounds (see "q = 1 ciphertexts are sent once"); the tables themselves never
+/// outlive their round.
 struct Received {
     /// `[b_u, b_u⁻¹]` tables per active position; `None` unless a surviving silo weighs u.
     tables: Vec<Option<[WindowTable; 2]>>,
@@ -419,10 +435,10 @@ impl Server {
     }
 
     /// Step 2.(a) under a server-visible sample or none: returns the active user ids
-    /// and their ciphertexts, aligned position for position. A [`Sampling::Mask`]
-    /// round encrypts its active users in one pooled batch; a [`Sampling::All`] round
-    /// lends the ciphertexts the first such round encrypted, unless
-    /// [`ProtocolConfig::fresh_encrypt`] is set.
+    /// and their ciphertexts, aligned position for position. A `hold` round (a
+    /// [`Sampling::All`] round without [`ProtocolConfig::fresh_encrypt`]) lends the
+    /// ciphertexts the first such round encrypted; any other round encrypts its active
+    /// users in one pooled batch.
     ///
     /// Exactly one 256-bit batch seed is drawn from the caller's RNG whichever path
     /// runs, so re-sent, fresh, sparse and dense executions all consume identical
@@ -434,8 +450,10 @@ impl Server {
         &self,
         rt: &Runtime,
         sampled: Option<&SampleMask>,
+        hold: bool,
         rng: &mut R,
     ) -> (Vec<u32>, Cow<'_, [Ciphertext]>) {
+        debug_assert!(!hold || sampled.is_none(), "only a Sampling::All round holds");
         let key = &self.public.key;
         let zero = BigUint::zero();
         let batch_seed = seeding::wide_seed_from_rng(rng);
@@ -449,7 +467,7 @@ impl Server {
                 key.encrypt(&mut rng, kept.unwrap_or(&zero))
             })
         };
-        let (cts, encrypted) = if sampled.is_some() || self.fresh_encrypt {
+        let (cts, encrypted) = if !hold {
             (Cow::Owned(encrypt()), active.len())
         } else if let Some(held) = self.held.get() {
             (Cow::Borrowed(held.as_slice()), 0)
@@ -509,10 +527,16 @@ impl Server {
 
 impl Received {
     /// Builds the round's shared silo-side state from the ids and ciphertexts the server
-    /// sent: one full-width power for each user some surviving silo weighs, one batch
-    /// inversion of all of them, then their two tables at the window [`multi_exp_window`]
-    /// picks for the round's longest cell exponent `n_su·|Encode(δ_suj)|`. The window
-    /// only sets speed, never bits; a deployed silo would size it from its own cells.
+    /// sent: each weighed user's `[b_u, b_u⁻¹]` ([`Received::derive_pairs`]), then its
+    /// two tables at the window [`multi_exp_window`] picks for the round's longest cell
+    /// exponent `n_su·|Encode(δ_suj)|`. The window only sets speed, never bits; a
+    /// deployed silo would size it from its own cells.
+    ///
+    /// With `held` (a [`Sampling::All`] round without [`ProtocolConfig::fresh_encrypt`])
+    /// the pairs come from the silos' held set: the first such round derives it for every
+    /// user some silo holds records of, weighed this round or not, and later rounds derive
+    /// nothing. Otherwise the round derives the pairs of the users it weighs and drops
+    /// them with its tables.
     fn new(
         rt: &Runtime,
         silos: &[SiloView],
@@ -520,9 +544,10 @@ impl Received {
         ciphertexts: &[Ciphertext],
         participants: &[Vec<(usize, usize)>],
         clipped_deltas: &[Vec<Vec<f64>>],
+        held: Option<&OnceLock<Vec<Option<[BigUint; 2]>>>>,
     ) -> Self {
         debug_assert_eq!(active.len(), ciphertexts.len());
-        let Public { key, codec, c_lcm } = &*silos[0].public;
+        let Public { key, codec, .. } = &*silos[0].public;
         let (mut used, mut largest) = (vec![false; active.len()], 0u128);
         for ((silo, participants), deltas) in silos.iter().zip(participants).zip(clipped_deltas) {
             for &(i, u) in participants {
@@ -535,22 +560,56 @@ impl Received {
                 }
             }
         }
+        let derive =
+            |wanted: &[bool]| Self::derive_pairs(rt, &silos[0], active, ciphertexts, wanted);
+        let round_pairs;
+        let pairs = match held {
+            Some(held) => held.get_or_init(|| {
+                let holds: Vec<bool> = (active.iter())
+                    .map(|&u| silos.iter().any(|silo| silo.histogram[u as usize] > 0))
+                    .collect();
+                derive(&holds)
+            }),
+            None => {
+                round_pairs = derive(&used);
+                &round_pairs
+            }
+        };
+        let window = multi_exp_window((u128::BITS - largest.leading_zeros()) as usize);
         let positions: Vec<usize> = (0..active.len()).filter(|&i| used[i]).collect();
+        let mut built = rt
+            .par_map(&positions, |_, &i| {
+                let pair = pairs[i].as_ref().expect("every weighed user has a pair");
+                pair.each_ref().map(|base| key.ctx_n2().window_table(base, window))
+            })
+            .into_iter();
+        Received { tables: used.iter().map(|&u| if u { built.next() } else { None }).collect() }
+    }
+
+    /// `[b_u, b_u⁻¹]` for the active positions `wanted` marks, `None` elsewhere: one
+    /// full-width power `b_u = c_u^{r_u·C_LCM mod n} mod n²` per wanted user, from the
+    /// ciphertext the silo received and the factors of one `factors` call, and one batch
+    /// inversion of all of them.
+    fn derive_pairs(
+        rt: &Runtime,
+        silo: &SiloView,
+        active: &[u32],
+        ciphertexts: &[Ciphertext],
+        wanted: &[bool],
+    ) -> Vec<Option<[BigUint; 2]>> {
+        let Public { key, c_lcm, .. } = &*silo.public;
+        let positions: Vec<usize> = (0..active.len()).filter(|&i| wanted[i]).collect();
         let users: Vec<u64> = positions.iter().map(|&i| active[i] as u64).collect();
-        let factors = silos[0].blinder.factors(&users);
+        let factors = silo.blinder.factors(&users);
         let powers = rt.par_map(&positions, |k, &i| {
             let f = mod_mul(&factors[k], c_lcm, &key.n);
             key.ctx_n2().pow(&ciphertexts[i].0, &f)
         });
         let inverses = key.ctx_n2().batch_inv(&powers);
-        let window = multi_exp_window((u128::BITS - largest.leading_zeros()) as usize);
-        let mut built = rt
-            .par_map(&positions, |k, _| {
-                let inverse = inverses[k].as_ref().expect("a Paillier ciphertext is a unit mod n²");
-                [&powers[k], inverse].map(|base| key.ctx_n2().window_table(base, window))
-            })
-            .into_iter();
-        Received { tables: used.iter().map(|&u| if u { built.next() } else { None }).collect() }
+        let mut pairs = powers.into_iter().zip(inverses).map(|(power, inverse)| {
+            [power, inverse.expect("a Paillier ciphertext is a unit mod n²")]
+        });
+        wanted.iter().map(|&w| if w { pairs.next() } else { None }).collect()
     }
 }
 
@@ -657,6 +716,13 @@ fn blinded_totals(
 pub struct PrivateWeightingProtocol {
     server: Server,
     silos: Vec<SiloView>,
+    /// Silo side: every record holder's `[b_u, b_u⁻¹]`, derived by the first
+    /// [`Sampling::All`] round from the ciphertexts it received and used by every later
+    /// one (see "q = 1 ciphertexts are sent once"). Like the views, it never reaches the
+    /// server.
+    held_pairs: OnceLock<Vec<Option<[BigUint; 2]>>>,
+    /// [`ProtocolConfig::fresh_encrypt`]: neither side holds anything across rounds.
+    fresh_encrypt: bool,
     /// Cross-silo totals `N_u`, kept only to validate inputs and for the plaintext
     /// references; no party learns them.
     user_totals: Vec<u64>,
@@ -799,11 +865,12 @@ impl PrivateWeightingProtocol {
                 secret,
                 blinded_inverses,
                 held: OnceLock::new(),
-                fresh_encrypt: config.fresh_encrypt,
                 last_sent: Mutex::new((0, 0)),
                 next_round: AtomicU64::new(0),
             },
             silos,
+            held_pairs: OnceLock::new(),
+            fresh_encrypt: config.fresh_encrypt,
             user_totals,
             setup_timings: ProtocolTimings {
                 key_exchange,
@@ -872,18 +939,28 @@ impl PrivateWeightingProtocol {
         *self.server.last_sent.lock().expect("round stats mutex poisoned")
     }
 
-    /// Number of ciphertexts the server holds across rounds: every user's once a
-    /// [`Sampling::All`] round has run without [`ProtocolConfig::fresh_encrypt`], zero
+    /// Number of entries held across rounds: the server's ciphertexts (one per user)
+    /// plus the silos' `[b_u, b_u⁻¹]` pairs (one per user holding records), once a
+    /// [`Sampling::All`] round has run without [`ProtocolConfig::fresh_encrypt`]; zero
     /// before. Mask and oblivious rounds hold nothing.
     pub fn cached_entry_count(&self) -> usize {
-        self.server.held.get().map_or(0, Vec::len)
+        let (ciphertexts, pairs) = self.held_counts();
+        ciphertexts + pairs
     }
 
-    /// Resident bytes of the ciphertexts the server holds across rounds
-    /// ([`PrivateWeightingProtocol::cached_entry_count`] ciphertexts). Step 2.(b)'s
-    /// per-user powers, inverses and tables live only for their round.
+    /// Bytes held across rounds, each value counted at the width of `n²`: one per
+    /// held ciphertext and two per held pair
+    /// ([`PrivateWeightingProtocol::cached_entry_count`]). Step 2.(b)'s window tables
+    /// live only for their round.
     pub fn cached_state_bytes(&self) -> usize {
-        self.cached_entry_count() * self.ciphertext_bytes()
+        let (ciphertexts, pairs) = self.held_counts();
+        (ciphertexts + 2 * pairs) * self.ciphertext_bytes()
+    }
+
+    /// `(ciphertexts the server holds, pairs the silos hold)` across rounds.
+    fn held_counts(&self) -> (usize, usize) {
+        let pairs = self.held_pairs.get().map_or(0, |pairs| pairs.iter().flatten().count());
+        (self.server.held.get().map_or(0, Vec::len), pairs)
     }
 
     fn ciphertext_bytes(&self) -> usize {
@@ -922,9 +999,12 @@ impl PrivateWeightingProtocol {
         // silo drops.
         let enc_span = trace::timed_span("protocol", "server_encryption");
         let (rt, server) = (&*self.runtime, &self.server);
-        let ((active, ciphertexts), selected) = match sampling.into() {
-            Sampling::All => (server.encrypt_inverses(rt, None, rng), None),
-            Sampling::Mask(mask) => (server.encrypt_inverses(rt, Some(mask), rng), None),
+        let sampling = sampling.into();
+        // Both sides hold their q = 1 state under the same public condition.
+        let hold = matches!(sampling, Sampling::All) && !self.fresh_encrypt;
+        let ((active, ciphertexts), selected) = match sampling {
+            Sampling::All => (server.encrypt_inverses(rt, None, hold, rng), None),
+            Sampling::Mask(mask) => (server.encrypt_inverses(rt, Some(mask), false, rng), None),
             Sampling::Oblivious(ot) => {
                 let (active, cts, selected) = server.offer_inverses(rt, ot, rng);
                 ((active, Cow::Owned(cts)), Some(selected))
@@ -942,8 +1022,16 @@ impl PrivateWeightingProtocol {
             .zip(&dropped)
             .map(|((silo, deltas), &d)| if d { vec![] } else { silo.participants(&active, deltas) })
             .collect();
-        let received =
-            Received::new(rt, &self.silos, &active, &ciphertexts, &participants, clipped_deltas);
+        let held = hold.then_some(&self.held_pairs);
+        let received = Received::new(
+            rt,
+            &self.silos,
+            &active,
+            &ciphertexts,
+            &participants,
+            clipped_deltas,
+            held,
+        );
         let totals = self.fold_cells(dim, |s, j| {
             // A dropped silo's report never reaches the server: neither its weighted
             // deltas nor its noise enter the per-coordinate total.
@@ -1652,39 +1740,70 @@ mod tests {
 
     #[test]
     fn q1_rounds_resend_one_encryption_and_mask_rounds_encrypt_afresh() {
-        // One protocol whose plan drops one of its two silos every round. Mask rounds,
-        // sparse or dense, encrypt their active users afresh and leave the server
-        // holding nothing. The first q = 1 round encrypts every user; every later one
-        // re-sends that set unchanged, although each follows a dropout round, and a
-        // mask round in between still encrypts afresh. Every aggregate is exact.
+        // One protocol whose plan drops one of its two silos every round, and a
+        // `fresh_encrypt` twin set up and driven from identical RNG streams. Mask rounds,
+        // sparse or dense, encrypt their active users afresh and leave nothing held. The
+        // first q = 1 round encrypts every user, and the silos derive `[b_u, b_u⁻¹]` for
+        // every user holding records: also for those only the dropped silo holds and for
+        // user 0, who sends no delta that round. Every later q = 1 round re-sends the
+        // ciphertexts and derives nothing, although each follows a dropout round, and a
+        // mask round in between still encrypts afresh. The twin encrypts and derives
+        // afresh every round. Every aggregate of both is exact, so they agree bit for bit.
         let histogram = wide_histogram();
         let plan = FaultPlan { dropout_fraction: 0.4, seed: 77, ..FaultPlan::none() };
         let mut rng = StdRng::seed_from_u64(97);
         let protocol = PrivateWeightingProtocol::setup(&histogram, &faulted_config(plan), &mut rng);
+        let mut twin_rng = StdRng::seed_from_u64(97);
+        let fresh_config = ProtocolConfig { fresh_encrypt: true, ..faulted_config(plan) };
+        let twin = PrivateWeightingProtocol::setup(&histogram, &fresh_config, &mut twin_rng);
         let sparse = SampleMask::from_sorted_indices(13, vec![2, 7, 11]);
         let dense = SampleMask::from_dense((0..13).map(|u| u % 3 != 0).collect());
         assert!(sparse.is_sparse() && !dense.is_sparse());
         let ct_bytes = (2 * protocol.modulus_bits()).div_ceil(64) * 8;
-        // (sampling, (encrypted, re-sent), ciphertexts held after the round); user 11
-        // holds no records, so the sparse mask has two active users.
+        // (sampling, (encrypted, re-sent), entries held after the round, held bytes in
+        // units of ct_bytes). User 11 holds no records, so the sparse mask has two active
+        // users, and the held set is 13 ciphertexts and 12 pairs of two values each.
         let schedule = [
-            (Some(&sparse), (2, 0), 0),
-            (Some(&dense), (13, 0), 0),
-            (None, (13, 0), 13),
-            (None, (0, 13), 13),
-            (Some(&sparse), (2, 0), 13),
-            (None, (0, 13), 13),
+            (Some(&sparse), (2, 0), 0, 0),
+            (Some(&dense), (13, 0), 0, 0),
+            (None, (13, 0), 13 + 12, 13 + 2 * 12),
+            (None, (0, 13), 25, 37),
+            (Some(&sparse), (2, 0), 25, 37),
+            (None, (0, 13), 25, 37),
         ];
-        for (round, (sampled, sent, held)) in schedule.into_iter().enumerate() {
-            let (deltas, noises) = deltas_and_noise(&histogram, 3, 98 + round as u64);
+        let (mut filling_drop, mut orphans_weighed) = (None, false);
+        for (round, (sampled, sent, entries, widths)) in schedule.into_iter().enumerate() {
+            let (mut deltas, noises) = deltas_and_noise(&histogram, 3, 98 + round as u64);
+            if round == 2 {
+                for silo in &mut deltas {
+                    silo[0].clear();
+                }
+            }
             let (out, report) = protocol.weighting_round(&deltas, &noises, sampled, &mut rng);
-            assert_eq!(report.dropped.iter().filter(|&&d| d).count(), 1, "round {round}");
-            assert_eq!(protocol.round_cache_stats(), sent, "round {round}");
-            assert_eq!(protocol.cached_entry_count(), held, "round {round}");
-            assert_eq!(protocol.cached_state_bytes(), held * ct_bytes, "round {round}");
+            let (fresh, fresh_report) =
+                twin.weighting_round(&deltas, &noises, sampled, &mut twin_rng);
+            let what = format!("round {round}");
+            assert_eq!(report.dropped, fresh_report.dropped, "{what}");
+            let dropped = report.dropped.iter().position(|&d| d).expect("one silo drops");
+            assert_eq!(report.dropped.iter().filter(|&&d| d).count(), 1, "{what}");
+            assert_eq!(protocol.round_cache_stats(), sent, "{what}");
+            assert_eq!(protocol.cached_entry_count(), entries, "{what}");
+            assert_eq!(protocol.cached_state_bytes(), widths * ct_bytes, "{what}");
+            assert_eq!(twin.round_cache_stats(), (sent.0 + sent.1, 0), "{what}: twin");
+            assert_eq!((twin.cached_entry_count(), twin.cached_state_bytes()), (0, 0), "{what}");
+            match (round, filling_drop) {
+                (2, _) => filling_drop = Some(dropped),
+                (3 | 5, Some(filled)) => orphans_weighed |= dropped != filled,
+                _ => {}
+            }
             let exact = exact_aggregate(&protocol, &deltas, &noises, sampled, &report.dropped);
-            assert_exact(&out, &exact, &format!("round {round}"));
+            assert_exact(&out, &exact, &what);
+            assert_exact(&fresh, &out, &format!("{what}: fresh_encrypt twin"));
         }
+        // Users 1, 4, 7 and 10 hold records only in silo 0, users 2, 5 and 8 only in
+        // silo 1: a later q = 1 round in which the filling round's dropped silo survives
+        // weighs users the filling round weighed nobody for.
+        assert!(orphans_weighed, "a later q = 1 round weighs the filling round's dropped silo");
     }
 
     /// Steps 1.(d)–(e) as the paper states them: each silo blinds each of its counts
@@ -1734,16 +1853,27 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(111);
         let histogram = small_histogram();
         let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
-        let (deltas, noises) = deltas_and_noise(&histogram, 4, 112);
+        let (mut deltas, noises) = deltas_and_noise(&histogram, 4, 112);
+        // User 3 holds records but sends no delta: no table, yet a held pair.
+        for silo in &mut deltas {
+            silo[3].clear();
+        }
         let rt = protocol.runtime();
-        let (active, cts) = protocol.server.encrypt_inverses(rt, None, &mut rng);
+        let (active, cts) = protocol.server.encrypt_inverses(rt, None, true, &mut rng);
         let participants: Vec<Vec<(usize, usize)>> = protocol
             .silos
             .iter()
             .zip(&deltas)
             .map(|(silo, d)| silo.participants(&active, d))
             .collect();
-        let received = Received::new(rt, &protocol.silos, &active, &cts, &participants, &deltas);
+        let derive =
+            |held| Received::new(rt, &protocol.silos, &active, &cts, &participants, &deltas, held);
+        let received = derive(None);
+        let held = OnceLock::new();
+        let from_held = derive(Some(&held));
+        let held = held.get().expect("the first held round fills the set");
+        assert!(held.iter().all(Option::is_some), "every user of this histogram holds records");
+        assert!(received.tables[3].is_none() && from_held.tables[3].is_none());
         let Public { key, codec, c_lcm } = &*protocol.server.public;
         let (n, n2) = (&key.n, &key.n_squared);
         let mut negative_terms = 0;
@@ -1768,6 +1898,9 @@ mod tests {
                 let rebuilt = key.add_plain(&Ciphertext(rebuilt), &noise);
                 let bare = silo.bare_cell(&received, participants, &deltas[s], noises[s][j], j);
                 assert_eq!(bare, rebuilt, "silo {s} coordinate {j}: bare cell");
+                let held_bare =
+                    silo.bare_cell(&from_held, participants, &deltas[s], noises[s][j], j);
+                assert_eq!(held_bare, bare, "silo {s} coordinate {j}: from the held pairs");
                 let sent = silo.weigh_cell(&received, participants, &deltas[s], noises[s][j], 0, j);
                 assert_ne!(sent, bare, "silo {s} coordinate {j}: the sent cell is re-randomised");
                 let secret = &protocol.server.secret;

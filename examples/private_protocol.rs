@@ -1,6 +1,9 @@
 //! The private weighting protocol (Protocol 1) end to end: setup (Paillier + DH key
-//! exchange, blinded histogram aggregation) followed by one encrypted weighting round,
-//! with a correctness check against the plaintext aggregation and a timing breakdown.
+//! exchange, blinded histogram aggregation) followed by two encrypted weighting rounds
+//! over every user, each checked against the plaintext aggregation. The first round
+//! encrypts every user's inverse and the silos derive their `b_u` powers; the second
+//! re-sends those ciphertexts and builds its tables from the powers the silos hold. Its
+//! phase timings are printed.
 //!
 //! With `ULDP_TRACE=1` the run also writes a chrome trace (to `ULDP_TRACE_OUT`, default
 //! `ULDP_trace.json`; open it in Perfetto or `chrome://tracing`) and prints the flat
@@ -46,27 +49,43 @@ fn main() {
 
     // Clipped per-(silo, user) model deltas and per-silo noise, as ULDP-AVG-w would
     // produce them in one round.
-    let clipped_deltas: Vec<Vec<Vec<f64>>> = histogram
-        .iter()
-        .map(|row| {
-            row.iter()
-                .map(|&n_su| {
-                    if n_su == 0 {
-                        Vec::new()
-                    } else {
-                        (0..dim).map(|_| rng.gen_range(-0.1..0.1)).collect()
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let noises: Vec<Vec<f64>> =
-        (0..num_silos).map(|_| (0..dim).map(|_| rng.gen_range(-0.01..0.01)).collect()).collect();
+    let round_inputs = |rng: &mut StdRng| {
+        let clipped_deltas: Vec<Vec<Vec<f64>>> = histogram
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|&n_su| {
+                        if n_su == 0 {
+                            Vec::new()
+                        } else {
+                            (0..dim).map(|_| rng.gen_range(-0.1..0.1)).collect()
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let noises: Vec<Vec<f64>> = (0..num_silos)
+            .map(|_| (0..dim).map(|_| rng.gen_range(-0.01..0.01)).collect())
+            .collect();
+        (clipped_deltas, noises)
+    };
 
-    let (secure, timings) = protocol.weighting_round(&clipped_deltas, &noises, None, &mut rng);
-    let reference = protocol.plaintext_reference(&clipped_deltas, &noises, None);
+    let rounds = (1..=2).map(|round| {
+        let (clipped_deltas, noises) = round_inputs(&mut rng);
+        let (secure, report) = protocol.weighting_round(&clipped_deltas, &noises, None, &mut rng);
+        let reference = protocol.plaintext_reference(&clipped_deltas, &noises, None);
+        let max_err =
+            secure.iter().zip(reference.iter()).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
+        println!(
+            "\nround {round}: max |secure - plaintext| = {max_err:.3e} (precision P = {})",
+            config.precision
+        );
+        assert!(max_err < 1e-6, "round {round}: protocol output diverged from the plaintext");
+        report
+    });
+    let timings = rounds.last().expect("two rounds");
 
-    println!("\nweighting round ({} parameters):", dim);
+    println!("\nsecond weighting round ({} parameters, ciphertexts and b_u held):", dim);
     println!(
         "  server encryption      {:>10.2?}\n  silo weighted encryption {:>9.2?}\n  aggregation + decrypt  {:>10.2?}\n  total round            {:>10.2?}",
         timings.server_encryption,
@@ -74,13 +93,8 @@ fn main() {
         timings.aggregation,
         timings.total()
     );
-
-    let max_err =
-        secure.iter().zip(reference.iter()).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
-    println!("\nmax |secure - plaintext| = {max_err:.3e} (precision P = {})", config.precision);
-    assert!(max_err < 1e-6, "protocol output diverged from the plaintext aggregation");
     println!(
-        "correctness check passed: the encrypted aggregate matches the plaintext weighted sum."
+        "correctness check passed: both encrypted aggregates match the plaintext weighted sums."
     );
 
     if uldp_fl::telemetry::enabled() {

@@ -6,16 +6,18 @@
 //! outgoing cells.
 //!
 //! Step 2.(b) is the silos' work and is computed from the ciphertexts they receive.
-//! Per round it raises each participating user's ciphertext once to its full-width
-//! blinding exponent (`b_u`, one sliding-window exponentiation) and builds one odd-power
-//! window table for each of `b_u` and `b_u⁻¹`, shared by every silo and cell. It then
-//! evaluates each `(silo, coordinate)` cell as one pass of the shared ladder over those
-//! tables, with one Paillier `scalar_mul` term per `(silo, user, coordinate)`, and
-//! re-randomises each outgoing cell (one more sliding-window exponentiation). Step
-//! 2.(c) decrypts one total per coordinate by CRT, two half-width sliding-window
-//! exponentiations each. A dropped silo weighs nobody, so only users that a surviving
-//! silo weighs get tables. Counts are deterministic, so the gates are equalities, not
-//! tolerances.
+//! Round 1 raises each record holder's ciphertext once to its full-width blinding
+//! exponent (`b_u`, one sliding-window exponentiation) and inverts all of them in one
+//! batch; the silos keep these `[b_u, b_u⁻¹]` pairs, so a steady q = 1 round raises
+//! nothing. Every round builds one odd-power window table for each of `b_u` and
+//! `b_u⁻¹`, shared by every silo and cell. It then evaluates each `(silo, coordinate)`
+//! cell as one pass of the shared ladder over those tables, with one Paillier
+//! `scalar_mul` term per `(silo, user, coordinate)`, and re-randomises each outgoing
+//! cell (one sliding-window exponentiation). Step 2.(c) decrypts one total per
+//! coordinate by CRT, two half-width sliding-window exponentiations each. A steady
+//! round's sliding-window exponentiations are thus exactly its cells plus `2·dim`. A
+//! dropped silo weighs nobody, so only users that a surviving silo weighs get tables.
+//! Counts are deterministic, so the gates are equalities, not tolerances.
 //!
 //! A single test function owns the whole file: the telemetry flag and counters are
 //! process-global, so concurrent test functions in this binary would race on them.
@@ -73,13 +75,18 @@ fn cached_round_costs_one_multi_exponentiation_per_cell_and_refresh() {
     let cells = (histogram.len() * dim) as u64;
     // One scalar_mul term per participating (silo, user, coordinate).
     let terms = histogram.iter().flatten().filter(|&&c| c > 0).count() as u64 * dim as u64;
-    // b_u powers, output re-randomisations and the p²/q² halves of CRT decryption.
-    let window = users + cells + 2 * dim as u64;
+    // Output re-randomisations and the p²/q² halves of CRT decryption.
+    let window = cells + 2 * dim as u64;
     uldp_fl::telemetry::reset();
     uldp_fl::telemetry::set_enabled(true);
-    // Round 1 encrypts every user's inverse once.
+    // Round 1 encrypts every user's inverse once and derives every user's b_u.
     let _ = protocol.weighting_round(&deltas, &noises, None, &mut rng);
     assert_eq!(metrics::PAILLIER_ENCRYPT.get(), users, "round 1 encrypts every user");
+    assert_eq!(
+        metrics::MODPOW_WINDOW.get(),
+        2 * users + window,
+        "round 1: encryptions, b_u powers, cell re-randomisations, decryption"
+    );
     assert_eq!(metrics::PAILLIER_RERANDOMISE.get(), cells, "round 1 re-randomises only cells");
     assert_eq!(metrics::MODPOW_FIXED_BASE.get(), 0, "no fixed-base exponentiation");
     assert_eq!(metrics::WINDOW_TABLE.get(), 2 * users, "tables of b_u and b_u⁻¹ per user");
@@ -102,7 +109,8 @@ fn cached_round_costs_one_multi_exponentiation_per_cell_and_refresh() {
     assert_eq!(encrypt, 0, "a steady q = 1 round encrypts nothing");
     assert_eq!(rerandomise, cells, "only the outgoing cells are re-randomised");
     assert_eq!(fixed_base, 0, "no fixed-base exponentiation");
-    assert_eq!(sliding_window, window, "b_u powers, cell re-randomisations, decryption");
+    assert_eq!(sliding_window, window, "no b_u power: cell re-randomisations, decryption");
+    assert_eq!(window, 40);
     let reference = protocol.plaintext_reference(&deltas, &noises, None);
     for (a, b) in out.iter().zip(reference.iter()) {
         assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");

@@ -1,10 +1,12 @@
 //! Exact blinding-factor costs of Protocol 1 setup and of a round.
 //!
 //! Setup steps 1.(d)–(e) expand each user's blinding factor `r_u` once, shared by all
-//! silos, and check a block of `SETUP_BLOCK` factors for coprimality with one `gcd`. A
+//! silos, and check a block of `SETUP_BLOCK` factors for coprimality with one `gcd`. A mask
 //! round's step 2.(b) expands the factors of its participating users (those some silo
-//! weighs) and checks them with one `gcd`. Counts are deterministic, so the gates are
-//! equalities, not tolerances.
+//! weighs) and checks them with one `gcd`. The first q = 1 round does so for every
+//! record holder, and the silos keep the `b_u` derived from them, so a later q = 1
+//! round expands nothing. Counts are deterministic, so the gates are equalities, not
+//! tolerances.
 //!
 //! A single test function owns the whole file: the telemetry flag and counters are
 //! process-global, so concurrent test functions in this binary would race on them.
@@ -81,6 +83,9 @@ fn setup_expands_each_user_once_and_checks_each_block_once() {
     uldp_fl::telemetry::reset();
     let _ = protocol.weighting_round(&deltas, &noises, None, &mut rng);
     let full_round = blinding_counts();
+    uldp_fl::telemetry::reset();
+    let _ = protocol.weighting_round(&deltas, &noises, None, &mut rng);
+    let second_full_round = blinding_counts();
     uldp_fl::telemetry::set_enabled(false);
 
     let blocks = users.div_ceil(SETUP_BLOCK) as u64;
@@ -90,4 +95,5 @@ fn setup_expands_each_user_once_and_checks_each_block_once() {
     let holders = (0..users).filter(|&u| !u.is_multiple_of(10)).count() as u64;
     assert_eq!(participating(&deltas), holders);
     assert_eq!(full_round, (holders, 1), "a full round: every record holder, one gcd");
+    assert_eq!(second_full_round, (0, 0), "a second full round uses the held b_u");
 }
