@@ -16,13 +16,33 @@
 //!   ([`ModulusCtx::multi_exp`] builds them per call). [`ModulusCtx::batch_inv`] gives
 //!   many inverses at the cost of one.
 //!
+//! ## One kernel
+//!
+//! Every Montgomery product — [`ModulusCtx::mont_mul`], [`ModulusCtx::mont_sqr`], the
+//! conversions, the table builds and the ladder — runs one CIOS body, `cios`, which
+//! accumulates into its output buffer and allocates nothing. The ladder and the table
+//! builds hold their buffers and swap them, so an exponentiation allocates its table,
+//! its accumulator and one spare buffer, not one vector per operation.
+//!
+//! The body is compiled at an exact limb count for the widths the workspace runs, where
+//! constant slice lengths let the compiler unroll the inner loop and drop the bounds
+//! checks: 4 limbs (Miller–Rabin on 256-bit primes), 8 (`n`, `p²` and `q²` of a 512-bit
+//! Paillier key), 16 (its `n²`) and 32 (the RFC 3526 2048-bit DH group). Every other
+//! width runs the same body at runtime width. Squaring runs the same kernel as
+//! `mont_mul(a, a)`; it is only counted apart. A separated Karatsuba product lost to
+//! this body at every width from 32 to 96 limbs, and a dedicated squaring (each cross
+//! product once, then a separated reduction) lost at 8–24 limbs and gained nothing end
+//! to end at 32 (`examples/mont_bench.rs` prints the per-operation costs; the README
+//! has the numbers).
+//!
 //! All methods take `&self`, so one context can be shared freely across the worker pool
 //! (`uldp-runtime`): the contexts are immutable after construction.
 //!
 //! Montgomery form is a bijection of `Z_n`, so every result is bitwise-identical to the
 //! schoolbook [`crate::modular::mod_pow`] path; the property tests in
-//! `crates/bigint/tests/montgomery_props.rs` assert this up to 2048-bit moduli, and the
-//! call sites in `uldp-crypto` keep their own tests against `mod_pow`.
+//! `crates/bigint/tests/montgomery_props.rs` assert this up to 2048-bit moduli and at
+//! every kernel width, and the call sites in `uldp-crypto` keep their own tests against
+//! `mod_pow`.
 
 use crate::biguint::{BigUint, LIMB_BITS};
 use std::borrow::Borrow;
@@ -45,6 +65,8 @@ pub struct ModulusCtx {
     n_limbs: Vec<u64>,
     /// `-n⁻¹ mod 2⁶⁴` (the CIOS word inverse, via Newton iteration).
     n0_inv: u64,
+    /// The integer `1` at width `s`: multiplying by it is one Montgomery reduction.
+    unit: Vec<u64>,
     /// `R mod n` where `R = 2^(64·s)` — the Montgomery form of `1`.
     r1: Vec<u64>,
     /// `R² mod n` — multiplier converting into Montgomery form.
@@ -71,21 +93,6 @@ pub struct WindowTable {
     limbs: Vec<u64>,
 }
 
-/// Below this many limbs [`ModulusCtx::mont_sqr`] uses the generic CIOS product of a
-/// value with itself: the dedicated squaring's separated passes only pay off once the
-/// halved cross-product count outweighs their fixed overhead (measured crossover
-/// between 512- and 1024-bit moduli; Paillier ciphertext moduli are 1–6 kbit).
-const SQR_MIN_LIMBS: usize = 12;
-
-/// From this many limbs (2048-bit moduli) upward [`ModulusCtx::mont_mul_limbs`]
-/// abandons the interleaved CIOS pass for a separated product + reduction: the full
-/// `2s`-word product comes from [`BigUint::mul`], whose Karatsuba tier kicks in at the
-/// same width and saves word multiplications sub-quadratically, and the reduction then
-/// folds `m_i·n` word by word exactly as in the dedicated squaring. Matches
-/// `KARATSUBA_THRESHOLD` in `biguint.rs` — below it the separated form would run the
-/// same schoolbook product as CIOS but with an extra pass over the buffer.
-const KARATSUBA_MONT_MIN_LIMBS: usize = 32;
-
 /// `x⁻¹ mod 2⁶⁴` for odd `x` (Newton–Hensel lifting: 6 doublings from the trivial
 /// inverse mod 2).
 fn inv_mod_word(x: u64) -> u64 {
@@ -108,9 +115,11 @@ impl ModulusCtx {
         let n_limbs = n.limbs().to_vec();
         let s = n_limbs.len();
         let n0_inv = inv_mod_word(n_limbs[0]).wrapping_neg();
+        let mut unit = vec![0u64; s];
+        unit[0] = 1;
         let r1 = to_fixed_width(&BigUint::one().shl_bits(s * LIMB_BITS).rem(n), s);
         let r2 = to_fixed_width(&BigUint::one().shl_bits(2 * s * LIMB_BITS).rem(n), s);
-        Some(ModulusCtx { n: n.clone(), n_limbs, n0_inv, r1, r2 })
+        Some(ModulusCtx { n: n.clone(), n_limbs, n0_inv, unit, r1, r2 })
     }
 
     /// Builds a context for an odd modulus `n > 1`; panics otherwise.
@@ -125,16 +134,35 @@ impl ModulusCtx {
 
     /// Converts a value into Montgomery form (reducing it modulo `n` first if needed).
     pub fn to_mont(&self, a: &BigUint) -> MontElem {
-        let reduced = if a < &self.n { a.clone() } else { a.rem(&self.n) };
-        let limbs = to_fixed_width(&reduced, self.n_limbs.len());
-        MontElem { limbs: self.mont_mul_limbs(&limbs, &self.r2) }
+        let mut limbs = vec![0u64; self.n_limbs.len()];
+        self.to_mont_into(&mut limbs, a);
+        MontElem { limbs }
     }
 
-    /// Converts a Montgomery-form value back to a canonical [`BigUint`].
+    /// [`ModulusCtx::to_mont`] into a caller-owned buffer: `a·R mod n` as the product
+    /// of `a mod n` with `R² mod n`. Copies the value only when it is narrower than `n`.
+    fn to_mont_into(&self, out: &mut [u64], a: &BigUint) {
+        let s = self.n_limbs.len();
+        let reduced;
+        let a = if a < &self.n {
+            a
+        } else {
+            reduced = a.rem(&self.n);
+            &reduced
+        };
+        if a.limbs().len() == s {
+            self.kernel(out, a.limbs(), &self.r2);
+        } else {
+            self.kernel(out, &to_fixed_width(a, s), &self.r2);
+        }
+    }
+
+    /// Converts a Montgomery-form value back to a canonical [`BigUint`]: the product
+    /// with the integer `1`, i.e. one Montgomery reduction.
     pub fn from_mont(&self, a: &MontElem) -> BigUint {
-        let mut one = vec![0u64; self.n_limbs.len()];
-        one[0] = 1;
-        BigUint::from_limbs(self.mont_mul_limbs(&a.limbs, &one))
+        let mut limbs = vec![0u64; self.n_limbs.len()];
+        self.kernel(&mut limbs, &a.limbs, &self.unit);
+        BigUint::from_limbs(limbs)
     }
 
     /// The Montgomery form of `1` (`R mod n`).
@@ -144,21 +172,19 @@ impl ModulusCtx {
 
     /// Montgomery product `a·b·R⁻¹ mod n`.
     pub fn mont_mul(&self, a: &MontElem, b: &MontElem) -> MontElem {
-        MontElem { limbs: self.mul_limbs(&a.limbs, &b.limbs) }
+        let mut limbs = vec![0u64; self.n_limbs.len()];
+        self.mul_into(&mut limbs, &a.limbs, &b.limbs);
+        MontElem { limbs }
     }
 
-    /// [`ModulusCtx::mont_mul`] on limb slices, counted the same way.
-    fn mul_limbs(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        uldp_telemetry::metrics::MONT_MUL.inc();
-        self.mont_mul_limbs(a, b)
-    }
-
-    /// Montgomery square `a·a·R⁻¹ mod n`, bitwise-identical to
-    /// `mont_mul(a, a)` but ~1.5× cheaper: the squaring ladder of
-    /// [`ModulusCtx::pow_mont`] is dominated by this operation.
+    /// Montgomery square `a·a·R⁻¹ mod n`: the same kernel as `mont_mul(a, a)`, and so
+    /// the same limbs and the same cost (512 vs 516 ns at 16 limbs, README), but counted
+    /// apart (`bigint.mont_sqr`) because the squarings of the exponentiation ladders
+    /// dominate their cost.
     pub fn mont_sqr(&self, a: &MontElem) -> MontElem {
-        uldp_telemetry::metrics::MONT_SQR.inc();
-        MontElem { limbs: self.mont_sqr_limbs(&a.limbs) }
+        let mut limbs = vec![0u64; self.n_limbs.len()];
+        self.sqr_into(&mut limbs, &a.limbs);
+        MontElem { limbs }
     }
 
     /// `a² mod n` in normal form — the hoisted convenience over
@@ -168,225 +194,43 @@ impl ModulusCtx {
     }
 
     /// `a·b mod n` in normal form through the Montgomery domain — bitwise-identical to
-    /// [`crate::modular::mod_mul`]`(a, b, n)`, but reusing this context's cached state
-    /// (and its Karatsuba product tier at wide moduli).
+    /// [`crate::modular::mod_mul`]`(a, b, n)`, but reusing this context's cached state.
     pub fn mod_mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
         self.from_mont(&self.mont_mul(&self.to_mont(a), &self.to_mont(b)))
     }
 
-    /// Dedicated Montgomery squaring: the product phase computes each cross term
-    /// `a_i·a_j` (`i < j`) once and doubles the whole partial product — about half the
-    /// word multiplications of the generic CIOS pass — then a separated Montgomery
-    /// reduction folds in `m_i·n` word by word. Integer arithmetic is exact, so the
-    /// result limbs are identical to [`ModulusCtx::mont_mul_limbs`]`(a, a)`.
-    fn mont_sqr_limbs(&self, a: &[u64]) -> Vec<u64> {
-        let s = self.n_limbs.len();
-        debug_assert_eq!(a.len(), s);
-        if s < SQR_MIN_LIMBS {
-            // Below ~¾ kbit the dedicated routine's extra passes cost more than the
-            // halved multiplications save; the interleaved CIOS product wins there.
-            return self.mont_mul_limbs(a, a);
-        }
-        let n = &self.n_limbs;
-        // 1) Cross products: t = Σ_{i<j} a_i·a_j · 2^(64(i+j)), iterator-zipped so the
-        //    inner loop carries no bounds checks. Row i writes positions
-        //    2i+1 ..= i+s-1 and its carry to i+s; earlier rows never touched i+s, so
-        //    the carry store cannot clobber anything.
-        let mut t = vec![0u64; 2 * s + 1];
-        for i in 0..s {
-            let ai = a[i] as u128;
-            let mut carry = 0u128;
-            for (tj, &aj) in t[2 * i + 1..i + s].iter_mut().zip(a[i + 1..].iter()) {
-                let cur = *tj as u128 + ai * aj as u128 + carry;
-                *tj = cur as u64;
-                carry = cur >> 64;
-            }
-            t[i + s] = carry as u64;
-        }
-        // 2) One fused pass doubles the cross-term sum and adds the diagonal squares
-        //    a_i² at position 2i. 2·Σ_{i<j} a_i·a_j + Σ a_i² = a² < n² < 2^(128s), so
-        //    nothing carries out of word 2s − 1.
-        let mut shift_carry = 0u64;
-        let mut add_carry = 0u128;
-        for i in 0..s {
-            let sq = a[i] as u128 * a[i] as u128;
-            let w = t[2 * i];
-            let lo = ((w << 1) | shift_carry) as u128 + (sq as u64 as u128) + add_carry;
-            shift_carry = w >> 63;
-            t[2 * i] = lo as u64;
-            let w = t[2 * i + 1];
-            let hi = ((w << 1) | shift_carry) as u128 + (sq >> 64) + (lo >> 64);
-            shift_carry = w >> 63;
-            t[2 * i + 1] = hi as u64;
-            add_carry = hi >> 64;
-        }
-        debug_assert_eq!(shift_carry as u128 + add_carry, 0);
-        // 3) Separated Montgomery reduction: fold m_i·n into t at word offset i so the
-        //    low s words cancel. The running total stays below a² + R·n < 2^(64(2s+1)),
-        //    so the carry chain never leaves the buffer.
-        for i in 0..s {
-            let m = t[i].wrapping_mul(self.n0_inv) as u128;
-            let mut carry = 0u128;
-            for (tj, &nj) in t[i..i + s].iter_mut().zip(n.iter()) {
-                let cur = *tj as u128 + m * nj as u128 + carry;
-                *tj = cur as u64;
-                carry = cur >> 64;
-            }
-            let mut k = i + s;
-            while carry != 0 {
-                debug_assert!(k <= 2 * s);
-                let cur = t[k] as u128 + carry;
-                t[k] = cur as u64;
-                carry = cur >> 64;
-                k += 1;
-            }
-        }
-        // 5) Shift down s words: result = t[s..=2s] < 2n (a² < n·R for a < n), so one
-        //    conditional subtraction canonicalises it, exactly like the CIOS pass.
-        let needs_sub = t[2 * s] != 0 || cmp_fixed(&t[s..2 * s], n) != std::cmp::Ordering::Less;
-        if needs_sub {
-            let mut borrow = 0i128;
-            for j in 0..s {
-                let mut diff = t[s + j] as i128 - n[j] as i128 - borrow;
-                if diff < 0 {
-                    diff += 1i128 << 64;
-                    borrow = 1;
-                } else {
-                    borrow = 0;
-                }
-                t[s + j] = diff as u64;
-            }
-            debug_assert_eq!(t[2 * s] as i128 - borrow, 0);
-        }
-        t.drain(..s);
-        t.truncate(s);
-        t
+    /// `out = a·b·R⁻¹ mod n`, counted as one `bigint.mont_mul`.
+    fn mul_into(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
+        uldp_telemetry::metrics::MONT_MUL.inc();
+        self.kernel(out, a, b);
     }
 
-    /// CIOS (coarsely integrated operand scanning) Montgomery multiplication.
-    ///
-    /// Inputs are fixed-width (`s` limbs) values `< n`; the output is the fixed-width
-    /// `a·b·R⁻¹ mod n`. One interleaved pass multiplies and reduces word by word: after
-    /// adding `a_i·b`, the low word is cancelled by adding `m·n` with
-    /// `m = t_0·n' mod 2⁶⁴`, and the accumulator shifts down one word. The accumulator
-    /// stays below `2n`, so a single conditional subtraction canonicalises the result.
-    fn mont_mul_limbs(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let s = self.n_limbs.len();
-        debug_assert_eq!(a.len(), s);
-        debug_assert_eq!(b.len(), s);
-        if s >= KARATSUBA_MONT_MIN_LIMBS {
-            return self.mont_mul_limbs_karatsuba(a, b);
-        }
-        let n = &self.n_limbs;
-        let mut t = vec![0u64; s + 2];
-        for &ai in a.iter() {
-            let ai = ai as u128;
-            // t += a_i · b
-            let mut carry = 0u128;
-            for j in 0..s {
-                let cur = t[j] as u128 + ai * b[j] as u128 + carry;
-                t[j] = cur as u64;
-                carry = cur >> 64;
-            }
-            let cur = t[s] as u128 + carry;
-            t[s] = cur as u64;
-            t[s + 1] = (cur >> 64) as u64;
-            // t += m · n with m chosen so t ≡ 0 mod 2⁶⁴, then shift one word down.
-            let m = t[0].wrapping_mul(self.n0_inv) as u128;
-            let cur = t[0] as u128 + m * n[0] as u128;
-            let mut carry = cur >> 64;
-            for j in 1..s {
-                let cur = t[j] as u128 + m * n[j] as u128 + carry;
-                t[j - 1] = cur as u64;
-                carry = cur >> 64;
-            }
-            let cur = t[s] as u128 + carry;
-            t[s - 1] = cur as u64;
-            // t[s+1] ≤ 1 and the carry out of `cur` ≤ 1, so this addition cannot wrap.
-            t[s] = t[s + 1] + (cur >> 64) as u64;
-        }
-        // t[0..=s] < 2n: subtract n once if needed.
-        let needs_sub = t[s] != 0 || cmp_fixed(&t[..s], n) != std::cmp::Ordering::Less;
-        if needs_sub {
-            let mut borrow = 0i128;
-            for j in 0..s {
-                let mut diff = t[j] as i128 - n[j] as i128 - borrow;
-                if diff < 0 {
-                    diff += 1i128 << 64;
-                    borrow = 1;
-                } else {
-                    borrow = 0;
-                }
-                t[j] = diff as u64;
-            }
-            debug_assert_eq!(t[s] as i128 - borrow, 0);
-        }
-        t.truncate(s);
-        t
+    /// `out = a·a·R⁻¹ mod n`, counted as one `bigint.mont_sqr`.
+    fn sqr_into(&self, out: &mut [u64], a: &[u64]) {
+        uldp_telemetry::metrics::MONT_SQR.inc();
+        self.kernel(out, a, a);
     }
 
-    /// Separated-product Montgomery multiplication for wide moduli
-    /// (≥ [`KARATSUBA_MONT_MIN_LIMBS`]): the full `2s`-word integer product `a·b` comes
-    /// from [`BigUint::mul`] — which dispatches to its Karatsuba tier at exactly these
-    /// widths — and the word-by-word Montgomery reduction of
-    /// [`ModulusCtx::mont_sqr_limbs`] then cancels the low `s` words. Integer
-    /// arithmetic is exact, so the result limbs are identical to the interleaved CIOS
-    /// pass.
-    fn mont_mul_limbs_karatsuba(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let s = self.n_limbs.len();
-        let n = &self.n_limbs;
-        let product = BigUint::from_limbs(a.to_vec()).mul(&BigUint::from_limbs(b.to_vec()));
-        // a·b < n² < 2^(128s); the extra word is headroom for the reduction's carries.
-        let mut t = to_fixed_width(&product, 2 * s + 1);
-        // Separated Montgomery reduction: fold m_i·n into t at word offset i so the low
-        // s words cancel. The running total stays below a·b + R·n < 2^(64(2s+1)), so
-        // the carry chain never leaves the buffer.
-        for i in 0..s {
-            let m = t[i].wrapping_mul(self.n0_inv) as u128;
-            let mut carry = 0u128;
-            for (tj, &nj) in t[i..i + s].iter_mut().zip(n.iter()) {
-                let cur = *tj as u128 + m * nj as u128 + carry;
-                *tj = cur as u64;
-                carry = cur >> 64;
-            }
-            let mut k = i + s;
-            while carry != 0 {
-                debug_assert!(k <= 2 * s);
-                let cur = t[k] as u128 + carry;
-                t[k] = cur as u64;
-                carry = cur >> 64;
-                k += 1;
-            }
+    /// The one Montgomery multiplication kernel, uncounted: `out = a·b·R⁻¹ mod n` for
+    /// `s`-limb operands `a, b < n`. The widths the workspace runs get their own
+    /// exact-width instance of [`cios`] (see the module doc); every other width runs the
+    /// same body at runtime width.
+    fn kernel(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
+        let (n, n0) = (&self.n_limbs[..], self.n0_inv);
+        match n.len() {
+            4 => cios_fixed::<4>(out, a, b, n, n0),
+            8 => cios_fixed::<8>(out, a, b, n, n0),
+            16 => cios_fixed::<16>(out, a, b, n, n0),
+            32 => cios_fixed::<32>(out, a, b, n, n0),
+            _ => cios(out, a, b, n, n0),
         }
-        // Shift down s words: result = t[s..=2s] < 2n (a·b < n·R for a, b < n), so one
-        // conditional subtraction canonicalises it, exactly like the CIOS pass.
-        let needs_sub = t[2 * s] != 0 || cmp_fixed(&t[s..2 * s], n) != std::cmp::Ordering::Less;
-        if needs_sub {
-            let mut borrow = 0i128;
-            for j in 0..s {
-                let mut diff = t[s + j] as i128 - n[j] as i128 - borrow;
-                if diff < 0 {
-                    diff += 1i128 << 64;
-                    borrow = 1;
-                } else {
-                    borrow = 0;
-                }
-                t[s + j] = diff as u64;
-            }
-            debug_assert_eq!(t[2 * s] as i128 - borrow, 0);
-        }
-        t.drain(..s);
-        t.truncate(s);
-        t
     }
 
     /// Montgomery-domain exponentiation by left-to-right sliding window: the
     /// single-term case of the shared ladder ([`ModulusCtx::multi_exp_tables`]) over a
     /// table sized for this one exponent.
     pub fn pow_mont(&self, base: &MontElem, exp: &BigUint) -> MontElem {
-        uldp_telemetry::metrics::MODPOW_WINDOW.inc();
-        let table = self.odd_powers(base, window_size(exp.bit_length()));
-        self.ladder(&[(&table, exp)])
+        self.pow_with(exp, |entry| entry.copy_from_slice(&base.limbs))
     }
 
     /// `base^exp mod n` via Montgomery sliding-window exponentiation.
@@ -397,7 +241,15 @@ impl ModulusCtx {
         if exp.is_zero() {
             return BigUint::one();
         }
-        self.from_mont(&self.pow_mont(&self.to_mont(base), exp))
+        self.from_mont(&self.pow_with(exp, |entry| self.to_mont_into(entry, base)))
+    }
+
+    /// One counted sliding-window exponentiation of the base that `base` writes into
+    /// the first entry of its table.
+    fn pow_with(&self, exp: &BigUint, base: impl FnOnce(&mut [u64])) -> MontElem {
+        uldp_telemetry::metrics::MODPOW_WINDOW.inc();
+        let table = self.odd_powers(window_size(exp.bit_length()), base);
+        self.ladder(&[(&table, exp)])
     }
 
     /// Builds the odd-power table of `base` at window `w` ([`WindowTable`]): one
@@ -408,7 +260,7 @@ impl ModulusCtx {
     /// Panics unless `window ∈ 1..=16`.
     pub fn window_table(&self, base: &BigUint, window: usize) -> WindowTable {
         uldp_telemetry::metrics::WINDOW_TABLE.inc();
-        self.odd_powers(&self.to_mont(base), window)
+        self.odd_powers(window, |entry| self.to_mont_into(entry, base))
     }
 
     /// Interleaved sliding-window multi-exponentiation (Möller, *Algorithms for
@@ -443,24 +295,28 @@ impl ModulusCtx {
         self.multi_exp_tables(&terms)
     }
 
-    /// The odd powers `base^1, base^3, …, base^(2^w − 1)`, back to back.
-    fn odd_powers(&self, base: &MontElem, window: usize) -> WindowTable {
+    /// The odd powers `b, b³, …, b^(2^w − 1)` of the base `b` that `base` writes into
+    /// entry 0, back to back. Every entry is computed in place in the table, from the
+    /// previous entry and one shared square.
+    fn odd_powers(&self, window: usize, base: impl FnOnce(&mut [u64])) -> WindowTable {
         assert!((1..=16).contains(&window), "window must be in 1..=16");
         let s = self.n_limbs.len();
-        let mut limbs = Vec::with_capacity(s << (window - 1));
-        limbs.extend_from_slice(&base.limbs);
+        let mut limbs = vec![0u64; s << (window - 1)];
+        base(&mut limbs[..s]);
         if window > 1 {
-            let square = self.mont_sqr(base);
+            let mut square = vec![0u64; s];
+            self.sqr_into(&mut square, &limbs[..s]);
             for k in 1..(1usize << (window - 1)) {
-                let next = self.mul_limbs(&limbs[(k - 1) * s..k * s], &square.limbs);
-                limbs.extend_from_slice(&next);
+                let (done, next) = limbs.split_at_mut(k * s);
+                self.mul_into(&mut next[..s], &done[(k - 1) * s..], &square);
             }
         }
         WindowTable { window, limbs }
     }
 
     /// The shared ladder behind [`ModulusCtx::pow_mont`] and
-    /// [`ModulusCtx::multi_exp_tables`], in Montgomery form.
+    /// [`ModulusCtx::multi_exp_tables`], in Montgomery form. It holds the accumulator
+    /// and one buffer, and every step writes the other one and swaps them.
     fn ladder<E: Borrow<BigUint>>(&self, terms: &[(&WindowTable, E)]) -> MontElem {
         let s = self.n_limbs.len();
         // Every term's windows as (lowest bit, table entry), scanned from the top.
@@ -488,18 +344,22 @@ impl ModulusCtx {
         // positions only fix the order of the multiplications.
         windows.sort_by_key(|&(low, _)| std::cmp::Reverse(low));
         let Some((&(mut bit, first), rest)) = windows.split_first() else { return self.one() };
-        let mut acc = MontElem { limbs: first.to_vec() };
-        for &(low, entry) in rest {
-            for _ in low..bit {
-                acc = self.mont_sqr(&acc);
+        let mut acc = first.to_vec();
+        let mut next = vec![0u64; s];
+        let square = |acc: &mut Vec<u64>, next: &mut Vec<u64>, times: usize| {
+            for _ in 0..times {
+                self.sqr_into(next, acc);
+                std::mem::swap(acc, next);
             }
-            acc = MontElem { limbs: self.mul_limbs(&acc.limbs, entry) };
+        };
+        for &(low, entry) in rest {
+            square(&mut acc, &mut next, bit - low);
+            self.mul_into(&mut next, &acc, entry);
+            std::mem::swap(&mut acc, &mut next);
             bit = low;
         }
-        for _ in 0..bit {
-            acc = self.mont_sqr(&acc);
-        }
-        acc
+        square(&mut acc, &mut next, bit);
+        MontElem { limbs: acc }
     }
 
     /// Inverts every value modulo `n` with one [`crate::modular::mod_inv`]
@@ -577,16 +437,64 @@ fn to_fixed_width(v: &BigUint, width: usize) -> Vec<u64> {
     out
 }
 
-/// Compares two equal-width little-endian limb slices.
-fn cmp_fixed(a: &[u64], b: &[u64]) -> std::cmp::Ordering {
-    debug_assert_eq!(a.len(), b.len());
-    for i in (0..a.len()).rev() {
-        match a[i].cmp(&b[i]) {
-            std::cmp::Ordering::Equal => continue,
-            ord => return ord,
+/// [`cios`] compiled at the exact width `S`: with every slice length a constant, the
+/// compiler unrolls the inner loop, keeps the carries in registers and drops every bounds
+/// check. Same body, same result limbs as the runtime-width instance.
+fn cios_fixed<const S: usize>(out: &mut [u64], a: &[u64], b: &[u64], n: &[u64], n0: u64) {
+    let out: &mut [u64; S] = out.try_into().expect("output has the modulus width");
+    let a: &[u64; S] = a.try_into().expect("operand has the modulus width");
+    let b: &[u64; S] = b.try_into().expect("operand has the modulus width");
+    let n: &[u64; S] = n.try_into().expect("modulus has its own width");
+    cios(out, a, b, n, n0);
+}
+
+/// CIOS (coarsely integrated operand scanning) Montgomery multiplication (Koç, Acar and
+/// Kaliski, IEEE Micro 1996): `t = a·b·R⁻¹ mod n` for `s`-limb `a, b < n`, with `t` as
+/// the accumulator, so it allocates nothing.
+///
+/// Per word `a_i`, one pass over `j` adds `a_i·b_j` and `m·n_j` (with
+/// `m = (t_0 + a_i·b_0)·n' mod 2⁶⁴`, which zeroes the low word) on two carry chains and
+/// stores the sum one word down: the shift by `2⁶⁴`. The accumulator stays below `2n`,
+/// its `s`+1st word (`top`) is at most 1, and one conditional subtraction canonicalises
+/// the result. Integer arithmetic is exact, so the limbs do not depend on the instance.
+#[inline(always)]
+fn cios(t: &mut [u64], a: &[u64], b: &[u64], n: &[u64], n0: u64) {
+    let s = n.len();
+    debug_assert!(a.len() == s && b.len() == s && t.len() == s);
+    let (t, a, b) = (&mut t[..s], &a[..s], &b[..s]);
+    t.fill(0);
+    let mut top = 0u64;
+    for &ai in a {
+        let ai = ai as u128;
+        let u = t[0] as u128 + ai * b[0] as u128;
+        let m = (u as u64).wrapping_mul(n0);
+        let mut mul_carry = u >> 64;
+        let mut red_carry = ((u as u64) as u128 + m as u128 * n[0] as u128) >> 64;
+        let m = m as u128;
+        for j in 1..s {
+            let u = t[j] as u128 + ai * b[j] as u128 + mul_carry;
+            mul_carry = u >> 64;
+            let v = (u as u64) as u128 + m * n[j] as u128 + red_carry;
+            red_carry = v >> 64;
+            t[j - 1] = v as u64;
         }
+        let u = top as u128 + mul_carry;
+        let v = (u as u64) as u128 + red_carry;
+        t[s - 1] = v as u64;
+        top = ((u >> 64) + (v >> 64)) as u64;
     }
-    std::cmp::Ordering::Equal
+    // t + top·R < 2n: subtract n once if t ≥ n.
+    let needs_sub = top != 0 || t.iter().rev().cmp(n.iter().rev()) != std::cmp::Ordering::Less;
+    if needs_sub {
+        let mut borrow = false;
+        for (tj, &nj) in t.iter_mut().zip(n) {
+            let (d, b1) = tj.overflowing_sub(nj);
+            let (d, b2) = d.overflowing_sub(u64::from(borrow));
+            *tj = d;
+            borrow = b1 | b2;
+        }
+        debug_assert_eq!(u64::from(borrow), top);
+    }
 }
 
 #[cfg(test)]
@@ -594,7 +502,7 @@ mod tests {
     use super::*;
     use crate::modular::mod_pow;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn n(v: u64) -> BigUint {
         BigUint::from_u64(v)
@@ -651,10 +559,9 @@ mod tests {
     }
 
     #[test]
-    fn karatsuba_tier_matches_schoolbook_product() {
-        // 2048- and 2368-bit moduli are ≥ KARATSUBA_MONT_MIN_LIMBS limbs wide, so
-        // mont_mul_limbs takes the separated Karatsuba-product route; the result must
-        // still be bitwise-identical to the generic reduction of the schoolbook product.
+    fn wide_moduli_match_schoolbook_product() {
+        // A 2048-bit modulus runs the 32-limb instance of the kernel, a 2368-bit one the
+        // runtime-width instance; both must equal the reduction of the schoolbook product.
         let mut rng = StdRng::seed_from_u64(17);
         for bits in [2048usize, 2368] {
             let mut modulus = BigUint::random_with_bits(&mut rng, bits);
@@ -662,7 +569,6 @@ mod tests {
                 modulus = modulus.add(&BigUint::one());
             }
             let ctx = ModulusCtx::new(&modulus);
-            assert!(ctx.modulus().limbs().len() >= KARATSUBA_MONT_MIN_LIMBS);
             for _ in 0..4 {
                 let a = BigUint::random_below(&mut rng, &modulus);
                 let b = BigUint::random_below(&mut rng, &modulus);
@@ -673,6 +579,46 @@ mod tests {
             assert_eq!(ctx.mod_mul(&BigUint::zero(), &top), BigUint::zero());
             assert_eq!(ctx.mod_mul(&BigUint::one(), &top), top);
             assert_eq!(ctx.mod_mul(&top, &top), top.mul(&top).rem(&modulus));
+        }
+    }
+
+    #[test]
+    fn kernel_limbs_are_canonical_at_every_width() {
+        // The kernel's output limbs themselves (not only their normal form) must be the
+        // canonical a·b·R⁻¹ mod n at every exact-width instance and at runtime widths.
+        // These operands take both outcomes of the final subtraction at every width
+        // (`kernel_matches_schoolbook_at_every_width_on_adversarial_operands` in
+        // tests/montgomery_props.rs counts them).
+        let mut rng = StdRng::seed_from_u64(29);
+        for s in [1usize, 4, 8, 12, 16, 32, 48] {
+            let r = BigUint::one().shl_bits(s * LIMB_BITS);
+            // Near R the carry word decides the subtraction; between R/2 and R the
+            // comparison with n decides it about as often; top limb 1 rarely subtracts.
+            let mut top_max: Vec<u64> = (0..s).map(|_| rng.next_u64() | 1).collect();
+            top_max[s - 1] = u64::MAX;
+            let (mut top_half, mut top_one) = (top_max.clone(), top_max.clone());
+            top_half[s - 1] = (1 << 63) | 1;
+            top_one[s - 1] = if s == 1 { 1_000_003 } else { 1 };
+            let moduli = [top_max, top_half, top_one].map(BigUint::from_limbs);
+            for modulus in moduli.into_iter().chain([r.sub(&n((1 << 32) + 1))]) {
+                let ctx = ModulusCtx::new(&modulus);
+                let r_inv = crate::modular::mod_inv(&r.rem(&modulus), &modulus).unwrap();
+                let operands = [
+                    BigUint::zero(),
+                    BigUint::one(),
+                    modulus.sub(&BigUint::one()),
+                    r.rem(&modulus),
+                    BigUint::random_below(&mut rng, &modulus),
+                ];
+                for a in &operands {
+                    for b in &operands {
+                        let mut out = vec![0u64; s];
+                        ctx.kernel(&mut out, &to_fixed_width(a, s), &to_fixed_width(b, s));
+                        let expected = a.mul(b).mul(&r_inv).rem(&modulus);
+                        assert_eq!(out, to_fixed_width(&expected, s), "s={s}");
+                    }
+                }
+            }
         }
     }
 

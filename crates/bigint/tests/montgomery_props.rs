@@ -1,16 +1,23 @@
 //! Property tests pinning the Montgomery engine to the schoolbook reference.
 //!
-//! Over random odd moduli up to 2048 bits, `ModulusCtx::pow` and the shared
-//! multi-exponentiation ladder (`ModulusCtx::multi_exp`, and
-//! `ModulusCtx::multi_exp_tables` over reused `WindowTable`s) must agree bit for bit
-//! with `modular::mod_pow` and its unfused `mod_mul` chain — this is the
-//! invariant that makes the engine a drop-in for the Paillier/DH/Miller–Rabin call
-//! sites without perturbing any ciphertext or key. Edge cases (exponent zero, base
-//! larger than the modulus, modulus-one rejection) ride along as unit tests.
+//! Over random odd moduli up to 2048 bits (32 limbs, the widest exact-width instance of
+//! the kernel), `ModulusCtx::pow` and the shared multi-exponentiation ladder
+//! (`ModulusCtx::multi_exp`, and `ModulusCtx::multi_exp_tables` over reused
+//! `WindowTable`s) must agree bit for bit with `modular::mod_pow` and its unfused
+//! `mod_mul` chain — this is the invariant that makes the engine a drop-in for the
+//! Paillier/DH/Miller–Rabin call sites without perturbing any ciphertext or key.
+//!
+//! Deterministic cases then drive the kernel at every exact-width instance (4, 8, 16
+//! and 32 limbs) and at runtime widths (1, 12 and 48 limbs) over adversarial moduli and
+//! kernel operands, hitting both outcomes of its final conditional subtraction. Edge
+//! cases (exponent zero, base larger than the modulus, modulus-one rejection) ride
+//! along as unit tests.
 
 use proptest::prelude::*;
-use uldp_bigint::modular::mod_pow;
-use uldp_bigint::montgomery::{ModulusCtx, WindowTable};
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
+use uldp_bigint::modular::{mod_inv, mod_mul, mod_pow};
+use uldp_bigint::montgomery::{ModulusCtx, MontElem, WindowTable};
 use uldp_bigint::BigUint;
 
 /// Builds an odd modulus `> 1` from arbitrary limbs (up to 2048 bits).
@@ -30,7 +37,7 @@ proptest! {
 
     #[test]
     fn pow_matches_schoolbook_mod_pow(
-        mod_limbs in prop::collection::vec(any::<u64>(), 1..32),
+        mod_limbs in prop::collection::vec(any::<u64>(), 1..=32),
         base_limbs in prop::collection::vec(any::<u64>(), 1..33),
         exp_limbs in prop::collection::vec(any::<u64>(), 1..32),
     ) {
@@ -44,7 +51,7 @@ proptest! {
 
     #[test]
     fn multi_exp_matches_unfused_chain(
-        mod_limbs in prop::collection::vec(any::<u64>(), 1..32),
+        mod_limbs in prop::collection::vec(any::<u64>(), 1..=32),
         pair_limbs in prop::collection::vec(
             (prop::collection::vec(any::<u64>(), 1..33), prop::collection::vec(any::<u64>(), 0..16)),
             1..6,
@@ -98,13 +105,11 @@ proptest! {
 
     #[test]
     fn mont_sqr_is_pinned_to_mont_mul_of_self(
-        mod_limbs in prop::collection::vec(any::<u64>(), 1..32),
+        mod_limbs in prop::collection::vec(any::<u64>(), 1..=32),
         value_limbs in prop::collection::vec(any::<u64>(), 1..33),
     ) {
-        // The dedicated squaring (halved cross products + separated reduction) must be a
-        // bit-exact drop-in for the generic CIOS product of a value with itself — this is
-        // what lets the sliding-window pow ladder use it without perturbing any
-        // ciphertext.
+        // mont_sqr is counted apart from mont_mul but must run the same kernel: the
+        // squarings of the pow ladders may not perturb any ciphertext.
         let n = odd_modulus(&mod_limbs);
         let v = BigUint::from_limbs(value_limbs);
         let ctx = ModulusCtx::new(&n);
@@ -115,7 +120,7 @@ proptest! {
 
     #[test]
     fn mont_roundtrip_is_identity(
-        mod_limbs in prop::collection::vec(any::<u64>(), 1..32),
+        mod_limbs in prop::collection::vec(any::<u64>(), 1..=32),
         value_limbs in prop::collection::vec(any::<u64>(), 1..32),
     ) {
         let n = odd_modulus(&mod_limbs);
@@ -150,4 +155,91 @@ fn modulus_one_and_even_moduli_are_rejected() {
     assert!(ModulusCtx::try_new(&BigUint::from_u64(2)).is_none());
     assert!(ModulusCtx::try_new(&BigUint::from_u64(1 << 20)).is_none());
     assert!(ModulusCtx::try_new(&BigUint::from_u64(3)).is_some());
+}
+
+/// Limb widths of the deterministic kernel cases: every exact-width instance (4, 8, 16,
+/// 32) and runtime widths below, between and above them (1, 12, 48).
+const KERNEL_WIDTHS: [usize; 7] = [1, 4, 8, 12, 16, 32, 48];
+
+/// Adversarial odd moduli of exactly `s` limbs: top limb `u64::MAX` or `2^63 + 1` over
+/// random lower limbs, `2^(64s) − 1`, `2^(64s) − 2^32 − 1` and (for `s > 1`) top limb
+/// `1`. Near `R = 2^(64s)` the kernel's carry word decides its final subtraction,
+/// between `R/2` and `R` the comparison with `n` decides it.
+fn adversarial_moduli(rng: &mut StdRng, s: usize) -> Vec<BigUint> {
+    let random_low = |rng: &mut StdRng, top: u64| {
+        let mut limbs: Vec<u64> = (0..s).map(|_| rng.next_u64()).collect();
+        limbs[s - 1] = top;
+        limbs[0] |= 1;
+        BigUint::from_limbs(limbs)
+    };
+    let r = BigUint::one().shl_bits(64 * s);
+    let mut moduli = vec![
+        random_low(rng, u64::MAX),
+        random_low(rng, (1 << 63) | 1),
+        r.sub(&BigUint::one()),
+        r.sub(&BigUint::from_u64((1 << 32) + 1)),
+    ];
+    if s > 1 {
+        moduli.push(random_low(rng, 1));
+    }
+    for n in &moduli {
+        assert_eq!(n.limbs().len(), s);
+    }
+    moduli
+}
+
+/// Whether the kernel's product of the Montgomery-form limbs `a` and `b` takes the
+/// final subtraction: the pre-subtraction value `(a·b + m·n)/R`, with
+/// `m = a·b·(−n⁻¹) mod R`, is at least `n`.
+fn kernel_subtracts(a: &BigUint, b: &BigUint, n: &BigUint, r: &BigUint) -> bool {
+    let n_prime = r.sub(&mod_inv(n, r).expect("n is odd"));
+    let ab = a.mul(b);
+    let m = ab.rem(r).mul(&n_prime).rem(r);
+    let t = ab.add(&m.mul(n));
+    assert!(t.rem(r).is_zero(), "m·n cancels the low words");
+    &t.div(r) >= n
+}
+
+#[test]
+fn kernel_matches_schoolbook_at_every_width_on_adversarial_operands() {
+    let mut rng = StdRng::seed_from_u64(24);
+    for s in KERNEL_WIDTHS {
+        let (mut subtracted, mut kept) = (0usize, 0usize);
+        for n in adversarial_moduli(&mut rng, s) {
+            let ctx = ModulusCtx::new(&n);
+            let r = BigUint::one().shl_bits(64 * s);
+            let r_mod_n = r.rem(&n);
+            let r_inv = mod_inv(&r_mod_n, &n).expect("R is a unit modulo an odd n");
+            // Kernel operands 0, 1, n − 1, R mod n and two random values: x = v·R⁻¹
+            // enters the kernel as the limbs of v, since to_mont(x) = x·R mod n = v.
+            let mut limbs =
+                vec![BigUint::zero(), BigUint::one(), n.sub(&BigUint::one()), r_mod_n.clone()];
+            limbs.extend((0..2).map(|_| BigUint::random_below(&mut rng, &n)));
+            let values: Vec<BigUint> = limbs.iter().map(|v| mod_mul(v, &r_inv, &n)).collect();
+            let mont: Vec<MontElem> = values.iter().map(|x| ctx.to_mont(x)).collect();
+            for ((va, x), a) in limbs.iter().zip(&values).zip(&mont) {
+                assert_eq!(ctx.from_mont(a), *x, "s={s}: round trip");
+                assert_eq!(ctx.mont_sqr(a), ctx.mont_mul(a, a), "s={s}: mont_sqr = mont_mul(a, a)");
+                assert_eq!(ctx.sqr(x), mod_mul(x, x, &n), "s={s}: sqr");
+                for ((vb, y), b) in limbs.iter().zip(&values).zip(&mont) {
+                    let expected = mod_mul(x, y, &n);
+                    let out = ctx.mont_mul(a, b);
+                    assert_eq!(out, ctx.to_mont(&expected), "s={s}: mont_mul limbs");
+                    let product = ctx.from_mont(&out);
+                    assert_eq!(product, expected, "s={s}: mont_mul");
+                    assert_eq!(ctx.mod_mul(x, y), product, "s={s}: mod_mul");
+                    if kernel_subtracts(va, vb, &n, &r) {
+                        subtracted += 1;
+                    } else {
+                        kept += 1;
+                    }
+                }
+                let exp = BigUint::random_with_bits(&mut rng, 130);
+                let expected = mod_pow(x, &exp, &n);
+                assert_eq!(ctx.pow(x, &exp), expected, "s={s}: pow");
+                assert_eq!(ctx.pow_mont(a, &exp), ctx.to_mont(&expected), "s={s}: pow_mont");
+            }
+        }
+        assert!(subtracted > 0 && kept > 0, "s={s}: both subtraction outcomes hit");
+    }
 }

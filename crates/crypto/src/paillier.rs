@@ -12,6 +12,12 @@
 //! * `Dec(c) = L(c^λ mod n²) · μ  mod n`, where `L(x) = (x − 1)/n`, `λ = lcm(p−1, q−1)`
 //!   and `μ = λ^{-1} mod n` (valid for `g = n + 1`).
 //!
+//! Decryption runs Paillier's own CRT form (EUROCRYPT 1999, §7):
+//! `m_p = L_p(c^{p−1} mod p²)·h_p mod p` with `L_p(x) = (x − 1)/p` and
+//! `h_p = L_p(g^{p−1} mod p²)^{-1} mod p`, the same for `q`, and `m` the unique value
+//! mod `n` that is `m_p` mod `p` and `m_q` mod `q`. The exponents are half as long as
+//! `λ`, and the plaintext is unique, so the result equals the `λ`/`μ` form bit for bit.
+//!
 //! Homomorphic operations: ciphertext addition is multiplication mod `n²`, and
 //! multiplication by a plaintext scalar is modular exponentiation.
 //!
@@ -71,13 +77,17 @@ pub struct PaillierSecretKey {
     /// The prime factors of `n`, kept for CRT decryption.
     p: BigUint,
     q: BigUint,
-    /// Cached `p²` / `q²` and the CRT exponents `λ mod φ(p²)` / `λ mod φ(q²)`.
+    /// Cached `p²` / `q²`, the moduli of the two CRT halves.
     p_squared: BigUint,
     q_squared: BigUint,
-    exp_p: BigUint,
-    exp_q: BigUint,
-    /// `(p²)^{-1} mod q²` for the CRT recombination.
-    p2_inv_mod_q2: BigUint,
+    /// The CRT exponents `p − 1` / `q − 1`.
+    p_minus_1: BigUint,
+    q_minus_1: BigUint,
+    /// `h_p = L_p(g^{p−1} mod p²)^{-1} mod p` / `h_q`, the same for `q`.
+    h_p: BigUint,
+    h_q: BigUint,
+    /// `p^{-1} mod q` for the CRT recombination mod `n`.
+    p_inv_mod_q: BigUint,
     /// Lazily-built Montgomery contexts for `p²` / `q²`.
     ctx_p2: OnceLock<Arc<ModulusCtx>>,
     ctx_q2: OnceLock<Arc<ModulusCtx>>,
@@ -132,15 +142,17 @@ impl PaillierKeyPair {
                 Some(mu) => mu,
                 None => continue,
             };
-            let public = PaillierPublicKey::new(n);
-            // CRT precomputation: c^λ mod p²/q² only needs λ modulo the group orders
-            // φ(p²) = p(p−1) and φ(q²) = q(q−1), and recombination needs (p²)^{-1} mod q²
-            // (p ≠ q primes, so the inverse always exists).
+            // CRT precomputation (Paillier 1999, §7). With g = n + 1,
+            // L_p(g^{p−1} mod p²) = (p − 1)·q ≡ −q mod p, a unit because p ≠ q are
+            // primes, and so is L_q(g^{q−1} mod q²); p is a unit modulo q for the same
+            // reason.
+            let g = n.add(&BigUint::one());
             let p_squared = p.mul(&p);
             let q_squared = q.mul(&q);
-            let exp_p = lambda.rem(&p.mul(&p1));
-            let exp_q = lambda.rem(&q.mul(&q1));
-            let p2_inv_mod_q2 = mod_inv(&p_squared, &q_squared).expect("p² is a unit modulo q²");
+            let h_p = mod_inv(&l_of(&mod_pow(&g, &p1, &p_squared), &p), &p).expect("h_p exists");
+            let h_q = mod_inv(&l_of(&mod_pow(&g, &q1, &q_squared), &q), &q).expect("h_q exists");
+            let p_inv_mod_q = mod_inv(&p, &q).expect("p is a unit modulo q");
+            let public = PaillierPublicKey::new(n);
             let secret = PaillierSecretKey {
                 lambda,
                 mu,
@@ -149,9 +161,11 @@ impl PaillierKeyPair {
                 q,
                 p_squared,
                 q_squared,
-                exp_p,
-                exp_q,
-                p2_inv_mod_q2,
+                p_minus_1: p1,
+                q_minus_1: q1,
+                h_p,
+                h_q,
+                p_inv_mod_q,
                 ctx_p2: OnceLock::new(),
                 ctx_q2: OnceLock::new(),
             };
@@ -261,17 +275,15 @@ impl PaillierPublicKey {
 impl PaillierSecretKey {
     /// Decrypts a ciphertext back to `F_n`.
     ///
-    /// The dominant `c^λ mod n²` is computed by CRT over the prime-square factors: two
-    /// half-width exponentiations with half-width exponents (`λ mod φ(p²)`, `λ mod
-    /// φ(q²)`) over their own cached Montgomery contexts, recombined to the unique value
-    /// mod `n²` — identical, bit for bit, to the direct exponentiation (debug builds
-    /// cross-check against [`PaillierSecretKey::decrypt_generic`] on every call).
+    /// Runs Paillier's CRT decryption (see the module doc): two half-width
+    /// exponentiations `c^{p−1} mod p²` and `c^{q−1} mod q²` over their own cached
+    /// Montgomery contexts, each with an exponent of half the bits of `λ`, then one
+    /// recombination mod `n`. The plaintext is unique, so the result is identical, bit
+    /// for bit, to the `λ`/`μ` form (debug builds cross-check against
+    /// [`PaillierSecretKey::decrypt_generic`] on every call).
     pub fn decrypt(&self, c: &Ciphertext) -> BigUint {
         uldp_telemetry::metrics::PAILLIER_DECRYPT.inc();
-        let pk = &self.public;
-        let x = self.pow_lambda_crt(&c.0);
-        let l = self.l_function(&x);
-        let m = mod_mul(&l, &self.mu, &pk.n);
+        let m = self.decrypt_crt(self.ctx_p2(), self.ctx_q2(), &c.0);
         debug_assert_eq!(
             m,
             self.decrypt_generic(c),
@@ -293,17 +305,7 @@ impl PaillierSecretKey {
         let ctx_q2 = Arc::clone(self.ctx_q2());
         let chunks = uldp_runtime::fold_chunk_ranges(items.len(), DECRYPT_BATCH_CHUNK);
         let decrypted: Vec<Vec<BigUint>> = rt.par_map(&chunks, |_, range| {
-            range
-                .clone()
-                .map(|i| {
-                    let x_p = ctx_p2.pow(&items[i].0.rem(&self.p_squared), &self.exp_p);
-                    let x_q = ctx_q2.pow(&items[i].0.rem(&self.q_squared), &self.exp_q);
-                    let diff = mod_sub(&x_q, &x_p.rem(&self.q_squared), &self.q_squared);
-                    let h = mod_mul(&diff, &self.p2_inv_mod_q2, &self.q_squared);
-                    let x = x_p.add(&self.p_squared.mul(&h));
-                    mod_mul(&self.l_function(&x), &self.mu, &self.public.n)
-                })
-                .collect()
+            range.clone().map(|i| self.decrypt_crt(&ctx_p2, &ctx_q2, &items[i].0)).collect()
         });
         let out = decrypted.concat();
         debug_assert!(
@@ -318,21 +320,20 @@ impl PaillierSecretKey {
     pub fn decrypt_generic(&self, c: &Ciphertext) -> BigUint {
         let pk = &self.public;
         let x = mod_pow(&c.0, &self.lambda, &pk.n_squared);
-        let l = self.l_function(&x);
-        mod_mul(&l, &self.mu, &pk.n)
+        mod_mul(&l_of(&x, &pk.n), &self.mu, &pk.n)
     }
 
-    /// `c^λ mod n²` by CRT over `p²` and `q²`.
-    ///
-    /// Valid ciphertexts are units mod `n²`, so the exponent reduces modulo the group
-    /// orders `φ(p²)` / `φ(q²)` (precomputed at key generation); Garner recombination
-    /// lifts the two residues to the unique representative mod `n² = p²·q²`.
-    fn pow_lambda_crt(&self, c: &BigUint) -> BigUint {
-        let x_p = self.ctx_p2().pow(&c.rem(&self.p_squared), &self.exp_p);
-        let x_q = self.ctx_q2().pow(&c.rem(&self.q_squared), &self.exp_q);
-        let diff = mod_sub(&x_q, &x_p.rem(&self.q_squared), &self.q_squared);
-        let h = mod_mul(&diff, &self.p2_inv_mod_q2, &self.q_squared);
-        x_p.add(&self.p_squared.mul(&h))
+    /// Paillier's CRT decryption of `c` over the `p²` / `q²` contexts:
+    /// `m_p = L_p(c^{p−1} mod p²)·h_p mod p`, `m_q` likewise, and Garner's
+    /// recombination `m = m_p + p·((m_q − m_p)·p^{-1} mod q)`, the unique value mod `n`.
+    fn decrypt_crt(&self, ctx_p2: &ModulusCtx, ctx_q2: &ModulusCtx, c: &BigUint) -> BigUint {
+        let (p, q) = (&self.p, &self.q);
+        let x_p = ctx_p2.pow(&c.rem(&self.p_squared), &self.p_minus_1);
+        let x_q = ctx_q2.pow(&c.rem(&self.q_squared), &self.q_minus_1);
+        let m_p = mod_mul(&l_of(&x_p, p), &self.h_p, p);
+        let m_q = mod_mul(&l_of(&x_q, q), &self.h_q, q);
+        let diff = mod_sub(&m_q, &m_p.rem(q), q);
+        m_p.add(&p.mul(&mod_mul(&diff, &self.p_inv_mod_q, q)))
     }
 
     /// The shared Montgomery context for `p²`.
@@ -355,11 +356,11 @@ impl PaillierSecretKey {
     pub fn public_key(&self) -> &PaillierPublicKey {
         &self.public
     }
+}
 
-    /// `L(x) = (x − 1) / n` (exact division for valid ciphertexts).
-    fn l_function(&self, x: &BigUint) -> BigUint {
-        x.sub(&BigUint::one()).div(&self.public.n)
-    }
+/// Paillier's `L_d(x) = (x − 1) / d`, exact for the `x ≡ 1 mod d` it is applied to.
+fn l_of(x: &BigUint, d: &BigUint) -> BigUint {
+    x.sub(&BigUint::one()).div(d)
 }
 
 #[cfg(test)]
@@ -488,6 +489,13 @@ mod tests {
         for v in [0u64, 1, 42, u64::MAX] {
             let c = kp.public.encrypt(&mut rng, &BigUint::from_u64(v));
             assert_eq!(kp.secret.decrypt(&c), kp.secret.decrypt_generic(&c));
+        }
+        // the plaintexts whose CRT residues are 0 or maximal: p, q, n − 1
+        let (p, q) = kp.secret.primes();
+        for m in [p.clone(), q.clone(), kp.public.n.sub(&BigUint::one())] {
+            let c = kp.public.encrypt(&mut rng, &m);
+            assert_eq!(kp.secret.decrypt(&c), m);
+            assert_eq!(kp.secret.decrypt_generic(&c), m);
         }
         // including non-trivially random plaintexts near the modulus
         for _ in 0..5 {
