@@ -71,21 +71,6 @@ pub fn lcm_up_to(n: u64) -> BigUint {
     acc
 }
 
-/// Least common multiple of an explicit set of admissible record counts.
-///
-/// The paper notes that `C_LCM` grows roughly exponentially with `N_max`; restricting the
-/// admissible per-user record counts to a small set (e.g. powers of ten) keeps it small.
-pub fn lcm_of_set(values: &[u64]) -> BigUint {
-    let mut acc = BigUint::one();
-    for &v in values {
-        if v == 0 {
-            continue;
-        }
-        acc = lcm(&acc, &BigUint::from_u64(v));
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,12 +93,6 @@ mod tests {
         // lcm(1..=10) = 2520
         assert_eq!(lcm_up_to(10), BigUint::from_u64(2520));
         assert_eq!(lcm_up_to(1), BigUint::one());
-    }
-
-    #[test]
-    fn lcm_of_set_powers_of_ten() {
-        // lcm(10, 100, 1000) = 1000
-        assert_eq!(lcm_of_set(&[10, 100, 1000]), BigUint::from_u64(1000));
     }
 
     #[test]

@@ -1,17 +1,22 @@
-//! Round implementations of the five training algorithms evaluated in the paper.
+//! Round implementations of the training algorithms evaluated in the paper.
 //!
-//! Each sub-module exposes a `run_round` function that performs one complete federated
-//! round: silo-local computation (possibly per user), clipping, DP noise, aggregation and
-//! the global model update. The [`crate::trainer::Trainer`] dispatches to the right module
-//! based on [`crate::config::Method`] and handles privacy accounting, user-level
-//! sub-sampling masks and evaluation.
+//! Three round functions cover the five algorithms, each performing one complete
+//! federated round: silo-local computation (possibly per user), clipping, DP noise,
+//! aggregation and the global model update.
+//!
+//! * [`silo_level::run_round`] — DEFAULT and ULDP-NAIVE (Algorithm 1): one delta per
+//!   silo, clipped and noised for ULDP-NAIVE.
+//! * [`group::run_round`] — ULDP-GROUP-k (Algorithm 2): per-silo DP-SGD.
+//! * [`uldp::run_round`] — ULDP-AVG and ULDP-SGD (Algorithm 3): per-user weighted
+//!   clipping; the two differ only in the local update.
+//!
+//! The [`crate::trainer::Trainer`] dispatches on [`crate::config::Method`] and handles
+//! privacy accounting, user-level sub-sampling masks and evaluation.
 
-pub mod default;
 pub mod group;
-pub mod naive;
+pub mod silo_level;
 pub(crate) mod stream;
-pub mod uldp_avg;
-pub mod uldp_sgd;
+pub mod uldp;
 
 use crate::sampling::SampleMask;
 use crate::weighting::WeightMatrix;
@@ -19,29 +24,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use uldp_datasets::FederatedDataset;
 use uldp_ml::Model;
-use uldp_runtime::{seeding, Runtime};
+use uldp_runtime::seeding;
 
 /// Stream tag separating per-task training RNGs from per-silo noise RNGs within a round.
 pub(crate) const STREAM_TRAIN: u64 = 1;
 /// Stream tag for per-silo Gaussian-noise RNGs.
 pub(crate) const STREAM_NOISE: u64 = 2;
-
-/// Runs `per_silo` for every silo on the shared worker pool and returns the per-silo
-/// results in silo order.
-///
-/// Every silo receives its own deterministic RNG derived from `(base_seed, silo)` via
-/// [`seeding::index_seed`], so results are bitwise-identical at any thread count.
-pub(crate) fn map_silos<F>(
-    rt: &Runtime,
-    num_silos: usize,
-    base_seed: u64,
-    per_silo: F,
-) -> Vec<Vec<f64>>
-where
-    F: Fn(usize, &mut StdRng) -> Vec<f64> + Sync,
-{
-    rt.par_map_seeded(num_silos, base_seed, per_silo)
-}
 
 /// The deterministic RNG for one `(silo, user)` training task of a round.
 ///
@@ -60,8 +48,8 @@ pub(crate) fn noise_rng(round_seed: u64, silo: usize) -> StdRng {
 
 /// The participating `(silo, user)` pairs of a round — users present in a silo whose
 /// weight is non-zero and who are in the round's sampling mask — in flattened
-/// silo-major order. Shared by `uldp_avg` and `uldp_sgd`, whose parallel regions run
-/// one task per pair.
+/// silo-major order: the task list of [`uldp::run_round`], which runs one task per
+/// pair.
 ///
 /// The mask is probed per candidate task rather than materialised into a zeroed weight
 /// matrix, so an unsampled user costs one [`SampleMask::contains`] probe and no
@@ -149,29 +137,6 @@ mod tests {
     use super::*;
     use rand::Rng;
     use uldp_ml::LinearClassifier;
-
-    #[test]
-    fn map_silos_is_deterministic_and_ordered() {
-        let rt = Runtime::new(3);
-        let f = |s: usize, rng: &mut StdRng| vec![s as f64, rng.gen::<f64>()];
-        let a = map_silos(&rt, 4, 7, f);
-        let b = map_silos(&rt, 4, 7, f);
-        assert_eq!(a, b);
-        // thread count does not change the results
-        assert_eq!(a, map_silos(&Runtime::new(1), 4, 7, f));
-        for (s, v) in a.iter().enumerate() {
-            assert_eq!(v[0], s as f64);
-        }
-        // different seeds give different randomness
-        let c = map_silos(&rt, 4, 8, f);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn map_silos_single_silo() {
-        let out = map_silos(&Runtime::new(2), 1, 0, |_, _| vec![42.0]);
-        assert_eq!(out, vec![vec![42.0]]);
-    }
 
     #[test]
     fn task_and_noise_rngs_are_stream_separated() {

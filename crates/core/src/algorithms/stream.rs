@@ -1,5 +1,6 @@
-//! The streaming sharded round engine behind ULDP-AVG / ULDP-SGD (and, via
-//! [`crate::algorithms::group`], the per-silo DP-SGD aggregation).
+//! The streaming sharded round engine behind the user-level round of ULDP-AVG and
+//! ULDP-SGD ([`crate::algorithms::uldp`]) and, via [`crate::algorithms::group`], the
+//! per-silo DP-SGD aggregation.
 //!
 //! Materialising one dim-length delta per participating `(silo, user)` task would cost
 //! O(tasks × dim) transient memory per round, which caps how many users a silo can

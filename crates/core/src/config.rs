@@ -96,6 +96,8 @@ pub struct FlConfig {
     /// Mini-batch size for silo-level training (DEFAULT / NAIVE / GROUP local loops).
     pub batch_size: usize,
     /// User-level Poisson sub-sampling probability `q` (1.0 disables sub-sampling).
+    /// Honoured by ULDP-AVG / ULDP-SGD only; [`FlConfig::validate`] rejects `q < 1` with
+    /// the other methods.
     pub user_sampling: f64,
     /// Privacy parameter δ (paper default: 1e-5).
     pub delta: f64,
@@ -117,7 +119,8 @@ pub struct FlConfig {
     /// Deterministic fault injection for the round ([`crate::scenario`]): dropouts,
     /// stragglers and byzantine updates. Honoured by ULDP-AVG / ULDP-SGD; the silo-level
     /// baselines cannot honour it, so [`FlConfig::validate`] rejects an active plan
-    /// with them. Protocol 1 takes its own plan,
+    /// with them. Training draws no straggler delay, so this plan's `delay_fraction` has
+    /// no effect: only Protocol 1's round timings honour one. Protocol 1 takes its own plan,
     /// [`crate::protocol::ProtocolConfig::fault_plan`], which every round honours except
     /// for byzantine corruption. The default plan injects nothing and leaves rounds
     /// byte-for-byte unchanged.
@@ -187,6 +190,13 @@ impl FlConfig {
                 || matches!(self.method, Method::UldpAvg { .. } | Method::UldpSgd { .. }),
             "{} cannot honour an active fault_plan; only ULDP-AVG and ULDP-SGD inject faults",
             self.method.label()
+        );
+        assert!(
+            self.user_sampling == 1.0
+                || matches!(self.method, Method::UldpAvg { .. } | Method::UldpSgd { .. }),
+            "{} cannot honour user_sampling = {}; only ULDP-AVG and ULDP-SGD sub-sample users",
+            self.method.label(),
+            self.user_sampling
         );
         if let Method::UldpGroup { sampling_rate, group_size } = self.method {
             assert!(
@@ -279,6 +289,13 @@ mod tests {
     fn fault_plan_rejected_for_methods_that_ignore_it() {
         let plan = FaultPlan { dropout_fraction: 0.5, seed: 3, ..FaultPlan::none() };
         FlConfig { method: Method::UldpNaive, fault_plan: plan, ..Default::default() }.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "ULDP-GROUP-max cannot honour user_sampling = 0.5")]
+    fn user_sampling_rejected_for_methods_that_ignore_it() {
+        let method = Method::UldpGroup { group_size: GroupSize::Max, sampling_rate: 0.1 };
+        FlConfig { method, user_sampling: 0.5, ..Default::default() }.validate();
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //! * **ULDP-AVG-w** — the enhanced weighting strategy `w_{s,u} = n_{s,u} / N_u` (Eq. 3).
 //! * **User-level sub-sampling** (Algorithm 4) — Poisson sampling of users per round for
 //!   RDP amplification.
-//! * **Protocol 1** — the private weighting protocol combining Paillier encryption,
-//!   Diffie–Hellman-derived pairwise masks (secure aggregation) and multiplicative
-//!   blinding, so that neither the server nor other silos learn any silo's per-user record
-//!   histogram while still computing the enhanced weights.
+//! * **Protocol 1** — the private weighting protocol combining Paillier encryption and
+//!   multiplicative blinding to compute the enhanced weights without any party learning
+//!   a user's cross-silo record total. Setup agrees Diffie–Hellman pairwise seeds, but no
+//!   message is masked with them yet: the server sums the silos' blinded rows and
+//!   ciphertext cells directly, an ideal secure aggregation (ROADMAP.md, item G).
 //!
 //! Entry point: [`trainer::Trainer`]. Configure a run with [`config::FlConfig`], pick a
 //! [`config::Method`], and call [`trainer::Trainer::run`]; the returned

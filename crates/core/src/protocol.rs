@@ -682,9 +682,9 @@ impl SiloView {
 }
 
 /// Setup steps 1.(d)–(e): user `u`'s blinded total `Σ_s r_u·n_su mod n`, the sum of the
-/// silos' blinded histograms. The pairwise masks cancel in the server's sum, so the sum
-/// is computed directly while still blinding each silo's count. Blocks of
-/// [`SETUP_BLOCK`] users run on the pool (see "Setup cost"); the result is
+/// silos' blinded histograms. No pairwise mask is applied: the sum is computed directly
+/// from the silos' blinded counts, an ideal secure aggregation (ROADMAP.md, item G).
+/// Blocks of [`SETUP_BLOCK`] users run on the pool (see "Setup cost"); the result is
 /// bitwise-identical at any thread count.
 fn blinded_totals(
     rt: &Runtime,
@@ -820,7 +820,8 @@ impl PrivateWeightingProtocol {
         );
         let blinder = MultiplicativeBlinder::new(blind_seed, modulus.clone());
 
-        // --- Step 1.(d)-(e): blinded, masked histogram aggregation. ---
+        // --- Step 1.(d)-(e): blinded histogram aggregation (unmasked, see
+        // `blinded_totals`). ---
         let hist_span = trace::timed_span("protocol", "histogram_blinding");
         let silo_histograms: Vec<Vec<u64>> =
             histogram.iter().map(|row| row.iter().map(|&c| c as u64).collect()).collect();
@@ -977,9 +978,10 @@ impl PrivateWeightingProtocol {
     ///
     /// The round applies its fault set of [`ProtocolConfig::fault_plan`]. Dropped silos
     /// leave **between steps 2.(b) and 2.(c)**: their cells (deltas *and* noise) miss the
-    /// homomorphic fold, where the pairwise masks cancel over the silos that did
-    /// contribute, and the aggregate is re-weighted by `|S| / |S_surviving|`. Stragglers add
-    /// [`FaultPlan::delay_ms`] each to `silo_weighting` and leave the result unchanged.
+    /// homomorphic fold, and the aggregate is re-weighted by `|S| / |S_surviving|`. No
+    /// pairwise mask is applied, so no mask needs recovering (ROADMAP.md, item G).
+    /// Stragglers add [`FaultPlan::delay_ms`] each to `silo_weighting` and leave the
+    /// result unchanged.
     ///
     /// Returns the decoded aggregate — exactly the surviving-silo, sampled-user sum
     /// `Σ_s (Σ_u w_{s,u} Δ̃_{s,u} + z_s)`, re-weighted
@@ -1082,18 +1084,9 @@ impl PrivateWeightingProtocol {
     /// accounted in the timings only — no wall-clock sleep, the aggregate is
     /// untouched). Emits one structured trace event per affected silo.
     fn draw_faults(&self, round: u64) -> (Vec<bool>, Duration) {
-        let dropped = self.fault_plan.dropped_silos(round, self.num_silos());
+        let dropped = self.fault_plan.draw_dropouts(round, self.num_silos());
         let delayed = self.fault_plan.delayed_silos(round, self.num_silos());
         if uldp_telemetry::enabled() {
-            // Tagged with the round so traces of multi-round runs stay attributable.
-            for (silo, _) in dropped.iter().enumerate().filter(|(_, &d)| d) {
-                metrics::FAULT_EVENTS.inc();
-                trace::event(
-                    "fault",
-                    "dropout",
-                    vec![("round", round.into()), ("silo", silo.into())],
-                );
-            }
             for (silo, _) in delayed.iter().enumerate().filter(|(_, &d)| d) {
                 metrics::FAULT_EVENTS.inc();
                 trace::event(

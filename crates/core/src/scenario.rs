@@ -20,10 +20,11 @@
 //! * **Dropout** (ULDP-AVG/SGD and Protocol 1): a dropped silo contributes neither its
 //!   per-user deltas nor its DP noise. The aggregation path re-weights the surviving sum
 //!   by `|S| / |S_surviving|`, so the update keeps its expected scale; in Protocol 1 the
-//!   dropped silo's `(silo, coordinate)` cells are simply excluded from the streaming
-//!   homomorphic fold — the Paillier path needs no mask-recovery machinery because the
-//!   pairwise masks cancel *inside* each per-coordinate ciphertext sum over the silos
-//!   that actually contributed (see `uldp-crypto::masking` for the precondition).
+//!   dropped silo's `(silo, coordinate)` cells are excluded from the streaming
+//!   homomorphic fold. No pairwise mask is applied today: the server sums the silos'
+//!   cells directly, an ideal secure aggregation (ROADMAP.md, item G), so that exclusion
+//!   is all a dropout costs. Under real pairwise masks a dropped silo's masks would not
+//!   cancel, and the survivors would have to send a recovery correction.
 //!   At least one silo always survives ([`FaultPlan::dropped_silos`] clamps the count).
 //!   Protocol 1 draws round `t`'s set from its own round counter, whatever the round's
 //!   sampling (all users, a mask, or oblivious sub-sampling).
@@ -47,6 +48,7 @@ use serde::{Deserialize, Serialize};
 use uldp_datasets::Allocation;
 use uldp_ml::rng::gaussian_vector;
 use uldp_runtime::seeding;
+use uldp_telemetry::{metrics, trace};
 
 /// Stream tags separating the plan's derivations from one another and from the training
 /// (`1`) and noise (`2`) streams of [`crate::algorithms`].
@@ -195,6 +197,24 @@ impl FaultPlan {
             self.dropout_fraction,
             max,
         )
+    }
+
+    /// The round's dropped silos, [`FaultPlan::dropped_silos`], as a round applies them:
+    /// with telemetry on, each dropped silo also counts one `scenario.fault_events` and
+    /// emits one `fault/dropout` event tagged with `round` and the silo.
+    pub fn draw_dropouts(&self, round: u64, num_silos: usize) -> Vec<bool> {
+        let dropped = self.dropped_silos(round, num_silos);
+        if uldp_telemetry::enabled() {
+            for (silo, _) in dropped.iter().enumerate().filter(|(_, &d)| d) {
+                metrics::FAULT_EVENTS.inc();
+                trace::event(
+                    "fault",
+                    "dropout",
+                    vec![("round", round.into()), ("silo", silo.into())],
+                );
+            }
+        }
+        dropped
     }
 
     /// Silos whose reports straggle this round.

@@ -7,7 +7,7 @@
 //! the series plotted in Figures 4–9 of the paper: a utility metric (accuracy, test loss
 //! or C-index) and the accumulated ULDP ε.
 
-use crate::algorithms::{self, group, round_seed};
+use crate::algorithms::{group, round_seed, silo_level, uldp};
 use crate::config::{FlConfig, Method, WeightingStrategy};
 use crate::sampling::SampleMask;
 use crate::weighting::WeightMatrix;
@@ -121,10 +121,8 @@ impl Trainer {
         };
         let privacy = match config.method {
             Method::Default => AlgorithmPrivacy::NonPrivate,
-            Method::UldpNaive => {
-                AlgorithmPrivacy::UserLevelGaussian { sigma: config.sigma, q: 1.0 }
-            }
-            Method::UldpAvg { .. } | Method::UldpSgd { .. } => {
+            // `validate` leaves ULDP-NAIVE only q = 1.
+            Method::UldpNaive | Method::UldpAvg { .. } | Method::UldpSgd { .. } => {
                 AlgorithmPrivacy::UserLevelGaussian { sigma: config.sigma, q: config.user_sampling }
             }
             Method::UldpGroup { group_size, sampling_rate } => {
@@ -178,20 +176,9 @@ impl Trainer {
         let seed = round_seed(self.config.seed, round);
         let rt = Arc::clone(&self.runtime);
         match self.config.method {
-            Method::Default => algorithms::default::run_round(
-                &rt,
-                &mut self.model,
-                &self.dataset,
-                &self.config,
-                seed,
-            ),
-            Method::UldpNaive => algorithms::naive::run_round(
-                &rt,
-                &mut self.model,
-                &self.dataset,
-                &self.config,
-                seed,
-            ),
+            Method::Default | Method::UldpNaive => {
+                silo_level::run_round(&rt, &mut self.model, &self.dataset, &self.config, seed);
+            }
             Method::UldpGroup { .. } => {
                 let flags = self
                     .contribution_flags
@@ -209,30 +196,16 @@ impl Trainer {
                 } else {
                     (None, 1.0)
                 };
-                let mask = sample.as_ref();
-                if matches!(self.config.method, Method::UldpAvg { .. }) {
-                    algorithms::uldp_avg::run_round(
-                        &rt,
-                        &mut self.model,
-                        &self.dataset,
-                        &self.config,
-                        &self.weights,
-                        mask,
-                        effective_q,
-                        seed,
-                    );
-                } else {
-                    algorithms::uldp_sgd::run_round(
-                        &rt,
-                        &mut self.model,
-                        &self.dataset,
-                        &self.config,
-                        &self.weights,
-                        mask,
-                        effective_q,
-                        seed,
-                    );
-                }
+                uldp::run_round(
+                    &rt,
+                    &mut self.model,
+                    &self.dataset,
+                    &self.config,
+                    &self.weights,
+                    sample.as_ref(),
+                    effective_q,
+                    seed,
+                );
             }
         }
         self.accountant.step_round();

@@ -13,7 +13,6 @@
 //! sampled in the current round.
 
 use crate::config::WeightingStrategy;
-use crate::sampling::SampleMask;
 use serde::{Deserialize, Serialize};
 
 /// A `|S| × |U|` matrix of per-(silo, user) clipping weights.
@@ -112,29 +111,6 @@ impl WeightMatrix {
         out
     }
 
-    /// Returns a copy with the weights of all users *not* in `mask` set to zero — the
-    /// [`SampleMask`] equivalent of [`WeightMatrix::masked_by_sampling`], and bitwise
-    /// equal to it on the densified mask.
-    ///
-    /// The output is still a dense `|S| × |U|` matrix; round-hot paths avoid this
-    /// materialisation entirely by passing the mask itself down (the trainer hands
-    /// `run_round` the unmasked matrix plus the mask). This copy exists for reference
-    /// computations and tests that need the zeroed matrix explicitly.
-    pub fn masked_by(&self, mask: &SampleMask) -> WeightMatrix {
-        assert_eq!(mask.num_users(), self.num_users, "sampling mask length mismatch");
-        let mut out = WeightMatrix {
-            num_silos: self.num_silos,
-            num_users: self.num_users,
-            weights: vec![0.0; self.num_silos * self.num_users],
-        };
-        for u in mask.iter() {
-            for s in 0..self.num_silos {
-                out.weights[s * self.num_users + u] = self.weights[s * self.num_users + u];
-            }
-        }
-        out
-    }
-
     /// The per-user column sums `Σ_s w_{s,u}` (should be 1 for participating users, 0 for
     /// absent or unsampled users).
     pub fn user_sums(&self) -> Vec<f64> {
@@ -195,22 +171,6 @@ mod tests {
         assert!((masked.get(0, 0) - 0.5).abs() < 1e-12);
         // still satisfies the constraint
         assert!(masked.satisfies_sensitivity_constraint(1e-9));
-    }
-
-    #[test]
-    fn masked_by_matches_masked_by_sampling_bitwise() {
-        let w = WeightMatrix::from_histogram(WeightingStrategy::RecordProportional, &histogram());
-        let flags = [true, false, true];
-        let mask = SampleMask::from_dense(flags.to_vec());
-        assert_eq!(w.masked_by(&mask), w.masked_by_sampling(&flags));
-        assert_eq!(w.masked_by(&mask.densified()), w.masked_by_sampling(&flags));
-    }
-
-    #[test]
-    #[should_panic(expected = "sampling mask length mismatch")]
-    fn masked_by_length_checked() {
-        let w = WeightMatrix::uniform(2, 3);
-        let _ = w.masked_by(&SampleMask::all(2));
     }
 
     #[test]

@@ -105,16 +105,6 @@ impl FixedPointCodec {
     pub fn decode_plain(&self, x: &BigUint) -> f64 {
         self.decode(x, &BigUint::one())
     }
-
-    /// Encodes a whole slice of values.
-    pub fn encode_vec(&self, values: &[f64]) -> Vec<BigUint> {
-        values.iter().map(|&v| self.encode(v)).collect()
-    }
-
-    /// Decodes a whole slice of field elements carrying a `C_LCM` factor.
-    pub fn decode_vec(&self, values: &[BigUint], c_lcm: &BigUint) -> Vec<f64> {
-        values.iter().map(|v| self.decode(v, c_lcm)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -178,17 +168,6 @@ mod tests {
         let scaled = uldp_bigint::modular::mod_mul(&c.encode(value), &c_lcm, c.modulus());
         let decoded = c.decode(&scaled, &c_lcm);
         assert!((decoded - value).abs() <= c.precision(), "decoded {decoded}");
-    }
-
-    #[test]
-    fn vector_helpers_roundtrip() {
-        let c = codec();
-        let values = vec![0.1, -0.2, 3.5, -7.75, 0.0];
-        let encoded = c.encode_vec(&values);
-        let decoded = c.decode_vec(&encoded, &BigUint::one());
-        for (v, d) in values.iter().zip(decoded.iter()) {
-            assert!((v - d).abs() <= c.precision());
-        }
     }
 
     #[test]

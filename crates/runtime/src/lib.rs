@@ -442,6 +442,25 @@ mod tests {
     }
 
     #[test]
+    fn seeded_map_is_ordered_and_seed_sensitive() {
+        let rt = Runtime::new(3);
+        let f = |i: usize, rng: &mut StdRng| vec![i as f64, rng.gen::<f64>()];
+        let a = rt.par_map_seeded(4, 7, f);
+        assert_eq!(a, rt.par_map_seeded(4, 7, f));
+        for (i, v) in a.iter().enumerate() {
+            assert_eq!(v[0], i as f64);
+        }
+        // a different base seed gives different randomness
+        assert_ne!(a, rt.par_map_seeded(4, 8, f));
+    }
+
+    #[test]
+    fn seeded_map_single_item() {
+        let out = Runtime::new(2).par_map_seeded(1, 0, |_, _| vec![42.0]);
+        assert_eq!(out, vec![vec![42.0]]);
+    }
+
+    #[test]
     fn wide_seeded_map_is_bitwise_identical_across_thread_counts() {
         let seed: seeding::WideSeed = [3, 1, 4, 1];
         let draws = |threads: usize| {

@@ -19,7 +19,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use uldp_fl::core::algorithms::uldp_avg;
+use uldp_fl::core::algorithms::uldp;
 use uldp_fl::core::{
     ByzantineStrategy, FaultPlan, FlConfig, Method, SampleMask, Scenario, Trainer, TrainingHistory,
     WeightMatrix, WeightingStrategy,
@@ -133,7 +133,7 @@ fn sparse_and_dense_masks_train_identically_across_the_scenario_catalogue() {
             cfg2.shards = shards;
             let mut model: Box<dyn Model> =
                 Box::new(LinearClassifier::new(dataset.feature_dim(), 2));
-            uldp_avg::run_round(&rt, &mut model, &dataset, &cfg2, &weights, Some(mask), 0.15, 3);
+            uldp::run_round(&rt, &mut model, &dataset, &cfg2, &weights, Some(mask), 0.15, 3);
             model.parameters().iter().map(|p| p.to_bits()).collect::<Vec<u64>>()
         };
         let reference = run(1, 1, &mask);
@@ -205,7 +205,7 @@ fn dropout_round_equals_reweighted_round_over_survivors() {
     let mut faulted_cfg = base_cfg.clone();
     faulted_cfg.fault_plan = plan;
     let mut faulted: Box<dyn Model> = Box::new(LinearClassifier::new(dataset.feature_dim(), 2));
-    uldp_avg::run_round(&rt, &mut faulted, &dataset, &faulted_cfg, &weights, None, 1.0, round_seed);
+    uldp::run_round(&rt, &mut faulted, &dataset, &faulted_cfg, &weights, None, 1.0, round_seed);
 
     let mut reference_cfg = base_cfg;
     reference_cfg.global_lr *= n as f64 / surviving as f64;
@@ -218,16 +218,7 @@ fn dropout_round_equals_reweighted_round_over_survivors() {
         }
     }
     let mut reference: Box<dyn Model> = Box::new(LinearClassifier::new(dataset.feature_dim(), 2));
-    uldp_avg::run_round(
-        &rt,
-        &mut reference,
-        &dataset,
-        &reference_cfg,
-        &zeroed,
-        None,
-        1.0,
-        round_seed,
-    );
+    uldp::run_round(&rt, &mut reference, &dataset, &reference_cfg, &zeroed, None, 1.0, round_seed);
 
     for (a, b) in faulted.parameters().iter().zip(reference.parameters().iter()) {
         assert!(
@@ -267,7 +258,7 @@ fn byzantine_influence_is_bounded_by_the_clipping_norm() {
         let mut cfg = base_cfg.clone();
         cfg.fault_plan = plan;
         let mut model: Box<dyn Model> = Box::new(LinearClassifier::new(dataset.feature_dim(), 2));
-        uldp_avg::run_round(&rt, &mut model, &dataset, &cfg, &weights, None, 1.0, round_seed);
+        uldp::run_round(&rt, &mut model, &dataset, &cfg, &weights, None, 1.0, round_seed);
         model.parameters().to_vec()
     };
     let honest = run(FaultPlan::none());
