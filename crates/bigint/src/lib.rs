@@ -10,14 +10,16 @@
 //!   ring operations (add, sub, mul with Karatsuba, Knuth-D division, shifts, bit access).
 //! * [`BigInt`] — a signed wrapper (sign + magnitude) used where subtraction may go
 //!   negative (extended Euclid, fixed-point decoding).
-//! * [`modular`] — modular add/sub/mul/pow/inverse on [`BigUint`].
+//! * [`modular`] — modular add/sub/mul/pow/inverse and the Jacobi symbol on [`BigUint`].
 //! * [`montgomery`] — the batched-exponentiation engine: [`montgomery::ModulusCtx`]
 //!   (CIOS Montgomery multiplication with cached per-modulus constants, one
 //!   sliding-window ladder behind `pow` and the interleaved `multi_exp_tables` over
-//!   reusable odd-power [`montgomery::WindowTable`]s, simultaneous `batch_inv`).
-//!   Bitwise-identical to the schoolbook path.
-//! * [`prime`] — Miller–Rabin primality testing and random prime generation (sharing
-//!   one Montgomery context across all witness bases).
+//!   reusable odd-power [`montgomery::WindowTable`]s, simultaneous `batch_inv`, and a
+//!   fixed-base comb over a [`montgomery::FixedBaseTable`]). Bitwise-identical to the
+//!   schoolbook path.
+//! * [`prime`] — Miller–Rabin primality testing (sharing one Montgomery context across
+//!   all witness bases) and random prime generation, safe primes by a sieve of `q` and
+//!   `2q + 1` together.
 //! * Utility functions [`gcd`], [`lcm`], and [`lcm_up_to`] (the `C_LCM` constant of the
 //!   paper's Protocol 1).
 //!

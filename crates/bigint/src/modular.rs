@@ -111,6 +111,38 @@ pub fn mod_inv(a: &BigUint, n: &BigUint) -> Option<BigUint> {
     Some(x.rem_euclid(n))
 }
 
+/// The Jacobi symbol `(a/n)` for an odd `n`: `1`, `−1`, or `0` when `gcd(a, n) ≠ 1`.
+///
+/// For `n = p·q` it is the product of the Legendre symbols mod `p` and mod `q`, yet
+/// needs no factorisation: the binary algorithm strips factors of two (each flips the
+/// sign when `n ≡ ±3 mod 8`) and swaps `a` and `n` by quadratic reciprocity (a flip
+/// when both are `3 mod 4`).
+///
+/// # Panics
+/// Panics if `n` is even.
+pub fn jacobi(a: &BigUint, n: &BigUint) -> i8 {
+    assert!(!n.is_even(), "the Jacobi symbol needs an odd modulus");
+    let low = |x: &BigUint| x.limbs().first().copied().unwrap_or(0);
+    let (mut a, mut n) = (a.rem(n), n.clone());
+    let mut sign = 1;
+    while !a.is_zero() {
+        let twos = (0..a.bit_length()).take_while(|&i| !a.bit(i)).count();
+        a = a.shr_bits(twos);
+        if twos % 2 == 1 && matches!(low(&n) & 7, 3 | 5) {
+            sign = -sign;
+        }
+        if low(&a) & 3 == 3 && low(&n) & 3 == 3 {
+            sign = -sign;
+        }
+        (a, n) = (n.rem(&a), a);
+    }
+    if n.is_one() {
+        sign
+    } else {
+        0
+    }
+}
+
 /// Maps a finite-field element in `[0, n)` to the centred integer representation
 /// `(-n/2, n/2]` used by the fixed-point `Decode` step of Protocol 1.
 pub fn to_centered(x: &BigUint, n: &BigUint) -> BigInt {
@@ -140,6 +172,43 @@ mod tests {
         assert_eq!(mod_mul(&n(5), &n(7), &m), n(1));
         assert_eq!(mod_neg(&n(4), &m), n(13));
         assert_eq!(mod_neg(&n(0), &m), n(0));
+    }
+
+    #[test]
+    fn jacobi_is_the_product_of_the_legendre_symbols() {
+        // Euler's criterion gives each Legendre symbol: a^((p−1)/2) is 1 or p − 1.
+        let legendre = |a: &BigUint, p: &BigUint| {
+            let e = mod_pow(a, &p.sub(&BigUint::one()).shr_bits(1), p);
+            if e.is_zero() {
+                0
+            } else if e.is_one() {
+                1
+            } else {
+                -1
+            }
+        };
+        let mut rng = StdRng::seed_from_u64(12);
+        let p = crate::prime::generate_prime(&mut rng, 80);
+        let q = crate::prime::generate_prime(&mut rng, 72);
+        let pq = p.mul(&q);
+        let mut seen = [0usize; 3];
+        for i in 0..64 {
+            let a = if i == 0 { p.clone() } else { BigUint::random_with_bits(&mut rng, 200) };
+            let expected = legendre(&a, &p) * legendre(&a, &q);
+            assert_eq!(jacobi(&a, &pq), expected, "({a:?}/pq)");
+            assert_eq!(jacobi(&a, &p), legendre(&a, &p), "({a:?}/p)");
+            seen[(expected + 1) as usize] += 1;
+        }
+        assert!(seen.iter().all(|&k| k > 0), "all of 0, −1 and 1 occur: {seen:?}");
+        // Small cases by hand: (2/7) = 1, (3/7) = −1, (1/1) = 1, (0/9) = 0.
+        assert_eq!([jacobi(&n(2), &n(7)), jacobi(&n(3), &n(7))], [1, -1]);
+        assert_eq!([jacobi(&n(5), &n(1)), jacobi(&n(0), &n(9))], [1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "the Jacobi symbol needs an odd modulus")]
+    fn jacobi_rejects_an_even_modulus() {
+        let _ = jacobi(&n(3), &n(8));
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //!   tables built once per base and shared by every product that base enters
 //!   ([`ModulusCtx::multi_exp`] builds them per call). [`ModulusCtx::batch_inv`] gives
 //!   many inverses at the cost of one.
+//! * [`FixedBaseTable`] — a 64-entry Lim–Lee comb of one fixed base, built once
+//!   ([`ModulusCtx::fixed_base_table`]); [`ModulusCtx::pow_fixed_base`] then raises
+//!   that base to a `t`-bit exponent with `⌈t/6⌉ − 1` squarings and as many
+//!   multiplications, against about `t` squarings for a sliding window.
 //!
 //! ## One kernel
 //!
@@ -93,6 +97,31 @@ pub struct WindowTable {
     limbs: Vec<u64>,
 }
 
+/// Comb height `h` of a [`FixedBaseTable`]: its table holds `2^h` = 64 entries, 8 KB
+/// per base at `n²` of a 512-bit key and 48 KB at a 3072-bit one.
+const COMB_HEIGHT: usize = 6;
+
+/// A Lim–Lee comb for one fixed base `H` (Lim and Lee, *More flexible exponentiation
+/// with precomputation*, CRYPTO 1994), for exponents of at most `t` bits.
+///
+/// The exponent's bits form `h` rows of `a = ⌈t/h⌉` columns, bit `i·a + j` in row `i`
+/// and column `j`. Entry `k` is `∏ H^{2^{i·a}}` over the set bits `i` of `k`, so one
+/// column of the exponent picks one entry, and [`ModulusCtx::pow_fixed_base`] walks the
+/// columns with one squaring and one multiplication each. Only meaningful together with
+/// the [`ModulusCtx`] that built it.
+#[derive(Clone, Debug)]
+pub struct FixedBaseTable {
+    /// The longest exponent `t` (in bits) the table serves.
+    max_bits: usize,
+    /// Entry `k` (Montgomery form) occupies limbs `k·s .. (k+1)·s`.
+    limbs: Vec<u64>,
+}
+
+/// Columns `a = ⌈t/h⌉` (at least one) of a comb for `t`-bit exponents.
+fn comb_columns(max_bits: usize) -> usize {
+    max_bits.div_ceil(COMB_HEIGHT).max(1)
+}
+
 /// `x⁻¹ mod 2⁶⁴` for odd `x` (Newton–Hensel lifting: 6 doublings from the trivial
 /// inverse mod 2).
 fn inv_mod_word(x: u64) -> u64 {
@@ -160,8 +189,13 @@ impl ModulusCtx {
     /// Converts a Montgomery-form value back to a canonical [`BigUint`]: the product
     /// with the integer `1`, i.e. one Montgomery reduction.
     pub fn from_mont(&self, a: &MontElem) -> BigUint {
+        self.normal_form(&a.limbs)
+    }
+
+    /// [`ModulusCtx::from_mont`] of Montgomery-form limbs held in a caller's buffer.
+    fn normal_form(&self, a: &[u64]) -> BigUint {
         let mut limbs = vec![0u64; self.n_limbs.len()];
-        self.kernel(&mut limbs, &a.limbs, &self.unit);
+        self.kernel(&mut limbs, a, &self.unit);
         BigUint::from_limbs(limbs)
     }
 
@@ -295,6 +329,72 @@ impl ModulusCtx {
         self.multi_exp_tables(&terms)
     }
 
+    /// Builds the comb table of `base` for exponents of at most `max_bits` bits
+    /// ([`FixedBaseTable`]): `(h − 1)·a` squarings for the row bases `H^{2^{i·a}}` and
+    /// `2^h − h − 1` multiplications for the other entries, with `h = 6` and
+    /// `a = ⌈max_bits/h⌉`. Built once, it serves any number of
+    /// [`ModulusCtx::pow_fixed_base`] calls.
+    pub fn fixed_base_table(&self, base: &BigUint, max_bits: usize) -> FixedBaseTable {
+        let s = self.n_limbs.len();
+        let columns = comb_columns(max_bits);
+        let mut limbs = vec![0u64; s << COMB_HEIGHT];
+        limbs[..s].copy_from_slice(&self.r1);
+        let mut row = vec![0u64; s];
+        let mut next = vec![0u64; s];
+        self.to_mont_into(&mut row, base);
+        for i in 0..COMB_HEIGHT {
+            if i > 0 {
+                for _ in 0..columns {
+                    self.sqr_into(&mut next, &row);
+                    std::mem::swap(&mut row, &mut next);
+                }
+            }
+            // Entry 2^i is the row base; entries 2^i + m are it times entry m.
+            let top = 1usize << i;
+            limbs[top * s..(top + 1) * s].copy_from_slice(&row);
+            for m in 1..top {
+                let (done, rest) = limbs.split_at_mut((top + m) * s);
+                self.mul_into(
+                    &mut rest[..s],
+                    &done[top * s..(top + 1) * s],
+                    &done[m * s..(m + 1) * s],
+                );
+            }
+        }
+        FixedBaseTable { max_bits, limbs }
+    }
+
+    /// `H^exp mod n` over the comb table of `H`, counted as one
+    /// `bigint.mod_pow_fixed_base`: `a − 1` squarings and `a − 1` multiplications for
+    /// every exponent, zero included (an all-zero column multiplies by entry 0, the
+    /// Montgomery one), so its operation count does not depend on the exponent's bits.
+    /// Bitwise-identical to [`crate::modular::mod_pow`]`(H, exp, n)`.
+    ///
+    /// # Panics
+    /// Panics if `exp` is longer than the `max_bits` the table was built for: the comb
+    /// would silently drop its high bits.
+    pub fn pow_fixed_base(&self, table: &FixedBaseTable, exp: &BigUint) -> BigUint {
+        uldp_telemetry::metrics::MODPOW_FIXED_BASE.inc();
+        assert!(
+            exp.bit_length() <= table.max_bits,
+            "a {}-bit exponent exceeds the {}-bit comb table",
+            exp.bit_length(),
+            table.max_bits
+        );
+        let (s, a) = (self.n_limbs.len(), comb_columns(table.max_bits));
+        let entry = |j: usize| {
+            let k = (0..COMB_HEIGHT).fold(0, |k, i| k | usize::from(exp.bit(i * a + j)) << i);
+            &table.limbs[k * s..(k + 1) * s]
+        };
+        let mut acc = entry(a - 1).to_vec();
+        let mut next = vec![0u64; s];
+        for j in (0..a - 1).rev() {
+            self.sqr_into(&mut next, &acc);
+            self.mul_into(&mut acc, &next, entry(j));
+        }
+        self.normal_form(&acc)
+    }
+
     /// The odd powers `b, b³, …, b^(2^w − 1)` of the base `b` that `base` writes into
     /// entry 0, back to back. Every entry is computed in place in the table, from the
     /// previous entry and one shared square.
@@ -366,37 +466,52 @@ impl ModulusCtx {
     /// (Montgomery's simultaneous inversion): prefix products of the non-zero values,
     /// one inverse of their total, then a backward pass peeling off one inverse per
     /// value — about three multiplications each instead of one extended Euclid each.
+    /// The values and prefix products sit in two flat limb buffers, and every product
+    /// runs on the kernel in place, as the ladder's do.
     ///
     /// Inverses are unique, so the result equals `mod_inv(v, n)` element for element:
     /// `None` for zero and for every other non-unit. A non-unit makes the total a
     /// non-unit, and the method then falls back to the per-element loop.
     pub fn batch_inv(&self, values: &[BigUint]) -> Vec<Option<BigUint>> {
         use crate::modular::mod_inv;
-        let mont: Vec<(usize, MontElem)> = values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (i, self.to_mont(v)))
-            .filter(|(_, m)| m.limbs.iter().any(|&w| w != 0))
-            .collect();
-        // prefix[k] = a_0·…·a_k (Montgomery form).
-        let mut prefix: Vec<MontElem> = Vec::with_capacity(mont.len());
-        for (_, m) in &mont {
-            let next = prefix.last().map_or_else(|| m.clone(), |p| self.mont_mul(p, m));
-            prefix.push(next);
+        let s = self.n_limbs.len();
+        // The non-zero values a_k (their positions in `live`) and their prefix products
+        // a_0·…·a_k, in Montgomery form, each back to back in one flat buffer.
+        let mut live: Vec<usize> = Vec::new();
+        let mut mont = vec![0u64; values.len() * s];
+        let mut prefix = vec![0u64; values.len() * s];
+        for (i, v) in values.iter().enumerate() {
+            let k = live.len();
+            let a = &mut mont[k * s..(k + 1) * s];
+            self.to_mont_into(a, v);
+            if a.iter().all(|&w| w == 0) {
+                continue;
+            }
+            live.push(i);
+            let (below, at) = prefix.split_at_mut(k * s);
+            if k == 0 {
+                at[..s].copy_from_slice(a);
+            } else {
+                self.mul_into(&mut at[..s], &below[(k - 1) * s..], a);
+            }
         }
         let mut out = vec![None; values.len()];
-        let Some(total) = prefix.last() else { return out };
-        let Some(total_inv) = mod_inv(&self.from_mont(total), &self.n) else {
+        let Some(&first) = live.first() else { return out };
+        let total = &prefix[(live.len() - 1) * s..live.len() * s];
+        let Some(total_inv) = mod_inv(&self.normal_form(total), &self.n) else {
             return values.iter().map(|v| mod_inv(v, &self.n)).collect();
         };
         // Invariant: acc = (a_0·…·a_k)⁻¹, so acc·prefix[k−1] = a_k⁻¹.
-        let mut acc = self.to_mont(&total_inv);
-        for k in (1..mont.len()).rev() {
-            let (i, m) = &mont[k];
-            out[*i] = Some(self.from_mont(&self.mont_mul(&acc, &prefix[k - 1])));
-            acc = self.mont_mul(&acc, m);
+        let mut acc = vec![0u64; s];
+        let mut next = vec![0u64; s];
+        self.to_mont_into(&mut acc, &total_inv);
+        for k in (1..live.len()).rev() {
+            self.mul_into(&mut next, &acc, &prefix[(k - 1) * s..k * s]);
+            out[live[k]] = Some(self.normal_form(&next));
+            self.mul_into(&mut next, &acc, &mont[k * s..(k + 1) * s]);
+            std::mem::swap(&mut acc, &mut next);
         }
-        out[mont[0].0] = Some(self.from_mont(&acc));
+        out[first] = Some(self.normal_form(&acc));
         out
     }
 }
@@ -770,6 +885,14 @@ mod tests {
     #[should_panic(expected = "window must be in 1..=16")]
     fn window_table_rejects_zero_width() {
         let _ = ModulusCtx::new(&n(1_000_003)).window_table(&n(7), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a 9-bit exponent exceeds the 8-bit comb table")]
+    fn fixed_base_pow_rejects_a_longer_exponent() {
+        let ctx = ModulusCtx::new(&n(1_000_003));
+        let table = ctx.fixed_base_table(&n(7), 8);
+        let _ = ctx.pow_fixed_base(&table, &n(256));
     }
 
     #[test]

@@ -7,9 +7,13 @@
 //! `mod_mul` chain — this is the invariant that makes the engine a drop-in for the
 //! Paillier/DH/Miller–Rabin call sites without perturbing any ciphertext or key.
 //!
+//! The fixed-base comb (`ModulusCtx::pow_fixed_base` over a `FixedBaseTable`) must
+//! agree with `mod_pow` likewise, at every exponent length up to its table's.
+//!
 //! Deterministic cases then drive the kernel at every exact-width instance (4, 8, 16
 //! and 32 limbs) and at runtime widths (1, 12 and 48 limbs) over adversarial moduli and
-//! kernel operands, hitting both outcomes of its final conditional subtraction. Edge
+//! kernel operands, hitting both outcomes of its final conditional subtraction, and the
+//! comb over the same moduli at the widths up to 96 limbs (`n²` of a 3072-bit key). Edge
 //! cases (exponent zero, base larger than the modulus, modulus-one rejection) ride
 //! along as unit tests.
 
@@ -17,7 +21,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use uldp_bigint::modular::{mod_inv, mod_mul, mod_pow};
-use uldp_bigint::montgomery::{ModulusCtx, MontElem, WindowTable};
+use uldp_bigint::montgomery::{FixedBaseTable, ModulusCtx, MontElem, WindowTable};
 use uldp_bigint::BigUint;
 
 /// Builds an odd modulus `> 1` from arbitrary limbs (up to 2048 bits).
@@ -100,6 +104,27 @@ proptest! {
             }
             let terms: Vec<(&WindowTable, &BigUint)> = tables.iter().zip(&exps).collect();
             prop_assert_eq!(ctx.multi_exp_tables(&terms), unfused);
+        }
+    }
+
+    #[test]
+    fn fixed_base_pow_matches_schoolbook_mod_pow(
+        mod_limbs in prop::collection::vec(any::<u64>(), 1..=32),
+        base_limbs in prop::collection::vec(any::<u64>(), 1..33),
+        max_bits in 1usize..=320,
+        exp_limbs in prop::collection::vec(prop::collection::vec(any::<u64>(), 0..6), 1..4),
+    ) {
+        // One comb table, built once for `max_bits`-bit exponents, serves several
+        // exponents: each is cut to `max_bits` bits, so lengths below, at and across
+        // every column count ride along, and empty limb vectors give the exponent 0.
+        let n = odd_modulus(&mod_limbs);
+        let ctx = ModulusCtx::new(&n);
+        let base = BigUint::from_limbs(base_limbs);
+        let table = ctx.fixed_base_table(&base, max_bits);
+        let bound = BigUint::one().shl_bits(max_bits);
+        for limbs in exp_limbs {
+            let exp = BigUint::from_limbs(limbs).rem(&bound);
+            prop_assert_eq!(ctx.pow_fixed_base(&table, &exp), mod_pow(&base, &exp, &n));
         }
     }
 
@@ -241,5 +266,39 @@ fn kernel_matches_schoolbook_at_every_width_on_adversarial_operands() {
             }
         }
         assert!(subtracted > 0 && kept > 0, "s={s}: both subtraction outcomes hit");
+    }
+}
+
+/// Limb widths of the deterministic comb cases: every exact-width kernel instance and
+/// the runtime widths of a 3072-bit key's `p²`/`n` (48 limbs) and `n²` (96 limbs).
+const COMB_WIDTHS: [usize; 7] = [1, 4, 8, 16, 32, 48, 96];
+
+#[test]
+fn fixed_base_pow_matches_schoolbook_at_every_width_on_adversarial_moduli() {
+    // Exponents 0, 1, 2^t − 1, 2^(t−1) alone and a random one, for t = 70 (12 columns,
+    // a partial last row) and t = 6 (one column), over the kernel's adversarial moduli,
+    // with a random base, the zero base and a base ≥ n, as mod_pow takes them.
+    let mut rng = StdRng::seed_from_u64(25);
+    for s in COMB_WIDTHS {
+        for n in adversarial_moduli(&mut rng, s) {
+            let ctx = ModulusCtx::new(&n);
+            let bases =
+                [BigUint::random_below(&mut rng, &n), BigUint::zero(), n.add(&BigUint::two())];
+            for (base, t) in bases.iter().flat_map(|b| [(b, 6usize), (b, 70)]) {
+                let table: FixedBaseTable = ctx.fixed_base_table(base, t);
+                let bound = BigUint::one().shl_bits(t);
+                let exps = [
+                    BigUint::zero(),
+                    BigUint::one(),
+                    bound.sub(&BigUint::one()),
+                    bound.shr_bits(1),
+                    BigUint::random_below(&mut rng, &bound),
+                ];
+                for exp in &exps {
+                    let expected = mod_pow(base, exp, &n);
+                    assert_eq!(ctx.pow_fixed_base(&table, exp), expected, "s={s} t={t} {base:?}");
+                }
+            }
+        }
     }
 }

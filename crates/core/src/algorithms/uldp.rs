@@ -168,12 +168,6 @@ pub fn run_round(
     apply_update(model.as_mut(), &aggregate, config.global_lr, scale);
 }
 
-/// The maximum possible contribution of a single user to the *aggregated* (pre-noise)
-/// update under the given weights — the user-level sensitivity bounded by Theorem 3.
-pub fn user_sensitivity_bound(weights: &WeightMatrix, clip_bound: f64) -> f64 {
-    weights.user_sums().into_iter().fold(0.0f64, f64::max) * clip_bound
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,6 +177,12 @@ mod tests {
 
     fn rt() -> Runtime {
         Runtime::new(2)
+    }
+
+    /// Theorem 3's reference: the largest contribution of a single user to the
+    /// aggregated (pre-noise) update under the given weights.
+    fn user_sensitivity_bound(weights: &WeightMatrix, clip_bound: f64) -> f64 {
+        weights.user_sums().into_iter().fold(0.0f64, f64::max) * clip_bound
     }
 
     fn avg_config(sigma: f64, num_silos: usize) -> FlConfig {

@@ -51,7 +51,9 @@
 //! simultaneous inversion (`ModulusCtx::batch_inv`). A mask or oblivious round's step
 //! 2.(b) takes its participating users' factors from one `factors` call as well, and
 //! so does the first [`Sampling::All`] round for every record holder; later
-//! `Sampling::All` rounds expand no factor.
+//! `Sampling::All` rounds expand no factor. Each silo also raises its two output bases
+//! once, `H_s = h_s^n` and `W_s = w_s^n mod n²`, and builds the comb table of `H_s` (see
+//! "Output randomness").
 //!
 //! ## Parallel execution
 //!
@@ -92,12 +94,35 @@
 //! `∏_u (s_u^{f_u})^{±n_su·x_u}` thus depends on its data only through ~41-bit
 //! unknowns, which the key holder could recover by baby-step giant-step search and
 //! with them a small silo's noise-free weighted deltas. So every silo multiplies each
-//! outgoing cell by a fresh full-group `Enc(0)`
-//! ([`PaillierPublicKey::rerandomise`]) whose unit comes from a stream only that silo
-//! holds: its Diffie–Hellman secret hashed with a domain label, the round index and
-//! the coordinate. It draws nothing from the caller's RNG and gives the same bits at
-//! any thread count. A refresh of the server's ciphertexts would add nothing to this:
-//! the server knows its own refresh randomness.
+//! outgoing cell by a fresh `Enc(0)` on fixed bases only that silo holds
+//! ([`FixedBaseEnc0`], after the short-exponent form of Damgård, Jurik and Nielsen,
+//! IJIS 2010): `(−1)^β · W_s^γ · H_s^α mod n²`.
+//!
+//! * `H_s = h_s^n mod n²` with `h_s` a square, and `W_s = w_s^n mod n²` with `w_s` of
+//!   Jacobi symbol `−1`, are fixed per silo. Setup draws `h_s` and `w_s` from a stream
+//!   keyed by the silo's output seed (its Diffie–Hellman secret hashed with a domain
+//!   label) under a second label, and the silo never sends them.
+//! * `α` has `⌈|n|/2⌉` bits, and `β`, `γ` are bits. They come from a stream only that
+//!   silo holds: its output seed hashed with the round index and the coordinate. It
+//!   draws nothing from the caller's RNG and gives the same bits at any thread count.
+//! * Each silo keeps one 64-entry comb table of `H_s` (8 KB at 512-bit n, 48 KB at
+//!   3072-bit n), so a cell's `Enc(0)` costs about `|n|/12` squarings, as many
+//!   multiplications and at most one more, not the ≈`|n|` squarings of a full-group
+//!   `ρ^n`.
+//!
+//! The hiding of the bare cell's randomness is therefore computational, not
+//! statistical. The adversary is the key holder, who knows `p` and `q`: it can recover
+//! a sent cell's randomness mod `n` and read its Legendre symbols mod `p` and mod `q`.
+//! The key is built on safe primes, and the uniform bits `β` (the sign, a non-residue
+//! mod both primes) and `γ` (`w_s`, a non-residue mod exactly one) make both symbols
+//! uniform, whatever the bare cell's. What is left are the squares, a cyclic group of
+//! order `(p−1)(q−1)/4` that `h_s` generates. So hiding rests on `h_s^α` with a
+//! `⌈|n|/2⌉`-bit `α` being indistinguishable from a uniform square to a party that can
+//! work modulo the `|n|/2`-bit primes: a short-exponent discrete-logarithm assumption
+//! in those prime fields. It also takes the key holder to have drawn safe primes, as
+//! [`PaillierKeyPair::generate`] does; no silo can check that. A refresh of the
+//! server's ciphertexts would add nothing to this: the server knows its own refresh
+//! randomness.
 //!
 //! ## q = 1 ciphertexts are sent once
 //!
@@ -145,7 +170,9 @@ use uldp_bigint::BigUint;
 use uldp_crypto::dh::{DhGroup, DhKeyPair};
 use uldp_crypto::masking::MaskSeed;
 use uldp_crypto::oblivious_transfer::OneOutOfP;
-use uldp_crypto::paillier::{Ciphertext, PaillierKeyPair, PaillierPublicKey, PaillierSecretKey};
+use uldp_crypto::paillier::{
+    Ciphertext, FixedBaseEnc0, PaillierKeyPair, PaillierPublicKey, PaillierSecretKey,
+};
 use uldp_crypto::sha256::hash_parts;
 use uldp_crypto::{FixedPointCodec, MultiplicativeBlinder};
 use uldp_runtime::{seeding, Runtime};
@@ -189,8 +216,9 @@ pub struct ProtocolConfig {
 }
 
 /// Cells per chunk of the protocol's streaming fold. Each cell is one multi-exponentiation
-/// over the silo's participants plus one full-width output re-randomisation, so fine
-/// chunks cost little and keep the pool balanced even for small `silos × dim` grids.
+/// over the silo's participants plus one fixed-base output re-randomisation (a comb over
+/// a `⌈|n|/2⌉`-bit exponent), so fine chunks cost little and keep the pool balanced even
+/// for small `silos × dim` grids.
 const PROTOCOL_CHUNK: usize = 4;
 
 /// Users per block of setup steps 1.(d)–(e). One coprimality `gcd` checks a whole
@@ -200,6 +228,10 @@ pub const SETUP_BLOCK: usize = 256;
 
 /// Domain label of a silo's private output-randomness seed (see "Output randomness").
 const OUTPUT_SEED_LABEL: &str = "uldp-fl/silo-output-randomness";
+
+/// Domain label of the stream, keyed by a silo's output seed, that draws the silo's
+/// fixed output bases `h_s` and `w_s` (see "Output randomness").
+const OUTPUT_BASE_LABEL: &str = "uldp-fl/silo-output-base";
 
 impl Default for ProtocolConfig {
     fn default() -> Self {
@@ -400,6 +432,9 @@ struct SiloView {
     /// Seed of this silo's output re-randomisation stream, hashed from its
     /// Diffie–Hellman secret: no other party can derive it.
     output_seed: [u8; 32],
+    /// This silo's `Enc(0)` on its fixed bases `H_s` and `W_s`, drawn from
+    /// `output_seed` and never sent.
+    output: FixedBaseEnc0,
 }
 
 /// What a silo derives in one round from the ids and ciphertexts the server sent and
@@ -628,8 +663,9 @@ impl SiloView {
     }
 
     /// Step 2.(b) for coordinate `j` of round `round`: the bare cell
-    /// ([`SiloView::bare_cell`]) times a fresh `Enc(0)` whose unit only this silo can
-    /// derive (see "Output randomness"). This is the ciphertext the silo sends.
+    /// ([`SiloView::bare_cell`]) times a fresh `Enc(0)` whose bases and exponents only
+    /// this silo can derive (see "Output randomness"). This is the ciphertext the silo
+    /// sends.
     fn weigh_cell(
         &self,
         received: &Received,
@@ -644,7 +680,7 @@ impl SiloView {
             OUTPUT_SEED_LABEL,
             &[&self.output_seed, &round.to_be_bytes(), &(j as u64).to_be_bytes()],
         );
-        self.public.key.rerandomise(&mut StdRng::from_seed(seed), &bare)
+        self.output.rerandomise(&self.public.key, &mut StdRng::from_seed(seed), &bare)
     }
 
     /// `∏_u b_u^{n_su·x} · Enc(Encode(z_sj)·C_LCM)` with `x = Encode(δ_suj)`, taking
@@ -802,6 +838,12 @@ impl PrivateWeightingProtocol {
         // channels; the server never sees it.
         let mut blind_seed = [0u8; 32];
         rng.fill(&mut blind_seed);
+        // Each silo's output seed, and its fixed output bases drawn from a stream of it.
+        let outputs = runtime.par_map(&keypairs, |_, keypair| {
+            let output_seed = keypair.private_seed(OUTPUT_SEED_LABEL);
+            let base_seed = hash_parts(OUTPUT_BASE_LABEL, &[&output_seed]);
+            (output_seed, FixedBaseEnc0::sample(&key, &mut StdRng::from_seed(base_seed)))
+        });
         let key_exchange = key_span.finish();
 
         let modulus = key.n.clone();
@@ -851,13 +893,14 @@ impl PrivateWeightingProtocol {
         let silos = silo_histograms
             .into_iter()
             .zip(pair_seeds)
-            .zip(&keypairs)
-            .map(|((histogram, pair_seeds), keypair)| SiloView {
+            .zip(outputs)
+            .map(|((histogram, pair_seeds), (output_seed, output))| SiloView {
                 public: Arc::clone(&public),
                 blinder: blinder.clone(),
                 histogram,
                 pair_seeds,
-                output_seed: keypair.private_seed(OUTPUT_SEED_LABEL),
+                output_seed,
+                output,
             })
             .collect();
         PrivateWeightingProtocol {
@@ -1907,5 +1950,40 @@ mod tests {
             }
         }
         assert!(negative_terms > 0, "some deltas must take the b_u⁻¹ form");
+    }
+
+    #[test]
+    fn sent_cell_signs_do_not_follow_the_bare_cell() {
+        // The key holder can recover a cell's randomness mod n with p and q and read its
+        // Legendre symbols mod each. Across rounds, one bare cell (fixed symbols) goes out
+        // with all four symbol pairs: its symbols do not reach the key holder.
+        use uldp_bigint::modular::{mod_inv, mod_pow};
+        let mut rng = StdRng::seed_from_u64(113);
+        let histogram = small_histogram();
+        let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
+        let (deltas, noises) = deltas_and_noise(&histogram, 1, 114);
+        let rt = protocol.runtime();
+        let (active, cts) = protocol.server.encrypt_inverses(rt, None, true, &mut rng);
+        let silo = &protocol.silos[0];
+        let participants = silo.participants(&active, &deltas[0]);
+        let all: Vec<_> = protocol.silos.iter().map(|_| participants.clone()).collect();
+        let received = Received::new(rt, &protocol.silos, &active, &cts, &all, &deltas, None);
+        let (p, q) = protocol.server.secret.primes();
+        let n = &protocol.server.public.key.n;
+        let phi = p.sub(&BigUint::one()).mul(&q.sub(&BigUint::one()));
+        let n_inv = mod_inv(n, &phi).expect("gcd(n, φ(n)) = 1");
+        let signs = |c: &Ciphertext| {
+            let r = mod_pow(&c.0.rem(n), &n_inv, n);
+            let euler = |m: &BigUint| mod_pow(&r, &m.shr_bits(1), m).is_one();
+            usize::from(euler(p)) << 1 | usize::from(euler(q))
+        };
+        let bare = silo.bare_cell(&received, &participants, &deltas[0], noises[0][0], 0);
+        let mut seen = [0usize; 4];
+        for round in 0..48 {
+            let sent =
+                silo.weigh_cell(&received, &participants, &deltas[0], noises[0][0], round, 0);
+            seen[signs(&sent)] += 1;
+        }
+        assert!(seen.iter().all(|&k| k > 0), "bare {:02b}, sent {seen:?}", signs(&bare));
     }
 }

@@ -36,5 +36,7 @@ pub use dh::{DhGroup, DhKeyPair};
 pub use fixed_point::FixedPointCodec;
 pub use masking::{MaskGenerator, MaskSeed};
 pub use oblivious_transfer::{OneOutOfP, ReceiverOutput, SenderView};
-pub use paillier::{Ciphertext, PaillierKeyPair, PaillierPublicKey, PaillierSecretKey};
+pub use paillier::{
+    Ciphertext, FixedBaseEnc0, PaillierKeyPair, PaillierPublicKey, PaillierSecretKey,
+};
 pub use sha256::{sha256, Sha256};

@@ -30,11 +30,15 @@
 //! decryption step stay in normal form at the boundaries. Results are
 //! bitwise-identical to the schoolbook square-and-multiply [`mod_pow`]; the tests below
 //! compare every engine call site against it.
+//!
+//! Keys are built on safe primes, and a party that re-randomises many ciphertexts under
+//! one key can hold a [`FixedBaseEnc0`]: encryptions of zero on fixed bases, with a short
+//! exponent over a comb table built once.
 
 use rand::Rng;
 use std::sync::{Arc, OnceLock};
-use uldp_bigint::modular::{mod_inv, mod_mul, mod_pow, mod_sub};
-use uldp_bigint::montgomery::ModulusCtx;
+use uldp_bigint::modular::{jacobi, mod_inv, mod_mul, mod_pow, mod_sub};
+use uldp_bigint::montgomery::{FixedBaseTable, ModulusCtx};
 use uldp_bigint::{lcm, prime, BigUint};
 use uldp_runtime::Runtime;
 
@@ -122,13 +126,15 @@ pub struct Ciphertext(pub BigUint);
 impl PaillierKeyPair {
     /// Generates a key pair whose modulus `n` has (approximately) `modulus_bits` bits.
     ///
-    /// The paper's default security parameter is a 3072-bit modulus; tests use much
-    /// smaller sizes.
+    /// `p` and `q` are safe primes ([`prime::generate_safe_prime_pair`]): the squares mod
+    /// `n` then form a cyclic group with no small subgroup, which the hiding of
+    /// [`FixedBaseEnc0`] needs. The paper's default security parameter is a 3072-bit
+    /// modulus; tests use much smaller sizes.
     pub fn generate<R: Rng + ?Sized>(rng: &mut R, modulus_bits: usize) -> Self {
         assert!(modulus_bits >= 16, "modulus must be at least 16 bits");
         let half = modulus_bits / 2;
         loop {
-            let (p, q) = prime::generate_prime_pair(rng, half);
+            let (p, q) = prime::generate_safe_prime_pair(rng, half);
             let n = p.mul(&q);
             // Require gcd(n, (p-1)(q-1)) == 1, guaranteed for same-size primes, and the
             // requested bit length for predictable field sizes.
@@ -269,6 +275,102 @@ impl PaillierPublicKey {
     /// Bit length of the modulus (the "security parameter" reported by benches).
     pub fn modulus_bits(&self) -> usize {
         self.n.bit_length()
+    }
+}
+
+/// Encryptions of zero on fixed bases, for a party that re-randomises many
+/// ciphertexts under one key: `Enc(0) = (−1)^β · W^γ · H^α mod n²`, which is
+/// `Enc(0; (−1)^β·w^γ·h^α mod n)` because `n` is odd. Drawn once per party:
+///
+/// * `H = h^n mod n²` with `h = x²` for a uniform unit `x`, raised to a fresh exponent
+///   `α` of `⌈|n|/2⌉` bits (the short-exponent form of Damgård, Jurik and Nielsen, *A
+///   generalization of Paillier's public-key system with applications to electronic
+///   voting*, IJIS 2010). The power runs on a 64-entry comb table of `H` built once
+///   ([`FixedBaseTable`]): about `|n|/12` squarings and as many multiplications,
+///   against about `|n|` squarings for the `ρ^n` of [`PaillierPublicKey::rerandomise`].
+/// * `W = w^n mod n²` for a unit `w` of Jacobi symbol `(w/n) = −1`, taken for a fresh
+///   bit `γ`, and the sign for a fresh bit `β`: one multiplication at most.
+///
+/// ## Hiding
+///
+/// The key holder knows `p` and `q`, so from a ciphertext it can recover the whole
+/// randomness mod `n` and read its Legendre symbols mod `p` and mod `q`. Keys from
+/// [`PaillierKeyPair::generate`] are built on safe primes `p = 2p′ + 1`,
+/// `q = 2q′ + 1`, so the units mod `n` split into those two signs and the squares,
+/// a cyclic group of order `p′q′` with no small subgroup. Each part of `Enc(0)` covers
+/// one piece:
+///
+/// * `−1` is a non-residue mod both primes (both are `3 mod 4`), and `w` mod exactly
+///   one, so the uniform bits `β` and `γ` make both signs of the output randomness
+///   uniform, whatever the signs of the input randomness.
+/// * `h` generates the squares, except with negligible probability.
+///
+/// So the output randomness hides the input's if `h^α` with a `⌈|n|/2⌉`-bit `α` is
+/// indistinguishable from a uniform square to a party that knows `p` and `q`: a
+/// short-exponent discrete-logarithm assumption in the order-`p′` and order-`q′`
+/// subgroups of the `|n|/2`-bit prime fields. The hiding is computational, not
+/// statistical as with a uniform `ρ`, and it takes the key holder to have drawn safe
+/// primes, which no other party can check.
+#[derive(Clone, Debug)]
+pub struct FixedBaseEnc0 {
+    /// Length of `α` in bits, `⌈|n|/2⌉`.
+    exponent_bits: usize,
+    /// The comb table of `H = h^n mod n²`.
+    table: FixedBaseTable,
+    /// `W = w^n mod n²`.
+    w: BigUint,
+}
+
+impl FixedBaseEnc0 {
+    /// Draws `x` and `w` from `rng` and builds `H`'s comb table and `W`: two full-width
+    /// powers and one table build.
+    pub fn sample<R: Rng + ?Sized>(key: &PaillierPublicKey, rng: &mut R) -> Self {
+        let x = key.sample_unit(rng);
+        let w = loop {
+            let w = key.sample_unit(rng);
+            if jacobi(&w, &key.n) == -1 {
+                break w;
+            }
+        };
+        let ctx = key.ctx_n2();
+        let exponent_bits = key.n.bit_length().div_ceil(2);
+        let h = mod_mul(&x, &x, &key.n);
+        let table = ctx.fixed_base_table(&ctx.pow(&h, &key.n), exponent_bits);
+        FixedBaseEnc0 { exponent_bits, table, w: ctx.pow(&w, &key.n) }
+    }
+
+    /// Re-randomises `c` under `key` (the key this was drawn for) by a fresh
+    /// `(−1)^β · W^γ · H^α`: `Dec(rerandomise(c)) = Dec(c)`.
+    pub fn rerandomise<R: Rng + ?Sized>(
+        &self,
+        key: &PaillierPublicKey,
+        rng: &mut R,
+        c: &Ciphertext,
+    ) -> Ciphertext {
+        let alpha = BigUint::random_below(rng, &BigUint::one().shl_bits(self.exponent_bits));
+        let signs = rng.gen_range(0..4u8);
+        self.rerandomise_with(key, c, &alpha, signs & 1 == 1, signs & 2 == 2)
+    }
+
+    /// `c · (−1)^β · W^γ · H^α` for explicit `α` (at most `⌈|n|/2⌉` bits), `β` and `γ`.
+    fn rerandomise_with(
+        &self,
+        key: &PaillierPublicKey,
+        c: &Ciphertext,
+        alpha: &BigUint,
+        beta: bool,
+        gamma: bool,
+    ) -> Ciphertext {
+        uldp_telemetry::metrics::PAILLIER_RERANDOMISE.inc();
+        let n2 = &key.n_squared;
+        let mut out = mod_mul(&c.0, &key.ctx_n2().pow_fixed_base(&self.table, alpha), n2);
+        if gamma {
+            out = mod_mul(&out, &self.w, n2);
+        }
+        if beta {
+            out = n2.sub(&out);
+        }
+        Ciphertext(out)
     }
 }
 
@@ -549,5 +651,102 @@ mod tests {
             kp.public.rerandomise_with_randomness(&c, &r).0,
             mod_mul(&c.0, &mod_pow(&r, &kp.public.n, n2), n2),
         );
+    }
+
+    /// The randomness `r` of `c = (1 + m·n)·r^n mod n²`, recovered with the factors:
+    /// `c ≡ r^n (mod n)`, and `n` is invertible mod `φ(n)`.
+    fn randomness(kp: &PaillierKeyPair, c: &Ciphertext) -> BigUint {
+        let (p, q) = kp.secret.primes();
+        let phi = p.sub(&BigUint::one()).mul(&q.sub(&BigUint::one()));
+        let n = &kp.public.n;
+        mod_pow(&c.0.rem(n), &mod_inv(n, &phi).expect("gcd(n, φ(n)) = 1"), n)
+    }
+
+    /// The Legendre symbols of `r` mod `p` and mod `q`, by Euler's criterion: whether
+    /// `r^((p−1)/2) ≡ 1`.
+    fn residue_signs(kp: &PaillierKeyPair, r: &BigUint) -> (bool, bool) {
+        let (p, q) = kp.secret.primes();
+        let euler = |m: &BigUint| mod_pow(r, &m.shr_bits(1), m).is_one();
+        (euler(p), euler(q))
+    }
+
+    #[test]
+    fn keys_are_built_on_safe_primes() {
+        let kp = keypair(256, 43);
+        let mut rng = StdRng::seed_from_u64(44);
+        for p in [kp.secret.primes().0, kp.secret.primes().1] {
+            let half = p.shr_bits(1);
+            assert!(prime::is_probably_prime(&mut rng, &half, 20), "(p − 1)/2 is prime");
+        }
+    }
+
+    #[test]
+    fn fixed_base_enc0_is_an_encryption_of_zero_with_randomness_on_its_bases() {
+        let kp = keypair(256, 40);
+        let mut rng = StdRng::seed_from_u64(41);
+        let pk = &kp.public;
+        let (n, n2) = (&pk.n, &pk.n_squared);
+        let enc0 = FixedBaseEnc0::sample(pk, &mut StdRng::seed_from_u64(45));
+        // The bases sample draws from the same stream.
+        let mut bases = StdRng::seed_from_u64(45);
+        let x = pk.sample_unit(&mut bases);
+        let w = loop {
+            let w = pk.sample_unit(&mut bases);
+            if jacobi(&w, n) == -1 {
+                break w;
+            }
+        };
+        let h = mod_mul(&x, &x, n);
+        let m = BigUint::from_u64(777);
+        let c = pk.encrypt(&mut rng, &m);
+        let top = BigUint::one().shl_bits(n.bit_length().div_ceil(2)).sub(&BigUint::one());
+        for alpha in [BigUint::zero(), BigUint::one(), top, BigUint::from_u64(0xdead_beef)] {
+            for (beta, gamma) in [(false, false), (true, false), (false, true), (true, true)] {
+                let fresh = enc0.rerandomise_with(pk, &c, &alpha, beta, gamma);
+                // c·Enc(0; (−1)^β·w^γ·h^α mod n), with the schoolbook mod_pow.
+                let mut unit = mod_pow(&h, &alpha, n);
+                if gamma {
+                    unit = mod_mul(&unit, &w, n);
+                }
+                if beta {
+                    unit = n.sub(&unit);
+                }
+                let expected = mod_mul(&c.0, &mod_pow(&unit, n, n2), n2);
+                assert_eq!(fresh.0, expected, "α={alpha:?} β={beta} γ={gamma}");
+                assert_eq!(kp.secret.decrypt(&fresh), m);
+            }
+        }
+        let a = enc0.rerandomise(pk, &mut rng, &c);
+        let b = enc0.rerandomise(pk, &mut rng, &c);
+        assert!(a != b && a != c, "every call draws fresh exponents");
+        assert_eq!((kp.secret.decrypt(&a), kp.secret.decrypt(&b)), (m.clone(), m));
+    }
+
+    #[test]
+    fn fixed_base_enc0_output_signs_do_not_follow_the_input_signs() {
+        // The key holder can read the Legendre symbols mod p and q of any ciphertext's
+        // randomness. For inputs of each of the four sign pairs, the re-randomised
+        // outputs take all four, so the output signs carry nothing of the input's.
+        let kp = keypair(256, 46);
+        let mut rng = StdRng::seed_from_u64(47);
+        let pk = &kp.public;
+        let enc0 = FixedBaseEnc0::sample(pk, &mut rng);
+        let mut inputs: Vec<Option<BigUint>> = vec![None; 4];
+        while inputs.iter().any(Option::is_none) {
+            let r = pk.sample_unit(&mut rng);
+            let (sp, sq) = residue_signs(&kp, &r);
+            inputs[usize::from(sp) << 1 | usize::from(sq)].get_or_insert(r);
+        }
+        for (class, r) in inputs.iter().enumerate() {
+            let c = pk.encrypt_with_randomness(&BigUint::from_u64(5), r.as_ref().unwrap());
+            assert_eq!(randomness(&kp, &c), *r.as_ref().unwrap(), "the recovery is exact");
+            let mut seen = [0usize; 4];
+            for _ in 0..48 {
+                let sent = enc0.rerandomise(pk, &mut rng, &c);
+                let (sp, sq) = residue_signs(&kp, &randomness(&kp, &sent));
+                seen[usize::from(sp) << 1 | usize::from(sq)] += 1;
+            }
+            assert!(seen.iter().all(|&k| k > 0), "input signs {class:02b}: outputs {seen:?}");
+        }
     }
 }

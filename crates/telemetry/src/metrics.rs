@@ -209,9 +209,8 @@ pub static MONT_SQR: Counter = Counter::new("bigint.mont_sqr");
 pub static MODPOW_GENERIC: Counter = Counter::new("bigint.mod_pow_generic");
 /// Sliding-window Montgomery exponentiations (`ModulusCtx::pow` / `pow_mont`).
 pub static MODPOW_WINDOW: Counter = Counter::new("bigint.mod_pow_window");
-/// Fixed-base table exponentiations. Nothing increments it: it stays registered only
-/// because the benchmark of record (`perfbench/`) lists `bigint.mod_pow_fixed_base`
-/// among its round counters.
+/// Fixed-base comb exponentiations (`ModulusCtx::pow_fixed_base`): one per Protocol 1
+/// cell a silo re-randomises on its fixed output base.
 pub static MODPOW_FIXED_BASE: Counter = Counter::new("bigint.mod_pow_fixed_base");
 /// Interleaved multi-exponentiations (`ModulusCtx::multi_exp_tables`, which
 /// `ModulusCtx::multi_exp` runs once per call).

@@ -122,3 +122,33 @@ fn subsampled_protocol_round_matches_masked_plaintext() {
         assert!((a - b).abs() < 1e-6);
     }
 }
+
+#[test]
+#[ignore = "3072-bit key generation is too slow for a debug build; CI runs it with --release"]
+fn paper_scale_rounds_match_plaintext() {
+    // `ProtocolConfig::paper_scale()`: a 3072-bit n, so the runtime-width kernel runs at
+    // 48 limbs (n, p², q²) and 96 limbs (n², the silos' comb tables), C_LCM =
+    // lcm(1..2000) of 2,878 bits, and the RFC 3526 group. User 0 holds N_max = 2000
+    // records, user 7 none. Round 1 encrypts and derives every b_u; round 2 runs on the
+    // held ciphertexts and pairs.
+    let mut rng = StdRng::seed_from_u64(26);
+    let records = |s: usize, u: usize| match u {
+        0 => [1000, 600, 400][s],
+        7 => 0,
+        _ => (u * 3 + s) % 5,
+    };
+    let histogram: Vec<Vec<usize>> =
+        (0..3).map(|s| (0..20).map(|u| records(s, u)).collect()).collect();
+    let config = ProtocolConfig::paper_scale();
+    let protocol = PrivateWeightingProtocol::setup(&histogram, &config, &mut rng);
+    assert!(protocol.modulus_bits() >= 3071);
+    for round in 0..2 {
+        let (deltas, noises) = random_deltas(&histogram, 4, &mut rng);
+        let (secure, _) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
+        let plaintext = protocol.plaintext_reference(&deltas, &noises, None);
+        for (a, b) in secure.iter().zip(plaintext.iter()) {
+            assert!((a - b).abs() < 1e-6, "round {round}: secure {a} vs plaintext {b}");
+        }
+    }
+    assert_eq!(protocol.round_cache_stats(), (0, 20), "round 2 re-sends round 1's set");
+}
