@@ -7,8 +7,8 @@
 //! `uldp_core::attack`, reporting the attack AUC and membership advantage per method.
 //! User-level DP should push the advantage towards zero.
 //!
-//! A second pass scores the attack per [`uldp_core::Scenario`] — dropouts, stragglers,
-//! byzantine silos, Zipf skew — against the accountant's ε and the `(ε, δ)`-DP ceiling
+//! A second pass scores the attack per [`uldp_core::Scenario`] — dropouts, byzantine
+//! silos, Zipf skew — against the accountant's ε and the `(ε, δ)`-DP ceiling
 //! on any attack's advantage, and prints it as a second table.
 //!
 //! ```bash

@@ -141,7 +141,10 @@ pub fn run_training(
 ) -> TrainingHistory {
     let mut config = FlConfig::recommended(method, dataset.num_silos);
     config.rounds = rounds;
-    config.local_epochs = 2;
+    // ULDP-SGD takes one local gradient step and keeps its recommended one epoch.
+    if !matches!(method, Method::UldpSgd { .. }) {
+        config.local_epochs = 2;
+    }
     config.local_lr = 0.3;
     config.clip_bound = 1.0;
     config.sigma = sigma;

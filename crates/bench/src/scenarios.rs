@@ -1,7 +1,7 @@
 //! Per-scenario membership-inference scoring.
 //!
-//! Every [`Scenario`] of the catalogue — baseline, dropouts, stragglers, byzantine
-//! strategies, Zipf skew and the mixed worst case — is trained on the memorisation-prone
+//! Every [`Scenario`] of the catalogue — baseline, dropouts, byzantine strategies, Zipf
+//! skew and the mixed worst case — is trained on the memorisation-prone
 //! Creditcard federation with the scenario's fault plan and allocation, attacked with the
 //! user-level loss-threshold attack of `uldp_core::attack`, and scored against the
 //! accountant's `(ε, δ)` ceiling on any attack's advantage

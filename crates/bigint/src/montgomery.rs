@@ -12,9 +12,9 @@
 //!   On top of it sits one sliding-window ladder over odd-power [`WindowTable`]s: a
 //!   single exponentiation ([`ModulusCtx::pow`]) runs it with one freshly built table,
 //!   a product of many powers ([`ModulusCtx::multi_exp_tables`]) runs it once over
-//!   tables built once per base and shared by every product that base enters
-//!   ([`ModulusCtx::multi_exp`] builds them per call). [`ModulusCtx::batch_inv`] gives
-//!   many inverses at the cost of one.
+//!   tables built once per base ([`ModulusCtx::window_table`]) and shared by every
+//!   product that base enters. [`ModulusCtx::batch_inv`] gives many inverses at the
+//!   cost of one.
 //! * [`FixedBaseTable`] — a 64-entry Lim–Lee comb of one fixed base, built once
 //!   ([`ModulusCtx::fixed_base_table`]); [`ModulusCtx::pow_fixed_base`] then raises
 //!   that base to a `t`-bit exponent with `⌈t/6⌉ − 1` squarings and as many
@@ -312,21 +312,6 @@ impl ModulusCtx {
     pub fn multi_exp_tables<E: Borrow<BigUint>>(&self, terms: &[(&WindowTable, E)]) -> BigUint {
         uldp_telemetry::metrics::MULTI_EXP.inc();
         self.from_mont(&self.ladder(terms))
-    }
-
-    /// `∏ baseᵢ^expᵢ mod n` in one call: builds one table per base with a non-zero
-    /// exponent at the window [`multi_exp_window`] picks for the longest exponent, then
-    /// runs [`ModulusCtx::multi_exp_tables`]. Callers that raise the same bases in many
-    /// products build the tables once themselves instead.
-    pub fn multi_exp(&self, pairs: &[(BigUint, BigUint)]) -> BigUint {
-        let max_bits = pairs.iter().map(|(_, exp)| exp.bit_length()).max().unwrap_or(0);
-        let window = multi_exp_window(max_bits);
-        let live: Vec<&(BigUint, BigUint)> = pairs.iter().filter(|(_, e)| !e.is_zero()).collect();
-        let tables: Vec<WindowTable> =
-            live.iter().map(|(base, _)| self.window_table(base, window)).collect();
-        let terms: Vec<(&WindowTable, &BigUint)> =
-            tables.iter().zip(live).map(|(table, (_, exp))| (table, exp)).collect();
-        self.multi_exp_tables(&terms)
     }
 
     /// Builds the comb table of `base` for exponents of at most `max_bits` bits
@@ -824,6 +809,18 @@ mod tests {
         assert_eq!(ctx.pow(&n(1_000_004), &n(2)), BigUint::one());
     }
 
+    /// `∏ baseᵢ^expᵢ` over one table per base, at the window [`multi_exp_window`] picks
+    /// for the longest exponent.
+    fn multi_exp_fresh_tables(ctx: &ModulusCtx, pairs: &[(BigUint, BigUint)]) -> BigUint {
+        let max_bits = pairs.iter().map(|(_, exp)| exp.bit_length()).max().unwrap_or(0);
+        let window = multi_exp_window(max_bits);
+        let tables: Vec<WindowTable> =
+            pairs.iter().map(|(base, _)| ctx.window_table(base, window)).collect();
+        let terms: Vec<(&WindowTable, &BigUint)> =
+            tables.iter().zip(pairs).map(|(table, (_, exp))| (table, exp)).collect();
+        ctx.multi_exp_tables(&terms)
+    }
+
     #[test]
     fn multi_exp_matches_unfused_chain() {
         let mut rng = StdRng::seed_from_u64(5);
@@ -847,7 +844,7 @@ mod tests {
                     expected =
                         crate::modular::mod_mul(&expected, &mod_pow(base, exp, &modulus), &modulus);
                 }
-                assert_eq!(ctx.multi_exp(&pairs), expected, "bits={bits} k={k}");
+                assert_eq!(multi_exp_fresh_tables(&ctx, &pairs), expected, "bits={bits} k={k}");
             }
         }
     }
@@ -856,13 +853,19 @@ mod tests {
     fn multi_exp_edge_cases() {
         let ctx = ModulusCtx::new(&n(1_000_003));
         // Empty product and all-zero exponents are the neutral element.
-        assert_eq!(ctx.multi_exp(&[]), BigUint::one());
-        assert_eq!(ctx.multi_exp(&[(n(7), BigUint::zero())]), BigUint::one());
+        assert_eq!(multi_exp_fresh_tables(&ctx, &[]), BigUint::one());
+        assert_eq!(multi_exp_fresh_tables(&ctx, &[(n(7), BigUint::zero())]), BigUint::one());
         // Zero-exponent pairs drop out of a mixed product.
-        assert_eq!(ctx.multi_exp(&[(n(7), n(2)), (n(12345), BigUint::zero())]), n(49));
+        assert_eq!(
+            multi_exp_fresh_tables(&ctx, &[(n(7), n(2)), (n(12345), BigUint::zero())]),
+            n(49)
+        );
         // Zero base annihilates, bases ≥ n are reduced.
-        assert_eq!(ctx.multi_exp(&[(BigUint::zero(), n(3)), (n(7), n(2))]), BigUint::zero());
-        assert_eq!(ctx.multi_exp(&[(n(1_000_004), n(2))]), BigUint::one());
+        assert_eq!(
+            multi_exp_fresh_tables(&ctx, &[(BigUint::zero(), n(3)), (n(7), n(2))]),
+            BigUint::zero()
+        );
+        assert_eq!(multi_exp_fresh_tables(&ctx, &[(n(1_000_004), n(2))]), BigUint::one());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Over random odd moduli up to 2048 bits (32 limbs, the widest exact-width instance of
 //! the kernel), `ModulusCtx::pow` and the shared multi-exponentiation ladder
-//! (`ModulusCtx::multi_exp`, and `ModulusCtx::multi_exp_tables` over reused
-//! `WindowTable`s) must agree bit for bit with `modular::mod_pow` and its unfused
+//! (`ModulusCtx::multi_exp_tables` over `WindowTable`s built per product or reused
+//! across products) must agree bit for bit with `modular::mod_pow` and its unfused
 //! `mod_mul` chain — this is the invariant that makes the engine a drop-in for the
 //! Paillier/DH/Miller–Rabin call sites without perturbing any ciphertext or key.
 //!
@@ -21,7 +21,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use uldp_bigint::modular::{mod_inv, mod_mul, mod_pow};
-use uldp_bigint::montgomery::{FixedBaseTable, ModulusCtx, MontElem, WindowTable};
+use uldp_bigint::montgomery::{
+    multi_exp_window, FixedBaseTable, ModulusCtx, MontElem, WindowTable,
+};
 use uldp_bigint::BigUint;
 
 /// Builds an odd modulus `> 1` from arbitrary limbs (up to 2048 bits).
@@ -74,7 +76,13 @@ proptest! {
         for (base, exp) in &pairs {
             unfused = uldp_bigint::modular::mod_mul(&unfused, &mod_pow(base, exp, &n), &n);
         }
-        prop_assert_eq!(ctx.multi_exp(&pairs), unfused);
+        let max_bits = pairs.iter().map(|(_, exp)| exp.bit_length()).max().unwrap_or(0);
+        let window = multi_exp_window(max_bits);
+        let tables: Vec<WindowTable> =
+            pairs.iter().map(|(base, _)| ctx.window_table(base, window)).collect();
+        let terms: Vec<(&WindowTable, &BigUint)> =
+            tables.iter().zip(&pairs).map(|(table, (_, exp))| (table, exp)).collect();
+        prop_assert_eq!(ctx.multi_exp_tables(&terms), unfused);
     }
 
     #[test]

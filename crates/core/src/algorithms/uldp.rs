@@ -200,6 +200,7 @@ mod tests {
     fn sgd_config() -> FlConfig {
         FlConfig {
             method: Method::UldpSgd { weighting: WeightingStrategy::Uniform },
+            local_epochs: 1,
             sigma: 0.0,
             clip_bound: 5.0,
             local_lr: 0.5,

@@ -91,7 +91,8 @@ pub struct FlConfig {
     pub clip_bound: f64,
     /// Total number of rounds `T`.
     pub rounds: u64,
-    /// Local epochs `Q` per round.
+    /// Local epochs `Q` per round. ULDP-SGD takes one local gradient step per user, so
+    /// [`FlConfig::validate`] rejects any value but 1 with it.
     pub local_epochs: u64,
     /// Mini-batch size for silo-level training (DEFAULT / NAIVE / GROUP local loops).
     pub batch_size: usize,
@@ -119,10 +120,10 @@ pub struct FlConfig {
     /// Deterministic fault injection for the round ([`crate::scenario`]): dropouts,
     /// stragglers and byzantine updates. Honoured by ULDP-AVG / ULDP-SGD; the silo-level
     /// baselines cannot honour it, so [`FlConfig::validate`] rejects an active plan
-    /// with them. Training draws no straggler delay, so this plan's `delay_fraction` has
-    /// no effect: only Protocol 1's round timings honour one. Protocol 1 takes its own plan,
-    /// [`crate::protocol::ProtocolConfig::fault_plan`], which every round honours except
-    /// for byzantine corruption. The default plan injects nothing and leaves rounds
+    /// with them. Training draws no straggler delay, so `validate` rejects a plan with
+    /// `delay_fraction > 0`: only Protocol 1's round timings honour one. Protocol 1 takes
+    /// its own plan, [`crate::protocol::ProtocolConfig::fault_plan`], which every round
+    /// honours except for byzantine corruption. The default plan injects nothing and leaves rounds
     /// byte-for-byte unchanged.
     pub fault_plan: FaultPlan,
 }
@@ -154,9 +155,13 @@ impl FlConfig {
     ///
     /// ULDP-AVG/SGD divide the aggregate by `|U|·|S|` and use `1/|S|`-scale weights, so
     /// the convergence analysis (Remark 2) recommends a global learning rate scaled by
-    /// `|S|`; the silo-level methods use a plain average and keep `η_g = 1`.
+    /// `|S|`; the silo-level methods use a plain average and keep `η_g = 1`. ULDP-SGD
+    /// gets its one local epoch.
     pub fn recommended(method: Method, num_silos: usize) -> Self {
         let mut cfg = FlConfig { method, ..Default::default() };
+        if matches!(method, Method::UldpSgd { .. }) {
+            cfg.local_epochs = 1;
+        }
         match method {
             Method::UldpAvg { .. } | Method::UldpSgd { .. } => {
                 cfg.global_lr = num_silos as f64;
@@ -176,6 +181,11 @@ impl FlConfig {
         assert!(self.clip_bound > 0.0, "clipping bound must be positive");
         assert!(self.rounds > 0, "must train for at least one round");
         assert!(self.local_epochs > 0, "at least one local epoch is required");
+        assert!(
+            self.local_epochs == 1 || !matches!(self.method, Method::UldpSgd { .. }),
+            "ULDP-SGD takes one local gradient step per round, so local_epochs must be 1, got {}",
+            self.local_epochs
+        );
         assert!(self.batch_size > 0, "batch size must be positive");
         assert!(
             self.user_sampling > 0.0 && self.user_sampling <= 1.0,
@@ -185,6 +195,11 @@ impl FlConfig {
         assert!(self.eval_every > 0, "eval_every must be positive");
         assert!(self.shards > 0, "shards must be at least 1");
         self.fault_plan.validate();
+        assert!(
+            self.fault_plan.delay_fraction == 0.0,
+            "training draws no straggler delay, so fault_plan.delay_fraction must be 0, got {}",
+            self.fault_plan.delay_fraction
+        );
         assert!(
             !self.fault_plan.is_active()
                 || matches!(self.method, Method::UldpAvg { .. } | Method::UldpSgd { .. }),
@@ -247,6 +262,10 @@ mod tests {
         assert_eq!(avg.global_lr, 5.0);
         let naive = FlConfig::recommended(Method::UldpNaive, 5);
         assert_eq!(naive.global_lr, 1.0);
+        let sgd =
+            FlConfig::recommended(Method::UldpSgd { weighting: WeightingStrategy::Uniform }, 5);
+        assert_eq!((sgd.global_lr, sgd.local_epochs), (5.0, 1));
+        sgd.validate();
     }
 
     #[test]
@@ -300,11 +319,25 @@ mod tests {
 
     #[test]
     fn fault_plan_accepted_for_user_level_methods() {
-        let plan = FaultPlan { delay_fraction: 0.5, delay_ms: 1, ..FaultPlan::none() };
+        let plan = FaultPlan { dropout_fraction: 0.5, seed: 3, ..FaultPlan::none() };
         for weighting in [WeightingStrategy::Uniform, WeightingStrategy::RecordProportional] {
             for method in [Method::UldpAvg { weighting }, Method::UldpSgd { weighting }] {
-                FlConfig { method, fault_plan: plan, ..Default::default() }.validate();
+                FlConfig { fault_plan: plan, ..FlConfig::recommended(method, 3) }.validate();
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "fault_plan.delay_fraction must be 0, got 0.5")]
+    fn straggler_fault_plan_rejected_for_training() {
+        let plan = FaultPlan { delay_fraction: 0.5, delay_ms: 1, ..FaultPlan::none() };
+        FlConfig { fault_plan: plan, ..Default::default() }.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "local_epochs must be 1, got 2")]
+    fn local_epochs_rejected_for_uldp_sgd() {
+        let method = Method::UldpSgd { weighting: WeightingStrategy::Uniform };
+        FlConfig { local_epochs: 2, ..FlConfig::recommended(method, 3) }.validate();
     }
 }

@@ -146,13 +146,12 @@
 //!
 //! ## Population scaling
 //!
-//! Round cost tracks the *sampled* users, not the population. Under a sparse
-//! [`SampleMask`] ([`crate::sampling`]) step 2.(a) encrypts only the sampled users'
-//! inverses, neither the server nor the silos keep per-user state between such
-//! rounds, and the cell fold walks per-silo participant lists instead of `0..|U|`.
-//! Omitting an unsampled user's `Enc(0)` term subtracts exactly zero from every total,
-//! so sparse and dense masks give bitwise-identical aggregates; the tests compare a
-//! sparse mask against its densified copy. Such a mask is visible to the server.
+//! Round cost tracks the *sampled* users, not the population. Under a [`SampleMask`]
+//! ([`crate::sampling`]) step 2.(a) sends exactly the sample's ids, each with one
+//! encrypted inverse (`Enc(0)` for a sampled user no silo holds records of), neither
+//! the server nor the silos keep per-user state between such rounds, and the cell fold
+//! walks per-silo participant lists instead of `0..|U|`. A mask round thus shows the
+//! sample to the server and to every silo, and never shows who holds records.
 
 use crate::config::WeightingStrategy;
 use crate::sampling::SampleMask;
@@ -322,10 +321,9 @@ impl RoundReport {
 pub enum Sampling<'a> {
     /// Every user participates.
     All,
-    /// A user-level sample chosen in the clear. Under a dense mask, unsampled users'
-    /// inverses are encrypted as zero, so their deltas drop out exactly; under a sparse
-    /// mask they are skipped outright — no ciphertext, no fold work — which yields the
-    /// same aggregate bit for bit. The server sees the sample.
+    /// A user-level sample chosen in the clear: step 2.(a) sends exactly the sampled
+    /// ids, and unsampled users get no ciphertext and no fold work. The server and every
+    /// silo see the sample; nobody learns from it which sampled users hold records.
     Mask(&'a SampleMask),
     /// Private sub-sampling by 1-out-of-P oblivious transfer (Section 4.1): neither the
     /// server nor the silos learn who was sampled.
@@ -451,21 +449,13 @@ struct Received {
 
 impl Server {
     /// The round's *active* users — the users whose encrypted inverses are sent to the
-    /// silos — as an ascending id list.
-    ///
-    /// With no mask or a dense mask this is every user, and unsampled users receive
-    /// `Enc(0)`. A sparse mask keeps only sampled users that hold records — omitting a
-    /// user's `Enc(0)` term subtracts exactly zero from every decrypted total, so the
-    /// aggregate keeps identical bits while step 2.(a)–(b) cost drops to `O(q·|U|)`
-    /// crypto operations.
+    /// silos — as an ascending id list: the sample's ids under a mask, every id without
+    /// one. Histograms never change the list, so it shows nobody who holds records, and
+    /// a mask round costs `O(q·|U|)` crypto operations.
     fn active_users(&self, sampled: Option<&SampleMask>) -> Vec<u32> {
         match sampled {
-            Some(mask) if mask.is_sparse() => mask
-                .iter()
-                .filter(|&u| self.blinded_inverses[u].is_some())
-                .map(|u| u as u32)
-                .collect(),
-            _ => (0..self.blinded_inverses.len() as u32).collect(),
+            Some(mask) => mask.iter().map(|u| u as u32).collect(),
+            None => (0..self.blinded_inverses.len() as u32).collect(),
         }
     }
 
@@ -475,12 +465,12 @@ impl Server {
     /// ciphertexts the first such round encrypted; any other round encrypts its active
     /// users in one pooled batch.
     ///
-    /// Exactly one 256-bit batch seed is drawn from the caller's RNG whichever path
-    /// runs, so re-sent, fresh, sparse and dense executions all consume identical
-    /// caller randomness streams and their aggregates compare bit for bit. Per-user
-    /// encryption is seeded from `(seed, user id)`, not the active position, so a
-    /// sparse round derives exactly the per-user streams the dense walk would, and the
-    /// output is bitwise-identical at any thread count.
+    /// An active user with no records gets `Enc(0)`. Exactly one 256-bit batch
+    /// seed is drawn from the caller's RNG whichever path runs, so re-sent and fresh
+    /// executions consume identical caller randomness streams and their aggregates
+    /// compare bit for bit. Per-user encryption is seeded from `(seed, user id)`, not the
+    /// active position, so a mask round derives exactly the per-user streams a q = 1
+    /// round would, and the output is bitwise-identical at any thread count.
     fn encrypt_inverses<R: Rng + ?Sized>(
         &self,
         rt: &Runtime,
@@ -496,10 +486,8 @@ impl Server {
         let encrypt = || {
             rt.par_map(&active, |_, &u| {
                 let mut rng = StdRng::from_seed(seeding::index_seed_wide(batch_seed, u as u64));
-                let u = u as usize;
-                let inverse = self.blinded_inverses[u].as_ref();
-                let kept = inverse.filter(|_| sampled.is_none_or(|m| m.contains(u)));
-                key.encrypt(&mut rng, kept.unwrap_or(&zero))
+                let inverse = self.blinded_inverses[u as usize].as_ref();
+                key.encrypt(&mut rng, inverse.unwrap_or(&zero))
             })
         };
         let (cts, encrypted) = if !hold {
@@ -651,8 +639,8 @@ impl Received {
 impl SiloView {
     /// This silo's participants in a round: the active users it holds records *and* a
     /// delta for, as (active position, user id) pairs. `active` is ascending, so the
-    /// list walks users in exactly the order of a dense `0..|U|` scan — the cell totals
-    /// keep identical bits — while the fold only ever touches the round's participants.
+    /// list walks users in exactly the order of a `0..|U|` scan — the cell totals keep
+    /// identical bits — while the fold only ever touches the round's participants.
     fn participants(&self, active: &[u32], deltas: &[Vec<f64>]) -> Vec<(usize, usize)> {
         active
             .iter()
@@ -1553,7 +1541,7 @@ mod tests {
 
     #[test]
     fn fault_plan_applies_under_every_sampling_mode() {
-        // One protocol, rounds 0..6 cycling through oblivious, sparse-mask and
+        // One protocol, rounds 0..6 cycling through oblivious, mask and
         // unsampled rounds: round t drops exactly the plan's round-t silo whatever the
         // sampling, and every aggregate is the exact surviving-silo reference.
         let histogram = wide_histogram();
@@ -1740,26 +1728,11 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_dense_masks_agree_bitwise_across_rounds() {
-        // The tentpole determinism oracle at unit scale: the same multi-round run under
-        // the sparse index-list mask and under its densified copy must produce
-        // bit-identical aggregates, equal to the exact reference and close to the
-        // plaintext one.
+    fn mask_rounds_match_the_exact_reference_across_rounds() {
+        // Three rounds under one mask, whose sampled user 11 holds no records: every
+        // aggregate equals the exact reference bit for bit and the plaintext one to 1e-6.
         let histogram = wide_histogram();
         let mask = SampleMask::from_sorted_indices(13, vec![2, 7, 11]);
-        let run = |mask: &SampleMask| {
-            let mut rng = StdRng::seed_from_u64(61);
-            let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
-            let mut rounds = Vec::new();
-            for round in 0..3u64 {
-                let (deltas, noises) = deltas_and_noise(&histogram, 3, 62 + round);
-                let (out, _) = protocol.weighting_round(&deltas, &noises, Some(mask), &mut rng);
-                rounds.push(out.iter().map(|v| v.to_bits()).collect::<Vec<u64>>());
-            }
-            rounds
-        };
-        let sparse_rounds = run(&mask);
-        assert_eq!(sparse_rounds, run(&mask.densified()), "mask layout must not change bits");
         let mut rng = StdRng::seed_from_u64(61);
         let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
         for round in 0..3u64 {
@@ -1770,15 +1743,36 @@ mod tests {
                 assert!((a - b).abs() < 1e-6, "round {round}: secure {a} vs plaintext {b}");
             }
             let exact = exact_aggregate(&protocol, &deltas, &noises, Some(&mask), &[false; 2]);
-            assert_exact(&out, &exact, &format!("sparse round {round}"));
+            assert_exact(&out, &exact, &format!("mask round {round}"));
+        }
+    }
+
+    #[test]
+    fn mask_rounds_send_the_sample_whoever_holds_records() {
+        // Theorem 5: a silo learns nothing of the other silos' histograms. Two federations
+        // differ only in silo 1's entry for the sampled user 11, who has no records in
+        // silo 0. Step 2.(a) sends both exactly the sampled ids, so silo 0 cannot tell
+        // whether silo 1 holds user 11.
+        let mask = SampleMask::from_sorted_indices(13, vec![2, 7, 11]);
+        for records in [0, 3] {
+            let mut histogram = wide_histogram();
+            histogram[1][11] = records;
+            let mut rng = StdRng::seed_from_u64(67);
+            let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
+            let (deltas, noises) = deltas_and_noise(&histogram, 2, 68);
+            let (out, _) = protocol.weighting_round(&deltas, &noises, Some(&mask), &mut rng);
+            let what = format!("silo 1 holds {records} records of user 11");
+            assert_eq!(protocol.round_cache_stats(), (mask.sampled_count(), 0), "{what}");
+            let exact = exact_aggregate(&protocol, &deltas, &noises, Some(&mask), &[false; 2]);
+            assert_exact(&out, &exact, &what);
         }
     }
 
     #[test]
     fn q1_rounds_resend_one_encryption_and_mask_rounds_encrypt_afresh() {
         // One protocol whose plan drops one of its two silos every round, and a
-        // `fresh_encrypt` twin set up and driven from identical RNG streams. Mask rounds,
-        // sparse or dense, encrypt their active users afresh and leave nothing held. The
+        // `fresh_encrypt` twin set up and driven from identical RNG streams. Mask rounds
+        // encrypt exactly their sampled users afresh and leave nothing held. The
         // first q = 1 round encrypts every user, and the silos derive `[b_u, b_u⁻¹]` for
         // every user holding records: also for those only the dropped silo holds and for
         // user 0, who sends no delta that round. Every later q = 1 round re-sends the
@@ -1792,19 +1786,19 @@ mod tests {
         let mut twin_rng = StdRng::seed_from_u64(97);
         let fresh_config = ProtocolConfig { fresh_encrypt: true, ..faulted_config(plan) };
         let twin = PrivateWeightingProtocol::setup(&histogram, &fresh_config, &mut twin_rng);
-        let sparse = SampleMask::from_sorted_indices(13, vec![2, 7, 11]);
-        let dense = SampleMask::from_dense((0..13).map(|u| u % 3 != 0).collect());
-        assert!(sparse.is_sparse() && !dense.is_sparse());
+        let few = SampleMask::from_sorted_indices(13, vec![2, 7, 11]);
+        let most = SampleMask::from_dense((0..13).map(|u| u % 3 != 0).collect());
         let ct_bytes = (2 * protocol.modulus_bits()).div_ceil(64) * 8;
         // (sampling, (encrypted, re-sent), entries held after the round, held bytes in
-        // units of ct_bytes). User 11 holds no records, so the sparse mask has two active
-        // users, and the held set is 13 ciphertexts and 12 pairs of two values each.
+        // units of ct_bytes). A mask round sends its sampled users, user 11 included
+        // although nobody holds records of it, and the held set is 13 ciphertexts and 12
+        // pairs of two values each.
         let schedule = [
-            (Some(&sparse), (2, 0), 0, 0),
-            (Some(&dense), (13, 0), 0, 0),
+            (Some(&few), (3, 0), 0, 0),
+            (Some(&most), (8, 0), 0, 0),
             (None, (13, 0), 13 + 12, 13 + 2 * 12),
             (None, (0, 13), 25, 37),
-            (Some(&sparse), (2, 0), 25, 37),
+            (Some(&few), (3, 0), 25, 37),
             (None, (0, 13), 25, 37),
         ];
         let (mut filling_drop, mut orphans_weighed) = (None, false);

@@ -14,53 +14,20 @@
 //! exactly one `f64` draw per emitted index (plus the final overshoot draw):
 //! `O(q·|U| + 1)` RNG consumption and `O(q·|U|)` memory.
 //!
-//! The result is held as a [`SampleMask`], which picks its representation by density:
-//! sparse sorted `Vec<u32>` below a `DENSE_THRESHOLD_NUM / DENSE_THRESHOLD_DEN`
-//! sampled fraction, dense `Vec<bool>` above (where a bitmap walk is cheaper and the
-//! sparse path saves nothing). The two representations are semantically identical
-//! ([`PartialEq`] compares the sampled *set*, not the layout) and every consumer must
-//! produce bitwise-identical output under either; tests compare a sparse mask against
-//! its [`SampleMask::densified`] copy.
+//! The result is held as a [`SampleMask`]: the population size and the sampled ids,
+//! strictly increasing. A mask round of Protocol 1 sends exactly these ids, so the
+//! sample is visible to the server and to every silo; which sampled users hold records
+//! is not (see "Population scaling" in [`crate::protocol`]).
 
 use rand::Rng;
 
-/// A sampled fraction of at least `NUM/DEN` switches the representation to dense.
-///
-/// At ≥ ¼ sampled, the sparse index list is within 4× of the population anyway and the
-/// dense bitmap (1 byte/user vs 4 bytes/sampled-user) is both smaller and cheaper to
-/// probe; the sub-linear win only exists for genuinely sparse rounds (q ≪ 1).
-const DENSE_THRESHOLD_NUM: usize = 1;
-const DENSE_THRESHOLD_DEN: usize = 4;
-
-/// Which users of a round's population are sampled.
-///
-/// Two layouts, one meaning: `Dense` stores one bool per user, `Sparse` stores the
-/// sorted indices of the sampled users only. Equality is semantic (same population
-/// size, same sampled set), so a densified mask compares equal to its sparse original.
-#[derive(Clone, Debug)]
+/// Which users of a round's population are sampled: the population size and the
+/// strictly increasing ids of the sampled users.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SampleMask {
     num_users: usize,
-    repr: MaskRepr,
+    ids: Vec<u32>,
 }
-
-#[derive(Clone, Debug)]
-enum MaskRepr {
-    /// One flag per user of the population.
-    Dense(Vec<bool>),
-    /// Strictly increasing indices of the sampled users.
-    Sparse(Vec<u32>),
-}
-
-impl PartialEq for SampleMask {
-    fn eq(&self, other: &Self) -> bool {
-        if self.num_users != other.num_users || self.sampled_count() != other.sampled_count() {
-            return false;
-        }
-        self.iter().zip(other.iter()).all(|(a, b)| a == b)
-    }
-}
-
-impl Eq for SampleMask {}
 
 impl SampleMask {
     /// Draws a Poisson (independent Bernoulli(q)) sample over `num_users` users by
@@ -96,36 +63,22 @@ impl SampleMask {
         SampleMask::from_sorted_indices(num_users, indices)
     }
 
-    /// The everyone-sampled mask (dense; probing it is free and it gives the no-mask
-    /// paths' results exactly).
+    /// The everyone-sampled mask.
     pub fn all(num_users: usize) -> SampleMask {
-        SampleMask { num_users, repr: MaskRepr::Dense(vec![true; num_users]) }
+        SampleMask::from_sorted_indices(num_users, (0..num_users as u32).collect())
     }
 
-    /// Builds a mask from a dense flag vector, re-deciding the representation by
-    /// density (so a sparse flag vector still gets the sparse layout).
+    /// Builds a mask from one flag per user of the population.
     pub fn from_dense(flags: Vec<bool>) -> SampleMask {
-        let num_users = flags.len();
-        let indices: Vec<u32> =
-            flags.iter().enumerate().filter(|(_, &f)| f).map(|(u, _)| u as u32).collect();
-        SampleMask::from_sorted_indices(num_users, indices)
+        let ids = flags.iter().enumerate().filter(|(_, &f)| f).map(|(u, _)| u as u32);
+        SampleMask::from_sorted_indices(flags.len(), ids.collect())
     }
 
-    /// Builds a mask from strictly-increasing sampled indices, picking the
-    /// representation by density (dense when at least a quarter of the population is
-    /// sampled).
-    pub fn from_sorted_indices(num_users: usize, indices: Vec<u32>) -> SampleMask {
-        debug_assert!(indices.windows(2).all(|w| w[0] < w[1]), "indices must be strictly sorted");
-        debug_assert!(indices.last().is_none_or(|&u| (u as usize) < num_users));
-        if indices.len() * DENSE_THRESHOLD_DEN >= num_users * DENSE_THRESHOLD_NUM {
-            let mut flags = vec![false; num_users];
-            for &u in &indices {
-                flags[u as usize] = true;
-            }
-            SampleMask { num_users, repr: MaskRepr::Dense(flags) }
-        } else {
-            SampleMask { num_users, repr: MaskRepr::Sparse(indices) }
-        }
+    /// Builds a mask from strictly increasing sampled ids below `num_users`.
+    pub fn from_sorted_indices(num_users: usize, ids: Vec<u32>) -> SampleMask {
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be strictly sorted");
+        debug_assert!(ids.last().is_none_or(|&u| (u as usize) < num_users));
+        SampleMask { num_users, ids }
     }
 
     /// Population size the mask is drawn over.
@@ -135,55 +88,17 @@ impl SampleMask {
 
     /// Whether user `u` is sampled this round.
     pub fn contains(&self, u: usize) -> bool {
-        match &self.repr {
-            MaskRepr::Dense(flags) => flags.get(u).copied().unwrap_or(false),
-            MaskRepr::Sparse(indices) => indices.binary_search(&(u as u32)).is_ok(),
-        }
+        self.ids.binary_search(&(u as u32)).is_ok()
     }
 
     /// Number of sampled users.
     pub fn sampled_count(&self) -> usize {
-        match &self.repr {
-            MaskRepr::Dense(flags) => flags.iter().filter(|&&f| f).count(),
-            MaskRepr::Sparse(indices) => indices.len(),
-        }
+        self.ids.len()
     }
 
-    /// `true` when the mask stores the sparse index-list layout.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self.repr, MaskRepr::Sparse(_))
-    }
-
-    /// Iterates the sampled user indices in increasing order.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = usize> + '_> {
-        match &self.repr {
-            MaskRepr::Dense(flags) => {
-                Box::new(flags.iter().enumerate().filter(|(_, &f)| f).map(|(u, _)| u))
-            }
-            MaskRepr::Sparse(indices) => Box::new(indices.iter().map(|&u| u as usize)),
-        }
-    }
-
-    /// The mask as a dense flag vector (allocates `O(|U|)`; for tests and dense
-    /// consumers only — hot paths should use [`SampleMask::iter`] /
-    /// [`SampleMask::contains`]).
-    pub fn to_dense_vec(&self) -> Vec<bool> {
-        match &self.repr {
-            MaskRepr::Dense(flags) => flags.clone(),
-            MaskRepr::Sparse(indices) => {
-                let mut flags = vec![false; self.num_users];
-                for &u in indices {
-                    flags[u as usize] = true;
-                }
-                flags
-            }
-        }
-    }
-
-    /// A copy of this mask in the dense representation (same sampled set, so it
-    /// compares equal and every consumer must produce bitwise-identical output).
-    pub fn densified(&self) -> SampleMask {
-        SampleMask { num_users: self.num_users, repr: MaskRepr::Dense(self.to_dense_vec()) }
+    /// Iterates the sampled user ids in increasing order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.ids.iter().map(|&u| u as usize)
     }
 }
 
@@ -244,22 +159,27 @@ mod tests {
 
     #[test]
     fn representation_follows_density() {
+        // One layout at every density: a sparse and a half-full mask answer
+        // membership alike and equal their flag-built twins.
         let sparse = SampleMask::from_sorted_indices(100, vec![3, 17, 50]);
         let dense = SampleMask::from_sorted_indices(100, (0..50).collect());
-        assert!(sparse.is_sparse());
-        assert!(!dense.is_sparse());
         assert!(sparse.contains(17) && !sparse.contains(18));
         assert!(dense.contains(49) && !dense.contains(50));
+        for mask in [&sparse, &dense] {
+            let flags: Vec<bool> = (0..100).map(|u| mask.contains(u)).collect();
+            assert_eq!(&SampleMask::from_dense(flags), mask);
+        }
     }
 
     #[test]
     fn densified_masks_compare_equal_and_roundtrip() {
         let mask = SampleMask::from_sorted_indices(64, vec![0, 9, 63]);
-        let dense = mask.densified();
+        assert!(mask.contains(9) && !mask.contains(10) && !mask.contains(64));
+        let flags: Vec<bool> = (0..64).map(|u| mask.contains(u)).collect();
+        let dense = SampleMask::from_dense(flags);
         assert_eq!(mask, dense);
-        assert!(!dense.is_sparse());
-        assert_eq!(SampleMask::from_dense(mask.to_dense_vec()), mask);
         assert_eq!(dense.iter().collect::<Vec<_>>(), vec![0, 9, 63]);
+        assert_eq!(SampleMask::all(3), SampleMask::from_dense(vec![true; 3]));
         // Different sets (or populations) are unequal.
         assert_ne!(mask, SampleMask::from_sorted_indices(64, vec![0, 9, 62]));
         assert_ne!(mask, SampleMask::from_sorted_indices(65, vec![0, 9, 63]));

@@ -306,8 +306,10 @@ impl Scenario {
         }
     }
 
-    /// The canonical scenario grid: a well-behaved baseline, dropout at two severities,
-    /// stragglers, each byzantine strategy, Zipf skew, and a mixed worst case.
+    /// The canonical training scenario grid: a well-behaved baseline, dropout at two
+    /// severities, each byzantine strategy, Zipf skew, and a mixed worst case. It has no
+    /// straggler scenario, because training draws no straggler delay
+    /// ([`crate::config::FlConfig::validate`] rejects one).
     pub fn catalogue() -> Vec<Scenario> {
         let base = FaultPlan { seed: 0x5ce0, ..FaultPlan::none() };
         vec![
@@ -320,11 +322,6 @@ impl Scenario {
             Scenario {
                 name: "dropout_heavy",
                 plan: FaultPlan { dropout_fraction: 0.5, ..base },
-                skewed: false,
-            },
-            Scenario {
-                name: "stragglers",
-                plan: FaultPlan { delay_fraction: 0.5, delay_ms: 2, ..base },
                 skewed: false,
             },
             Scenario {
@@ -473,7 +470,7 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), scenarios.len(), "duplicate scenario names");
         for s in &scenarios {
-            s.plan.validate();
+            crate::config::FlConfig { fault_plan: s.plan, ..Default::default() }.validate();
         }
         assert!(scenarios.iter().any(|s| s.skewed));
         assert!(scenarios.iter().any(|s| !s.plan.is_active()));

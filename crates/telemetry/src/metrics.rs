@@ -212,8 +212,7 @@ pub static MODPOW_WINDOW: Counter = Counter::new("bigint.mod_pow_window");
 /// Fixed-base comb exponentiations (`ModulusCtx::pow_fixed_base`): one per Protocol 1
 /// cell a silo re-randomises on its fixed output base.
 pub static MODPOW_FIXED_BASE: Counter = Counter::new("bigint.mod_pow_fixed_base");
-/// Interleaved multi-exponentiations (`ModulusCtx::multi_exp_tables`, which
-/// `ModulusCtx::multi_exp` runs once per call).
+/// Interleaved multi-exponentiations (`ModulusCtx::multi_exp_tables`).
 pub static MULTI_EXP: Counter = Counter::new("bigint.multi_exp");
 /// Odd-power window tables built for the shared ladder (`ModulusCtx::window_table`).
 pub static WINDOW_TABLE: Counter = Counter::new("bigint.window_table");

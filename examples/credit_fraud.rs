@@ -17,7 +17,10 @@ use uldp_fl::ml::LinearClassifier;
 fn run_method(method: Method, dataset: &uldp_fl::datasets::FederatedDataset) -> (String, f64, f64) {
     let mut config = FlConfig::recommended(method, dataset.num_silos);
     config.rounds = 10;
-    config.local_epochs = 2;
+    // ULDP-SGD takes one local gradient step and keeps its recommended one epoch.
+    if !matches!(method, Method::UldpSgd { .. }) {
+        config.local_epochs = 2;
+    }
     config.local_lr = 0.3;
     config.clip_bound = 1.0;
     config.sigma = 5.0;

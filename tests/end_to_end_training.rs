@@ -27,7 +27,10 @@ fn small_creditcard(allocation: Allocation) -> FederatedDataset {
 fn config_for(method: Method, num_silos: usize, rounds: u64) -> FlConfig {
     let mut cfg = FlConfig::recommended(method, num_silos);
     cfg.rounds = rounds;
-    cfg.local_epochs = 2;
+    // ULDP-SGD takes one local gradient step and keeps its recommended one epoch.
+    if !matches!(method, Method::UldpSgd { .. }) {
+        cfg.local_epochs = 2;
+    }
     cfg.local_lr = 0.3;
     cfg.clip_bound = 1.0;
     cfg.sigma = 5.0;

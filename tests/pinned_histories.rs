@@ -33,7 +33,10 @@ fn run(method: Method, faults: bool) -> (String, Vec<u64>, Vec<u64>) {
     );
     let mut config = FlConfig::recommended(method, dataset.num_silos);
     config.rounds = 2;
-    config.local_epochs = 2;
+    // ULDP-SGD takes one local gradient step and keeps its recommended one epoch.
+    if !matches!(method, Method::UldpSgd { .. }) {
+        config.local_epochs = 2;
+    }
     config.local_lr = 0.3;
     config.sigma = 1.0;
     config.seed = 5;

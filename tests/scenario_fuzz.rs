@@ -1,7 +1,7 @@
 //! Scenario × runtime-grid fuzzing with the determinism oracle.
 //!
-//! Every [`Scenario`] in the catalogue — dropouts, stragglers, byzantine silos, Zipf
-//! skew, and their worst-case mix — must keep the streaming round engine's core
+//! Every [`Scenario`] in the catalogue — dropouts, byzantine silos, Zipf skew, and
+//! their worst-case mix — must keep the streaming round engine's core
 //! guarantee: training is **bitwise identical** across every `(threads, shards)` grid
 //! point. Because all fault decisions are pure functions of
 //! `(plan seed, round seed, silo[, user])`, a faulted round has no more scheduling
@@ -70,7 +70,7 @@ fn train_scenario(scenario: &Scenario, threads: usize, shards: usize) -> Trainin
 
 #[test]
 fn every_catalogue_scenario_is_bitwise_identical_across_the_runtime_grid() {
-    // 9 scenarios × 4 structure points = 36 sampled cases, each checked against the
+    // 8 scenarios × 4 structure points = 32 sampled cases, each checked against the
     // scenario's own sequential single-shard reference.
     let structures = [(2usize, 2usize), (4, 1), (2, 3), (4, 16)];
     let scenarios = Scenario::catalogue();
@@ -91,18 +91,15 @@ fn every_catalogue_scenario_is_bitwise_identical_across_the_runtime_grid() {
 }
 
 #[test]
-fn sparse_and_dense_masks_train_identically_across_the_scenario_catalogue() {
-    // Dense-vs-sparse oracle on the training side: a round under a sub-sampling mask
-    // must be a function of the *selection*, never of the mask's representation. 3 of
-    // 20 users sampled keeps the index-list layout below the ¼ density threshold;
-    // `densified()` is the same selection as dense flags. Every catalogue scenario
-    // (dropouts, stragglers, byzantine corruption, skewed allocations) must produce
-    // bitwise-identical parameters under both layouts, on a pooled structure point as
-    // well as the sequential reference.
+fn mask_rounds_train_identically_across_the_scenario_catalogue() {
+    // The mask-round oracle on the training side: a round under a sub-sampling mask of
+    // 3 of 20 users must be a function of the selection alone. Every catalogue scenario
+    // (dropouts, byzantine corruption, skewed allocations) must produce
+    // bitwise-identical parameters on pooled structure points and the sequential
+    // reference.
     let mask = SampleMask::from_sorted_indices(20, vec![3, 11, 17]);
-    let dense = mask.densified();
     for scenario in &Scenario::catalogue() {
-        let run = |threads: usize, shards: usize, mask: &SampleMask| {
+        let run = |threads: usize, shards: usize| {
             let mut rng = StdRng::seed_from_u64(29);
             let dataset = creditcard::generate(
                 &mut rng,
@@ -133,27 +130,15 @@ fn sparse_and_dense_masks_train_identically_across_the_scenario_catalogue() {
             cfg2.shards = shards;
             let mut model: Box<dyn Model> =
                 Box::new(LinearClassifier::new(dataset.feature_dim(), 2));
-            uldp::run_round(&rt, &mut model, &dataset, &cfg2, &weights, Some(mask), 0.15, 3);
+            uldp::run_round(&rt, &mut model, &dataset, &cfg2, &weights, Some(&mask), 0.15, 3);
             model.parameters().iter().map(|p| p.to_bits()).collect::<Vec<u64>>()
         };
-        let reference = run(1, 1, &mask);
-        assert_eq!(
-            reference,
-            run(1, 1, &dense),
-            "scenario {}: dense mask diverged sequentially",
-            scenario.name
-        );
+        let reference = run(1, 1);
         for &(threads, shards) in &[(2usize, 2usize), (4, 3)] {
             assert_eq!(
                 reference,
-                run(threads, shards, &mask),
-                "scenario {}: sparse mask diverged at threads={threads}",
-                scenario.name
-            );
-            assert_eq!(
-                reference,
-                run(threads, shards, &dense),
-                "scenario {}: dense mask diverged at threads={threads}",
+                run(threads, shards),
+                "scenario {}: mask round diverged at threads={threads} shards={shards}",
                 scenario.name
             );
         }

@@ -46,7 +46,7 @@ fn setup_expands_each_user_once_and_checks_each_block_once() {
     let protocol = PrivateWeightingProtocol::setup(&histogram, &config, &mut rng);
     let setup = blinding_counts();
 
-    // A sparse round: the sampled users that hold records and a delta somewhere.
+    // A mask round: the sampled users that hold records and a delta somewhere.
     let sampled: Vec<u32> = (0..users as u32).step_by(7).collect();
     let mut deltas = vec![vec![Vec::new(); users]; SILOS];
     for &u in &sampled {
@@ -61,16 +61,15 @@ fn setup_expands_each_user_once_and_checks_each_block_once() {
     let participating = |deltas: &[Vec<Vec<f64>>]| {
         (0..users).filter(|&u| deltas.iter().any(|silo| !silo[u].is_empty())).count() as u64
     };
-    let sparse_users = participating(&deltas);
+    let mask_users = participating(&deltas);
     assert_eq!(
-        sparse_users,
+        mask_users,
         (0..users).step_by(7).filter(|&u| !u.is_multiple_of(10) && u != 14).count() as u64
     );
     uldp_fl::telemetry::reset();
     let mask = SampleMask::from_sorted_indices(users, sampled);
-    assert!(mask.is_sparse());
     let _ = protocol.weighting_round(&deltas, &noises, Some(&mask), &mut rng);
-    let sparse_round = blinding_counts();
+    let mask_round = blinding_counts();
 
     // A round over every user.
     for (s, silo) in deltas.iter_mut().enumerate() {
@@ -91,7 +90,7 @@ fn setup_expands_each_user_once_and_checks_each_block_once() {
     let blocks = users.div_ceil(SETUP_BLOCK) as u64;
     assert_eq!(blocks, 3);
     assert_eq!(setup, (users as u64, blocks), "setup: one expansion per user, one gcd per block");
-    assert_eq!(sparse_round, (sparse_users, 1), "a sparse round: its participants, one gcd");
+    assert_eq!(mask_round, (mask_users, 1), "a mask round: its participants, one gcd");
     let holders = (0..users).filter(|&u| !u.is_multiple_of(10)).count() as u64;
     assert_eq!(participating(&deltas), holders);
     assert_eq!(full_round, (holders, 1), "a full round: every record holder, one gcd");

@@ -51,11 +51,10 @@ fn train(threads: usize, shards: usize) -> TrainingHistory {
     // Faults on, so the traced run also walks the fault-event emission paths.
     config.fault_plan = FaultPlan {
         dropout_fraction: 0.5,
-        delay_fraction: 0.25,
-        delay_ms: 20,
         byzantine_fraction: 0.5,
         byzantine: ByzantineStrategy::SignFlip,
         seed: 7,
+        ..FaultPlan::none()
     };
     let model: Box<dyn Model> = Box::new(LinearClassifier::new(dataset.feature_dim(), 2));
     Trainer::new(config, dataset, model).run()
