@@ -8,8 +8,6 @@
 //!
 //! * [`BigUint`] — an unsigned, little-endian, 64-bit-limb big integer with the full set of
 //!   ring operations (add, sub, mul with Karatsuba, Knuth-D division, shifts, bit access).
-//! * [`BigInt`] — a signed wrapper (sign + magnitude) used where subtraction may go
-//!   negative (extended Euclid, fixed-point decoding).
 //! * [`modular`] — modular add/sub/mul/pow/inverse and the Jacobi symbol on [`BigUint`].
 //! * [`montgomery`] — the batched-exponentiation engine: [`montgomery::ModulusCtx`]
 //!   (CIOS Montgomery multiplication with cached per-modulus constants, one
@@ -32,10 +30,8 @@ pub mod biguint;
 pub mod modular;
 pub mod montgomery;
 pub mod prime;
-pub mod signed;
 
 pub use biguint::BigUint;
-pub use signed::{BigInt, Sign};
 
 /// Greatest common divisor of two big unsigned integers (binary-free Euclid).
 pub fn gcd(a: &BigUint, b: &BigUint) -> BigUint {

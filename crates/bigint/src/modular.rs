@@ -10,7 +10,6 @@
 //! [`crate::montgomery`]; [`mod_pow`] here is the schoolbook reference path.
 
 use crate::biguint::BigUint;
-use crate::signed::{BigInt, Sign};
 
 /// `(a + b) mod n`.
 pub fn mod_add(a: &BigUint, b: &BigUint, n: &BigUint) -> BigUint {
@@ -70,45 +69,27 @@ pub fn mod_pow(base: &BigUint, exp: &BigUint, n: &BigUint) -> BigUint {
     result
 }
 
-/// Extended Euclidean algorithm.
-///
-/// Returns `(g, x, y)` such that `a*x + b*y = g = gcd(a, b)`.
-pub fn extended_gcd(a: &BigUint, b: &BigUint) -> (BigUint, BigInt, BigInt) {
-    let mut old_r = BigInt::from_biguint(a.clone());
-    let mut r = BigInt::from_biguint(b.clone());
-    let mut old_s = BigInt::one();
-    let mut s = BigInt::zero();
-    let mut old_t = BigInt::zero();
-    let mut t = BigInt::one();
-    while !r.is_zero() {
-        let (q, rem) = old_r.magnitude().div_rem(r.magnitude());
-        // both old_r and r are non-negative throughout
-        let q = BigInt::from_biguint(q);
-        let new_r = BigInt::from_biguint(rem);
-        old_r = std::mem::replace(&mut r, new_r);
-        let new_s = old_s.sub(&q.mul(&s));
-        old_s = std::mem::replace(&mut s, new_s);
-        let new_t = old_t.sub(&q.mul(&t));
-        old_t = std::mem::replace(&mut t, new_t);
-    }
-    (old_r.magnitude().clone(), old_s, old_t)
-}
-
 /// Modular multiplicative inverse of `a` modulo `n`.
 ///
 /// Returns `None` when `gcd(a, n) != 1`. Computed with the extended Euclidean algorithm
-/// (the method used by the server in Protocol 1 step 1.(f)).
+/// (the method used by the server in Protocol 1 step 1.(f)), which tracks only the
+/// coefficient of `a`, reduced mod `n`, so every value stays unsigned.
 pub fn mod_inv(a: &BigUint, n: &BigUint) -> Option<BigUint> {
     assert!(!n.is_zero(), "modulus must be positive");
     let a = a.rem(n);
     if a.is_zero() {
         return None;
     }
-    let (g, x, _) = extended_gcd(&a, n);
-    if !g.is_one() {
-        return None;
+    // Invariant: r ≡ t·a and old_r ≡ old_t·a (mod n).
+    let (mut old_r, mut r) = (n.clone(), a);
+    let (mut old_t, mut t) = (BigUint::zero(), BigUint::one());
+    while !r.is_zero() {
+        let (q, rem) = old_r.div_rem(&r);
+        old_r = std::mem::replace(&mut r, rem);
+        let new_t = mod_sub(&old_t, &mod_mul(&q, &t, n), n);
+        old_t = std::mem::replace(&mut t, new_t);
     }
-    Some(x.rem_euclid(n))
+    old_r.is_one().then_some(old_t)
 }
 
 /// The Jacobi symbol `(a/n)` for an odd `n`: `1`, `−1`, or `0` when `gcd(a, n) ≠ 1`.
@@ -140,17 +121,6 @@ pub fn jacobi(a: &BigUint, n: &BigUint) -> i8 {
         sign
     } else {
         0
-    }
-}
-
-/// Maps a finite-field element in `[0, n)` to the centred integer representation
-/// `(-n/2, n/2]` used by the fixed-point `Decode` step of Protocol 1.
-pub fn to_centered(x: &BigUint, n: &BigUint) -> BigInt {
-    let half = n.div(&BigUint::two());
-    if x > &half {
-        BigInt::with_sign(Sign::Negative, n.sub(x))
-    } else {
-        BigInt::from_biguint(x.clone())
     }
 }
 
@@ -230,16 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn extended_gcd_bezout() {
-        let a = n(240);
-        let b = n(46);
-        let (g, x, y) = extended_gcd(&a, &b);
-        assert_eq!(g, n(2));
-        let lhs = BigInt::from_biguint(a).mul(&x).add(&BigInt::from_biguint(b).mul(&y));
-        assert_eq!(lhs, BigInt::from_biguint(n(2)));
-    }
-
-    #[test]
     fn inverse_small() {
         let m = n(17);
         for a in 1..17u64 {
@@ -263,15 +223,6 @@ mod tests {
             let inv = mod_inv(&a, &m).unwrap();
             assert_eq!(mod_mul(&a, &inv, &m), BigUint::one());
         }
-    }
-
-    #[test]
-    fn centered_representation() {
-        let m = n(100);
-        assert_eq!(to_centered(&n(3), &m).to_i128(), Some(3));
-        assert_eq!(to_centered(&n(99), &m).to_i128(), Some(-1));
-        assert_eq!(to_centered(&n(50), &m).to_i128(), Some(50));
-        assert_eq!(to_centered(&n(51), &m).to_i128(), Some(-49));
     }
 
     #[test]

@@ -117,14 +117,12 @@ pub struct FlConfig {
     /// task. Each shard streams its users in fixed chunks of 16 tasks. Training results
     /// are bitwise-identical at any setting.
     pub shards: usize,
-    /// Deterministic fault injection for the round ([`crate::scenario`]): dropouts,
-    /// stragglers and byzantine updates. Honoured by ULDP-AVG / ULDP-SGD; the silo-level
-    /// baselines cannot honour it, so [`FlConfig::validate`] rejects an active plan
-    /// with them. Training draws no straggler delay, so `validate` rejects a plan with
-    /// `delay_fraction > 0`: only Protocol 1's round timings honour one. Protocol 1 takes
-    /// its own plan, [`crate::protocol::ProtocolConfig::fault_plan`], which every round
-    /// honours except for byzantine corruption. The default plan injects nothing and leaves rounds
-    /// byte-for-byte unchanged.
+    /// Deterministic fault injection for the round ([`crate::scenario`]): dropouts and
+    /// byzantine updates. Honoured by ULDP-AVG / ULDP-SGD; the silo-level baselines
+    /// cannot honour it, so [`FlConfig::validate`] rejects an active plan with them.
+    /// Protocol 1 takes its own plan, [`crate::protocol::ProtocolConfig::fault_plan`],
+    /// which every round honours except for byzantine corruption. The default plan
+    /// injects nothing and leaves rounds byte-for-byte unchanged.
     pub fault_plan: FaultPlan,
 }
 
@@ -195,11 +193,6 @@ impl FlConfig {
         assert!(self.eval_every > 0, "eval_every must be positive");
         assert!(self.shards > 0, "shards must be at least 1");
         self.fault_plan.validate();
-        assert!(
-            self.fault_plan.delay_fraction == 0.0,
-            "training draws no straggler delay, so fault_plan.delay_fraction must be 0, got {}",
-            self.fault_plan.delay_fraction
-        );
         assert!(
             !self.fault_plan.is_active()
                 || matches!(self.method, Method::UldpAvg { .. } | Method::UldpSgd { .. }),
@@ -325,13 +318,6 @@ mod tests {
                 FlConfig { fault_plan: plan, ..FlConfig::recommended(method, 3) }.validate();
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "fault_plan.delay_fraction must be 0, got 0.5")]
-    fn straggler_fault_plan_rejected_for_training() {
-        let plan = FaultPlan { delay_fraction: 0.5, delay_ms: 1, ..FaultPlan::none() };
-        FlConfig { fault_plan: plan, ..Default::default() }.validate();
     }
 
     #[test]

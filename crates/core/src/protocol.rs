@@ -58,10 +58,10 @@
 //! ## Parallel execution
 //!
 //! The per-user Paillier work of steps 2.(a)–(b) runs on the deterministic
-//! [`uldp_runtime::Runtime`] worker pool. Steps 2.(b)–(c) stream through one chunked
-//! fold over the `(silo, coordinate)` cells, four cells per chunk
-//! ([`uldp_runtime::Runtime::par_fold_reduce`]), straight into per-coordinate
-//! ciphertext totals: O(dim + chunks) transient ciphertexts, never O(silos × dim).
+//! [`uldp_runtime::Runtime`] worker pool. Steps 2.(b)–(c) run one pool task per
+//! coordinate ([`uldp_runtime::Runtime::par_map_range`]): the task computes each
+//! surviving silo's cell for that coordinate and multiplies it into the coordinate's
+//! ciphertext total, so a round holds `dim` totals, never O(silos × dim) cells.
 //! Encryption randomness is derived per user id from one 256-bit seed drawn from the
 //! caller's RNG, each silo's output randomness per `(round, coordinate)` from its own
 //! secret (see "Output randomness"), and ciphertext accumulation is exact modular
@@ -199,7 +199,7 @@ pub struct ProtocolConfig {
     /// any other value builds a dedicated pool. Results are bitwise-identical regardless.
     pub threads: usize,
     /// Deterministic fault injection for the protocol's rounds ([`crate::scenario`]):
-    /// silos dropping or straggling between steps 2.(b) and 2.(c). Every
+    /// silos dropping out between steps 2.(b) and 2.(c). Every
     /// [`PrivateWeightingProtocol::weighting_round`] honours it, whatever its
     /// [`Sampling`]: round `t`, counted from 0 since setup, draws the plan's round-`t`
     /// fault set. Protocol 1 receives already-clipped deltas and so cannot corrupt them
@@ -213,12 +213,6 @@ pub struct ProtocolConfig {
     /// `silo_weighting` costs change.
     pub fresh_encrypt: bool,
 }
-
-/// Cells per chunk of the protocol's streaming fold. Each cell is one multi-exponentiation
-/// over the silo's participants plus one fixed-base output re-randomisation (a comb over
-/// a `⌈|n|/2⌉`-bit exponent), so fine chunks cost little and keep the pool balanced even
-/// for small `silos × dim` grids.
-const PROTOCOL_CHUNK: usize = 4;
 
 /// Users per block of setup steps 1.(d)–(e). One coprimality `gcd` checks a whole
 /// block's blinding factors, which are dropped with the block, so setup never holds a
@@ -292,12 +286,12 @@ pub struct RoundReport {
     /// Server-side Paillier encryption of the blinded inverses, or of the OT offers
     /// under oblivious sampling (2.a).
     pub server_encryption: Duration,
-    /// Silo-side weighted encryption of clipped deltas and noise (2.b) plus the fused
-    /// homomorphic cross-silo summation, streamed over all silos, plus the simulated
-    /// lateness of straggling silos ([`FaultPlan::delay_ms`] each).
+    /// Silo-side weighted encryption of clipped deltas and noise (2.b) plus the
+    /// homomorphic cross-silo product of each coordinate's cells: the measured span of
+    /// that step, nothing added.
     pub silo_weighting: Duration,
     /// Server-side decryption and decoding (2.c). (The homomorphic aggregation itself is
-    /// fused into the streaming silo-weighting fold.)
+    /// part of `silo_weighting`.)
     pub aggregation: Duration,
     /// The round's dropout mask in silo order; all `false` without faults.
     pub dropped: Vec<bool>,
@@ -351,9 +345,9 @@ impl From<ObliviousSubsampling> for Sampling<'_> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ObliviousSubsampling {
     /// Number of "real" slots.
-    pub numerator: u64,
+    numerator: u64,
     /// Total number of slots `P`.
-    pub denominator: u64,
+    denominator: u64,
 }
 
 impl ObliviousSubsampling {
@@ -1011,8 +1005,6 @@ impl PrivateWeightingProtocol {
     /// leave **between steps 2.(b) and 2.(c)**: their cells (deltas *and* noise) miss the
     /// homomorphic fold, and the aggregate is re-weighted by `|S| / |S_surviving|`. No
     /// pairwise mask is applied, so no mask needs recovering (ROADMAP.md, item G).
-    /// Stragglers add [`FaultPlan::delay_ms`] each to `silo_weighting` and leave the
-    /// result unchanged.
     ///
     /// Returns the decoded aggregate — exactly the surviving-silo, sampled-user sum
     /// `Σ_s (Σ_u w_{s,u} Δ̃_{s,u} + z_s)`, re-weighted
@@ -1037,7 +1029,10 @@ impl PrivateWeightingProtocol {
         let hold = matches!(sampling, Sampling::All) && !self.fresh_encrypt;
         let ((active, ciphertexts), selected) = match sampling {
             Sampling::All => (server.encrypt_inverses(rt, None, hold, rng), None),
-            Sampling::Mask(mask) => (server.encrypt_inverses(rt, Some(mask), false, rng), None),
+            Sampling::Mask(mask) => {
+                assert_eq!(mask.num_users(), self.num_users(), "mask over another population");
+                (server.encrypt_inverses(rt, Some(mask), false, rng), None)
+            }
             Sampling::Oblivious(ot) => {
                 let (active, cts, selected) = server.offer_inverses(rt, ot, rng);
                 ((active, Cow::Owned(cts)), Some(selected))
@@ -1045,7 +1040,7 @@ impl PrivateWeightingProtocol {
         };
         let server_encryption = enc_span.finish();
 
-        let (dropped, delay) = self.draw_faults(round);
+        let dropped = self.fault_plan.draw_dropouts(round, self.num_silos());
 
         // --- Step 2.(b), then the server's sum of the surviving silos' cells. No
         // pairwise mask is applied: the server sums the cells themselves, an ideal
@@ -1065,23 +1060,28 @@ impl PrivateWeightingProtocol {
             clipped_deltas,
             held,
         );
-        let totals = self.fold_cells(dim, |s, j| {
-            // A dropped silo's report never reaches the server: neither its weighted
-            // deltas nor its noise enter the per-coordinate total.
-            if dropped[s] {
-                return self.server.public.key.trivial_zero();
-            }
-            let (silo, deltas) = (&self.silos[s], &clipped_deltas[s]);
-            silo.weigh_cell(&received, &participants[s], deltas, noises[s][j], round, j)
+        let key = &server.public.key;
+        rt.fold_gauge().record(dim * self.ciphertext_bytes());
+        // One task per coordinate multiplies the surviving silos' cells. A dropped silo's
+        // report never reaches the server: neither its weighted deltas nor its noise
+        // enter the total. Products mod n² are exact, so the totals are the same in any
+        // order and at any thread count.
+        let totals: Vec<Ciphertext> = rt.par_map_range(dim, |j| {
+            (self.silos.iter().enumerate().filter(|&(s, _)| !dropped[s]))
+                .map(|(s, silo)| {
+                    let (parts, deltas) = (&participants[s], &clipped_deltas[s]);
+                    silo.weigh_cell(&received, parts, deltas, noises[s][j], round, j)
+                })
+                .reduce(|total, cell| key.add(&total, &cell))
+                .expect("the fault plan leaves at least one silo")
         });
-        let silo_weighting = silo_span.finish() + delay;
+        let silo_weighting = silo_span.finish();
 
         // --- Step 2.(c): decryption, then the surviving-silo re-weighting: the
         // decrypted value is the exact sum over the survivors, scaled up so the server
         // update keeps its |S|-silo magnitude.
         let (mut out, aggregation) = server.decrypt(rt, &totals);
         let surviving = dropped.iter().filter(|&&d| !d).count();
-        debug_assert!(surviving >= 1, "the fault plan must leave at least one silo");
         let factor = self.num_silos() as f64 / surviving as f64;
         if factor != 1.0 {
             for o in out.iter_mut() {
@@ -1110,75 +1110,6 @@ impl PrivateWeightingProtocol {
         dim
     }
 
-    /// Draws round `round`'s fault set from the configured plan: the dropout mask in
-    /// silo order and the simulated straggler lateness (`delay_ms` per delayed silo,
-    /// accounted in the timings only — no wall-clock sleep, the aggregate is
-    /// untouched). Emits one structured trace event per affected silo.
-    fn draw_faults(&self, round: u64) -> (Vec<bool>, Duration) {
-        let dropped = self.fault_plan.draw_dropouts(round, self.num_silos());
-        let delayed = self.fault_plan.delayed_silos(round, self.num_silos());
-        if uldp_telemetry::enabled() {
-            for (silo, _) in delayed.iter().enumerate().filter(|(_, &d)| d) {
-                metrics::FAULT_EVENTS.inc();
-                trace::event(
-                    "fault",
-                    "delay",
-                    vec![
-                        ("round", round.into()),
-                        ("silo", silo.into()),
-                        ("delay_ms", self.fault_plan.delay_ms.into()),
-                    ],
-                );
-            }
-        }
-        let delayed_count = delayed.iter().filter(|&&d| d).count() as u64;
-        (dropped, Duration::from_millis(self.fault_plan.delay_ms * delayed_count))
-    }
-
-    /// Sums `cell(silo, j)` over the silos into one ciphertext total per coordinate `j`:
-    /// the cells stream in coordinate-major order through one chunked fold, whose
-    /// partials combine in fixed cell order, so the totals are bitwise-identical at any
-    /// thread count and no per-cell ciphertext collection is materialised.
-    fn fold_cells(
-        &self,
-        dim: usize,
-        cell: impl Fn(usize, usize) -> Ciphertext + Sync,
-    ) -> Vec<Ciphertext> {
-        let key = &self.server.public.key;
-        let num_silos = self.num_silos();
-        let num_cells = dim * num_silos;
-        let cell_ranges = uldp_runtime::fold_chunk_ranges(num_cells, PROTOCOL_CHUNK);
-        let partial_entries: usize =
-            cell_ranges.iter().map(|r| (r.end - 1) / num_silos - r.start / num_silos + 1).sum();
-        self.runtime.fold_gauge().record(partial_entries * self.ciphertext_bytes());
-        // Chunk partials carry (coordinate, running total) pairs; a chunk touches at
-        // most ⌈chunk/|S|⌉ + 1 coordinates, and partials merge at shared boundaries.
-        let push =
-            |acc: &mut Vec<(usize, Ciphertext)>, j: usize, ct: Ciphertext| match acc.last_mut() {
-                Some((last_j, total)) if *last_j == j => *total = key.add(total, &ct),
-                _ => acc.push((j, ct)),
-            };
-        let fold_cell = |acc: &mut Vec<(usize, Ciphertext)>, idx: usize| {
-            let j = idx / num_silos;
-            push(acc, j, cell(idx % num_silos, j));
-        };
-        let merge = |mut a: Vec<(usize, Ciphertext)>, b: Vec<(usize, Ciphertext)>| {
-            for (j, partial) in b {
-                push(&mut a, j, partial);
-            }
-            a
-        };
-        let totals: Vec<Ciphertext> = self
-            .runtime
-            .par_fold_reduce(num_cells, PROTOCOL_CHUNK, Vec::new, fold_cell, merge)
-            .expect("at least one (silo, coordinate) cell")
-            .into_iter()
-            .map(|(_, total)| total)
-            .collect();
-        debug_assert_eq!(totals.len(), dim);
-        totals
-    }
-
     /// The plaintext value the protocol is supposed to compute:
     /// `Σ_s ( Σ_u (n_{s,u} / N_u) Δ̃_{s,u} + z_s )`, honouring the sub-sampling mask —
     /// [`PrivateWeightingProtocol::plaintext_reference_faulted`] with every silo
@@ -1204,6 +1135,9 @@ impl PrivateWeightingProtocol {
         dropped: &[bool],
     ) -> Vec<f64> {
         assert_eq!(dropped.len(), self.num_silos(), "one dropout flag per silo required");
+        if let Some(mask) = sampled {
+            assert_eq!(mask.num_users(), self.num_users(), "mask over another population");
+        }
         let mut out = vec![0.0; noises[0].len()];
         for (silo, view) in self.silos.iter().enumerate().filter(|&(s, _)| !dropped[s]) {
             for (u, delta) in clipped_deltas[silo].iter().enumerate() {
@@ -1628,13 +1562,7 @@ mod tests {
     #[test]
     fn faulted_round_is_bitwise_identical_across_threads_and_chunks() {
         let histogram = small_histogram();
-        let plan = FaultPlan {
-            dropout_fraction: 0.4,
-            delay_fraction: 0.4,
-            delay_ms: 1,
-            seed: 5,
-            ..FaultPlan::none()
-        };
+        let plan = FaultPlan { dropout_fraction: 0.4, seed: 5, ..FaultPlan::none() };
         let run = |threads: usize| {
             let mut rng = StdRng::seed_from_u64(55);
             let cfg = ProtocolConfig { threads, ..faulted_config(plan) };
@@ -1688,35 +1616,23 @@ mod tests {
     }
 
     #[test]
-    fn delayed_silos_inflate_timings_but_not_results() {
+    fn round_report_phases_are_measured_time() {
+        // The reported phases are timed spans inside the call, so together they can
+        // never exceed the call's own wall-clock time, with or without dropouts.
         let histogram = small_histogram();
-        let plan = FaultPlan { delay_fraction: 1.0, delay_ms: 40, ..FaultPlan::none() };
-        let mut rng = StdRng::seed_from_u64(57);
-        let protocol = PrivateWeightingProtocol::setup(&histogram, &faulted_config(plan), &mut rng);
-        // A fault-free twin set up from the same seed is the comparator.
-        let twin = PrivateWeightingProtocol::setup(
-            &histogram,
-            &test_config(),
-            &mut StdRng::seed_from_u64(57),
-        );
         let (deltas, noises) = deltas_and_noise(&histogram, 3, 58);
-        let round_rng = rng.clone();
-        let (plain, plain_timings) =
-            twin.weighting_round(&deltas, &noises, None, &mut round_rng.clone());
-        let (delayed, delayed_timings) =
-            protocol.weighting_round(&deltas, &noises, None, &mut round_rng.clone());
-        assert!(delayed_timings.dropped.iter().all(|&d| !d));
-        assert_eq!(
-            plain.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            delayed.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "stragglers must not change the aggregate"
-        );
-        // All three silos straggle by 40 ms each on top of the real fold time.
-        assert!(
-            delayed_timings.silo_weighting >= plain_timings.silo_weighting
-                && delayed_timings.silo_weighting >= Duration::from_millis(120),
-            "delayed round must account 3 × 40 ms of straggler lateness"
-        );
+        let plan = FaultPlan { dropout_fraction: 0.4, seed: 5, ..FaultPlan::none() };
+        for (cfg, drops) in [(test_config(), 0), (faulted_config(plan), 1)] {
+            let mut rng = StdRng::seed_from_u64(57);
+            let protocol = PrivateWeightingProtocol::setup(&histogram, &cfg, &mut rng);
+            for _ in 0..2 {
+                let start = std::time::Instant::now();
+                let (_, report) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
+                let wall = start.elapsed();
+                assert_eq!(report.dropped.iter().filter(|&&d| d).count(), drops);
+                assert!(report.total() <= wall, "{:?} reported > {wall:?} measured", report);
+            }
+        }
     }
 
     fn wide_histogram() -> Vec<Vec<usize>> {
@@ -1766,6 +1682,18 @@ mod tests {
             let exact = exact_aggregate(&protocol, &deltas, &noises, Some(&mask), &[false; 2]);
             assert_exact(&out, &exact, &what);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "mask over another population")]
+    fn mask_over_another_population_is_rejected() {
+        // A 10-user mask on the 13-user federation would silently leave users 10–12 out.
+        let histogram = wide_histogram();
+        let mut rng = StdRng::seed_from_u64(69);
+        let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
+        let (deltas, noises) = deltas_and_noise(&histogram, 2, 70);
+        let mask = SampleMask::from_sorted_indices(10, vec![2, 7]);
+        let _ = protocol.weighting_round(&deltas, &noises, Some(&mask), &mut rng);
     }
 
     #[test]

@@ -74,10 +74,14 @@ impl SampleMask {
         SampleMask::from_sorted_indices(flags.len(), ids.collect())
     }
 
-    /// Builds a mask from strictly increasing sampled ids below `num_users`.
+    /// Builds a mask from strictly increasing sampled ids below `num_users`; panics on
+    /// any other id list.
     pub fn from_sorted_indices(num_users: usize, ids: Vec<u32>) -> SampleMask {
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be strictly sorted");
-        debug_assert!(ids.last().is_none_or(|&u| (u as usize) < num_users));
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "sampled ids must be strictly increasing");
+        assert!(
+            ids.last().is_none_or(|&u| (u as usize) < num_users),
+            "sampled ids must lie below num_users = {num_users}"
+        );
         SampleMask { num_users, ids }
     }
 
@@ -183,5 +187,17 @@ mod tests {
         // Different sets (or populations) are unequal.
         assert_ne!(mask, SampleMask::from_sorted_indices(64, vec![0, 9, 62]));
         assert_ne!(mask, SampleMask::from_sorted_indices(65, vec![0, 9, 63]));
+    }
+
+    #[test]
+    #[should_panic(expected = "sampled ids must be strictly increasing")]
+    fn unsorted_ids_are_rejected() {
+        let _ = SampleMask::from_sorted_indices(64, vec![9, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sampled ids must lie below num_users = 64")]
+    fn ids_outside_the_population_are_rejected() {
+        let _ = SampleMask::from_sorted_indices(64, vec![0, 64]);
     }
 }

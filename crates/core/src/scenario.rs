@@ -3,10 +3,10 @@
 //!
 //! The paper's evaluation assumes well-behaved federations — full participation (§2.1),
 //! honest silos, roughly balanced user→silo allocations. Real cross-silo deployments face
-//! stragglers, dropouts and byzantine updates. This module makes those conditions
+//! dropouts and byzantine updates. This module makes those conditions
 //! *configurable and reproducible*: a [`FaultPlan`] threaded through
 //! [`crate::config::FlConfig`] and [`crate::protocol::ProtocolConfig`] describes which
-//! silos drop, lag or lie in a given round, and every decision is a **pure function of
+//! silos drop or lie in a given round, and every decision is a **pure function of
 //! `(plan seed, round seed, silo[, user])`** — derived through the same
 //! [`seeding`] streams as the training RNGs, never through shared mutable state.
 //!
@@ -20,17 +20,14 @@
 //! * **Dropout** (ULDP-AVG/SGD and Protocol 1): a dropped silo contributes neither its
 //!   per-user deltas nor its DP noise. The aggregation path re-weights the surviving sum
 //!   by `|S| / |S_surviving|`, so the update keeps its expected scale; in Protocol 1 the
-//!   dropped silo's `(silo, coordinate)` cells are excluded from the streaming
-//!   homomorphic fold. No pairwise mask is applied today: the server sums the silos'
+//!   dropped silo's `(silo, coordinate)` cells are left out of each coordinate's
+//!   homomorphic product. No pairwise mask is applied today: the server sums the silos'
 //!   cells directly, an ideal secure aggregation (ROADMAP.md, item G), so that exclusion
 //!   is all a dropout costs. Under real pairwise masks a dropped silo's masks would not
 //!   cancel, and the survivors would have to send a recovery correction.
 //!   At least one silo always survives ([`FaultPlan::dropped_silos`] clamps the count).
 //!   Protocol 1 draws round `t`'s set from its own round counter, whatever the round's
 //!   sampling (all users, a mask, or oblivious sub-sampling).
-//! * **Delay** (Protocol 1): a delayed silo still contributes, but its report arrives
-//!   `delay_ms` late; the round's `silo_weighting` timing is inflated accordingly while
-//!   the aggregate stays bitwise-identical to the undelayed round.
 //! * **Byzantine corruption** (ULDP-AVG/SGD): a corrupted silo's raw per-user deltas are
 //!   rewritten by a [`ByzantineStrategy`] **before** clipping, so the per-user clipping
 //!   defense applies: each corrupted `(silo, user)` task still contributes at most
@@ -53,7 +50,6 @@ use uldp_telemetry::{metrics, trace};
 /// Stream tags separating the plan's derivations from one another and from the training
 /// (`1`) and noise (`2`) streams of [`crate::algorithms`].
 const STREAM_DROPOUT: u64 = 0x5d01;
-const STREAM_DELAY: u64 = 0x5d02;
 const STREAM_BYZANTINE: u64 = 0x5d03;
 const STREAM_CORRUPTION: u64 = 0x5d04;
 
@@ -125,11 +121,6 @@ pub struct FaultPlan {
     /// 2.(c) (after the server ships the encrypted blinded inverses, before silo reports
     /// are aggregated). Clamped so at least one silo always survives.
     pub dropout_fraction: f64,
-    /// Fraction of silos whose reports straggle by [`FaultPlan::delay_ms`] each.
-    pub delay_fraction: f64,
-    /// Simulated lateness of a delayed silo's report, in milliseconds. Only accounted in
-    /// the round timings — no wall-clock sleep, results are unchanged.
-    pub delay_ms: u64,
     /// Fraction of silos whose per-user updates are corrupted.
     pub byzantine_fraction: f64,
     /// The corruption applied by byzantine silos.
@@ -145,12 +136,10 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
-    /// The empty plan: no dropouts, no delays, no corruption.
+    /// The empty plan: no dropouts, no corruption.
     pub fn none() -> Self {
         FaultPlan {
             dropout_fraction: 0.0,
-            delay_fraction: 0.0,
-            delay_ms: 0,
             byzantine_fraction: 0.0,
             byzantine: ByzantineStrategy::SignFlip,
             seed: 0,
@@ -159,14 +148,13 @@ impl FaultPlan {
 
     /// Whether any fault is injected at all. Inactive plans short-circuit every hook.
     pub fn is_active(&self) -> bool {
-        self.dropout_fraction > 0.0 || self.delay_fraction > 0.0 || self.byzantine_fraction > 0.0
+        self.dropout_fraction > 0.0 || self.byzantine_fraction > 0.0
     }
 
     /// Panics unless every fraction lies in `[0, 1]` and the magnitudes are finite.
     pub fn validate(&self) {
         for (name, f) in [
             ("dropout_fraction", self.dropout_fraction),
-            ("delay_fraction", self.delay_fraction),
             ("byzantine_fraction", self.byzantine_fraction),
         ] {
             assert!((0.0..=1.0).contains(&f), "{name} must be in [0, 1], got {f}");
@@ -215,16 +203,6 @@ impl FaultPlan {
             }
         }
         dropped
-    }
-
-    /// Silos whose reports straggle this round.
-    pub fn delayed_silos(&self, round_seed: u64, num_silos: usize) -> Vec<bool> {
-        select_silos(
-            self.round_stream(round_seed, STREAM_DELAY),
-            num_silos,
-            self.delay_fraction,
-            num_silos,
-        )
     }
 
     /// Silos applying [`FaultPlan::byzantine`] to their updates this round.
@@ -307,9 +285,7 @@ impl Scenario {
     }
 
     /// The canonical training scenario grid: a well-behaved baseline, dropout at two
-    /// severities, each byzantine strategy, Zipf skew, and a mixed worst case. It has no
-    /// straggler scenario, because training draws no straggler delay
-    /// ([`crate::config::FlConfig::validate`] rejects one).
+    /// severities, each byzantine strategy, Zipf skew, and a mixed worst case.
     pub fn catalogue() -> Vec<Scenario> {
         let base = FaultPlan { seed: 0x5ce0, ..FaultPlan::none() };
         vec![
@@ -384,7 +360,6 @@ mod tests {
         let p = FaultPlan::none();
         assert!(!p.is_active());
         assert!(p.dropped_silos(7, 5).iter().all(|&d| !d));
-        assert!(p.delayed_silos(7, 5).iter().all(|&d| !d));
         assert!(p.byzantine_silos(7, 5).iter().all(|&d| !d));
     }
 
@@ -412,17 +387,13 @@ mod tests {
     fn fault_kinds_draw_independent_streams() {
         let p = FaultPlan {
             dropout_fraction: 0.5,
-            delay_fraction: 0.5,
             byzantine_fraction: 0.5,
             seed: 7,
             ..FaultPlan::none()
         };
-        // With identical fractions the three masks come from distinct streams, so at
+        // With identical fractions the two masks come from distinct streams, so at
         // least one round separates them.
-        assert!((0..20).any(|r| {
-            let d = p.dropped_silos(r, 10);
-            d != p.delayed_silos(r, 10) || d != p.byzantine_silos(r, 10)
-        }));
+        assert!((0..20).any(|r| p.dropped_silos(r, 10) != p.byzantine_silos(r, 10)));
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! Correctness (Theorem 4) holds as long as the encoded magnitudes stay below `n / 2`,
 //! which the codec checks with debug assertions.
 
-use uldp_bigint::modular::to_centered;
-use uldp_bigint::signed::Sign;
 use uldp_bigint::BigUint;
 
 /// Encoder/decoder between `f64` values and elements of `F_n`.
@@ -86,12 +84,14 @@ impl FixedPointCodec {
     /// Pass `C_LCM = 1` (see [`FixedPointCodec::decode_plain`]) when no factor was applied.
     pub fn decode(&self, x: &BigUint, c_lcm: &BigUint) -> f64 {
         assert!(!c_lcm.is_zero(), "C_LCM must be positive");
-        let centered = to_centered(&x.rem(&self.modulus), &self.modulus);
-        let sign = match centered.sign() {
-            Sign::Negative => -1.0,
-            _ => 1.0,
+        // The centred representative lies in (−n/2, n/2]: the upper half of the field
+        // holds the negative values.
+        let x = x.rem(&self.modulus);
+        let (sign, magnitude) = if x > self.modulus.div(&BigUint::two()) {
+            (-1.0, self.modulus.sub(&x))
+        } else {
+            (1.0, x)
         };
-        let magnitude = centered.magnitude();
         // Split the division by C_LCM into an exact integer quotient plus a fractional
         // correction so that very large C_LCM values (which overflow f64) still decode
         // correctly: the quotient carries the signal, the remainder is < 1 unit.
@@ -168,6 +168,16 @@ mod tests {
         let scaled = uldp_bigint::modular::mod_mul(&c.encode(value), &c_lcm, c.modulus());
         let decoded = c.decode(&scaled, &c_lcm);
         assert!((decoded - value).abs() <= c.precision(), "decoded {decoded}");
+    }
+
+    #[test]
+    fn decode_centres_at_half_an_odd_modulus() {
+        // n = 101: the centred representatives are −50..=50, so 50 decodes as itself and
+        // 51 as 51 − 101 = −50.
+        let c = FixedPointCodec::new(1.0, BigUint::from_u64(101));
+        for (x, expected) in [(0, 0.0), (3, 3.0), (50, 50.0), (51, -50.0), (100, -1.0)] {
+            assert_eq!(c.decode_plain(&BigUint::from_u64(x)), expected, "decode({x})");
+        }
     }
 
     #[test]

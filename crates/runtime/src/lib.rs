@@ -15,14 +15,13 @@
 //!   ([`seeding::index_seed`]), so randomised work is a pure function of `(seed, index)`.
 //!   [`Runtime::par_map_wide_seeded`] is the 256-bit-seed variant for security-relevant
 //!   randomness (encryption randomizers), preserving the source RNG's full entropy.
-//! * [`Runtime::par_fold_reduce`] — a streaming chunked fold: `0..n` is split into
-//!   **fixed-size chunks whose shape depends only on `(n, chunk_size)`**, never on the
-//!   thread count; each chunk folds its indices into one accumulator in index order (no
-//!   per-task value is ever materialised), and the chunk partials combine left-to-right
-//!   in chunk order. Transient memory is O(chunks × accumulator) instead of
-//!   O(n × item). [`Runtime::par_fold_ranges`] is the underlying span-level building
-//!   block for callers (e.g. the sharded round engine in `uldp-core`) that derive their
-//!   own chunk grid.
+//! * [`Runtime::par_fold_ranges`] — a streaming fold over caller-given index spans: each
+//!   span folds its indices into one accumulator in index order (no per-task value is
+//!   ever materialised), and the span partials come back in span order. Callers (the
+//!   sharded round engine in `uldp-core`) derive the spans from their inputs, never from
+//!   the thread count — [`fold_chunk_ranges`] gives a grid that depends only on
+//!   `(n, chunk_size)` — so transient memory is O(spans × accumulator) instead of
+//!   O(n × item).
 //!
 //! ## Sizing
 //!
@@ -235,10 +234,9 @@ impl Runtime {
     /// order, into one fresh accumulator, and the per-span partials are returned in span
     /// order. Spans run as independent pooled tasks.
     ///
-    /// This is the building block of [`Runtime::par_fold_reduce`] and of callers that
-    /// derive their own span grid (e.g. the sharded round engine in `uldp-core`). Because
-    /// the partials depend only on the spans — never on which worker ran what — the
-    /// result is bitwise-identical at any thread count. An empty span list returns
+    /// Callers derive their own span grid (e.g. the sharded round engine in `uldp-core`
+    /// or [`fold_chunk_ranges`]). Because the partials depend only on the spans — never
+    /// on which worker ran what — the result is bitwise-identical at any thread count. An empty span list returns
     /// immediately without touching the pool.
     pub fn par_fold_ranges<A, I, F>(
         &self,
@@ -256,7 +254,7 @@ impl Runtime {
         }
         let run_range = |range: &std::ops::Range<usize>| {
             // One span per fold chunk: traced runs see every chunk of every streaming
-            // fold (training shards, protocol cell chunks) as its own slice.
+            // fold as its own slice.
             let _span = uldp_telemetry::trace::span("runtime", "fold_chunk")
                 .arg("start", range.start)
                 .arg("len", range.len());
@@ -288,38 +286,6 @@ impl Runtime {
                 slot.into_inner().expect("fold slot poisoned").expect("fold partial missing")
             })
             .collect()
-    }
-
-    /// Streaming chunked fold over `0..n`: the indices are split into fixed-size chunks
-    /// of `chunk_size` ([`fold_chunk_ranges`] — the grid depends only on
-    /// `(n, chunk_size)`, never on the thread count), each chunk folds its indices in
-    /// order into a fresh accumulator, and the chunk partials combine left-to-right in
-    /// chunk order. Returns `None` for `n == 0` without touching the pool.
-    ///
-    /// Transient memory is O(chunks × accumulator) — the streaming replacement for
-    /// "materialise one value per index, then reduce". For an exact `combine` (integer,
-    /// modular, or fixed-point accumulation) the result is additionally identical for
-    /// *any* chunk size; for floating-point accumulators only the thread-count invariance
-    /// holds, exactly as with [`Runtime::par_map_seeded`].
-    pub fn par_fold_reduce<A, I, F, G>(
-        &self,
-        n: usize,
-        chunk_size: usize,
-        init: I,
-        fold: F,
-        combine: G,
-    ) -> Option<A>
-    where
-        A: Send,
-        I: Fn() -> A + Sync,
-        F: Fn(&mut A, usize) + Sync,
-        G: Fn(A, A) -> A,
-    {
-        if n == 0 {
-            return None;
-        }
-        let ranges = fold_chunk_ranges(n, chunk_size);
-        self.par_fold_ranges(&ranges, init, fold).into_iter().reduce(combine)
     }
 
     /// The pool to use for a region of `n` items, or `None` when the region should run
@@ -377,8 +343,8 @@ fn available_threads() -> usize {
 /// The fixed chunk grid of a streaming fold: `0..n` split into `⌈n / chunk_size⌉`
 /// contiguous ranges of exactly `chunk_size` indices (the last one smaller).
 ///
-/// The grid depends only on `(n, chunk_size)` — never on the thread count — which is
-/// what makes [`Runtime::par_fold_reduce`] bitwise-identical at any pool size.
+/// The grid depends only on `(n, chunk_size)` — never on the thread count — so a
+/// [`Runtime::par_fold_ranges`] over it is bitwise-identical at any pool size.
 /// `chunk_size = 0` and `chunk_size ≥ n` both yield a single chunk.
 pub fn fold_chunk_ranges(n: usize, chunk_size: usize) -> Vec<std::ops::Range<usize>> {
     if n == 0 {
@@ -533,8 +499,6 @@ mod tests {
         // Give the blocking batch time to occupy both workers.
         std::thread::sleep(std::time::Duration::from_millis(30));
         assert_eq!(rt.par_map_range(0, |i| i), Vec::<usize>::new());
-        let empty_fold = rt.par_fold_reduce(0, 4, || 0u64, |acc, i| *acc += i as u64, |a, b| a + b);
-        assert_eq!(empty_fold, None);
         assert!(rt.par_fold_ranges(&[], || 0u64, |_, _| {}).is_empty());
         release.store(true, std::sync::atomic::Ordering::Relaxed);
         guard.join().expect("blocking batch completes");
@@ -556,26 +520,6 @@ mod tests {
                     assert_eq!(r.start, expect);
                     expect = r.end;
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn fold_reduce_matches_sequential_fold_for_exact_ops() {
-        // Integer accumulation is exact, so every (threads, chunk) combination must give
-        // the sequential left-fold result bit for bit.
-        let expected: u64 = (0..97u64).map(|i| i * i).sum();
-        for threads in [1usize, 2, 5] {
-            let rt = Runtime::new(threads);
-            for chunk in [1usize, 7, 32, usize::MAX] {
-                let total = rt.par_fold_reduce(
-                    97,
-                    chunk,
-                    || 0u64,
-                    |acc, i| *acc += (i as u64) * (i as u64),
-                    |a, b| a + b,
-                );
-                assert_eq!(total, Some(expected), "threads={threads} chunk={chunk}");
             }
         }
     }

@@ -13,7 +13,7 @@
 //! | [`datasets`] | `uldp-datasets` | synthetic Creditcard / MNIST / HeartDisease / TcgaBrca + uniform / zipf allocation |
 //! | [`crypto`] | `uldp-crypto` | Paillier, Diffie–Hellman, SHA-256, masking, blinding, fixed-point codec |
 //! | [`bigint`] | `uldp-bigint` | arbitrary-precision integers, modular arithmetic, primes |
-//! | [`runtime`] | `uldp-runtime` | deterministic worker pool: `par_map`, `par_map_seeded`, `par_fold_reduce` |
+//! | [`runtime`] | `uldp-runtime` | deterministic worker pool: `par_map`, `par_map_seeded`, `par_fold_ranges` |
 //! | [`telemetry`] | `uldp-telemetry` | spans, counters, histograms, privacy ledger; chrome-trace export (`ULDP_TRACE`) |
 //!
 //! ## Quickstart

@@ -47,7 +47,6 @@ fn run(method: Method, faults: bool) -> (String, Vec<u64>, Vec<u64>) {
             byzantine_fraction: 0.25,
             byzantine: ByzantineStrategy::SignFlip,
             seed: 17,
-            ..FaultPlan::none()
         };
     }
     let model = Box::new(LinearClassifier::new(dataset.feature_dim(), 2));

@@ -168,8 +168,8 @@ fn protocol_round_is_bitwise_identical_across_threads_and_chunks() {
         let (out, _) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
         out.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
     };
-    // Ciphertext accumulation is exact modular arithmetic, so the streamed cell fold
-    // must reproduce the sequential reference at every pool size.
+    // Ciphertext accumulation is exact modular arithmetic, so the per-coordinate cell
+    // products must reproduce the sequential reference at every pool size.
     let sequential = run(1);
     for threads in [2usize, 6] {
         assert_eq!(sequential, run(threads), "threads={threads}");

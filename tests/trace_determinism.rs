@@ -54,7 +54,6 @@ fn train(threads: usize, shards: usize) -> TrainingHistory {
         byzantine_fraction: 0.5,
         byzantine: ByzantineStrategy::SignFlip,
         seed: 7,
-        ..FaultPlan::none()
     };
     let model: Box<dyn Model> = Box::new(LinearClassifier::new(dataset.feature_dim(), 2));
     Trainer::new(config, dataset, model).run()
