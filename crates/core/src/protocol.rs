@@ -35,9 +35,9 @@
 //! Every round runs through [`PrivateWeightingProtocol::weighting_round`]. Its
 //! [`Sampling`] argument only changes how step 2.(a) picks the ciphertexts: every user,
 //! a server-visible [`SampleMask`], or oblivious sub-sampling ([`ObliviousSubsampling`],
-//! Section 4.1), the one mode that hides the sample. The server numbers its rounds 0,
-//! 1, 2, …, and round `t` applies the round-`t` fault set of
-//! [`ProtocolConfig::fault_plan`] under every sampling mode.
+//! Section 4.1), the one mode that hides the sample: two ciphertexts per user and an
+//! ideal transfer. The server numbers its rounds 0, 1, 2, …, and round `t` applies the
+//! round-`t` fault set of [`ProtocolConfig::fault_plan`] under every sampling mode.
 //!
 //! ## Setup cost
 //!
@@ -130,8 +130,8 @@
 //! change, and each outgoing cell already carries the silo's own `Enc(0)`. So the
 //! first such round encrypts every user's inverse and the server keeps that one set;
 //! every later `Sampling::All` round sends it again unchanged, dropouts included. A
-//! [`Sampling::Mask`] round encrypts its active users afresh, and oblivious rounds
-//! encrypt every OT slot afresh.
+//! [`Sampling::Mask`] round encrypts its active users afresh, and an oblivious round
+//! encrypts two ciphertexts per user afresh, whatever its `P`.
 //!
 //! The silos' `b_u = c_u^{f_u}` depend only on those unchanged ciphertexts and on `R`,
 //! so the silos keep them too: the first `Sampling::All` round derives `[b_u, b_u⁻¹]`
@@ -168,7 +168,6 @@ use uldp_bigint::montgomery::{multi_exp_window, WindowTable};
 use uldp_bigint::BigUint;
 use uldp_crypto::dh::{DhGroup, DhKeyPair};
 use uldp_crypto::masking::MaskSeed;
-use uldp_crypto::oblivious_transfer::OneOutOfP;
 use uldp_crypto::paillier::{
     Ciphertext, FixedBaseEnc0, PaillierKeyPair, PaillierPublicKey, PaillierSecretKey,
 };
@@ -283,8 +282,8 @@ impl ProtocolTimings {
 /// the faults and sample it realised.
 #[derive(Clone, Debug, Default)]
 pub struct RoundReport {
-    /// Server-side Paillier encryption of the blinded inverses, or of the OT offers
-    /// under oblivious sampling (2.a).
+    /// Server-side Paillier encryption of the blinded inverses (2.a), and under
+    /// oblivious sampling of the dummies, plus the transfer.
     pub server_encryption: Duration,
     /// Silo-side weighted encryption of clipped deltas and noise (2.b) plus the
     /// homomorphic cross-silo product of each coordinate's cells: the measured span of
@@ -295,8 +294,8 @@ pub struct RoundReport {
     pub aggregation: Duration,
     /// The round's dropout mask in silo order; all `false` without faults.
     pub dropped: Vec<bool>,
-    /// Oblivious rounds only: which users' OT choice fetched a real slot. It exists for
-    /// validation and accounting tests; in a deployment no party observes it.
+    /// Oblivious rounds only: which users' OT choice fetched a real slot (`Enc(0)` for a
+    /// user without records). For tests; in a deployment no party observes it.
     pub selected: Option<Vec<bool>>,
 }
 
@@ -319,8 +318,8 @@ pub enum Sampling<'a> {
     /// ids, and unsampled users get no ciphertext and no fold work. The server and every
     /// silo see the sample; nobody learns from it which sampled users hold records.
     Mask(&'a SampleMask),
-    /// Private sub-sampling by 1-out-of-P oblivious transfer (Section 4.1): neither the
-    /// server nor the silos learn who was sampled.
+    /// Private sub-sampling by 1-out-of-P oblivious transfer (Section 4.1): nobody learns
+    /// who was sampled, and the server encrypts two ciphertexts per user whatever `P`.
     Oblivious(ObliviousSubsampling),
 }
 
@@ -338,10 +337,14 @@ impl From<ObliviousSubsampling> for Sampling<'_> {
 
 /// Private user-level sub-sampling via 1-out-of-P oblivious transfer (Section 4.1).
 ///
-/// The participation probability is `numerator / denominator`: the server prepares
-/// `numerator` copies of the real encrypted inverse and `denominator − numerator`
-/// encryptions of zero, and one is fetched obliviously. Only rational probabilities can be
-/// expressed this way — the discretisation limitation the paper notes.
+/// The participation probability is `numerator / denominator` over `P = denominator`
+/// slots. The server offers each user `Enc(B_inv(N_u))`, one `Enc(0)` and a rotation
+/// `o ∈ [0, P)`: slot `i` is real iff `(i − o) mod P < numerator`. Through an ideal
+/// transfer the silos fetch slot `c`, drawn from a stream keyed by `R` (which the server
+/// never holds), the round and the user. The server never learns `c`; the silos never
+/// learn `o` and cannot tell the ciphertexts apart. An OT receiver learns only its slot
+/// (Naor and Pinkas, SODA 2001), so two ciphertexts hide the sample as well as `P` fresh
+/// ones. Only rational probabilities fit — the discretisation the paper notes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ObliviousSubsampling {
     /// Number of "real" slots.
@@ -351,10 +354,9 @@ pub struct ObliviousSubsampling {
 }
 
 impl ObliviousSubsampling {
-    /// Creates a sub-sampling description with participation probability
-    /// `numerator / denominator`.
+    /// Sub-sampling with participation probability `numerator / denominator`.
     pub fn new(numerator: u64, denominator: u64) -> Self {
-        assert!(denominator >= 1, "denominator must be at least 1");
+        assert!((1..=u64::MAX / 2).contains(&denominator), "denominator must be in 1..2^63");
         assert!(numerator <= denominator, "numerator must not exceed denominator");
         ObliviousSubsampling { numerator, denominator }
     }
@@ -364,26 +366,25 @@ impl ObliviousSubsampling {
         self.numerator as f64 / self.denominator as f64
     }
 
-    /// Builds the OT offer for one user: `numerator` re-randomised copies of the real
-    /// ciphertext followed by `denominator − numerator` fresh encryptions of zero.
-    ///
-    /// Every slot is a fresh Paillier encryption, so the receiver cannot tell real from
-    /// dummy slots.
-    pub fn build_offer<R: Rng + ?Sized>(
-        &self,
-        public_key: &PaillierPublicKey,
-        real: &Ciphertext,
-        rng: &mut R,
-    ) -> OneOutOfP<Ciphertext> {
-        let mut items = Vec::with_capacity(self.denominator as usize);
-        for _ in 0..self.numerator {
-            items.push(public_key.rerandomise(rng, real));
-        }
-        for _ in self.numerator..self.denominator {
-            items.push(public_key.encrypt(rng, &BigUint::zero()));
-        }
-        OneOutOfP::new(items)
+    /// Whether slot `choice` of an offer rotated by `rotation` is real. With either
+    /// argument fixed, exactly `numerator` of the `P` values of the other make it so.
+    fn is_real(&self, choice: u64, rotation: u64) -> bool {
+        (choice + self.denominator - rotation) % self.denominator < self.numerator
     }
+
+    /// The ideal 1-out-of-P transfer: the silos get slot `choice` of `offer` and nothing
+    /// else, the server learns nothing. The flag feeds [`RoundReport::selected`] only.
+    fn transfer(&self, offer: Offer, choice: u64) -> (Ciphertext, bool) {
+        let real = self.is_real(choice, offer.rotation);
+        (if real { offer.real } else { offer.dummy }, real)
+    }
+}
+
+/// The server's oblivious-transfer offer for one user ([`ObliviousSubsampling`]).
+struct Offer {
+    real: Ciphertext,
+    dummy: Ciphertext,
+    rotation: u64,
 }
 
 /// What every party holds after setup: the Paillier public key and the fixed-point
@@ -421,6 +422,8 @@ struct SiloView {
     histogram: Vec<u64>,
     /// This silo's pairwise secure-aggregation seeds, one per silo.
     pair_seeds: Vec<MaskSeed>,
+    /// The silos' shared seed `R`, which keys their oblivious-transfer choices.
+    shared_seed: [u8; 32],
     /// Seed of this silo's output re-randomisation stream, hashed from its
     /// Diffie–Hellman secret: no other party can derive it.
     output_seed: [u8; 32],
@@ -442,19 +445,10 @@ struct Received {
 }
 
 impl Server {
-    /// The round's *active* users — the users whose encrypted inverses are sent to the
-    /// silos — as an ascending id list: the sample's ids under a mask, every id without
-    /// one. Histograms never change the list, so it shows nobody who holds records, and
-    /// a mask round costs `O(q·|U|)` crypto operations.
-    fn active_users(&self, sampled: Option<&SampleMask>) -> Vec<u32> {
-        match sampled {
-            Some(mask) => mask.iter().map(|u| u as u32).collect(),
-            None => (0..self.blinded_inverses.len() as u32).collect(),
-        }
-    }
-
-    /// Step 2.(a) under a server-visible sample or none: returns the active user ids
-    /// and their ciphertexts, aligned position for position. A `hold` round (a
+    /// Step 2.(a) under a server-visible sample or none: returns the round's *active*
+    /// users, as ascending ids, and their ciphertexts, aligned position for position.
+    /// The active users are the sample's ids under a mask and every id without one, so
+    /// histograms never change the list and a mask round costs `O(q·|U|)`. A `hold` round (a
     /// [`Sampling::All`] round without [`ProtocolConfig::fresh_encrypt`]) lends the
     /// ciphertexts the first such round encrypted; any other round encrypts its active
     /// users in one pooled batch.
@@ -476,7 +470,10 @@ impl Server {
         let key = &self.public.key;
         let zero = BigUint::zero();
         let batch_seed = seeding::wide_seed_from_rng(rng);
-        let active = self.active_users(sampled);
+        let active: Vec<u32> = match sampled {
+            Some(mask) => mask.iter().map(|u| u as u32).collect(),
+            None => (0..self.blinded_inverses.len() as u32).collect(),
+        };
         let encrypt = || {
             rt.par_map(&active, |_, &u| {
                 let mut rng = StdRng::from_seed(seeding::index_seed_wide(batch_seed, u as u64));
@@ -496,33 +493,27 @@ impl Server {
         (active, cts)
     }
 
-    /// Step 2.(a) under private sub-sampling: every user gets an OT offer
-    /// ([`ObliviousSubsampling::build_offer`]) and the silos fetch one slot. The server
-    /// cannot see the choice and a dummy looks like a real ciphertext, so every user is
-    /// active and nobody learns who was sampled. Offers and transfers draw from
-    /// `(seed, u)` streams of one batch seed, so the selection is identical at any
-    /// thread count. Returns every user id, one ciphertext per user and the selection.
+    /// Step 2.(a) under oblivious sub-sampling, the server's half: every user's offer
+    /// ([`ObliviousSubsampling`]), drawn from the user's `(seed, u)` stream of one batch
+    /// seed: `Enc(B_inv(N_u))` (`Enc(0)` for a user with no records), one `Enc(0)` and
+    /// the rotation. Two encryptions per user whatever `P`, and the same offers at any
+    /// thread count.
     fn offer_inverses<R: Rng + ?Sized>(
         &self,
         rt: &Runtime,
         ot: ObliviousSubsampling,
         rng: &mut R,
-    ) -> (Vec<u32>, Vec<Ciphertext>, Vec<bool>) {
+    ) -> Vec<Offer> {
         let key = &self.public.key;
         let zero = BigUint::zero();
         let batch_seed = seeding::wide_seed_from_rng(rng);
         let num_users = self.blinded_inverses.len();
-        let per_user: Vec<(Ciphertext, bool)> =
-            rt.par_map_wide_seeded(num_users, batch_seed, |u, rng| {
-                let inverse = self.blinded_inverses[u].as_ref();
-                let real = key.encrypt(rng, inverse.unwrap_or(&zero));
-                let (output, _sender_view) = ot.build_offer(key, &real, rng).transfer_uniform(rng);
-                let selected = output.chosen_index < ot.numerator as usize && inverse.is_some();
-                (output.item, selected)
-            });
         *self.last_sent.lock().expect("round stats mutex poisoned") = (num_users, 0);
-        let (cts, selected) = per_user.into_iter().unzip();
-        ((0..num_users as u32).collect(), cts, selected)
+        rt.par_map_wide_seeded(num_users, batch_seed, |u, rng| Offer {
+            real: key.encrypt(rng, self.blinded_inverses[u].as_ref().unwrap_or(&zero)),
+            dummy: key.encrypt(rng, &zero),
+            rotation: rng.gen_range(0..ot.denominator),
+        })
     }
 
     /// Step 2.(c): batched CRT decryption of the per-coordinate totals and fixed-point
@@ -631,6 +622,13 @@ impl Received {
 }
 
 impl SiloView {
+    /// The silos' transfer choice `c ∈ [0, P)` for user `u` in round `round`, from a
+    /// stream keyed by `R`: every silo makes it, and the server cannot.
+    fn ot_choice(&self, round: u64, u: u32, slots: u64) -> u64 {
+        let parts: [&[u8]; 3] = [&self.shared_seed, &round.to_be_bytes(), &u.to_be_bytes()];
+        StdRng::from_seed(hash_parts("uldp-fl/ot-choice", &parts)).gen_range(0..slots)
+    }
+
     /// This silo's participants in a round: the active users it holds records *and* a
     /// delta for, as (active position, user id) pairs. `active` is ascending, so the
     /// list walks users in exactly the order of a `0..|U|` scan — the cell totals keep
@@ -881,6 +879,7 @@ impl PrivateWeightingProtocol {
                 blinder: blinder.clone(),
                 histogram,
                 pair_seeds,
+                shared_seed: blind_seed,
                 output_seed,
                 output,
             })
@@ -1034,8 +1033,12 @@ impl PrivateWeightingProtocol {
                 (server.encrypt_inverses(rt, Some(mask), false, rng), None)
             }
             Sampling::Oblivious(ot) => {
-                let (active, cts, selected) = server.offer_inverses(rt, ot, rng);
-                ((active, Cow::Owned(cts)), Some(selected))
+                let offers = server.offer_inverses(rt, ot, rng);
+                let silo = &self.silos[0];
+                let (cts, selected) = (offers.into_iter().zip(0u32..))
+                    .map(|(offer, u)| ot.transfer(offer, silo.ot_choice(round, u, ot.denominator)))
+                    .unzip();
+                (((0..self.num_users() as u32).collect(), Cow::Owned(cts)), Some(selected))
             }
         };
         let server_encryption = enc_span.finish();
@@ -1081,13 +1084,7 @@ impl PrivateWeightingProtocol {
         // decrypted value is the exact sum over the survivors, scaled up so the server
         // update keeps its |S|-silo magnitude.
         let (mut out, aggregation) = server.decrypt(rt, &totals);
-        let surviving = dropped.iter().filter(|&&d| !d).count();
-        let factor = self.num_silos() as f64 / surviving as f64;
-        if factor != 1.0 {
-            for o in out.iter_mut() {
-                *o *= factor;
-            }
-        }
+        reweight_survivors(&mut out, &dropped);
         let report =
             RoundReport { server_encryption, silo_weighting, aggregation, dropped, selected };
         (out, report)
@@ -1155,15 +1152,16 @@ impl PrivateWeightingProtocol {
                 *o += z;
             }
         }
-        let surviving = dropped.iter().filter(|&&d| !d).count().max(1);
-        let factor = self.num_silos() as f64 / surviving as f64;
-        if factor != 1.0 {
-            for o in out.iter_mut() {
-                *o *= factor;
-            }
-        }
+        reweight_survivors(&mut out, dropped);
         out
     }
+}
+
+/// Scales `out` by `|S| / |S_surviving|`, the silos `dropped` leaves (at least one).
+fn reweight_survivors(out: &mut [f64], dropped: &[bool]) {
+    let surviving = dropped.iter().filter(|&&d| !d).count().max(1);
+    let factor = dropped.len() as f64 / surviving as f64;
+    out.iter_mut().for_each(|o| *o *= factor);
 }
 
 #[cfg(test)]
@@ -1413,6 +1411,23 @@ mod tests {
     #[should_panic(expected = "numerator must not exceed denominator")]
     fn oblivious_subsampling_rejects_invalid_fraction() {
         let _ = ObliviousSubsampling::new(3, 2);
+    }
+
+    #[test]
+    fn oblivious_slot_layout_is_exactly_uniform() {
+        // A uniform rotation makes every choice real with probability numerator / P,
+        // and a uniform choice does so for every rotation: neither half alone decides.
+        for p in [1u64, 2, 7] {
+            for numerator in 0..=p {
+                let ot = ObliviousSubsampling::new(numerator, p);
+                for fixed in 0..p {
+                    let rotations = (0..p).filter(|&o| ot.is_real(fixed, o)).count() as u64;
+                    let choices = (0..p).filter(|&c| ot.is_real(c, fixed)).count() as u64;
+                    assert_eq!(rotations, numerator, "P = {p}, choice {fixed}");
+                    assert_eq!(choices, numerator, "P = {p}, rotation {fixed}");
+                }
+            }
+        }
     }
 
     #[test]

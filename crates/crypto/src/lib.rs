@@ -27,7 +27,6 @@ pub mod blinding;
 pub mod dh;
 pub mod fixed_point;
 pub mod masking;
-pub mod oblivious_transfer;
 pub mod paillier;
 pub mod sha256;
 
@@ -35,7 +34,6 @@ pub use blinding::MultiplicativeBlinder;
 pub use dh::{DhGroup, DhKeyPair};
 pub use fixed_point::FixedPointCodec;
 pub use masking::{MaskGenerator, MaskSeed};
-pub use oblivious_transfer::{OneOutOfP, ReceiverOutput, SenderView};
 pub use paillier::{
     Ciphertext, FixedBaseEnc0, PaillierKeyPair, PaillierPublicKey, PaillierSecretKey,
 };

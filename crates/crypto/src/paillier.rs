@@ -235,11 +235,6 @@ impl PaillierPublicKey {
         Ciphertext(mod_mul(&c.0, &rn, &self.n_squared))
     }
 
-    /// The encryption of zero with randomness one (useful as an additive identity).
-    pub fn trivial_zero(&self) -> Ciphertext {
-        Ciphertext(BigUint::one())
-    }
-
     /// Homomorphic addition of two ciphertexts: `Dec(add(a, b)) = Dec(a) + Dec(b) mod n`.
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
         Ciphertext(mod_mul(&a.0, &b.0, &self.n_squared))
@@ -476,6 +471,11 @@ mod tests {
         PaillierKeyPair::generate(&mut rng, bits)
     }
 
+    /// The encryption of zero with randomness one: the additive identity.
+    fn trivial_zero() -> Ciphertext {
+        Ciphertext(BigUint::one())
+    }
+
     #[test]
     fn encrypt_decrypt_roundtrip() {
         let kp = keypair(256, 1);
@@ -567,15 +567,14 @@ mod tests {
         let values: Vec<u64> = (1..=20).collect();
         let ciphertexts: Vec<Ciphertext> =
             values.iter().map(|&v| kp.public.encrypt(&mut rng, &BigUint::from_u64(v))).collect();
-        let total =
-            ciphertexts.iter().fold(kp.public.trivial_zero(), |acc, c| kp.public.add(&acc, c));
+        let total = ciphertexts.iter().fold(trivial_zero(), |acc, c| kp.public.add(&acc, c));
         assert_eq!(kp.secret.decrypt(&total), BigUint::from_u64(values.iter().sum()));
     }
 
     #[test]
     fn trivial_zero_decrypts_to_zero() {
         let kp = keypair(128, 15);
-        assert_eq!(kp.secret.decrypt(&kp.public.trivial_zero()), BigUint::zero());
+        assert_eq!(kp.secret.decrypt(&trivial_zero()), BigUint::zero());
     }
 
     #[test]

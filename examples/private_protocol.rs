@@ -1,9 +1,11 @@
 //! The private weighting protocol (Protocol 1) end to end: setup (Paillier + DH key
-//! exchange, blinded histogram aggregation) followed by two encrypted weighting rounds
-//! over every user, each checked against the plaintext aggregation. The first round
-//! encrypts every user's inverse and the silos derive their `b_u` powers; the second
-//! re-sends those ciphertexts and builds its tables from the powers the silos hold. Its
-//! phase timings are printed.
+//! exchange, blinded histogram aggregation) followed by three encrypted weighting
+//! rounds, each checked against the plaintext aggregation. The first two run over every
+//! user: the first encrypts every user's inverse and the silos derive their `b_u`
+//! powers; the second re-sends those ciphertexts and builds its tables from the powers
+//! the silos hold. The third samples users by oblivious transfer at q = 1/4 and is
+//! checked against the plaintext aggregation of its realised selection. The phase
+//! timings of the last two rounds are printed.
 //!
 //! With `ULDP_TRACE=1` the run also writes a chrome trace (to `ULDP_TRACE_OUT`, default
 //! `ULDP_trace.json`; open it in Perfetto or `chrome://tracing`) and prints the flat
@@ -16,7 +18,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use uldp_fl::core::{PrivateWeightingProtocol, ProtocolConfig};
+use uldp_fl::core::{
+    ObliviousSubsampling, PrivateWeightingProtocol, ProtocolConfig, SampleMask, Sampling,
+};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(3);
@@ -70,31 +74,46 @@ fn main() {
         (clipped_deltas, noises)
     };
 
-    let rounds = (1..=2).map(|round| {
-        let (clipped_deltas, noises) = round_inputs(&mut rng);
-        let (secure, report) = protocol.weighting_round(&clipped_deltas, &noises, None, &mut rng);
-        let reference = protocol.plaintext_reference(&clipped_deltas, &noises, None);
-        let max_err =
-            secure.iter().zip(reference.iter()).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
+    let reports: Vec<_> = (1..=3)
+        .map(|round| {
+            let (clipped_deltas, noises) = round_inputs(&mut rng);
+            let sampling =
+                if round < 3 { Sampling::All } else { ObliviousSubsampling::new(1, 4).into() };
+            let (secure, report) =
+                protocol.weighting_round(&clipped_deltas, &noises, sampling, &mut rng);
+            let sampled = report.selected.clone().map(SampleMask::from_dense);
+            let reference =
+                protocol.plaintext_reference(&clipped_deltas, &noises, sampled.as_ref());
+            let max_err = secure
+                .iter()
+                .zip(reference.iter())
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0f64, f64::max);
+            println!(
+                "\nround {round}: max |secure - plaintext| = {max_err:.3e} (precision P = {})",
+                config.precision
+            );
+            assert!(max_err < 1e-6, "round {round}: protocol output diverged from the plaintext");
+            report
+        })
+        .collect();
+    let sampled = reports[2].selected.iter().flatten().filter(|&&s| s).count();
+    let titles = [
+        format!("second weighting round ({dim} parameters, ciphertexts and b_u held)"),
+        format!("third, oblivious round (q = 1/4, {sampled} of {num_users} users sampled)"),
+    ];
+    for (title, timings) in titles.iter().zip(&reports[1..]) {
+        println!("\n{title}:");
         println!(
-            "\nround {round}: max |secure - plaintext| = {max_err:.3e} (precision P = {})",
-            config.precision
+            "  server encryption      {:>10.2?}\n  silo weighted encryption {:>9.2?}\n  aggregation + decrypt  {:>10.2?}\n  total round            {:>10.2?}",
+            timings.server_encryption,
+            timings.silo_weighting,
+            timings.aggregation,
+            timings.total()
         );
-        assert!(max_err < 1e-6, "round {round}: protocol output diverged from the plaintext");
-        report
-    });
-    let timings = rounds.last().expect("two rounds");
-
-    println!("\nsecond weighting round ({} parameters, ciphertexts and b_u held):", dim);
+    }
     println!(
-        "  server encryption      {:>10.2?}\n  silo weighted encryption {:>9.2?}\n  aggregation + decrypt  {:>10.2?}\n  total round            {:>10.2?}",
-        timings.server_encryption,
-        timings.silo_weighting,
-        timings.aggregation,
-        timings.total()
-    );
-    println!(
-        "correctness check passed: both encrypted aggregates match the plaintext weighted sums."
+        "correctness check passed: all three encrypted aggregates match the plaintext weighted sums."
     );
 
     if uldp_fl::telemetry::enabled() {

@@ -3,7 +3,9 @@
 //! Round 1 encrypts every user's blinded inverse; every later q = 1 round sends the
 //! same ciphertexts again, so it encrypts nothing and the server re-randomises nothing.
 //! The only re-randomisations of a steady round are the silos' refreshes of their
-//! outgoing cells.
+//! outgoing cells. An oblivious round encrypts two ciphertexts per user, the real one
+//! and a dummy `Enc(0)`, whatever its slot count `P`, and it too re-randomises only
+//! its outgoing cells.
 //!
 //! Step 2.(b) is the silos' work and is computed from the ciphertexts they receive.
 //! Round 1 raises each record holder's ciphertext once to its full-width blinding
@@ -28,7 +30,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use uldp_fl::bigint::montgomery::multi_exp_window;
-use uldp_fl::core::{FaultPlan, PrivateWeightingProtocol, ProtocolConfig};
+use uldp_fl::core::{
+    FaultPlan, ObliviousSubsampling, PrivateWeightingProtocol, ProtocolConfig, SampleMask,
+};
 use uldp_fl::telemetry::metrics;
 
 type Deltas = Vec<Vec<Vec<f64>>>;
@@ -165,6 +169,21 @@ fn cached_round_costs_one_multi_exponentiation_per_cell_and_refresh() {
     let (table_mul, table_sqr) = (2 * users * ((1 << (w - 1)) - 1), 2 * users);
     assert_eq!(power_mul - zero_mul, table_mul + ladder_mul, "table and ladder multiplications");
     assert_eq!(power_sqr - zero_sqr, table_sqr + ladder_sqr, "table and ladder squarings");
+
+    // Oblivious rounds: the server encrypts each user's inverse and one Enc(0), whatever
+    // P, and only the outgoing cells are re-randomised.
+    for slots in [2, 10_000] {
+        uldp_fl::telemetry::reset();
+        let sampling = ObliviousSubsampling::new(1, slots);
+        let (out, report) = protocol.weighting_round(&deltas, &noises, sampling, &mut rng);
+        assert_eq!(metrics::PAILLIER_ENCRYPT.get(), 2 * users, "P = {slots}: two per user");
+        assert_eq!(metrics::PAILLIER_RERANDOMISE.get(), cells, "P = {slots}: cells only");
+        let selected = SampleMask::from_dense(report.selected.expect("oblivious selection"));
+        let reference = protocol.plaintext_reference(&deltas, &noises, Some(&selected));
+        for (a, b) in out.iter().zip(reference.iter()) {
+            assert!((a - b).abs() < 1e-6, "P = {slots}: secure {a} vs plaintext {b}");
+        }
+    }
 
     // A round in which one of the three silos drops: users that only the dropped silo
     // weighs get no tables, and its cells cost nothing.
