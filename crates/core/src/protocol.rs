@@ -69,12 +69,12 @@
 //! count ([`ProtocolConfig::threads`] / `ULDP_THREADS`).
 //!
 //! All exponentiations run on the Montgomery engine of `uldp-bigint` through contexts
-//! cached in the Paillier keys at setup. Step 2.(a) encrypts over the `n²` context and
-//! step 2.(c) decrypts by CRT over `p²`/`q²` contexts. Step 2.(b) splits its exponent:
-//! the full-width blinding part `f_u = r_u·C_LCM mod n` is raised once per user,
-//! `b_u = c_u^{f_u} mod n²`, with all the `b_u⁻¹` from one batch inversion
-//! (`ModulusCtx::batch_inv`): every round under a mask or oblivious sampling, once
-//! under [`Sampling::All`] (see "q = 1 ciphertexts are sent once"). Each of `b_u`,
+//! cached in the Paillier keys at setup. Step 2.(a) encrypts by CRT over `p`/`p²` and
+//! `q`/`q²` contexts and step 2.(c) decrypts by CRT over the `p²`/`q²` contexts. Step
+//! 2.(b) splits its exponent: the full-width blinding part `f_u = r_u·C_LCM mod n` is
+//! raised once per user, `b_u = c_u^{f_u} mod n²`, with all the `b_u⁻¹` from one batch
+//! inversion (`ModulusCtx::batch_inv`): every round under a mask or oblivious sampling,
+//! once under [`Sampling::All`] (see "q = 1 ciphertexts are sent once"). Each of `b_u`,
 //! `b_u⁻¹` gets one odd-power window table per round (`ModulusCtx::window_table`),
 //! built on the pool and shared by every silo and cell. Each cell is then one pass of
 //! the shared sliding-window ladder (`ModulusCtx::multi_exp_tables`) over references
@@ -451,7 +451,8 @@ impl Server {
     /// histograms never change the list and a mask round costs `O(q·|U|)`. A `hold` round (a
     /// [`Sampling::All`] round without [`ProtocolConfig::fresh_encrypt`]) lends the
     /// ciphertexts the first such round encrypted; any other round encrypts its active
-    /// users in one pooled batch.
+    /// users in one pooled batch, each by the key holder's CRT encryption
+    /// ([`PaillierSecretKey::encrypt`]).
     ///
     /// An active user with no records gets `Enc(0)`. Exactly one 256-bit batch
     /// seed is drawn from the caller's RNG whichever path runs, so re-sent and fresh
@@ -467,7 +468,6 @@ impl Server {
         rng: &mut R,
     ) -> (Vec<u32>, Cow<'_, [Ciphertext]>) {
         debug_assert!(!hold || sampled.is_none(), "only a Sampling::All round holds");
-        let key = &self.public.key;
         let zero = BigUint::zero();
         let batch_seed = seeding::wide_seed_from_rng(rng);
         let active: Vec<u32> = match sampled {
@@ -478,7 +478,7 @@ impl Server {
             rt.par_map(&active, |_, &u| {
                 let mut rng = StdRng::from_seed(seeding::index_seed_wide(batch_seed, u as u64));
                 let inverse = self.blinded_inverses[u as usize].as_ref();
-                key.encrypt(&mut rng, inverse.unwrap_or(&zero))
+                self.secret.encrypt(&mut rng, inverse.unwrap_or(&zero))
             })
         };
         let (cts, encrypted) = if !hold {
@@ -496,22 +496,21 @@ impl Server {
     /// Step 2.(a) under oblivious sub-sampling, the server's half: every user's offer
     /// ([`ObliviousSubsampling`]), drawn from the user's `(seed, u)` stream of one batch
     /// seed: `Enc(B_inv(N_u))` (`Enc(0)` for a user with no records), one `Enc(0)` and
-    /// the rotation. Two encryptions per user whatever `P`, and the same offers at any
-    /// thread count.
+    /// the rotation. Two CRT encryptions per user ([`PaillierSecretKey::encrypt`])
+    /// whatever `P`, and the same offers at any thread count.
     fn offer_inverses<R: Rng + ?Sized>(
         &self,
         rt: &Runtime,
         ot: ObliviousSubsampling,
         rng: &mut R,
     ) -> Vec<Offer> {
-        let key = &self.public.key;
         let zero = BigUint::zero();
         let batch_seed = seeding::wide_seed_from_rng(rng);
         let num_users = self.blinded_inverses.len();
-        *self.last_sent.lock().expect("round stats mutex poisoned") = (num_users, 0);
+        *self.last_sent.lock().expect("round stats mutex poisoned") = (2 * num_users, 0);
         rt.par_map_wide_seeded(num_users, batch_seed, |u, rng| Offer {
-            real: key.encrypt(rng, self.blinded_inverses[u].as_ref().unwrap_or(&zero)),
-            dummy: key.encrypt(rng, &zero),
+            real: self.secret.encrypt(rng, self.blinded_inverses[u].as_ref().unwrap_or(&zero)),
+            dummy: self.secret.encrypt(rng, &zero),
             rotation: rng.gen_range(0..ot.denominator),
         })
     }
@@ -957,9 +956,10 @@ impl PrivateWeightingProtocol {
     }
 
     /// `(encrypted, re-sent)` ciphertext counts of the most recent round's step 2.(a):
-    /// how many encrypted inverses were freshly Paillier-encrypted vs sent again as the
-    /// first [`Sampling::All`] round encrypted them. Mask and oblivious rounds, and
-    /// every round under [`ProtocolConfig::fresh_encrypt`], report `(active users, 0)`.
+    /// how many ciphertexts were freshly Paillier-encrypted vs sent again as the first
+    /// [`Sampling::All`] round encrypted them. Mask rounds, and every round under
+    /// [`ProtocolConfig::fresh_encrypt`], report `(active users, 0)`; an oblivious round
+    /// reports `(2·|U|, 0)`, its real and dummy ciphertext per user.
     pub fn round_cache_stats(&self) -> (usize, usize) {
         *self.server.last_sent.lock().expect("round stats mutex poisoned")
     }
@@ -1696,6 +1696,31 @@ mod tests {
             assert_eq!(protocol.round_cache_stats(), (mask.sampled_count(), 0), "{what}");
             let exact = exact_aggregate(&protocol, &deltas, &noises, Some(&mask), &[false; 2]);
             assert_exact(&out, &exact, &what);
+        }
+    }
+
+    #[test]
+    fn mask_round_sends_the_public_encryption_of_each_users_stream() {
+        // The server encrypts by CRT with its factors. What step 2.(a) sends is bit for
+        // bit the public `key.encrypt` on each sampled user's `(batch seed, u)` stream,
+        // `Enc(0)` for user 11, who holds no records, and the caller's RNG gives up one
+        // batch seed either way.
+        let histogram = wide_histogram();
+        let mask = SampleMask::from_sorted_indices(13, vec![2, 7, 11]);
+        let mut rng = StdRng::seed_from_u64(71);
+        let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
+        let server = &protocol.server;
+        let mut public_rng = rng.clone();
+        let (active, cts) =
+            server.encrypt_inverses(protocol.runtime(), Some(&mask), false, &mut rng);
+        let batch_seed = seeding::wide_seed_from_rng(&mut public_rng);
+        assert_eq!(rng.gen::<u64>(), public_rng.gen::<u64>(), "one batch seed drawn");
+        assert_eq!(active, [2, 7, 11]);
+        assert!(server.blinded_inverses[11].is_none(), "user 11 holds no records");
+        for (&u, sent) in active.iter().zip(cts.iter()) {
+            let mut user_rng = StdRng::from_seed(seeding::index_seed_wide(batch_seed, u as u64));
+            let inverse = server.blinded_inverses[u as usize].clone().unwrap_or_default();
+            assert_eq!(*sent, server.public.key.encrypt(&mut user_rng, &inverse), "user {u}");
         }
     }
 

@@ -21,15 +21,31 @@
 //! Homomorphic operations: ciphertext addition is multiplication mod `n²`, and
 //! multiplication by a plaintext scalar is modular exponentiation.
 //!
+//! ## Key-holder encryption
+//!
+//! The key holder encrypts by CRT too ([`PaillierSecretKey::encrypt`]). `a^p mod p²`
+//! depends only on `a mod p`, and `r^q ≡ r^{q mod (p−1)} (mod p)` for a unit `r`, so
+//!
+//! `r^n mod p² = (r^{q mod (p−1)} mod p)^p mod p²`,
+//!
+//! and the same for `q`. The two halves recombine mod `n²` by Garner's formula with
+//! `(p²)^{-1} mod q²`: one power mod `p` and one mod `p²` per prime, each with an
+//! exponent of about `|n|/2` bits, in place of one `|n|`-bit power mod `n²`. For
+//! `n = pq`, `gcd(r, n) = 1` iff `r mod p ≠ 0` and `r mod q ≠ 0`, so the key holder
+//! draws `r` by the same rejection loop as [`PaillierPublicKey::encrypt`], tests it by
+//! these two remainders, and returns the same ciphertext bit for bit from the same
+//! RNG state.
+//!
 //! ## The Montgomery engine
 //!
-//! Every exponentiation here runs over a handful of fixed moduli (`n²` for
-//! encryption/scalar multiplication, `p²`/`q²` for CRT decryption), so both keys carry
-//! lazily-built, shared [`ModulusCtx`] caches and route through the Montgomery engine of
-//! `uldp-bigint` by default; the `(1 + m·n) mod n²` encryption step and the `L(x)`
-//! decryption step stay in normal form at the boundaries. Results are
-//! bitwise-identical to the schoolbook square-and-multiply [`mod_pow`]; the tests below
-//! compare every engine call site against it.
+//! Every exponentiation here runs over a handful of fixed moduli (`n²` for public
+//! encryption and scalar multiplication, `p`/`p²` and `q`/`q²` for the key holder's CRT
+//! encryption and decryption), so both keys carry lazily-built, shared [`ModulusCtx`]
+//! caches and route through the Montgomery engine of `uldp-bigint` by default; the
+//! `(1 + m·n) mod n²` encryption step and the `L(x)` decryption step stay in normal
+//! form at the boundaries. Results are bitwise-identical to the schoolbook
+//! square-and-multiply [`mod_pow`]; the tests below compare every engine call site
+//! against it.
 //!
 //! Keys are built on safe primes, and a party that re-randomises many ciphertexts under
 //! one key can hold a [`FixedBaseEnc0`]: encryptions of zero on fixed bases, with a short
@@ -92,6 +108,14 @@ pub struct PaillierSecretKey {
     h_q: BigUint,
     /// `p^{-1} mod q` for the CRT recombination mod `n`.
     p_inv_mod_q: BigUint,
+    /// The encryption exponents `q mod (p − 1)` / `p mod (q − 1)` of the CRT halves.
+    q_mod_p_minus_1: BigUint,
+    p_mod_q_minus_1: BigUint,
+    /// `(p²)^{-1} mod q²` for the CRT recombination mod `n²`.
+    p2_inv_mod_q2: BigUint,
+    /// Lazily-built Montgomery contexts for `p` / `q` (encryption only).
+    ctx_p: OnceLock<Arc<ModulusCtx>>,
+    ctx_q: OnceLock<Arc<ModulusCtx>>,
     /// Lazily-built Montgomery contexts for `p²` / `q²`.
     ctx_p2: OnceLock<Arc<ModulusCtx>>,
     ctx_q2: OnceLock<Arc<ModulusCtx>>,
@@ -158,6 +182,10 @@ impl PaillierKeyPair {
             let h_p = mod_inv(&l_of(&mod_pow(&g, &p1, &p_squared), &p), &p).expect("h_p exists");
             let h_q = mod_inv(&l_of(&mod_pow(&g, &q1, &q_squared), &q), &q).expect("h_q exists");
             let p_inv_mod_q = mod_inv(&p, &q).expect("p is a unit modulo q");
+            // Key-holder encryption: the reduced exponents of r^n mod p² and mod q², and
+            // p² is a unit modulo q² as p is modulo q.
+            let (q_mod_p_minus_1, p_mod_q_minus_1) = (q.rem(&p1), p.rem(&q1));
+            let p2_inv_mod_q2 = mod_inv(&p_squared, &q_squared).expect("p² is a unit modulo q²");
             let public = PaillierPublicKey::new(n);
             let secret = PaillierSecretKey {
                 lambda,
@@ -172,6 +200,11 @@ impl PaillierKeyPair {
                 h_p,
                 h_q,
                 p_inv_mod_q,
+                q_mod_p_minus_1,
+                p_mod_q_minus_1,
+                p2_inv_mod_q2,
+                ctx_p: OnceLock::new(),
+                ctx_q: OnceLock::new(),
                 ctx_p2: OnceLock::new(),
                 ctx_q2: OnceLock::new(),
             };
@@ -370,6 +403,47 @@ impl FixedBaseEnc0 {
 }
 
 impl PaillierSecretKey {
+    /// Encrypts a plaintext `m ∈ F_n` with fresh randomness, by CRT (see "Key-holder
+    /// encryption" in the module doc).
+    ///
+    /// Returns exactly the ciphertext [`PaillierPublicKey::encrypt`] returns from the
+    /// same RNG state and leaves the RNG in the same state: the same `r`, tested for a
+    /// unit by its remainders mod `p` and `q` instead of a gcd. `r^n mod n²` takes four
+    /// half-width powers over the `p`, `p²`, `q` and `q²` contexts (debug builds
+    /// cross-check every call against the schoolbook `(1 + m·n)·r^n mod n²`).
+    pub fn encrypt<R: Rng + ?Sized>(&self, rng: &mut R, m: &BigUint) -> Ciphertext {
+        uldp_telemetry::metrics::PAILLIER_ENCRYPT.inc();
+        let pk = &self.public;
+        let m = m.rem(&pk.n);
+        let (r, (r_p, r_q)) = loop {
+            let r = BigUint::random_below(rng, &pk.n);
+            if let Some(residues) = self.unit_residues(&r) {
+                break (r, residues);
+            }
+        };
+        let (p2, q2) = (&self.p_squared, &self.q_squared);
+        let x_p = self.ctx_p2().pow(&self.ctx_p().pow(&r_p, &self.q_mod_p_minus_1), &self.p);
+        let x_q = self.ctx_q2().pow(&self.ctx_q().pow(&r_q, &self.p_mod_q_minus_1), &self.q);
+        let diff = mod_sub(&x_q, &x_p.rem(q2), q2);
+        let rn = x_p.add(&p2.mul(&mod_mul(&diff, &self.p2_inv_mod_q2, q2)));
+        let gm = BigUint::one().add(&m.mul(&pk.n)).rem(&pk.n_squared);
+        let c = mod_mul(&gm, &rn, &pk.n_squared);
+        debug_assert!(uldp_bigint::gcd(&r, &pk.n).is_one(), "r must be a unit mod n");
+        debug_assert_eq!(
+            c,
+            mod_mul(&gm, &mod_pow(&r, &pk.n, &pk.n_squared), &pk.n_squared),
+            "CRT encryption must match the public (1 + m·n)·r^n path"
+        );
+        Ciphertext(c)
+    }
+
+    /// `(r mod p, r mod q)` if `r` is a unit mod `n`, i.e. neither remainder is zero:
+    /// for `n = pq` the same test as `gcd(r, n) = 1`.
+    fn unit_residues(&self, r: &BigUint) -> Option<(BigUint, BigUint)> {
+        let (r_p, r_q) = (r.rem(&self.p), r.rem(&self.q));
+        (!r_p.is_zero() && !r_q.is_zero()).then_some((r_p, r_q))
+    }
+
     /// Decrypts a ciphertext back to `F_n`.
     ///
     /// Runs Paillier's CRT decryption (see the module doc): two half-width
@@ -431,6 +505,16 @@ impl PaillierSecretKey {
         let m_q = mod_mul(&l_of(&x_q, q), &self.h_q, q);
         let diff = mod_sub(&m_q, &m_p.rem(q), q);
         m_p.add(&p.mul(&mod_mul(&diff, &self.p_inv_mod_q, q)))
+    }
+
+    /// The shared Montgomery context for `p`.
+    fn ctx_p(&self) -> &Arc<ModulusCtx> {
+        self.ctx_p.get_or_init(|| Arc::new(ModulusCtx::new(&self.p)))
+    }
+
+    /// The shared Montgomery context for `q`.
+    fn ctx_q(&self) -> &Arc<ModulusCtx> {
+        self.ctx_q.get_or_init(|| Arc::new(ModulusCtx::new(&self.q)))
     }
 
     /// The shared Montgomery context for `p²`.
@@ -624,6 +708,90 @@ mod tests {
             let rn = mod_pow(&r, &kp.public.n, &kp.public.n_squared);
             let schoolbook = mod_mul(&gm, &rn, &kp.public.n_squared);
             assert_eq!(engine.0, schoolbook);
+        }
+    }
+
+    /// Encrypts `0, 1, n − 1, n + 5` and a random plaintext with the secret and the
+    /// public key from clones of one RNG: the same ciphertexts, and the RNGs give the
+    /// same next draw afterwards.
+    fn assert_key_holder_encryption_matches_public(kp: &PaillierKeyPair, rng: &mut StdRng) {
+        let n = &kp.public.n;
+        let random = BigUint::random_below(rng, n);
+        let plaintexts =
+            [BigUint::zero(), BigUint::one(), n.sub(&BigUint::one()), n.add(&BigUint::from_u64(5))];
+        for m in plaintexts.into_iter().chain([random]) {
+            let mut public_rng = rng.clone();
+            let by_secret = kp.secret.encrypt(rng, &m);
+            let by_public = kp.public.encrypt(&mut public_rng, &m);
+            let what = format!("{}-bit n, m = {}", n.bit_length(), m.to_decimal());
+            assert_eq!(by_secret, by_public, "{what}");
+            assert_eq!(rng.gen::<u64>(), public_rng.gen::<u64>(), "{what}: RNG state");
+            assert_eq!(kp.secret.decrypt(&by_secret), m.rem(n), "{what}");
+        }
+    }
+
+    #[test]
+    fn key_holder_encryption_matches_public_encryption_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(50);
+        for (bits, seed) in [(32, 51), (64, 52), (128, 53), (256, 54), (512, 55)] {
+            assert_key_holder_encryption_matches_public(&keypair(bits, seed), &mut rng);
+        }
+    }
+
+    #[test]
+    fn key_holder_encryption_rejects_the_same_draws_as_public_encryption() {
+        // At a 16-bit key, p and q have 8 bits: one draw in 64 to 128 is a multiple of
+        // one of them, so the rejection loop runs. Both paths skip exactly those draws.
+        let kp = keypair(16, 56);
+        let n = &kp.public.n;
+        let mut rng = StdRng::seed_from_u64(57);
+        let mut rejected = 0;
+        for v in 0..400u64 {
+            let first = BigUint::random_below(&mut rng.clone(), n);
+            rejected += usize::from(!uldp_bigint::gcd(&first, n).is_one());
+            let mut public_rng = rng.clone();
+            let m = BigUint::from_u64(v);
+            assert_eq!(kp.secret.encrypt(&mut rng, &m), kp.public.encrypt(&mut public_rng, &m));
+            assert_eq!(rng.gen::<u64>(), public_rng.gen::<u64>());
+        }
+        assert!(rejected > 0, "some first draw must be rejected");
+    }
+
+    #[test]
+    fn unit_check_by_factors_agrees_with_gcd() {
+        let kp = keypair(128, 58);
+        let mut rng = StdRng::seed_from_u64(59);
+        let n = &kp.public.n;
+        let (p, q) = kp.secret.primes();
+        let mut candidates = vec![
+            BigUint::zero(),
+            BigUint::one(),
+            p.clone(),
+            q.clone(),
+            p.add(p),
+            n.sub(q),
+            n.sub(&BigUint::one()),
+        ];
+        candidates.extend((0..8).map(|_| BigUint::random_below(&mut rng, n)));
+        for r in &candidates {
+            let expected = uldp_bigint::gcd(r, n).is_one();
+            let residues = kp.secret.unit_residues(r);
+            assert_eq!(residues.is_some(), expected, "r = {}", r.to_decimal());
+            if let Some(residues) = residues {
+                assert_eq!(residues, (r.rem(p), r.rem(q)));
+            }
+        }
+    }
+
+    /// The exact-width Montgomery kernels of `p`/`p²` at 8/16 and 16/32 limbs run only
+    /// at these key sizes, which take too long to generate in a debug build:
+    /// `cargo test --release -p uldp-crypto -- --include-ignored`.
+    #[test]
+    #[ignore = "1024- and 2048-bit key generation is too slow in debug builds"]
+    fn key_holder_encryption_matches_public_encryption_at_large_keys() {
+        let mut rng = StdRng::seed_from_u64(60);
+        for (bits, seed) in [(1024, 61), (2048, 62)] {
+            assert_key_holder_encryption_matches_public(&keypair(bits, seed), &mut rng);
         }
     }
 

@@ -2,6 +2,8 @@
 //!
 //! Round 1 encrypts every user's blinded inverse; every later q = 1 round sends the
 //! same ciphertexts again, so it encrypts nothing and the server re-randomises nothing.
+//! The server encrypts by CRT with its factors: four half-width sliding-window
+//! exponentiations per ciphertext (mod `p`, `p²`, `q` and `q²`).
 //! The only re-randomisations of a steady round are the silos' refreshes of their
 //! outgoing cells. An oblivious round encrypts two ciphertexts per user, the real one
 //! and a dummy `Enc(0)`, whatever its slot count `P`, and it too re-randomises only
@@ -91,17 +93,19 @@ fn cached_round_costs_one_multi_exponentiation_per_cell_and_refresh() {
     assert_eq!(metrics::PAILLIER_ENCRYPT.get(), users, "round 1 encrypts every user");
     assert_eq!(
         metrics::MODPOW_WINDOW.get(),
-        2 * users + window,
-        "round 1: encryptions, b_u powers, decryption"
+        5 * users + window,
+        "round 1: four CRT powers per encryption, one b_u power per user, decryption"
     );
     assert_eq!(metrics::PAILLIER_RERANDOMISE.get(), cells, "round 1 re-randomises only cells");
     assert_eq!(metrics::MODPOW_FIXED_BASE.get(), cells, "one fixed-base Enc(0) per cell");
     assert_eq!(metrics::WINDOW_TABLE.get(), 2 * users, "tables of b_u and b_u⁻¹ per user");
     assert_eq!(protocol.round_cache_stats(), (users as usize, 0));
+    assert_eq!(protocol.round_cache_stats().0 as u64, metrics::PAILLIER_ENCRYPT.get());
     uldp_fl::telemetry::reset();
     // Round 2 sends round 1's ciphertexts again.
     let (out, _) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
     assert_eq!(protocol.round_cache_stats(), (0, users as usize));
+    assert_eq!(protocol.round_cache_stats().0 as u64, metrics::PAILLIER_ENCRYPT.get());
     let encrypt = metrics::PAILLIER_ENCRYPT.get();
     let fixed_base = metrics::MODPOW_FIXED_BASE.get();
     let sliding_window = metrics::MODPOW_WINDOW.get();
@@ -143,6 +147,7 @@ fn cached_round_costs_one_multi_exponentiation_per_cell_and_refresh() {
             assert!((a - b).abs() < 1e-6, "secure {a} vs plaintext {b}");
         }
         assert_eq!(metrics::WINDOW_TABLE.get(), 2 * users);
+        assert_eq!(protocol.round_cache_stats().0 as u64, metrics::PAILLIER_ENCRYPT.get());
         mont_ops()
     };
     let (zero_mul, zero_sqr) = fresh_round(&zeros, &mut rng);
@@ -171,12 +176,19 @@ fn cached_round_costs_one_multi_exponentiation_per_cell_and_refresh() {
     assert_eq!(power_sqr - zero_sqr, table_sqr + ladder_sqr, "table and ladder squarings");
 
     // Oblivious rounds: the server encrypts each user's inverse and one Enc(0), whatever
-    // P, and only the outgoing cells are re-randomised.
+    // P, and only the outgoing cells are re-randomised. Every user is active and holds
+    // records, so the silos raise one b_u power per user.
     for slots in [2, 10_000] {
         uldp_fl::telemetry::reset();
         let sampling = ObliviousSubsampling::new(1, slots);
         let (out, report) = protocol.weighting_round(&deltas, &noises, sampling, &mut rng);
         assert_eq!(metrics::PAILLIER_ENCRYPT.get(), 2 * users, "P = {slots}: two per user");
+        assert_eq!(protocol.round_cache_stats(), (2 * users as usize, 0), "P = {slots}");
+        assert_eq!(
+            metrics::MODPOW_WINDOW.get(),
+            8 * users + users + window,
+            "P = {slots}: four CRT powers per encryption, one b_u power per user, decryption"
+        );
         assert_eq!(metrics::PAILLIER_RERANDOMISE.get(), cells, "P = {slots}: cells only");
         let selected = SampleMask::from_dense(report.selected.expect("oblivious selection"));
         let reference = protocol.plaintext_reference(&deltas, &noises, Some(&selected));
@@ -200,6 +212,8 @@ fn cached_round_costs_one_multi_exponentiation_per_cell_and_refresh() {
     assert_eq!(weighed, users - 1, "the dropped silo's own user is weighed by nobody");
     assert_eq!(metrics::WINDOW_TABLE.get(), 2 * weighed, "tables only for surviving weights");
     assert_eq!(metrics::MULTI_EXP.get(), survivors * dim as u64, "surviving cells only");
+    assert_eq!(faulted.round_cache_stats(), (users as usize, 0), "the first round encrypts all");
+    assert_eq!(faulted.round_cache_stats().0 as u64, metrics::PAILLIER_ENCRYPT.get());
     uldp_fl::telemetry::set_enabled(false);
     let reference = faulted.plaintext_reference_faulted(&deltas, &noises, None, &report.dropped);
     for (a, b) in out.iter().zip(reference.iter()) {
