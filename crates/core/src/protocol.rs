@@ -186,7 +186,9 @@ pub struct ProtocolConfig {
     /// at least 64 bits. Must be `0` when [`ProtocolConfig::use_rfc_group`] is set;
     /// [`PrivateWeightingProtocol::setup`] rejects any other value rather than ignore it.
     pub dh_bits: usize,
-    /// Use the RFC 3526 2048-bit MODP group instead of generating a custom group.
+    /// Use the RFC 3526 MODP group that matches the Paillier key instead of generating a
+    /// custom group: group 14 (2048 bits, 256-bit secrets) for `paillier_bits ≤ 2048`,
+    /// group 15 (3072 bits, 320-bit secrets) above.
     pub use_rfc_group: bool,
     /// Fixed-point precision parameter `P` of Algorithm 5.
     pub precision: f64,
@@ -262,7 +264,8 @@ impl ProtocolConfig {
 /// Wall-clock timings of the one-off setup phase.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ProtocolTimings {
-    /// Paillier + Diffie–Hellman key generation and pairwise seed agreement (steps a–c).
+    /// Paillier + Diffie–Hellman key generation and pairwise seed agreement (steps a–c),
+    /// and each silo's `FixedBaseEnc0::sample` of its output bases.
     pub key_exchange: Duration,
     /// Blinded-histogram construction and summation (steps d–e); no pairwise mask is
     /// applied (ROADMAP.md, item G).
@@ -696,6 +699,16 @@ impl SiloView {
     }
 }
 
+/// The RFC 3526 group setup runs under [`ProtocolConfig::use_rfc_group`]: group 14 for
+/// Paillier keys up to 2048 bits, group 15, the paper's 3072-bit level, above.
+fn rfc_group(paillier_bits: usize) -> DhGroup {
+    if paillier_bits <= 2048 {
+        DhGroup::rfc3526_2048()
+    } else {
+        DhGroup::rfc3526_3072()
+    }
+}
+
 /// Setup steps 1.(d)–(e): user `u`'s blinded total `Σ_s r_u·n_su mod n`, the sum of the
 /// silos' blinded histograms. No pairwise mask is applied: the sum is computed directly
 /// from the silos' blinded counts, an ideal secure aggregation (ROADMAP.md, item G).
@@ -777,7 +790,7 @@ impl PrivateWeightingProtocol {
             assert!(
                 config.dh_bits == 0,
                 "ProtocolConfig::dh_bits = {} would be ignored: use_rfc_group runs the RFC 3526 \
-                 2048-bit group, so dh_bits must be 0",
+                 group that matches paillier_bits, so dh_bits must be 0",
                 config.dh_bits
             );
         } else {
@@ -798,7 +811,7 @@ impl PrivateWeightingProtocol {
         // context construction mid-round.
         let _ = key.ctx_n2();
         let dh_group = if config.use_rfc_group {
-            DhGroup::rfc3526_2048()
+            rfc_group(config.paillier_bits)
         } else {
             DhGroup::generate(rng, config.dh_bits)
         };
@@ -1456,6 +1469,14 @@ mod tests {
         let cfg = ProtocolConfig { use_rfc_group: true, dh_bits: 512, ..test_config() };
         let mut rng = StdRng::seed_from_u64(10);
         let _ = PrivateWeightingProtocol::setup(&small_histogram(), &cfg, &mut rng);
+    }
+
+    #[test]
+    fn rfc_group_matches_the_paillier_key() {
+        assert_eq!(rfc_group(512), DhGroup::rfc3526_2048());
+        assert_eq!(rfc_group(2048), DhGroup::rfc3526_2048());
+        assert_eq!(rfc_group(2049), DhGroup::rfc3526_3072());
+        assert_eq!(rfc_group(3072), DhGroup::rfc3526_3072());
     }
 
     #[test]

@@ -2,8 +2,21 @@
 //!
 //! In the setup phase of Protocol 1 every silo generates a DH key pair and publishes the
 //! public key through the aggregation server. Each pair of silos then derives a shared
-//! secret from which per-pair, per-user additive masks and the shared random seed `R`
-//! (used for multiplicative blinding) are expanded.
+//! secret, from which the pair's mask seed is expanded. The shared random seed `R` of the
+//! multiplicative blinding is not derived from them: silo 0 draws it and sends it over
+//! the pairwise channels. A silo's secret exponent also keys its private output seed.
+//!
+//! **Secret widths.** The RFC 3526 groups draw secrets of a fixed width with the top bit
+//! set: 256 bits in the 2048-bit group 14 and 320 bits in the 3072-bit group 15, within
+//! the exponent sizes RFC 3526 §8 tabulates for them (220–320 and 260–420 bits). This rests
+//! on the short-exponent assumption that a discrete logarithm known to be that short is as
+//! hard to find as the group's strength (≈112 and ≈128 bits). Both groups are safe-prime
+//! groups, where no subgroup is small enough for Pohlig–Hellman to help, and the best
+//! known attack on a `k`-bit exponent is Pollard's lambda method at about `2^(k/2)` steps
+//! (van Oorschot and Wiener, *On Diffie–Hellman key agreement with short exponents*,
+//! EUROCRYPT 1996). Custom safe-prime groups ([`DhGroup::new`],
+//! [`DhGroup::generate`]) are test-sized, with no tabulated strength, and draw secrets
+//! uniform in `[2, p − 2]`.
 //!
 //! Every exponentiation runs through the group's cached Montgomery context; the tests
 //! pin the keys and shared secrets to the schoolbook `mod_pow`.
@@ -21,6 +34,9 @@ pub struct DhGroup {
     pub p: BigUint,
     /// Generator.
     pub g: BigUint,
+    /// Width of every secret exponent, top bit set; `None` draws secrets uniform in
+    /// `[2, p − 2]`.
+    secret_bits: Option<usize>,
     /// Lazily-built Montgomery context for `p`, shared by every key pair in the group
     /// (all the setup-phase exponentiations of Protocol 1 step 1.(b)-(c) reuse it).
     ctx: OnceLock<Arc<ModulusCtx>>,
@@ -29,7 +45,7 @@ pub struct DhGroup {
 impl PartialEq for DhGroup {
     fn eq(&self, other: &Self) -> bool {
         // The context is derived state.
-        self.p == other.p && self.g == other.g
+        self.p == other.p && self.g == other.g && self.secret_bits == other.secret_bits
     }
 }
 
@@ -44,19 +60,26 @@ const RFC3526_2048_HEX: &str = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1
 const RFC3526_3072_HEX: &str = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7EDEE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3BE39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF6955817183995497CEA956AE515D2261898FA051015728E5A8AAAC42DAD33170D04507A33A85521ABDF1CBA64ECFB850458DBEF0A8AEA71575D060C7DB3970F85A6E1E4C7ABF5AE8CDB0933D71E8C94E04A25619DCEE3D2261AD2EE6BF12FFA06D98A0864D87602733EC86A64521F2B18177B200CBBE117577A615D6C770988C0BAD946E208E24FA074E5AB3143DB5BFCE0FD108E4B82D120A93AD2CAFFFFFFFFFFFFFFFF";
 
 impl DhGroup {
-    /// Builds a group from a modulus and generator.
+    /// Builds a group from a modulus and generator; its secrets are uniform in
+    /// `[2, p − 2]`.
     pub fn new(p: BigUint, g: BigUint) -> Self {
-        DhGroup { p, g, ctx: OnceLock::new() }
+        DhGroup { p, g, secret_bits: None, ctx: OnceLock::new() }
     }
 
-    /// The RFC 3526 2048-bit MODP group (generator 2).
+    /// The RFC 3526 2048-bit MODP group (generator 2), with 256-bit secrets.
     pub fn rfc3526_2048() -> Self {
-        DhGroup::new(BigUint::from_hex(RFC3526_2048_HEX).expect("valid constant"), BigUint::two())
+        DhGroup::rfc3526(RFC3526_2048_HEX, 256)
     }
 
-    /// The RFC 3526 3072-bit MODP group (generator 2); the paper's security level.
+    /// The RFC 3526 3072-bit MODP group (generator 2), with 320-bit secrets; the paper's
+    /// security level.
     pub fn rfc3526_3072() -> Self {
-        DhGroup::new(BigUint::from_hex(RFC3526_3072_HEX).expect("valid constant"), BigUint::two())
+        DhGroup::rfc3526(RFC3526_3072_HEX, 320)
+    }
+
+    fn rfc3526(p_hex: &str, secret_bits: usize) -> Self {
+        let p = BigUint::from_hex(p_hex).expect("valid constant");
+        DhGroup { secret_bits: Some(secret_bits), ..DhGroup::new(p, BigUint::two()) }
     }
 
     /// Generates a custom safe-prime group of the given bit size (for fast tests).
@@ -90,11 +113,17 @@ pub struct DhKeyPair {
 }
 
 impl DhKeyPair {
-    /// Generates a fresh key pair in `group`.
+    /// Generates a fresh key pair in `group`, its secret of the group's secret width
+    /// exactly (256 bits in [`DhGroup::rfc3526_2048`], 320 in [`DhGroup::rfc3526_3072`]),
+    /// or uniform in `[2, p − 2]` in a custom group.
     pub fn generate<R: Rng + ?Sized>(rng: &mut R, group: &DhGroup) -> Self {
-        // Secret exponent in [2, p-2].
-        let upper = group.p.sub(&BigUint::from_u64(3));
-        let secret = BigUint::random_below(rng, &upper).add(&BigUint::two());
+        let secret = match group.secret_bits {
+            Some(bits) => BigUint::random_with_bits(rng, bits),
+            None => {
+                let upper = group.p.sub(&BigUint::from_u64(3));
+                BigUint::random_below(rng, &upper).add(&BigUint::two())
+            }
+        };
         let public = group.pow(&group.g, &secret);
         DhKeyPair { group: group.clone(), secret, public }
     }
@@ -109,8 +138,23 @@ impl DhKeyPair {
         &self.group
     }
 
+    /// Bit length of the secret exponent.
+    pub fn secret_bits(&self) -> usize {
+        self.secret.bit_length()
+    }
+
     /// Computes the raw shared group element `their_public^secret mod p`.
+    ///
+    /// # Panics
+    /// Panics unless `their_public` lies in `[2, p − 2]`: `0`, `1` and `p − 1` would
+    /// confine the shared secret to the subgroups of order 1 and 2.
     pub fn shared_secret(&self, their_public: &BigUint) -> BigUint {
+        let p = &self.group.p;
+        assert!(
+            their_public >= &BigUint::two() && their_public < &p.sub(&BigUint::one()),
+            "DH peer public key is outside [2, p − 2] and would confine the shared secret to \
+             a subgroup of order 1 or 2"
+        );
         self.group.pow(their_public, &self.secret)
     }
 
@@ -150,6 +194,8 @@ mod tests {
     fn rfc_groups_have_expected_sizes() {
         assert_eq!(DhGroup::rfc3526_2048().bits(), 2048);
         assert_eq!(DhGroup::rfc3526_3072().bits(), 3072);
+        assert_eq!(DhGroup::rfc3526_2048().secret_bits, Some(256));
+        assert_eq!(DhGroup::rfc3526_3072().secret_bits, Some(320));
     }
 
     #[test]
@@ -169,8 +215,53 @@ mod tests {
         let group = DhGroup::rfc3526_2048();
         let alice = DhKeyPair::generate(&mut rng, &group);
         let bob = DhKeyPair::generate(&mut rng, &group);
+        assert_eq!((alice.secret_bits(), bob.secret_bits()), (256, 256));
         assert_eq!(alice.shared_secret(bob.public_key()), bob.shared_secret(alice.public_key()));
         assert_matches_schoolbook(&group, &alice, &bob);
+    }
+
+    #[test]
+    fn key_agreement_matches_rfc_3072_group() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let group = DhGroup::rfc3526_3072();
+        let alice = DhKeyPair::generate(&mut rng, &group);
+        let bob = DhKeyPair::generate(&mut rng, &group);
+        assert_eq!((alice.secret_bits(), bob.secret_bits()), (320, 320));
+        assert_eq!(alice.shared_secret(bob.public_key()), bob.shared_secret(alice.public_key()));
+        assert_matches_schoolbook(&group, &alice, &bob);
+    }
+
+    /// Derives a shared secret with the peer key `peer` in the RFC 3526 2048-bit group.
+    fn agree_with(peer: BigUint) {
+        let kp = DhKeyPair::generate(&mut StdRng::seed_from_u64(6), &DhGroup::rfc3526_2048());
+        kp.shared_secret(&peer);
+    }
+
+    #[test]
+    #[should_panic(expected = "DH peer public key is outside [2, p − 2]")]
+    fn rejects_zero_peer_key() {
+        agree_with(BigUint::zero());
+    }
+
+    #[test]
+    #[should_panic(expected = "DH peer public key is outside [2, p − 2]")]
+    fn rejects_one_peer_key() {
+        agree_with(BigUint::one());
+    }
+
+    #[test]
+    #[should_panic(expected = "DH peer public key is outside [2, p − 2]")]
+    fn rejects_p_minus_one_peer_key() {
+        agree_with(DhGroup::rfc3526_2048().p.sub(&BigUint::one()));
+    }
+
+    #[test]
+    fn accepts_the_extreme_valid_peer_keys() {
+        let group = DhGroup::rfc3526_2048();
+        let kp = DhKeyPair::generate(&mut StdRng::seed_from_u64(7), &group);
+        for peer in [BigUint::two(), group.p.sub(&BigUint::two())] {
+            assert_eq!(kp.shared_secret(&peer), mod_pow(&peer, &kp.secret, &group.p));
+        }
     }
 
     #[test]

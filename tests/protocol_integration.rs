@@ -128,7 +128,8 @@ fn subsampled_protocol_round_matches_masked_plaintext() {
 fn paper_scale_rounds_match_plaintext() {
     // `ProtocolConfig::paper_scale()`: a 3072-bit n, so the runtime-width kernel runs at
     // 48 limbs (n, p², q²) and 96 limbs (n², the silos' comb tables), C_LCM =
-    // lcm(1..2000) of 2,878 bits, and the RFC 3526 group. User 0 holds N_max = 2000
+    // lcm(1..2000) of 2,878 bits, and RFC 3526 group 15 (3072 bits, 320-bit DH secrets),
+    // the group `use_rfc_group` picks for a key above 2048 bits. User 0 holds N_max = 2000
     // records, user 7 none. Round 1 encrypts and derives every b_u; round 2 runs on the
     // held ciphertexts and pairs.
     let mut rng = StdRng::seed_from_u64(26);
