@@ -13,7 +13,9 @@
 //! the pooled speedup next to the per-phase timings.
 //!
 //! The Paillier key size defaults to 768 bits at quick scale and 3072 bits (the paper's
-//! security level) at full scale; the table reports the size actually used.
+//! security level) at full scale; the table reports the size actually used, and the
+//! bits of the RFC 3526 group setup's key agreement ran in (group 14 up to 2048-bit keys,
+//! group 15 above).
 //!
 //! ```bash
 //! cargo run --release -p uldp-bench --bin fig10_protocol_bench
@@ -86,6 +88,7 @@ fn bench_scenario(
     row.push_str("silos", dataset.num_silos.to_string());
     row.push_str("params", model_params.to_string());
     row.push_str("key bits", protocol.modulus_bits().to_string());
+    row.push_str("DH bits", protocol.dh_group_bits().to_string());
     row.push_f64("setup ms", millis(setup.total()));
     row.push_f64("srv enc ms", millis(round.server_encryption));
     row.push_f64("silo enc ms", millis(round.silo_weighting));

@@ -55,6 +55,7 @@ fn one_round(
     let setup = protocol.setup_timings();
     let mut row = ResultRow::new(label);
     row.push_str("key bits", protocol.modulus_bits().to_string());
+    row.push_str("DH bits", protocol.dh_group_bits().to_string());
     row.push_f64("key exch ms", millis(setup.key_exchange));
     row.push_f64("srv enc ms", millis(timings.server_encryption));
     row.push_f64("silo enc ms", millis(timings.silo_weighting));

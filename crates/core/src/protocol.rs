@@ -25,12 +25,13 @@
 //! ## Roles and the round entry point
 //!
 //! The state is split by party. The server holds the Paillier secret key, the blinded
-//! inverses `B_inv(N_u)`, the q = 1 ciphertexts and the round counter. Each silo holds
-//! a view of its own: the public key, the codec and `C_LCM`, the blinder seeded by `R`,
-//! its histogram row and its pairwise seeds; beside the views, the silos keep the q = 1
-//! `[b_u, b_u⁻¹]` pairs they derived from what they received. Step 2.(b) is a function
-//! of a silo's view, what the server sent (that round, or the first q = 1 round) and
-//! the silo's own deltas and noise, so it has no path to the server's state.
+//! inverses `B_inv(N_u)` and the round counter, and no ciphertext outlives the round
+//! that sent it. Each silo holds a view of its own: the public key, the codec and
+//! `C_LCM`, the blinder seeded by `R`, its histogram row and its pairwise seeds; beside
+//! the views, the silos keep the q = 1 `[b_u, b_u⁻¹]` pairs they derived from what they
+//! received. Step 2.(b) is a function of a silo's view, what the server sent that round
+//! (or those pairs) and the silo's own deltas and noise, so it has no path to the
+//! server's state.
 //!
 //! Every round runs through [`PrivateWeightingProtocol::weighting_round`]. Its
 //! [`Sampling`] argument only changes how step 2.(a) picks the ciphertexts: every user,
@@ -128,21 +129,21 @@
 //!
 //! Under [`Sampling::All`] the server's step 2.(a) plaintexts `B_inv(N_u)` never
 //! change, and each outgoing cell already carries the silo's own `Enc(0)`. So the
-//! first such round encrypts every user's inverse and the server keeps that one set;
-//! every later `Sampling::All` round sends it again unchanged, dropouts included. A
-//! [`Sampling::Mask`] round encrypts its active users afresh, and an oblivious round
-//! encrypts two ciphertexts per user afresh, whatever its `P`.
+//! first such round encrypts every user's inverse, and the silos derive from those
+//! ciphertexts and `R` the `[b_u, b_u⁻¹]` pairs, `b_u = c_u^{f_u}`, of every user some
+//! silo holds records of, weighed that round or not. They keep the pairs, and every
+//! later `Sampling::All` round, dropouts included, sends nothing: its silos only build
+//! their window tables from the pairs. Whether an `All` round has run is public, so
+//! both sides know when step 2.(a) sends nothing. A [`Sampling::Mask`] round encrypts
+//! its active users afresh, and an oblivious round encrypts two ciphertexts per user
+//! afresh, whatever its `P`; neither holds anything.
 //!
-//! The silos' `b_u = c_u^{f_u}` depend only on those unchanged ciphertexts and on `R`,
-//! so the silos keep them too: the first `Sampling::All` round derives `[b_u, b_u⁻¹]`
-//! for every user some silo holds records of, weighed that round or not, and later
-//! `Sampling::All` rounds only build their window tables from these pairs. Both sides
-//! decide to hold on the same public condition, and the pairs live beside the silo
-//! views, never with the server. They cost two `n²`-wide values per record holder
-//! (≈256 B at 512-bit n, ≈1.5 KB at 3072-bit); the tables (≈2 KB per user at `w = 4`
-//! and 512 bits) are still dropped with their round. [`ProtocolConfig::fresh_encrypt`]
-//! makes every round encrypt afresh and derive every pair afresh. Re-sent, held and
-//! fresh rounds share one step 2.(b) and decrypt to the same bits.
+//! The pairs live beside the silo views, never with the server, which keeps no
+//! ciphertext. They cost two `n²`-wide values per record holder (≈256 B at 512-bit n,
+//! ≈1.5 KB at 3072-bit); the tables (≈2 KB per user at `w = 4` and 512 bits) are still
+//! dropped with their round. [`ProtocolConfig::fresh_encrypt`] makes every round
+//! encrypt afresh and derive every pair afresh. Held and fresh rounds share one step
+//! 2.(b) and decrypt to the same bits.
 //!
 //! ## Population scaling
 //!
@@ -159,7 +160,6 @@ use crate::scenario::FaultPlan;
 use crate::weighting::WeightMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -173,7 +173,8 @@ use uldp_crypto::paillier::{
 };
 use uldp_crypto::sha256::hash_parts;
 use uldp_crypto::{FixedPointCodec, MultiplicativeBlinder};
-use uldp_runtime::{seeding, Runtime};
+use uldp_runtime::seeding::{self, WideSeed};
+use uldp_runtime::Runtime;
 use uldp_telemetry::{metrics, trace};
 
 /// Cryptographic parameters of the protocol.
@@ -207,10 +208,10 @@ pub struct ProtocolConfig {
     /// before clipping; [`PrivateWeightingProtocol::setup`] rejects a plan with a
     /// positive `byzantine_fraction`. The default plan injects nothing.
     pub fault_plan: FaultPlan,
-    /// Encrypt afresh every round: [`Sampling::All`] rounds do not re-send the first
-    /// such round's ciphertexts, and the silos derive every `b_u` and `b_u⁻¹` from each
-    /// round's ciphertexts instead of holding the first round's. Decrypted aggregates
-    /// are bitwise-identical either way; only the per-round `server_encryption` and
+    /// Encrypt afresh every round: every [`Sampling::All`] round encrypts every user's
+    /// inverse, and the silos derive every `b_u` and `b_u⁻¹` from each round's
+    /// ciphertexts instead of holding the first round's pairs. Decrypted aggregates are
+    /// bitwise-identical either way; only the per-round `server_encryption` and
     /// `silo_weighting` costs change.
     pub fresh_encrypt: bool,
 }
@@ -405,11 +406,6 @@ struct Server {
     /// Blinded inverses `B_inv(N_u)` of setup step 1.(f); `None` for users with no
     /// records.
     blinded_inverses: Vec<Option<BigUint>>,
-    /// Every user's encrypted inverse, encrypted by the first [`Sampling::All`] round
-    /// and sent unchanged by every later one (see "q = 1 ciphertexts are sent once").
-    held: OnceLock<Vec<Ciphertext>>,
-    /// `(encrypted, re-sent)` ciphertexts of the most recent round's step 2.(a).
-    last_sent: Mutex<(usize, usize)>,
     /// Index of the next round, counted from 0 since setup; it selects the round's
     /// fault set.
     next_round: AtomicU64,
@@ -448,52 +444,28 @@ struct Received {
 }
 
 impl Server {
-    /// Step 2.(a) under a server-visible sample or none: returns the round's *active*
-    /// users, as ascending ids, and their ciphertexts, aligned position for position.
-    /// The active users are the sample's ids under a mask and every id without one, so
-    /// histograms never change the list and a mask round costs `O(q·|U|)`. A `hold` round (a
-    /// [`Sampling::All`] round without [`ProtocolConfig::fresh_encrypt`]) lends the
-    /// ciphertexts the first such round encrypted; any other round encrypts its active
-    /// users in one pooled batch, each by the key holder's CRT encryption
-    /// ([`PaillierSecretKey::encrypt`]).
+    /// Step 2.(a) under a server-visible sample or none: the encrypted inverse of each
+    /// id in `users`, position for position, in one pooled batch of the key holder's
+    /// CRT encryptions ([`PaillierSecretKey::encrypt`]). The ids are the sample's under a
+    /// mask and every id without one, so histograms never change the list and a mask
+    /// round costs `O(q·|U|)`.
     ///
-    /// An active user with no records gets `Enc(0)`. Exactly one 256-bit batch
-    /// seed is drawn from the caller's RNG whichever path runs, so re-sent and fresh
-    /// executions consume identical caller randomness streams and their aggregates
-    /// compare bit for bit. Per-user encryption is seeded from `(seed, user id)`, not the
-    /// active position, so a mask round derives exactly the per-user streams a q = 1
-    /// round would, and the output is bitwise-identical at any thread count.
-    fn encrypt_inverses<R: Rng + ?Sized>(
+    /// A user with no records gets `Enc(0)`. User `u`'s encryption is seeded from
+    /// `(batch_seed, u)`, not its position, so a mask round derives exactly the per-user
+    /// streams a q = 1 round would, and the output is bitwise-identical at any thread
+    /// count.
+    fn encrypt_inverses(
         &self,
         rt: &Runtime,
-        sampled: Option<&SampleMask>,
-        hold: bool,
-        rng: &mut R,
-    ) -> (Vec<u32>, Cow<'_, [Ciphertext]>) {
-        debug_assert!(!hold || sampled.is_none(), "only a Sampling::All round holds");
+        users: &[u32],
+        batch_seed: WideSeed,
+    ) -> Vec<Ciphertext> {
         let zero = BigUint::zero();
-        let batch_seed = seeding::wide_seed_from_rng(rng);
-        let active: Vec<u32> = match sampled {
-            Some(mask) => mask.iter().map(|u| u as u32).collect(),
-            None => (0..self.blinded_inverses.len() as u32).collect(),
-        };
-        let encrypt = || {
-            rt.par_map(&active, |_, &u| {
-                let mut rng = StdRng::from_seed(seeding::index_seed_wide(batch_seed, u as u64));
-                let inverse = self.blinded_inverses[u as usize].as_ref();
-                self.secret.encrypt(&mut rng, inverse.unwrap_or(&zero))
-            })
-        };
-        let (cts, encrypted) = if !hold {
-            (Cow::Owned(encrypt()), active.len())
-        } else if let Some(held) = self.held.get() {
-            (Cow::Borrowed(held.as_slice()), 0)
-        } else {
-            (Cow::Borrowed(self.held.get_or_init(encrypt).as_slice()), active.len())
-        };
-        *self.last_sent.lock().expect("round stats mutex poisoned") =
-            (encrypted, active.len() - encrypted);
-        (active, cts)
+        rt.par_map(users, |_, &u| {
+            let mut rng = StdRng::from_seed(seeding::index_seed_wide(batch_seed, u as u64));
+            let inverse = self.blinded_inverses[u as usize].as_ref();
+            self.secret.encrypt(&mut rng, inverse.unwrap_or(&zero))
+        })
     }
 
     /// Step 2.(a) under oblivious sub-sampling, the server's half: every user's offer
@@ -501,17 +473,14 @@ impl Server {
     /// seed: `Enc(B_inv(N_u))` (`Enc(0)` for a user with no records), one `Enc(0)` and
     /// the rotation. Two CRT encryptions per user ([`PaillierSecretKey::encrypt`])
     /// whatever `P`, and the same offers at any thread count.
-    fn offer_inverses<R: Rng + ?Sized>(
+    fn offer_inverses(
         &self,
         rt: &Runtime,
         ot: ObliviousSubsampling,
-        rng: &mut R,
+        batch_seed: WideSeed,
     ) -> Vec<Offer> {
         let zero = BigUint::zero();
-        let batch_seed = seeding::wide_seed_from_rng(rng);
-        let num_users = self.blinded_inverses.len();
-        *self.last_sent.lock().expect("round stats mutex poisoned") = (2 * num_users, 0);
-        rt.par_map_wide_seeded(num_users, batch_seed, |u, rng| Offer {
+        rt.par_map_wide_seeded(self.blinded_inverses.len(), batch_seed, |u, rng| Offer {
             real: self.secret.encrypt(rng, self.blinded_inverses[u].as_ref().unwrap_or(&zero)),
             dummy: self.secret.encrypt(rng, &zero),
             rotation: rng.gen_range(0..ot.denominator),
@@ -519,9 +488,9 @@ impl Server {
     }
 
     /// Step 2.(c): batched CRT decryption of the per-coordinate totals and fixed-point
-    /// decoding. (The homomorphic cross-silo sum is fused into the streaming fold.) The
-    /// CRT contexts are hoisted once per batch inside
-    /// [`uldp_crypto::paillier::PaillierSecretKey::decrypt_batch`]. The `aggregation`
+    /// decoding. (The homomorphic cross-silo sum is fused into the streaming fold.)
+    /// [`uldp_crypto::paillier::PaillierSecretKey::decrypt_batch`] decrypts over the
+    /// key's cached CRT contexts, one pooled task per total. The `aggregation`
     /// span covers decryption plus decoding, with one nested `decryption` span for the
     /// batch itself.
     fn decrypt(&self, rt: &Runtime, totals: &[Ciphertext]) -> (Vec<f64>, Duration) {
@@ -543,10 +512,11 @@ impl Received {
     /// deployed silo would size it from its own cells.
     ///
     /// With `held` (a [`Sampling::All`] round without [`ProtocolConfig::fresh_encrypt`])
-    /// the pairs come from the silos' held set: the first such round derives it for every
-    /// user some silo holds records of, weighed this round or not, and later rounds derive
-    /// nothing. Otherwise the round derives the pairs of the users it weighs and drops
-    /// them with its tables.
+    /// the pairs come from the silos' held set: the first such round derives it from its
+    /// ciphertexts for every user some silo holds records of, weighed this round or not.
+    /// Later rounds receive no ciphertext, an empty `ciphertexts`, and derive nothing.
+    /// Otherwise the round derives the pairs of the users it weighs and drops them with
+    /// its tables. Only a derivation reads `ciphertexts`.
     fn new(
         rt: &Runtime,
         silos: &[SiloView],
@@ -556,7 +526,6 @@ impl Received {
         clipped_deltas: &[Vec<Vec<f64>>],
         held: Option<&OnceLock<Vec<Option<[BigUint; 2]>>>>,
     ) -> Self {
-        debug_assert_eq!(active.len(), ciphertexts.len());
         let Public { key, codec, .. } = &*silos[0].public;
         let (mut used, mut largest) = (vec![false; active.len()], 0u128);
         for ((silo, participants), deltas) in silos.iter().zip(participants).zip(clipped_deltas) {
@@ -607,6 +576,7 @@ impl Received {
         ciphertexts: &[Ciphertext],
         wanted: &[bool],
     ) -> Vec<Option<[BigUint; 2]>> {
+        debug_assert_eq!(active.len(), ciphertexts.len(), "one ciphertext per active user");
         let Public { key, c_lcm, .. } = &*silo.public;
         let positions: Vec<usize> = (0..active.len()).filter(|&i| wanted[i]).collect();
         let users: Vec<u64> = positions.iter().map(|&i| active[i] as u64).collect();
@@ -751,6 +721,11 @@ pub struct PrivateWeightingProtocol {
     held_pairs: OnceLock<Vec<Option<[BigUint; 2]>>>,
     /// [`ProtocolConfig::fresh_encrypt`]: neither side holds anything across rounds.
     fresh_encrypt: bool,
+    /// `(encrypted, held)` of the most recent round
+    /// ([`PrivateWeightingProtocol::round_cache_stats`]).
+    last_sent: Mutex<(usize, usize)>,
+    /// Bit length of the Diffie–Hellman group setup agreed the pairwise seeds in.
+    dh_group_bits: usize,
     /// Cross-silo totals `N_u`, kept only to validate inputs and for the plaintext
     /// references; no party learns them.
     user_totals: Vec<u64>,
@@ -897,17 +872,12 @@ impl PrivateWeightingProtocol {
             })
             .collect();
         PrivateWeightingProtocol {
-            server: Server {
-                public,
-                secret,
-                blinded_inverses,
-                held: OnceLock::new(),
-                last_sent: Mutex::new((0, 0)),
-                next_round: AtomicU64::new(0),
-            },
+            server: Server { public, secret, blinded_inverses, next_round: AtomicU64::new(0) },
             silos,
             held_pairs: OnceLock::new(),
             fresh_encrypt: config.fresh_encrypt,
+            last_sent: Mutex::new((0, 0)),
+            dh_group_bits: dh_group.bits(),
             user_totals,
             setup_timings: ProtocolTimings {
                 key_exchange,
@@ -946,6 +916,13 @@ impl PrivateWeightingProtocol {
         self.server.public.key.modulus_bits()
     }
 
+    /// Bit length of the Diffie–Hellman group setup ran its key agreement in: the RFC 3526
+    /// group under [`ProtocolConfig::use_rfc_group`], the custom
+    /// [`ProtocolConfig::dh_bits`] group otherwise.
+    pub fn dh_group_bits(&self) -> usize {
+        self.dh_group_bits
+    }
+
     /// Timings of the setup phase.
     pub fn setup_timings(&self) -> &ProtocolTimings {
         &self.setup_timings
@@ -968,37 +945,30 @@ impl PrivateWeightingProtocol {
         WeightMatrix::from_histogram(WeightingStrategy::RecordProportional, &histogram)
     }
 
-    /// `(encrypted, re-sent)` ciphertext counts of the most recent round's step 2.(a):
-    /// how many ciphertexts were freshly Paillier-encrypted vs sent again as the first
-    /// [`Sampling::All`] round encrypted them. Mask rounds, and every round under
-    /// [`ProtocolConfig::fresh_encrypt`], report `(active users, 0)`; an oblivious round
-    /// reports `(2·|U|, 0)`, its real and dummy ciphertext per user.
+    /// `(encrypted, held)` counts of the most recent round: how many ciphertexts step
+    /// 2.(a) Paillier-encrypted, and for how many users the silos took `[b_u, b_u⁻¹]`
+    /// from the pairs they hold since an earlier [`Sampling::All`] round, which sends
+    /// nothing. The first such round and every mask round, and every round under
+    /// [`ProtocolConfig::fresh_encrypt`], report `(active users, 0)`; a later one
+    /// reports `(0, |U|)`; an oblivious round reports `(2·|U|, 0)`, its real and dummy
+    /// ciphertext per user.
     pub fn round_cache_stats(&self) -> (usize, usize) {
-        *self.server.last_sent.lock().expect("round stats mutex poisoned")
+        *self.last_sent.lock().expect("round stats mutex poisoned")
     }
 
-    /// Number of entries held across rounds: the server's ciphertexts (one per user)
-    /// plus the silos' `[b_u, b_u⁻¹]` pairs (one per user holding records), once a
-    /// [`Sampling::All`] round has run without [`ProtocolConfig::fresh_encrypt`]; zero
-    /// before. Mask and oblivious rounds hold nothing.
+    /// Number of entries held across rounds: the silos' `[b_u, b_u⁻¹]` pairs, one per
+    /// user holding records, once a [`Sampling::All`] round has run without
+    /// [`ProtocolConfig::fresh_encrypt`]; zero before. The server holds no ciphertext,
+    /// and mask and oblivious rounds hold nothing.
     pub fn cached_entry_count(&self) -> usize {
-        let (ciphertexts, pairs) = self.held_counts();
-        ciphertexts + pairs
+        self.held_pairs.get().map_or(0, |pairs| pairs.iter().flatten().count())
     }
 
-    /// Bytes held across rounds, each value counted at the width of `n²`: one per
-    /// held ciphertext and two per held pair
+    /// Bytes held across rounds: two values at the width of `n²` per held pair
     /// ([`PrivateWeightingProtocol::cached_entry_count`]). Step 2.(b)'s window tables
     /// live only for their round.
     pub fn cached_state_bytes(&self) -> usize {
-        let (ciphertexts, pairs) = self.held_counts();
-        (ciphertexts + 2 * pairs) * self.ciphertext_bytes()
-    }
-
-    /// `(ciphertexts the server holds, pairs the silos hold)` across rounds.
-    fn held_counts(&self) -> (usize, usize) {
-        let pairs = self.held_pairs.get().map_or(0, |pairs| pairs.iter().flatten().count());
-        (self.server.held.get().map_or(0, Vec::len), pairs)
+        2 * self.cached_entry_count() * self.ciphertext_bytes()
     }
 
     fn ciphertext_bytes(&self) -> usize {
@@ -1031,29 +1001,43 @@ impl PrivateWeightingProtocol {
     ) -> (Vec<f64>, RoundReport) {
         let dim = self.check_round_inputs(clipped_deltas, noises);
         let round = self.server.next_round.fetch_add(1, Ordering::Relaxed);
+        // Every round draws exactly one batch seed from the caller's RNG, whether or not
+        // step 2.(a) encrypts, so held and `fresh_encrypt` executions consume identical
+        // caller streams and their aggregates compare bit for bit.
+        let batch_seed = seeding::wide_seed_from_rng(rng);
 
-        // --- Step 2.(a): the server sends one ciphertext per active user, before any
-        // silo drops.
+        // --- Step 2.(a): the server sends the active users' ciphertexts, before any
+        // silo drops. The active users are ascending ids: the mask's, or every id.
         let enc_span = trace::timed_span("protocol", "server_encryption");
         let (rt, server) = (&*self.runtime, &self.server);
         let sampling = sampling.into();
-        // Both sides hold their q = 1 state under the same public condition.
-        let hold = matches!(sampling, Sampling::All) && !self.fresh_encrypt;
-        let ((active, ciphertexts), selected) = match sampling {
-            Sampling::All => (server.encrypt_inverses(rt, None, hold, rng), None),
+        let active: Vec<u32> = match sampling {
             Sampling::Mask(mask) => {
                 assert_eq!(mask.num_users(), self.num_users(), "mask over another population");
-                (server.encrypt_inverses(rt, Some(mask), false, rng), None)
+                mask.iter().map(|u| u as u32).collect()
             }
-            Sampling::Oblivious(ot) => {
-                let offers = server.offer_inverses(rt, ot, rng);
-                let silo = &self.silos[0];
-                let (cts, selected) = (offers.into_iter().zip(0u32..))
-                    .map(|(offer, u)| ot.transfer(offer, silo.ot_choice(round, u, ot.denominator)))
-                    .unzip();
-                (((0..self.num_users() as u32).collect(), Cow::Owned(cts)), Some(selected))
-            }
+            Sampling::All | Sampling::Oblivious(_) => (0..self.num_users() as u32).collect(),
         };
+        // Both sides hold their q = 1 state under the same public condition. Once the
+        // silos hold their pairs, which both sides know, a q = 1 round sends nothing.
+        let hold = matches!(sampling, Sampling::All) && !self.fresh_encrypt;
+        let steady = hold && self.held_pairs.get().is_some();
+        let (ciphertexts, selected) = match sampling {
+            Sampling::Oblivious(ot) => {
+                let offers = server.offer_inverses(rt, ot, batch_seed);
+                let silo = &self.silos[0];
+                let (cts, selected) = (offers.into_iter().zip(&active))
+                    .map(|(offer, &u)| ot.transfer(offer, silo.ot_choice(round, u, ot.denominator)))
+                    .unzip();
+                (cts, Some(selected))
+            }
+            _ if steady => (Vec::new(), None),
+            _ => (server.encrypt_inverses(rt, &active, batch_seed), None),
+        };
+        // An oblivious round encrypts a real and a dummy ciphertext per user.
+        let per_user = if matches!(sampling, Sampling::Oblivious(_)) { 2 } else { 1 };
+        *self.last_sent.lock().expect("round stats mutex poisoned") =
+            (per_user * ciphertexts.len(), if steady { active.len() } else { 0 });
         let server_encryption = enc_span.finish();
 
         let dropped = self.fault_plan.draw_dropouts(round, self.num_silos());
@@ -1323,6 +1307,7 @@ mod tests {
             PrivateWeightingProtocol::setup(&small_histogram(), &test_config(), &mut rng);
         assert!(protocol.setup_timings().total() > Duration::ZERO);
         assert!(protocol.modulus_bits() >= 255);
+        assert_eq!(protocol.dh_group_bits(), test_config().dh_bits, "the custom DH group");
         assert_eq!(protocol.num_silos(), 3);
         assert_eq!(protocol.num_users(), 4);
         assert_eq!(protocol.pair_seeds(0).len(), 3);
@@ -1620,9 +1605,10 @@ mod tests {
     #[test]
     fn cached_rounds_match_fresh_encryption_rounds_bitwise() {
         // Eight rounds of the same setup, identical caller RNG streams: the default
-        // protocol re-sends round 1's ciphertexts in rounds 2..8 while the
-        // `fresh_encrypt` instance encrypts every round. At 1 and 4 threads, every
-        // aggregate must hit the exact reference, so both agree bit for bit.
+        // protocol sends nothing in rounds 2..8, whose silos weigh from the pairs held
+        // since round 1, while the `fresh_encrypt` instance encrypts every round. At 1
+        // and 4 threads, every aggregate must hit the exact reference, so both agree bit
+        // for bit.
         let histogram = small_histogram();
         let mut runs = Vec::new();
         for (threads, fresh_encrypt) in [(1, false), (1, true), (4, false), (4, true)] {
@@ -1640,15 +1626,15 @@ mod tests {
                 }
                 let exact = exact_aggregate(&protocol, &deltas, &noises, None, &[false; 3]);
                 assert_exact(&out, &exact, &what);
-                // Default: round 1 encrypts all 4 users, later rounds re-send all 4.
-                // `fresh_encrypt`: every round encrypts everything.
+                // Default: round 1 encrypts all 4 users, later rounds weigh all 4 from
+                // held pairs. `fresh_encrypt`: every round encrypts everything.
                 let stats = if round == 0 || fresh_encrypt { (4, 0) } else { (0, 4) };
                 assert_eq!(protocol.round_cache_stats(), stats, "{what}");
                 rounds.push(out.iter().map(|v| v.to_bits()).collect::<Vec<u64>>());
             }
             runs.push(rounds);
         }
-        assert!(runs.windows(2).all(|w| w[0] == w[1]), "aggregates must not depend on re-sending");
+        assert!(runs.windows(2).all(|w| w[0] == w[1]), "aggregates must not depend on holding");
     }
 
     #[test]
@@ -1724,21 +1710,23 @@ mod tests {
     fn mask_round_sends_the_public_encryption_of_each_users_stream() {
         // The server encrypts by CRT with its factors. What step 2.(a) sends is bit for
         // bit the public `key.encrypt` on each sampled user's `(batch seed, u)` stream,
-        // `Enc(0)` for user 11, who holds no records, and the caller's RNG gives up one
-        // batch seed either way.
+        // `Enc(0)` for user 11, who holds no records, and the round takes that one batch
+        // seed from the caller's RNG.
         let histogram = wide_histogram();
         let mask = SampleMask::from_sorted_indices(13, vec![2, 7, 11]);
         let mut rng = StdRng::seed_from_u64(71);
         let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
         let server = &protocol.server;
-        let mut public_rng = rng.clone();
-        let (active, cts) =
-            server.encrypt_inverses(protocol.runtime(), Some(&mask), false, &mut rng);
-        let batch_seed = seeding::wide_seed_from_rng(&mut public_rng);
-        assert_eq!(rng.gen::<u64>(), public_rng.gen::<u64>(), "one batch seed drawn");
+        let mut round_rng = rng.clone();
+        let batch_seed = seeding::wide_seed_from_rng(&mut rng);
+        let active: Vec<u32> = mask.iter().map(|u| u as u32).collect();
         assert_eq!(active, [2, 7, 11]);
+        let cts = server.encrypt_inverses(protocol.runtime(), &active, batch_seed);
+        let (deltas, noises) = deltas_and_noise(&histogram, 2, 72);
+        let _ = protocol.weighting_round(&deltas, &noises, Some(&mask), &mut round_rng);
+        assert_eq!(rng.gen::<u64>(), round_rng.gen::<u64>(), "a round draws one batch seed");
         assert!(server.blinded_inverses[11].is_none(), "user 11 holds no records");
-        for (&u, sent) in active.iter().zip(cts.iter()) {
+        for (&u, sent) in active.iter().zip(&cts) {
             let mut user_rng = StdRng::from_seed(seeding::index_seed_wide(batch_seed, u as u64));
             let inverse = server.blinded_inverses[u as usize].clone().unwrap_or_default();
             assert_eq!(*sent, server.public.key.encrypt(&mut user_rng, &inverse), "user {u}");
@@ -1758,16 +1746,16 @@ mod tests {
     }
 
     #[test]
-    fn q1_rounds_resend_one_encryption_and_mask_rounds_encrypt_afresh() {
+    fn q1_rounds_encrypt_once_and_mask_rounds_encrypt_afresh() {
         // One protocol whose plan drops one of its two silos every round, and a
         // `fresh_encrypt` twin set up and driven from identical RNG streams. Mask rounds
         // encrypt exactly their sampled users afresh and leave nothing held. The
         // first q = 1 round encrypts every user, and the silos derive `[b_u, b_u⁻¹]` for
         // every user holding records: also for those only the dropped silo holds and for
-        // user 0, who sends no delta that round. Every later q = 1 round re-sends the
-        // ciphertexts and derives nothing, although each follows a dropout round, and a
-        // mask round in between still encrypts afresh. The twin encrypts and derives
-        // afresh every round. Every aggregate of both is exact, so they agree bit for bit.
+        // user 0, who sends no delta that round. Every later q = 1 round sends nothing
+        // and derives nothing, although each follows a dropout round, and a mask round
+        // in between still encrypts afresh. The twin encrypts and derives afresh every
+        // round. Every aggregate of both is exact, so they agree bit for bit.
         let histogram = wide_histogram();
         let plan = FaultPlan { dropout_fraction: 0.4, seed: 77, ..FaultPlan::none() };
         let mut rng = StdRng::seed_from_u64(97);
@@ -1778,17 +1766,17 @@ mod tests {
         let few = SampleMask::from_sorted_indices(13, vec![2, 7, 11]);
         let most = SampleMask::from_dense((0..13).map(|u| u % 3 != 0).collect());
         let ct_bytes = (2 * protocol.modulus_bits()).div_ceil(64) * 8;
-        // (sampling, (encrypted, re-sent), entries held after the round, held bytes in
+        // (sampling, (encrypted, held), entries held after the round, held bytes in
         // units of ct_bytes). A mask round sends its sampled users, user 11 included
-        // although nobody holds records of it, and the held set is 13 ciphertexts and 12
-        // pairs of two values each.
+        // although nobody holds records of it, and the held set is the silos' 12 pairs of
+        // two values each; the server holds nothing.
         let schedule = [
             (Some(&few), (3, 0), 0, 0),
             (Some(&most), (8, 0), 0, 0),
-            (None, (13, 0), 13 + 12, 13 + 2 * 12),
-            (None, (0, 13), 25, 37),
-            (Some(&few), (3, 0), 25, 37),
-            (None, (0, 13), 25, 37),
+            (None, (13, 0), 12, 2 * 12),
+            (None, (0, 13), 12, 24),
+            (Some(&few), (3, 0), 12, 24),
+            (None, (0, 13), 12, 24),
         ];
         let (mut filling_drop, mut orphans_weighed) = (None, false);
         for (round, (sampled, sent, entries, widths)) in schedule.into_iter().enumerate() {
@@ -1878,7 +1866,9 @@ mod tests {
             silo[3].clear();
         }
         let rt = protocol.runtime();
-        let (active, cts) = protocol.server.encrypt_inverses(rt, None, true, &mut rng);
+        let active: Vec<u32> = (0..4).collect();
+        let cts =
+            protocol.server.encrypt_inverses(rt, &active, seeding::wide_seed_from_rng(&mut rng));
         let participants: Vec<Vec<(usize, usize)>> = protocol
             .silos
             .iter()
@@ -1946,7 +1936,9 @@ mod tests {
         let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
         let (deltas, noises) = deltas_and_noise(&histogram, 1, 114);
         let rt = protocol.runtime();
-        let (active, cts) = protocol.server.encrypt_inverses(rt, None, true, &mut rng);
+        let active: Vec<u32> = (0..4).collect();
+        let cts =
+            protocol.server.encrypt_inverses(rt, &active, seeding::wide_seed_from_rng(&mut rng));
         let silo = &protocol.silos[0];
         let participants = silo.participants(&active, &deltas[0]);
         let all: Vec<_> = protocol.silos.iter().map(|_| participants.clone()).collect();

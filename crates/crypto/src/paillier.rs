@@ -58,11 +58,6 @@ use uldp_bigint::montgomery::{FixedBaseTable, ModulusCtx};
 use uldp_bigint::{lcm, prime, BigUint};
 use uldp_runtime::Runtime;
 
-/// Ciphertexts per pooled chunk in [`PaillierSecretKey::decrypt_batch`]. Fixed (not
-/// thread-derived) so the chunk grid — and with it any telemetry — is identical at
-/// every pool size; small enough that a model-sized batch still fans out well.
-const DECRYPT_BATCH_CHUNK: usize = 2;
-
 /// Paillier public key.
 #[derive(Clone, Debug)]
 pub struct PaillierPublicKey {
@@ -454,7 +449,7 @@ impl PaillierSecretKey {
     /// [`PaillierSecretKey::decrypt_generic`] on every call).
     pub fn decrypt(&self, c: &Ciphertext) -> BigUint {
         uldp_telemetry::metrics::PAILLIER_DECRYPT.inc();
-        let m = self.decrypt_crt(self.ctx_p2(), self.ctx_q2(), &c.0);
+        let m = self.decrypt_crt(&c.0);
         debug_assert_eq!(
             m,
             self.decrypt_generic(c),
@@ -463,22 +458,16 @@ impl PaillierSecretKey {
         m
     }
 
-    /// Decrypts a batch of ciphertexts on the worker pool, bitwise-identical to
-    /// per-item [`PaillierSecretKey::decrypt`] at any thread count.
+    /// Decrypts a batch of ciphertexts on the worker pool, one task per ciphertext,
+    /// bitwise-identical to per-item [`PaillierSecretKey::decrypt`] at any thread count.
     ///
-    /// The CRT contexts for `p²`/`q²` are hoisted once for the whole batch and each
-    /// pooled chunk runs its half-width exponentiations ([`ModulusCtx::pow`]) over the
-    /// shared contexts, so a multi-round caller never re-derives per-round state. The
-    /// chunk grid depends only on the batch length, never the pool size.
+    /// Every task runs its half-width exponentiations ([`ModulusCtx::pow`]) over the
+    /// key's cached `p²`/`q²` contexts, so a multi-round caller never re-derives
+    /// per-round state. CRT decryption is exact, so the pool size changes neither the
+    /// plaintexts nor the operation counts.
     pub fn decrypt_batch(&self, rt: &Runtime, items: &[Ciphertext]) -> Vec<BigUint> {
         uldp_telemetry::metrics::PAILLIER_DECRYPT.add(items.len() as u64);
-        let ctx_p2 = Arc::clone(self.ctx_p2());
-        let ctx_q2 = Arc::clone(self.ctx_q2());
-        let chunks = uldp_runtime::fold_chunk_ranges(items.len(), DECRYPT_BATCH_CHUNK);
-        let decrypted: Vec<Vec<BigUint>> = rt.par_map(&chunks, |_, range| {
-            range.clone().map(|i| self.decrypt_crt(&ctx_p2, &ctx_q2, &items[i].0)).collect()
-        });
-        let out = decrypted.concat();
+        let out = rt.par_map(items, |_, c| self.decrypt_crt(&c.0));
         debug_assert!(
             out.iter().zip(items).all(|(m, c)| *m == self.decrypt_generic(c)),
             "batched CRT decryption must match the direct λ/μ path"
@@ -497,10 +486,10 @@ impl PaillierSecretKey {
     /// Paillier's CRT decryption of `c` over the `p²` / `q²` contexts:
     /// `m_p = L_p(c^{p−1} mod p²)·h_p mod p`, `m_q` likewise, and Garner's
     /// recombination `m = m_p + p·((m_q − m_p)·p^{-1} mod q)`, the unique value mod `n`.
-    fn decrypt_crt(&self, ctx_p2: &ModulusCtx, ctx_q2: &ModulusCtx, c: &BigUint) -> BigUint {
+    fn decrypt_crt(&self, c: &BigUint) -> BigUint {
         let (p, q) = (&self.p, &self.q);
-        let x_p = ctx_p2.pow(&c.rem(&self.p_squared), &self.p_minus_1);
-        let x_q = ctx_q2.pow(&c.rem(&self.q_squared), &self.q_minus_1);
+        let x_p = self.ctx_p2().pow(&c.rem(&self.p_squared), &self.p_minus_1);
+        let x_q = self.ctx_q2().pow(&c.rem(&self.q_squared), &self.q_minus_1);
         let m_p = mod_mul(&l_of(&x_p, p), &self.h_p, p);
         let m_q = mod_mul(&l_of(&x_q, q), &self.h_q, q);
         let diff = mod_sub(&m_q, &m_p.rem(q), q);
@@ -575,7 +564,6 @@ mod tests {
     fn decrypt_batch_matches_per_item_decrypt_at_any_pool_size() {
         let kp = keypair(256, 31);
         let mut rng = StdRng::seed_from_u64(32);
-        // An odd batch length exercises the trailing partial chunk of the fixed grid.
         let cts: Vec<Ciphertext> =
             (0..7u64).map(|v| kp.public.encrypt(&mut rng, &BigUint::from_u64(v * v + 1))).collect();
         let expect: Vec<BigUint> = cts.iter().map(|c| kp.secret.decrypt_generic(c)).collect();

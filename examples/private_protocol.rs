@@ -1,9 +1,9 @@
 //! The private weighting protocol (Protocol 1) end to end: setup (Paillier + DH key
 //! exchange, blinded histogram aggregation) followed by three encrypted weighting
 //! rounds, each checked against the plaintext aggregation. The first two run over every
-//! user: the first encrypts every user's inverse and the silos derive their `b_u`
-//! powers; the second re-sends those ciphertexts and builds its tables from the powers
-//! the silos hold. The third samples users by oblivious transfer at q = 1/4 and is
+//! user: the first encrypts every user's inverse and the silos derive their
+//! `[b_u, b_u⁻¹]` pairs; the second sends nothing and builds its tables from the pairs
+//! the silos hold, which are all the state kept across rounds. The third samples users by oblivious transfer at q = 1/4 and is
 //! checked against the plaintext aggregation of its realised selection. The phase
 //! timings of the last two rounds are printed.
 //!
@@ -94,12 +94,21 @@ fn main() {
                 config.precision
             );
             assert!(max_err < 1e-6, "round {round}: protocol output diverged from the plaintext");
+            if round == 2 {
+                // Sent once: the server encrypts nothing, and the held state is two
+                // n²-wide values per record holder, all of it with the silos.
+                assert_eq!(protocol.round_cache_stats(), (0, num_users), "round 2 sends nothing");
+                let holders =
+                    (0..num_users).filter(|&u| histogram.iter().any(|row| row[u] > 0)).count();
+                let value_bytes = (2 * protocol.modulus_bits()).div_ceil(64) * 8;
+                assert_eq!(protocol.cached_state_bytes(), 2 * holders * value_bytes);
+            }
             report
         })
         .collect();
     let sampled = reports[2].selected.iter().flatten().filter(|&&s| s).count();
     let titles = [
-        format!("second weighting round ({dim} parameters, ciphertexts and b_u held)"),
+        format!("second weighting round ({dim} parameters, b_u pairs held, nothing sent)"),
         format!("third, oblivious round (q = 1/4, {sampled} of {num_users} users sampled)"),
     ];
     for (title, timings) in titles.iter().zip(&reports[1..]) {

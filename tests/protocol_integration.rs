@@ -130,8 +130,8 @@ fn paper_scale_rounds_match_plaintext() {
     // 48 limbs (n, p², q²) and 96 limbs (n², the silos' comb tables), C_LCM =
     // lcm(1..2000) of 2,878 bits, and RFC 3526 group 15 (3072 bits, 320-bit DH secrets),
     // the group `use_rfc_group` picks for a key above 2048 bits. User 0 holds N_max = 2000
-    // records, user 7 none. Round 1 encrypts and derives every b_u; round 2 runs on the
-    // held ciphertexts and pairs.
+    // records, user 7 none. Round 1 encrypts and derives every b_u; round 2 sends nothing
+    // and runs on the held pairs.
     let mut rng = StdRng::seed_from_u64(26);
     let records = |s: usize, u: usize| match u {
         0 => [1000, 600, 400][s],
@@ -143,6 +143,7 @@ fn paper_scale_rounds_match_plaintext() {
     let config = ProtocolConfig::paper_scale();
     let protocol = PrivateWeightingProtocol::setup(&histogram, &config, &mut rng);
     assert!(protocol.modulus_bits() >= 3071);
+    assert_eq!(protocol.dh_group_bits(), 3072, "RFC 3526 group 15");
     for round in 0..2 {
         let (deltas, noises) = random_deltas(&histogram, 4, &mut rng);
         let (secure, _) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
@@ -151,5 +152,5 @@ fn paper_scale_rounds_match_plaintext() {
             assert!((a - b).abs() < 1e-6, "round {round}: secure {a} vs plaintext {b}");
         }
     }
-    assert_eq!(protocol.round_cache_stats(), (0, 20), "round 2 re-sends round 1's set");
+    assert_eq!(protocol.round_cache_stats(), (0, 20), "round 2 weighs from the held pairs");
 }

@@ -1,7 +1,7 @@
 //! Exact operation counts of first, steady and faulted Protocol 1 rounds.
 //!
-//! Round 1 encrypts every user's blinded inverse; every later q = 1 round sends the
-//! same ciphertexts again, so it encrypts nothing and the server re-randomises nothing.
+//! Round 1 encrypts every user's blinded inverse; every later q = 1 round sends nothing,
+//! so it encrypts nothing and the server re-randomises nothing.
 //! The server encrypts by CRT with its factors: four half-width sliding-window
 //! exponentiations per ciphertext (mod `p`, `p²`, `q` and `q²`).
 //! The only re-randomisations of a steady round are the silos' refreshes of their
@@ -102,9 +102,14 @@ fn cached_round_costs_one_multi_exponentiation_per_cell_and_refresh() {
     assert_eq!(protocol.round_cache_stats(), (users as usize, 0));
     assert_eq!(protocol.round_cache_stats().0 as u64, metrics::PAILLIER_ENCRYPT.get());
     uldp_fl::telemetry::reset();
-    // Round 2 sends round 1's ciphertexts again.
+    // Round 2 sends nothing: the silos weigh every user from the pairs they hold, and
+    // the held state is their two n²-wide values per record holder.
     let (out, _) = protocol.weighting_round(&deltas, &noises, None, &mut rng);
     assert_eq!(protocol.round_cache_stats(), (0, users as usize));
+    let holders = (0..users as usize).filter(|&u| histogram.iter().any(|row| row[u] > 0)).count();
+    let ciphertext_bytes = (2 * protocol.modulus_bits()).div_ceil(64) * 8;
+    assert_eq!(protocol.cached_entry_count(), holders, "one held pair per record holder");
+    assert_eq!(protocol.cached_state_bytes(), 2 * holders * ciphertext_bytes, "pairs only");
     assert_eq!(protocol.round_cache_stats().0 as u64, metrics::PAILLIER_ENCRYPT.get());
     let encrypt = metrics::PAILLIER_ENCRYPT.get();
     let fixed_base = metrics::MODPOW_FIXED_BASE.get();
