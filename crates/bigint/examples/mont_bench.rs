@@ -1,6 +1,8 @@
 //! Micro-benchmark: nanoseconds per Montgomery multiplication and squaring at the limb
 //! widths the workspace runs (4, 8, 16 and 32 limbs take exact-width instances of the
 //! kernel) and at runtime widths between and beyond them (12, 24, 48, 96 limbs).
+//! Each row ends with the context's `Debug`, which names the kernel body that produced
+//! the row: `adx` (8, 16 and 32 limbs on a CPU with BMI2 and ADX) or `portable`.
 //!
 //! Each width times `mont_mul(acc, y)` and `mont_sqr(acc)` chains through the public
 //! API in short interleaved batches and reports the fastest batch, which filters out
@@ -22,7 +24,7 @@ const BATCHES: usize = 40;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(1);
-    println!("limbs  bits  mont_mul_ns  mont_sqr_ns");
+    println!("limbs  bits  mont_mul_ns  mont_sqr_ns  context");
     for limbs in [4usize, 8, 12, 16, 24, 32, 48, 96] {
         let mut n = BigUint::random_with_bits(&mut rng, limbs * 64);
         if n.is_even() {
@@ -56,6 +58,6 @@ fn main() {
             b = ctx.mont_sqr(&b);
         }
         assert_eq!(a, b, "squaring chain must match the mul(x, x) chain bit for bit");
-        println!("{limbs:>5}  {:>4}  {mul_ns:>11.1}  {sqr_ns:>11.1}", limbs * 64);
+        println!("{limbs:>5}  {:>4}  {mul_ns:>11.1}  {sqr_ns:>11.1}  {ctx:?}", limbs * 64);
     }
 }

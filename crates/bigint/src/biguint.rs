@@ -511,12 +511,11 @@ impl BigUint {
             out.push(rng.gen::<u64>());
         }
         let mut v = BigUint::from_limbs(out);
-        // Mask off excess high bits, then force the top bit.
+        // Shift out the excess bits (the value is then below 2^bits), then force the top
+        // bit.
         let excess = limbs * LIMB_BITS - bits;
         if excess > 0 {
-            v = v.shr_bits(excess).shl_bits(0);
-            // re-randomize to correct width
-            v = v.rem(&BigUint::one().shl_bits(bits));
+            v = v.shr_bits(excess);
         }
         v.set_bit(bits - 1);
         v

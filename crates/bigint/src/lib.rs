@@ -10,9 +10,11 @@
 //!   ring operations (add, sub, mul with Karatsuba, Knuth-D division, shifts, bit access).
 //! * [`modular`] — modular add/sub/mul/pow/inverse and the Jacobi symbol on [`BigUint`].
 //! * [`montgomery`] — the batched-exponentiation engine: [`montgomery::ModulusCtx`]
-//!   (CIOS Montgomery multiplication with cached per-modulus constants, one
-//!   sliding-window ladder behind `pow` and the interleaved `multi_exp_tables` over
-//!   reusable odd-power [`montgomery::WindowTable`]s, simultaneous `batch_inv`, and a
+//!   (CIOS Montgomery multiplication with cached per-modulus constants, on a
+//!   `mulx`/`adcx`/`adox` body at 8, 16 and 32 limbs where the x86-64 CPU has BMI2 and
+//!   ADX and on a portable `u128` body everywhere else; one sliding-window ladder behind
+//!   `pow` and the interleaved `multi_exp_tables` over reusable odd-power
+//!   [`montgomery::WindowTable`]s, simultaneous `batch_inv`, and a
 //!   fixed-base comb over a [`montgomery::FixedBaseTable`]). Bitwise-identical to the
 //!   schoolbook path.
 //! * [`prime`] — Miller–Rabin primality testing (sharing one Montgomery context across

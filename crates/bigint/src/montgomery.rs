@@ -23,21 +23,35 @@
 //! ## One kernel
 //!
 //! Every Montgomery product — [`ModulusCtx::mont_mul`], [`ModulusCtx::mont_sqr`], the
-//! conversions, the table builds and the ladder — runs one CIOS body, `cios`, which
+//! conversions, the table builds and the ladder — runs one CIOS kernel, which
 //! accumulates into its output buffer and allocates nothing. The ladder and the table
 //! builds hold their buffers and swap them, so an exponentiation allocates its table,
 //! its accumulator and one spare buffer, not one vector per operation.
 //!
-//! The body is compiled at an exact limb count for the widths the workspace runs, where
-//! constant slice lengths let the compiler unroll the inner loop and drop the bounds
-//! checks: 4 limbs (Miller–Rabin on 256-bit primes), 8 (`n`, `p²` and `q²` of a 512-bit
-//! Paillier key), 16 (its `n²`) and 32 (the RFC 3526 2048-bit DH group). Every other
-//! width runs the same body at runtime width. Squaring runs the same kernel as
-//! `mont_mul(a, a)`; it is only counted apart. A separated Karatsuba product lost to
-//! this body at every width from 32 to 96 limbs, and a dedicated squaring (each cross
-//! product once, then a separated reduction) lost at 8–24 limbs and gained nothing end
-//! to end at 32 (`examples/mont_bench.rs` prints the per-operation costs; the README
-//! has the numbers).
+//! [`ModulusCtx::try_new`] picks the kernel's body once per modulus, from its limb
+//! count and the CPU, and every product of that context runs it:
+//!
+//! * **ADX** (`cios_adx`), at 8 limbs (`n`, `p²` and `q²` of a 512-bit Paillier key),
+//!   16 (its `n²`) and 32 (the RFC 3526 2048-bit DH group) on an x86-64 CPU with BMI2
+//!   and ADX: one `asm!` loop over the rows, each row two passes of `mulx` products
+//!   whose low halves are added on the `adcx` carry chain and high halves on the `adox`
+//!   one. It runs in about three quarters of the portable body's time at 8 limbs and
+//!   half of it at 16 and 32 (`examples/mont_bench.rs`; the README has the numbers).
+//!   The rows stay a loop: fully unrolled by the compiler, the 32-limb body outgrew the
+//!   instruction cache and lost to the portable one.
+//! * **Portable** (`cios`), everywhere else: plain `u128` arithmetic, compiled at an
+//!   exact limb count at 4 limbs (Miller–Rabin on 256-bit primes), 8, 16 and 32, where
+//!   constant slice lengths let the compiler unroll the inner loop and drop the bounds
+//!   checks, and at runtime width for every other width. At 4 limbs the ADX body
+//!   measured no faster. The portable body is also the reference the ADX body is
+//!   tested against.
+//!
+//! Both bodies give the same limbs, so which one runs changes no result and no
+//! operation count. `ModulusCtx`'s `Debug` names the body. Squaring runs the same
+//! kernel as `mont_mul(a, a)`; it is only counted apart. A separated Karatsuba product
+//! lost to the portable body at every width from 32 to 96 limbs, and a dedicated
+//! squaring (each cross product once, then a separated reduction) lost at 8–24 limbs
+//! and gained nothing end to end at 32.
 //!
 //! All methods take `&self`, so one context can be shared freely across the worker pool
 //! (`uldp-runtime`): the contexts are immutable after construction.
@@ -75,11 +89,16 @@ pub struct ModulusCtx {
     r1: Vec<u64>,
     /// `R² mod n` — multiplier converting into Montgomery form.
     r2: Vec<u64>,
+    /// The kernel body for this width on this CPU, picked once.
+    kernel: Kernel,
 }
 
 impl std::fmt::Debug for ModulusCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ModulusCtx").field("modulus_bits", &self.n.bit_length()).finish()
+        f.debug_struct("ModulusCtx")
+            .field("modulus_bits", &self.n.bit_length())
+            .field("body", &self.kernel.name)
+            .finish()
     }
 }
 
@@ -148,7 +167,8 @@ impl ModulusCtx {
         unit[0] = 1;
         let r1 = to_fixed_width(&BigUint::one().shl_bits(s * LIMB_BITS).rem(n), s);
         let r2 = to_fixed_width(&BigUint::one().shl_bits(2 * s * LIMB_BITS).rem(n), s);
-        Some(ModulusCtx { n: n.clone(), n_limbs, n0_inv, unit, r1, r2 })
+        let kernel = Kernel::select(s);
+        Some(ModulusCtx { n: n.clone(), n_limbs, n0_inv, unit, r1, r2, kernel })
     }
 
     /// Builds a context for an odd modulus `n > 1`; panics otherwise.
@@ -212,7 +232,7 @@ impl ModulusCtx {
     }
 
     /// Montgomery square `a·a·R⁻¹ mod n`: the same kernel as `mont_mul(a, a)`, and so
-    /// the same limbs and the same cost (512 vs 516 ns at 16 limbs, README), but counted
+    /// the same limbs and the same cost (283 vs 295 ns at 16 limbs, README), but counted
     /// apart (`bigint.mont_sqr`) because the squarings of the exponentiation ladders
     /// dominate their cost.
     pub fn mont_sqr(&self, a: &MontElem) -> MontElem {
@@ -246,18 +266,10 @@ impl ModulusCtx {
     }
 
     /// The one Montgomery multiplication kernel, uncounted: `out = a·b·R⁻¹ mod n` for
-    /// `s`-limb operands `a, b < n`. The widths the workspace runs get their own
-    /// exact-width instance of [`cios`] (see the module doc); every other width runs the
-    /// same body at runtime width.
+    /// `s`-limb operands `a, b < n`, on the body [`ModulusCtx::try_new`] picked for this
+    /// width (see the module doc).
     fn kernel(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
-        let (n, n0) = (&self.n_limbs[..], self.n0_inv);
-        match n.len() {
-            4 => cios_fixed::<4>(out, a, b, n, n0),
-            8 => cios_fixed::<8>(out, a, b, n, n0),
-            16 => cios_fixed::<16>(out, a, b, n, n0),
-            32 => cios_fixed::<32>(out, a, b, n, n0),
-            _ => cios(out, a, b, n, n0),
-        }
+        (self.kernel.run)(out, a, b, &self.n_limbs, self.n0_inv);
     }
 
     /// Montgomery-domain exponentiation by left-to-right sliding window: the
@@ -537,14 +549,84 @@ fn to_fixed_width(v: &BigUint, width: usize) -> Vec<u64> {
     out
 }
 
+/// The signature every kernel body shares: `out = a·b·R⁻¹ mod n` for `s`-limb operands
+/// `a, b < n`, with `n0 = -n⁻¹ mod 2⁶⁴`.
+type KernelFn = fn(&mut [u64], &[u64], &[u64], &[u64], u64);
+
+/// The kernel body a [`ModulusCtx`] runs, picked once per modulus (module doc, §"One
+/// kernel").
+#[derive(Clone, Copy)]
+struct Kernel {
+    /// `"adx"` or `"portable"`, as [`ModulusCtx`]'s `Debug` prints it.
+    name: &'static str,
+    run: KernelFn,
+}
+
+/// The ADX body ([`cios_adx`]) at `s` limbs, if this CPU has BMI2 and ADX and `s` is
+/// a width where that body runs faster than the portable one: 8, 16 and 32 limbs
+/// (module doc, §"One kernel").
+#[cfg(target_arch = "x86_64")]
+fn adx_body(s: usize) -> Option<KernelFn> {
+    if !(std::arch::is_x86_feature_detected!("bmi2") && std::arch::is_x86_feature_detected!("adx"))
+    {
+        return None;
+    }
+    /// [`cios_adx`] behind the safe kernel signature. Only `adx_body` names it, after
+    /// its CPU check.
+    fn adx<const S: usize>(out: &mut [u64], a: &[u64], b: &[u64], n: &[u64], n0: u64) {
+        let (out, a, b, n) = exact_width::<S>(out, a, b, n);
+        // SAFETY: `adx_body` hands out this function only after it found BMI2 and ADX
+        // on this CPU.
+        unsafe { cios_adx(out, a, b, n, n0) }
+    }
+    match s {
+        8 => Some(adx::<8>),
+        16 => Some(adx::<16>),
+        32 => Some(adx::<32>),
+        _ => None,
+    }
+}
+
+impl Kernel {
+    /// The body for an `s`-limb modulus on this CPU: the ADX body where [`adx_body`]
+    /// has one, the exact-width instance of [`cios`] at 4, 8, 16 and 32 limbs
+    /// otherwise, and the runtime-width [`cios`] at every other width.
+    fn select(s: usize) -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(run) = adx_body(s) {
+            return Kernel { name: "adx", run };
+        }
+        let run: KernelFn = match s {
+            4 => cios_fixed::<4>,
+            8 => cios_fixed::<8>,
+            16 => cios_fixed::<16>,
+            32 => cios_fixed::<32>,
+            _ => cios,
+        };
+        Kernel { name: "portable", run }
+    }
+}
+
+/// The kernel's slices as arrays of the exact width `S`.
+fn exact_width<'a, const S: usize>(
+    out: &'a mut [u64],
+    a: &'a [u64],
+    b: &'a [u64],
+    n: &'a [u64],
+) -> (&'a mut [u64; S], &'a [u64; S], &'a [u64; S], &'a [u64; S]) {
+    (
+        out.try_into().expect("output has the modulus width"),
+        a.try_into().expect("operand has the modulus width"),
+        b.try_into().expect("operand has the modulus width"),
+        n.try_into().expect("modulus has its own width"),
+    )
+}
+
 /// [`cios`] compiled at the exact width `S`: with every slice length a constant, the
 /// compiler unrolls the inner loop, keeps the carries in registers and drops every bounds
 /// check. Same body, same result limbs as the runtime-width instance.
 fn cios_fixed<const S: usize>(out: &mut [u64], a: &[u64], b: &[u64], n: &[u64], n0: u64) {
-    let out: &mut [u64; S] = out.try_into().expect("output has the modulus width");
-    let a: &[u64; S] = a.try_into().expect("operand has the modulus width");
-    let b: &[u64; S] = b.try_into().expect("operand has the modulus width");
-    let n: &[u64; S] = n.try_into().expect("modulus has its own width");
+    let (out, a, b, n) = exact_width::<S>(out, a, b, n);
     cios(out, a, b, n, n0);
 }
 
@@ -557,6 +639,7 @@ fn cios_fixed<const S: usize>(out: &mut [u64], a: &[u64], b: &[u64], n: &[u64], 
 /// stores the sum one word down: the shift by `2⁶⁴`. The accumulator stays below `2n`,
 /// its `s`+1st word (`top`) is at most 1, and one conditional subtraction canonicalises
 /// the result. Integer arithmetic is exact, so the limbs do not depend on the instance.
+/// It is also the reference the ADX body ([`cios_adx`]) is tested against.
 #[inline(always)]
 fn cios(t: &mut [u64], a: &[u64], b: &[u64], n: &[u64], n0: u64) {
     let s = n.len();
@@ -583,7 +666,13 @@ fn cios(t: &mut [u64], a: &[u64], b: &[u64], n: &[u64], n0: u64) {
         t[s - 1] = v as u64;
         top = ((u >> 64) + (v >> 64)) as u64;
     }
-    // t + top·R < 2n: subtract n once if t ≥ n.
+    subtract_once(t, top, n);
+}
+
+/// The final step of both kernel bodies: `t + top·R < 2n`, so subtracting `n` once if
+/// `t + top·R ≥ n` leaves the canonical residue.
+#[inline(always)]
+fn subtract_once(t: &mut [u64], top: u64, n: &[u64]) {
     let needs_sub = top != 0 || t.iter().rev().cmp(n.iter().rev()) != std::cmp::Ordering::Less;
     if needs_sub {
         let mut borrow = false;
@@ -595,6 +684,120 @@ fn cios(t: &mut [u64], a: &[u64], b: &[u64], n: &[u64], n0: u64) {
         }
         debug_assert_eq!(u64::from(borrow), top);
     }
+}
+
+/// The CIOS kernel on BMI2/ADX at the exact width `S ≥ 2` (Ozturk et al., *New
+/// instructions supporting large integer arithmetic on Intel architecture processors*,
+/// Intel 2012): the same rows as [`cios`], the same result limbs.
+///
+/// One `asm!` loop runs a row per word `a_i`, each row two passes over `j`. The first
+/// adds `a_i·b` into the accumulator; the second adds `m·n`, `m = t_0·n' mod 2⁶⁴`, and
+/// stores each word one place down. Every product is one `mulx`, which sets no flags, so
+/// its low half is added on the `adcx` (carry flag) chain into word `j` and its high
+/// half on the `adox` (overflow flag) chain into word `j + 1`: two carry chains in
+/// flight where the portable body serialises one. The sum's words `s` (`top`) and
+/// `s + 1` (`t1`, the carries out of word `s`) stay in registers. After every row the
+/// accumulator is below `2n`, so `top` is at most 1, as in [`cios`].
+///
+/// # Safety
+/// The CPU must support BMI2 (`mulx`) and ADX (`adcx`, `adox`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "bmi2,adx")]
+unsafe fn cios_adx<const S: usize>(
+    t: &mut [u64; S],
+    a: &[u64; S],
+    b: &[u64; S],
+    n: &[u64; S],
+    n0: u64,
+) {
+    const { assert!(S >= 2, "the ADX body needs at least two limbs") };
+    t.fill(0);
+    let top: u64;
+    // SAFETY: the caller guarantees BMI2 and ADX. Every memory operand is `a`, `b`, `n`
+    // or `t` at byte offset 8·j for j < S, inside the four arrays; `t` is borrowed
+    // mutably, so nothing else reads or writes it meanwhile.
+    unsafe {
+        std::arch::asm!(
+            "xor {top:e}, {top:e}",
+            // One row per word a_i, a real loop: unrolled, the rows would outgrow the
+            // instruction cache at 32 limbs.
+            "2:",
+            "mov rdx, qword ptr [{a}]",
+            "lea {a}, [{a} + 8]",
+            // Pass 1: t + top·R + t1·R·2⁶⁴ = t + top·R + a_i·b. The xor clears CF and
+            // OF.
+            "xor {lo:e}, {lo:e}",
+            "mulx {hi}, {lo}, qword ptr [{b}]",
+            "mov {t0}, qword ptr [{t}]",
+            "adcx {t0}, {lo}",
+            "mov {acc}, qword ptr [{t} + 8]",
+            "adox {acc}, {hi}",
+            ".set .Lj, 1",
+            ".rept {inner}",
+            "mulx {hi}, {lo}, qword ptr [{b} + 8*.Lj]",
+            "adcx {acc}, {lo}",
+            "mov qword ptr [{t} + 8*.Lj], {acc}",
+            "mov {acc}, qword ptr [{t} + 8*.Lj + 8]",
+            "adox {acc}, {hi}",
+            ".set .Lj, .Lj + 1",
+            ".endr",
+            "mulx {hi}, {lo}, qword ptr [{b} + {last}]",
+            "adcx {acc}, {lo}",
+            "mov qword ptr [{t} + {last}], {acc}",
+            "mov {lo}, 0",
+            "adox {top}, {hi}",
+            "adcx {top}, {lo}",
+            "mov {t1}, 0",
+            "adcx {t1}, {lo}",
+            "adox {t1}, {lo}",
+            // Pass 2: t = (t + top·R + t1·R·2⁶⁴ + m·n) / 2⁶⁴, the low word being zero.
+            "mov rdx, {t0}",
+            "imul rdx, {n0}",
+            "xor {lo:e}, {lo:e}", // clears the flags imul set
+            "mulx {hi}, {lo}, qword ptr [{n}]",
+            "adcx {t0}, {lo}",
+            "mov {acc}, qword ptr [{t} + 8]",
+            "adox {acc}, {hi}",
+            ".set .Lj, 1",
+            ".rept {inner}",
+            "mulx {hi}, {lo}, qword ptr [{n} + 8*.Lj]",
+            "adcx {acc}, {lo}",
+            "mov qword ptr [{t} + 8*.Lj - 8], {acc}",
+            "mov {acc}, qword ptr [{t} + 8*.Lj + 8]",
+            "adox {acc}, {hi}",
+            ".set .Lj, .Lj + 1",
+            ".endr",
+            "mulx {hi}, {lo}, qword ptr [{n} + {last}]",
+            "adcx {acc}, {lo}",
+            "mov qword ptr [{t} + {last} - 8], {acc}",
+            "mov {lo}, 0",
+            "adox {top}, {hi}",
+            "adcx {top}, {lo}",
+            "mov qword ptr [{t} + {last}], {top}",
+            "adcx {t1}, {lo}",
+            "adox {t1}, {lo}",
+            "mov {top}, {t1}",
+            "dec {rows}",
+            "jnz 2b",
+            inner = const S - 2,
+            last = const 8 * (S - 1),
+            a = inout(reg) a.as_ptr() => _,
+            rows = inout(reg) S => _,
+            t = in(reg) t.as_mut_ptr(),
+            b = in(reg) b.as_ptr(),
+            n = in(reg) n.as_ptr(),
+            n0 = in(reg) n0,
+            top = out(reg) top,
+            out("rdx") _,
+            hi = out(reg) _,
+            lo = out(reg) _,
+            acc = out(reg) _,
+            t0 = out(reg) _,
+            t1 = out(reg) _,
+            options(nostack),
+        );
+    }
+    subtract_once(t, top, n);
 }
 
 #[cfg(test)]
@@ -719,6 +922,89 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn selected_body_matches_portable_cios_at_the_adx_widths() {
+        // At every width the ADX body serves, the body `Kernel::select` picks must give
+        // the limbs of `cios`, the portable reference, for products and squarings (both
+        // operands the same slice) of the edge operands 0, 1, n − 1 and R mod n and of
+        // random ones, over moduli with top limb 1, all ones and random, and R − 1.
+        let mut rng = StdRng::seed_from_u64(31);
+        for s in [8usize, 16, 32] {
+            let kernel = Kernel::select(s);
+            #[cfg(target_arch = "x86_64")]
+            assert_eq!(kernel.name == "adx", adx_body(s).is_some(), "s={s}");
+            if kernel.name != "adx" {
+                println!("s={s}: no BMI2/ADX on this host, compared the portable body with cios");
+            }
+            let r = BigUint::one().shl_bits(s * LIMB_BITS);
+            // With n = R − 1 (n' = 1), a = 2⁶⁴ − 1 and b's limbs all c but the top one
+            // c + δ, the reduction pass's sum at word s is all ones with a carry coming
+            // in, so its carry into the word above is exercised.
+            let carry_words = [0xdc1b_77ae_0bf3_4dad, rng.next_u64(), rng.next_u64()];
+            let carry_operands = carry_words.into_iter().flat_map(|c| {
+                (1..=2).map(move |delta| {
+                    let mut limbs = vec![c; s];
+                    limbs[s - 1] = c.wrapping_add(delta);
+                    BigUint::from_limbs(limbs)
+                })
+            });
+            let carry_operands: Vec<BigUint> =
+                [n(u64::MAX)].into_iter().chain(carry_operands).collect();
+            let mut moduli: Vec<Vec<u64>> = [1, u64::MAX, rng.next_u64() | 1]
+                .map(|top| {
+                    let mut limbs: Vec<u64> = (0..s).map(|_| rng.next_u64()).collect();
+                    limbs[0] |= 1;
+                    limbs[s - 1] = top;
+                    limbs
+                })
+                .into();
+            moduli.push(vec![u64::MAX; s]);
+            for m in moduli {
+                let (modulus, top) = (BigUint::from_limbs(m.clone()), m[s - 1]);
+                let n0 = inv_mod_word(m[0]).wrapping_neg();
+                let edges = [
+                    BigUint::zero(),
+                    BigUint::one(),
+                    modulus.sub(&BigUint::one()),
+                    r.rem(&modulus),
+                ];
+                let randoms: Vec<BigUint> =
+                    (0..60).map(|_| BigUint::random_below(&mut rng, &modulus)).collect();
+                let operands: Vec<Vec<u64>> = edges
+                    .into_iter()
+                    .chain(randoms)
+                    .chain(carry_operands.iter().filter(|v| *v < &modulus).cloned())
+                    .map(|v| to_fixed_width(&v, s))
+                    .collect();
+                let (mut got, mut want) = (vec![0u64; s], vec![0u64; s]);
+                for a in &operands {
+                    for b in &operands {
+                        (kernel.run)(&mut got, a, b, &m, n0);
+                        cios(&mut want, a, b, &m, n0);
+                        assert_eq!(got, want, "s={s} top={top:#x} {} body", kernel.name);
+                    }
+                    (kernel.run)(&mut got, a, a, &m, n0);
+                    cios(&mut want, a, a, &m, n0);
+                    assert_eq!(got, want, "s={s} top={top:#x} {} body, squaring", kernel.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn debug_names_the_body_of_each_width() {
+        // The ADX body serves 8, 16 and 32 limbs where the CPU has it; 4 limbs keeps its
+        // exact-width portable instance, other widths the runtime-width one.
+        for s in [1usize, 4, 8, 12, 16, 32] {
+            let ctx = ModulusCtx::new(&BigUint::one().shl_bits(s * LIMB_BITS).sub(&n(1)));
+            let body = Kernel::select(s).name;
+            if ![8, 16, 32].contains(&s) {
+                assert_eq!(body, "portable", "s={s}");
+            }
+            assert!(format!("{ctx:?}").contains(&format!("body: \"{body}\"")), "{ctx:?}");
         }
     }
 

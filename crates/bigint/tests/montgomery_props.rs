@@ -10,6 +10,9 @@
 //! The fixed-base comb (`ModulusCtx::pow_fixed_base` over a `FixedBaseTable`) must
 //! agree with `mod_pow` likewise, at every exponent length up to its table's.
 //!
+//! Random moduli of exactly 8, 16 and 32 limbs drive the `mulx`/`adcx`/`adox` body of
+//! the kernel where the CPU has BMI2 and ADX (the portable one elsewhere).
+//!
 //! Deterministic cases then drive the kernel at every exact-width instance (4, 8, 16
 //! and 32 limbs) and at runtime widths (1, 12 and 48 limbs) over adversarial moduli and
 //! kernel operands, hitting both outcomes of its final conditional subtraction, and the
@@ -149,6 +152,30 @@ proptest! {
         let m = ctx.to_mont(&v);
         prop_assert_eq!(ctx.mont_sqr(&m), ctx.mont_mul(&m, &m));
         prop_assert_eq!(ctx.sqr(&v), uldp_bigint::modular::mod_mul(&v.rem(&n), &v.rem(&n), &n));
+    }
+
+    #[test]
+    fn adx_widths_match_schoolbook_product(
+        width in 0usize..3,
+        mod_limbs in prop::collection::vec(any::<u64>(), 32),
+        a_limbs in prop::collection::vec(any::<u64>(), 1..=32),
+        b_limbs in prop::collection::vec(any::<u64>(), 1..=32),
+    ) {
+        // Random moduli of exactly 8, 16 or 32 limbs, the widths the ADX body serves
+        // where the CPU has BMI2 and ADX (`body: "adx"` in the context's Debug):
+        // products and squarings must equal the schoolbook ones.
+        let s = [8, 16, 32][width];
+        let mut limbs = mod_limbs[..s].to_vec();
+        limbs[s - 1] = limbs[s - 1].max(1);
+        let n = odd_modulus(&limbs);
+        prop_assert_eq!(n.limbs().len(), s);
+        let ctx = ModulusCtx::new(&n);
+        let a = BigUint::from_limbs(a_limbs).rem(&n);
+        let b = BigUint::from_limbs(b_limbs).rem(&n);
+        prop_assert_eq!(ctx.mod_mul(&a, &b), mod_mul(&a, &b, &n));
+        prop_assert_eq!(ctx.sqr(&a), mod_mul(&a, &a, &n));
+        let m = ctx.to_mont(&a);
+        prop_assert_eq!(ctx.mont_sqr(&m), ctx.mont_mul(&m, &m));
     }
 
     #[test]
