@@ -229,6 +229,22 @@ mod tests {
     }
 
     #[test]
+    fn closed_form_bound_is_at_least_the_exact_expansion() {
+        // The accountant uses the exact integer-order expansion; Lemma 4's closed form
+        // must bound it from above at every order the accountant evaluates.
+        let orders = default_orders();
+        for q in [1e-4, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9] {
+            for sigma in [0.5, 1.0, 2.0, 5.0, 10.0] {
+                for &alpha in &orders {
+                    let exact = subsampled_gaussian_rdp(alpha, q, sigma);
+                    let bound = subsampled_gaussian_rdp_upper_bound(alpha, q, sigma);
+                    assert!(bound >= exact, "q={q} sigma={sigma} alpha={alpha}: {bound} < {exact}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn subsampled_rdp_roughly_quadratic_in_q_for_small_q() {
         // The leading term is O(q² α / σ²); halving q should reduce rho by roughly 4x.
         let a = subsampled_gaussian_rdp(8, 0.02, 5.0);

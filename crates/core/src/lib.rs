@@ -18,9 +18,11 @@
 //!   RDP amplification.
 //! * **Protocol 1** — the private weighting protocol combining Paillier encryption and
 //!   multiplicative blinding to compute the enhanced weights without any party learning
-//!   a user's cross-silo record total. Setup agrees Diffie–Hellman pairwise seeds, but no
-//!   message is masked with them yet: the server sums the silos' blinded rows and
-//!   ciphertext cells directly, an ideal secure aggregation (ROADMAP.md, item G).
+//!   a user's cross-silo record total. The [`protocol`] module is split by party (setup,
+//!   server, silos), and each protocol step hands the next party a plain message. Setup
+//!   agrees Diffie–Hellman pairwise seeds, but no message is masked with them yet: the
+//!   server sums the silos' blinded rows and ciphertext cells directly, an ideal secure
+//!   aggregation (ROADMAP.md, item G).
 //!
 //! Entry point: [`trainer::Trainer`]. Configure a run with [`config::FlConfig`], pick a
 //! [`config::Method`], and call [`trainer::Trainer::run`]; the returned

@@ -105,6 +105,11 @@ impl MultiplicativeBlinder {
     pub fn modulus(&self) -> &BigUint {
         &self.modulus
     }
+
+    /// The shared seed `R`, which the silos may also key other streams with.
+    pub fn seed(&self) -> &[u8; 32] {
+        &self.seed
+    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,9 @@
 //! In the setup phase of Protocol 1 every silo generates a DH key pair and publishes the
 //! public key through the aggregation server. Each pair of silos then derives a shared
 //! secret, from which the pair's mask seed is expanded. The shared random seed `R` of the
-//! multiplicative blinding is not derived from them: silo 0 draws it and sends it over
-//! the pairwise channels. A silo's secret exponent also keys its private output seed.
+//! multiplicative blinding is not derived from them: Protocol 1's setup draws it from the
+//! caller's RNG and gives it to the silos alone. A silo's secret exponent also keys its
+//! private output seed.
 //!
 //! **Secret widths.** The RFC 3526 groups draw secrets of a fixed width with the top bit
 //! set: 256 bits in the 2048-bit group 14 and 320 bits in the 3072-bit group 15, within
