@@ -14,19 +14,15 @@
 //!   (ULDP-NAIVE, ULDP-AVG/SGD with optional user-level sub-sampling, ULDP-GROUP-k), used
 //!   by the trainer to report the accumulated ε after every round (the right-hand plots of
 //!   Figures 4–7).
-//! * [`calibration`] — binary-search calibration of the noise multiplier σ for a target
-//!   (ε, δ) budget.
 //!
 //! All bounds are computed over a grid of integer Rényi orders and minimised numerically,
 //! mirroring the procedure used in the paper's reference implementation.
 
 pub mod accountant;
-pub mod calibration;
 pub mod conversion;
 pub mod rdp;
 
 pub use accountant::{membership_advantage_bound, Accountant, AlgorithmPrivacy};
-pub use calibration::{calibrate_sigma, calibrate_sigma_subsampled};
 pub use conversion::{dp_to_group_dp, group_epsilon_via_normal_dp, group_rdp, rdp_to_dp};
 pub use rdp::{
     compose, default_orders, gaussian_rdp, subsampled_gaussian_rdp,

@@ -1,8 +1,8 @@
 //! Figure 4: privacy-utility trade-offs on the Creditcard dataset.
 //!
 //! Four panels: |U| ∈ {100, 1000} × {uniform, zipf} allocation, |S| = 5, σ = 5, δ = 1e-5.
-//! For every method the final test accuracy and accumulated ULDP ε are reported, plus the
-//! per-evaluation-point trajectory as CSV.
+//! For every method the final test accuracy, final test loss and accumulated ULDP ε are
+//! reported.
 //!
 //! ```bash
 //! cargo run --release -p uldp-bench --bin fig4_creditcard

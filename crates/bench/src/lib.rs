@@ -3,7 +3,7 @@
 //! Figure-regeneration harness for the Uldp-FL reproduction.
 //!
 //! Every figure of the paper's evaluation section has a dedicated binary in `src/bin/`
-//! that regenerates the corresponding series and prints them as aligned tables / CSV:
+//! that regenerates the corresponding series and prints them as aligned tables:
 //!
 //! | binary | paper figure | content |
 //! |--------|--------------|---------|

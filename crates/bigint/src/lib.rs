@@ -7,7 +7,7 @@
 //! The crate provides:
 //!
 //! * [`BigUint`] — an unsigned, little-endian, 64-bit-limb big integer with the full set of
-//!   ring operations (add, sub, mul with Karatsuba, Knuth-D division, shifts, bit access).
+//!   ring operations (add, sub, schoolbook mul, Knuth-D division, shifts, bit access).
 //! * [`modular`] — modular add/sub/mul/pow/inverse and the Jacobi symbol on [`BigUint`].
 //! * [`montgomery`] — the batched-exponentiation engine: [`montgomery::ModulusCtx`]
 //!   (CIOS Montgomery multiplication with cached per-modulus constants, on a
@@ -23,8 +23,7 @@
 //! * Utility functions [`gcd`], [`lcm`], and [`lcm_up_to`] (the `C_LCM` constant of the
 //!   paper's Protocol 1).
 //!
-//! Multiplication is schoolbook with a Karatsuba path for large operands. Modular
-//! exponentiation has two paths: the plain square-and-multiply [`modular::mod_pow`]
+//! Modular exponentiation has two paths: the plain square-and-multiply [`modular::mod_pow`]
 //! (the reference the engine is verified against) and the Montgomery engine in
 //! [`montgomery`], which every Paillier/Diffie–Hellman call site in `uldp-crypto` uses.
 

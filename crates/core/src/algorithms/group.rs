@@ -11,8 +11,8 @@
 //! ignoring the privacy cost of computing the flags themselves (a stated limitation of
 //! this baseline).
 
-use crate::algorithms::apply_update;
 use crate::algorithms::stream::DeltaAccumulator;
+use crate::algorithms::{apply_update, silo_rng};
 use crate::config::{FlConfig, GroupSize};
 use crate::silo;
 use uldp_datasets::FederatedDataset;
@@ -86,7 +86,8 @@ pub fn run_round(
     let dim = global.len();
     let template = model.clone_model();
     rt.fold_gauge().record(dataset.num_silos * DeltaAccumulator::bytes(dim));
-    let per_silo = rt.par_map_seeded(dataset.num_silos, round_seed, |silo_id, rng| {
+    let per_silo = rt.par_map_range(dataset.num_silos, |silo_id| {
+        let mut rng = silo_rng(round_seed, silo_id);
         let mut scratch = template.clone_model();
         // D'_s: this silo's records that survive the contribution bound.
         let records: Vec<&uldp_ml::Sample> = dataset
@@ -105,7 +106,7 @@ pub fn run_round(
             config.clip_bound,
             config.sigma,
             sampling_rate,
-            rng,
+            &mut rng,
         );
         let mut acc = DeltaAccumulator::new(dim);
         acc.add(&delta);

@@ -46,6 +46,13 @@ pub(crate) fn noise_rng(round_seed: u64, silo: usize) -> StdRng {
     StdRng::seed_from_u64(seeding::index_seed(seeding::mix(round_seed, STREAM_NOISE), silo as u64))
 }
 
+/// The deterministic RNG for one silo's whole round of a silo-level method (DEFAULT,
+/// ULDP-NAIVE, ULDP-GROUP): its local training and then its noise, a pure function of
+/// `(round_seed, silo)`.
+pub(crate) fn silo_rng(round_seed: u64, silo: usize) -> StdRng {
+    StdRng::seed_from_u64(seeding::index_seed(round_seed, silo as u64))
+}
+
 /// The participating `(silo, user)` pairs of a round — users present in a silo whose
 /// weight is non-zero and who are in the round's sampling mask — in flattened
 /// silo-major order: the task list of [`uldp::run_round`], which runs one task per

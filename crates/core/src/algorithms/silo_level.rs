@@ -1,7 +1,8 @@
 //! DEFAULT and ULDP-NAIVE (Algorithm 1): silo-level FedAVG with two-sided learning rates.
 //!
-//! Every silo trains for `Q` epochs of mini-batch SGD on its full local dataset and sends
-//! the model delta; the server averages the deltas and applies the global learning rate.
+//! Every silo trains for `Q` epochs of mini-batch SGD (batches of 32 records) on its full
+//! local dataset and sends the model delta; the server averages the deltas and applies the
+//! global learning rate.
 //!
 //! * **DEFAULT** sends the raw delta. It is the utility upper bound ("DEFAULT" in
 //!   Figures 4–7) and offers no DP guarantee.
@@ -13,12 +14,15 @@
 //!   utility in the figures.
 
 use crate::aggregation::{add_gaussian_noise, sum_deltas};
-use crate::algorithms::apply_update;
+use crate::algorithms::{apply_update, silo_rng};
 use crate::config::{FlConfig, Method};
 use crate::silo;
 use uldp_datasets::FederatedDataset;
 use uldp_ml::{clipping, Model};
 use uldp_runtime::Runtime;
+
+/// Mini-batch size of a silo's local SGD.
+const BATCH_SIZE: usize = 32;
 
 /// Runs one DEFAULT or ULDP-NAIVE round (per `config.method`) on the worker pool,
 /// updating `model` in place. Panics for any other method.
@@ -44,7 +48,8 @@ pub fn run_round(
     let global = model.parameters().to_vec();
     let dim = global.len();
     let template = model.clone_model();
-    let deltas = rt.par_map_seeded(dataset.num_silos, round_seed, |silo_id, rng| {
+    let deltas = rt.par_map_range(dataset.num_silos, |silo_id| {
+        let mut rng = silo_rng(round_seed, silo_id);
         let mut scratch = template.clone_model();
         let records: Vec<&uldp_ml::Sample> =
             dataset.silo_records(silo_id).into_iter().map(|r| &r.sample).collect();
@@ -54,12 +59,12 @@ pub fn run_round(
             &records,
             config.local_epochs,
             config.local_lr,
-            config.batch_size,
-            rng,
+            BATCH_SIZE,
+            &mut rng,
         );
         if let Some(noise_std) = naive_noise_std {
             clipping::clip_to_norm(&mut delta, config.clip_bound);
-            add_gaussian_noise(&mut delta, noise_std, rng);
+            add_gaussian_noise(&mut delta, noise_std, &mut rng);
         }
         delta
     });

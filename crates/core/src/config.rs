@@ -94,8 +94,6 @@ pub struct FlConfig {
     /// Local epochs `Q` per round. ULDP-SGD takes one local gradient step per user, so
     /// [`FlConfig::validate`] rejects any value but 1 with it.
     pub local_epochs: u64,
-    /// Mini-batch size for silo-level training (DEFAULT / NAIVE / GROUP local loops).
-    pub batch_size: usize,
     /// User-level Poisson sub-sampling probability `q` (1.0 disables sub-sampling).
     /// Honoured by ULDP-AVG / ULDP-SGD only; [`FlConfig::validate`] rejects `q < 1` with
     /// the other methods.
@@ -136,7 +134,6 @@ impl Default for FlConfig {
             clip_bound: 1.0,
             rounds: 10,
             local_epochs: 2,
-            batch_size: 32,
             user_sampling: 1.0,
             delta: 1e-5,
             eval_every: 1,
@@ -173,6 +170,16 @@ impl FlConfig {
 
     /// Validates parameter ranges, panicking with a descriptive message when invalid.
     pub fn validate(&self) {
+        // The range checks below hold for ∞, which would train to non-finite parameters or
+        // report ε for a σ the rounds never ran.
+        for (name, v) in [
+            ("local_lr", self.local_lr),
+            ("global_lr", self.global_lr),
+            ("sigma", self.sigma),
+            ("clip_bound", self.clip_bound),
+        ] {
+            assert!(v.is_finite(), "{name} must be finite, got {v}");
+        }
         assert!(self.local_lr > 0.0, "local learning rate must be positive");
         assert!(self.global_lr > 0.0, "global learning rate must be positive");
         assert!(self.sigma >= 0.0, "noise multiplier must be non-negative");
@@ -184,7 +191,6 @@ impl FlConfig {
             "ULDP-SGD takes one local gradient step per round, so local_epochs must be 1, got {}",
             self.local_epochs
         );
-        assert!(self.batch_size > 0, "batch size must be positive");
         assert!(
             self.user_sampling > 0.0 && self.user_sampling <= 1.0,
             "user sampling probability must be in (0, 1]"
@@ -284,6 +290,22 @@ mod tests {
     fn invalid_clip_rejected() {
         let cfg = FlConfig { clip_bound: 0.0, ..Default::default() };
         cfg.validate();
+    }
+
+    #[test]
+    fn non_finite_values_rejected() {
+        for value in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            for (name, cfg) in [
+                ("local_lr", FlConfig { local_lr: value, ..Default::default() }),
+                ("global_lr", FlConfig { global_lr: value, ..Default::default() }),
+                ("sigma", FlConfig { sigma: value, ..Default::default() }),
+                ("clip_bound", FlConfig { clip_bound: value, ..Default::default() }),
+            ] {
+                let err = std::panic::catch_unwind(|| cfg.validate()).expect_err(name);
+                let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+                assert_eq!(msg, format!("{name} must be finite, got {value}"));
+            }
+        }
     }
 
     #[test]

@@ -70,10 +70,13 @@ impl Server {
         batch_seed: WideSeed,
     ) -> Vec<Offer> {
         let zero = BigUint::zero();
-        rt.par_map_wide_seeded(self.blinded_inverses.len(), batch_seed, |u, rng| Offer {
-            real: self.secret.encrypt(rng, self.blinded_inverses[u].as_ref().unwrap_or(&zero)),
-            dummy: self.secret.encrypt(rng, &zero),
-            rotation: rng.gen_range(0..ot.denominator),
+        rt.par_map(&self.blinded_inverses, |u, inverse| {
+            let mut rng = StdRng::from_seed(seeding::index_seed_wide(batch_seed, u as u64));
+            Offer {
+                real: self.secret.encrypt(&mut rng, inverse.as_ref().unwrap_or(&zero)),
+                dummy: self.secret.encrypt(&mut rng, &zero),
+                rotation: rng.gen_range(0..ot.denominator),
+            }
         })
     }
 

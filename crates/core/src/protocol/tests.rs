@@ -555,6 +555,31 @@ fn mask_round_sends_the_public_encryption_of_each_users_stream() {
 }
 
 #[test]
+fn oblivious_offers_follow_each_users_stream() {
+    // The oblivious twin of the test above: every user's offer is drawn from the user's
+    // `(batch seed, u)` stream, in order the public encryption of `B_inv(N_u)` (`Enc(0)`
+    // for user 11, who holds no records), then of 0, then the rotation. Aggregates only
+    // see the realised selection, so only this pins the draw order.
+    let histogram = wide_histogram();
+    let mut rng = StdRng::seed_from_u64(73);
+    let protocol = PrivateWeightingProtocol::setup(&histogram, &test_config(), &mut rng);
+    let server = &protocol.server;
+    let ot = ObliviousSubsampling::new(1, 4);
+    let batch_seed = seeding::wide_seed_from_rng(&mut rng);
+    let offers = server.offer_inverses(protocol.runtime(), ot, batch_seed);
+    assert_eq!(offers.len(), 13);
+    assert!(server.blinded_inverses[11].is_none(), "user 11 holds no records");
+    let key = &server.public.key;
+    for (u, offer) in offers.iter().enumerate() {
+        let mut user_rng = StdRng::from_seed(seeding::index_seed_wide(batch_seed, u as u64));
+        let inverse = server.blinded_inverses[u].clone().unwrap_or_default();
+        assert_eq!(offer.real, key.encrypt(&mut user_rng, &inverse), "user {u}");
+        assert_eq!(offer.dummy, key.encrypt(&mut user_rng, &BigUint::zero()), "user {u}");
+        assert_eq!(offer.rotation, user_rng.gen_range(0..ot.denominator), "user {u}");
+    }
+}
+
+#[test]
 #[should_panic(expected = "mask over another population")]
 fn mask_over_another_population_is_rejected() {
     // A 10-user mask on the 13-user federation would silently leave users 10–12 out.

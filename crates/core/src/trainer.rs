@@ -69,23 +69,6 @@ impl TrainingHistory {
     pub fn final_epsilon(&self) -> f64 {
         self.rounds.last().map(|r| r.epsilon).unwrap_or(0.0)
     }
-
-    /// Renders the history as CSV rows (`round,accuracy,loss,c_index,epsilon`), the format
-    /// consumed by the figure-regeneration binaries.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("round,accuracy,loss,c_index,epsilon\n");
-        for r in &self.rounds {
-            out.push_str(&format!(
-                "{},{},{},{},{}\n",
-                r.round,
-                r.test_accuracy.map(|v| v.to_string()).unwrap_or_default(),
-                r.test_loss.map(|v| v.to_string()).unwrap_or_default(),
-                r.c_index.map(|v| v.to_string()).unwrap_or_default(),
-                r.epsilon
-            ));
-        }
-        out
-    }
 }
 
 /// Orchestrates a full federated training run for one method on one dataset.
@@ -352,16 +335,6 @@ mod tests {
         assert_eq!(history.rounds.len(), 2);
         assert_eq!(history.rounds[0].round, 2);
         assert_eq!(history.rounds[1].round, 4);
-    }
-
-    #[test]
-    fn csv_export_has_header_and_rows() {
-        let dataset = tiny_federation(2, 6, 40);
-        let mut trainer = Trainer::new(quick_config(Method::Default), dataset, tiny_model());
-        let history = trainer.run();
-        let csv = history.to_csv();
-        assert!(csv.starts_with("round,accuracy,loss,c_index,epsilon\n"));
-        assert_eq!(csv.lines().count(), 1 + history.rounds.len());
     }
 
     #[test]

@@ -25,27 +25,23 @@
 //! * [`metrics`] — accuracy, average loss, and the concordance index (C-index) reported
 //!   for TcgaBrca.
 
-pub mod binary_metrics;
 pub mod clipping;
 pub mod cox;
 pub mod linear;
 pub mod metrics;
 pub mod mlp;
 pub mod model;
-pub mod momentum;
 pub mod optimizer;
 pub mod rng;
 pub mod sample;
 pub mod tensor;
 
-pub use binary_metrics::{confusion_counts, roc_auc, ConfusionCounts};
 pub use clipping::{clip_to_norm, clipped, l2_norm};
 pub use cox::CoxRegression;
 pub use linear::LinearClassifier;
 pub use metrics::{accuracy, average_loss, concordance_index};
 pub use mlp::MlpClassifier;
 pub use model::{Model, ModelKind};
-pub use momentum::MomentumSgd;
 pub use optimizer::Sgd;
 pub use rng::{gaussian, gaussian_vector};
 pub use sample::{Sample, Target};

@@ -5,16 +5,14 @@
 //! Every compute-heavy layer of the reproduction — the per-round training loops in
 //! `uldp-core`, the Paillier hot path of Protocol 1, and batched decryption in
 //! `uldp-crypto` — runs on one persistent worker pool instead of spawning ad-hoc OS
-//! threads per call site. The pool exposes three primitives, all of which produce results
+//! threads per call site. The pool exposes two primitives, both of which produce results
 //! that are **bitwise-identical at any thread count**:
 //!
 //! * [`Runtime::par_map`] / [`Runtime::par_map_range`] — chunked, order-preserving
-//!   parallel map over a slice / index range.
-//! * [`Runtime::par_map_seeded`] — like `par_map_range`, but every index additionally
-//!   receives its own `StdRng` derived from `splitmix64(seed ^ hash(index))`
-//!   ([`seeding::index_seed`]), so randomised work is a pure function of `(seed, index)`.
-//!   [`Runtime::par_map_wide_seeded`] is the 256-bit-seed variant for security-relevant
-//!   randomness (encryption randomizers), preserving the source RNG's full entropy.
+//!   parallel map over a slice / index range. Randomised work derives each index's RNG
+//!   from a base seed and the index ([`seeding::index_seed`], or
+//!   [`seeding::index_seed_wide`] for encryption randomness), so it is a pure function
+//!   of `(seed, index)`.
 //! * [`Runtime::par_fold_ranges`] — a streaming fold over caller-given index spans: each
 //!   span folds its indices into one accumulator in index order (no per-task value is
 //!   ever materialised), and the span partials come back in span order. Callers (the
@@ -43,8 +41,6 @@ pub mod seeding;
 mod pool;
 
 use pool::Pool;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Name of the environment variable that overrides the global pool size.
@@ -195,41 +191,6 @@ impl Runtime {
         self.par_map_range(items.len(), |i| f(i, &items[i]))
     }
 
-    /// Order-preserving parallel map over `0..n` where index `i` receives a fresh
-    /// `StdRng` seeded with [`seeding::index_seed`]`(seed, i)`.
-    ///
-    /// Because the RNG is a pure function of `(seed, index)`, the output is
-    /// bitwise-identical at any thread count — the deterministic replacement for handing a
-    /// shared RNG to a parallel loop.
-    pub fn par_map_seeded<U, F>(&self, n: usize, seed: u64, f: F) -> Vec<U>
-    where
-        U: Send,
-        F: Fn(usize, &mut StdRng) -> U + Sync,
-    {
-        self.par_map_range(n, |i| {
-            let mut rng = StdRng::seed_from_u64(seeding::index_seed(seed, i as u64));
-            f(i, &mut rng)
-        })
-    }
-
-    /// Like [`Runtime::par_map_seeded`], but with a 256-bit base seed: index `i` receives
-    /// a fresh `StdRng` built with `StdRng::from_seed` from
-    /// [`seeding::index_seed_wide`]`(seed, i)`.
-    ///
-    /// Use this where the RNG feeds security-relevant randomness (e.g. encryption
-    /// randomizers): the derivation preserves the base seed's full 256 bits of entropy,
-    /// while remaining bitwise-identical at any thread count.
-    pub fn par_map_wide_seeded<U, F>(&self, n: usize, seed: seeding::WideSeed, f: F) -> Vec<U>
-    where
-        U: Send,
-        F: Fn(usize, &mut StdRng) -> U + Sync,
-    {
-        self.par_map_range(n, |i| {
-            let mut rng = StdRng::from_seed(seeding::index_seed_wide(seed, i as u64));
-            f(i, &mut rng)
-        })
-    }
-
     /// Streaming fold over caller-provided index spans: each span folds its indices, in
     /// order, into one fresh accumulator, and the per-span partials are returned in span
     /// order. Spans run as independent pooled tasks.
@@ -373,7 +334,6 @@ fn chunk_ranges(n: usize, max_chunks: usize) -> Vec<std::ops::Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn par_map_preserves_order() {
@@ -393,53 +353,6 @@ mod tests {
         let a = seq.par_map_range(33, |i| i as f64 * 0.1);
         let b = par.par_map_range(33, |i| i as f64 * 0.1);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn seeded_map_is_bitwise_identical_across_thread_counts() {
-        let draws = |threads: usize| {
-            Runtime::new(threads).par_map_seeded(64, 99, |i, rng| (i, rng.gen::<u64>()))
-        };
-        let one = draws(1);
-        assert_eq!(one, draws(2));
-        assert_eq!(one, draws(7));
-        // distinct indices draw from distinct streams
-        assert_ne!(one[0].1, one[1].1);
-    }
-
-    #[test]
-    fn seeded_map_is_ordered_and_seed_sensitive() {
-        let rt = Runtime::new(3);
-        let f = |i: usize, rng: &mut StdRng| vec![i as f64, rng.gen::<f64>()];
-        let a = rt.par_map_seeded(4, 7, f);
-        assert_eq!(a, rt.par_map_seeded(4, 7, f));
-        for (i, v) in a.iter().enumerate() {
-            assert_eq!(v[0], i as f64);
-        }
-        // a different base seed gives different randomness
-        assert_ne!(a, rt.par_map_seeded(4, 8, f));
-    }
-
-    #[test]
-    fn seeded_map_single_item() {
-        let out = Runtime::new(2).par_map_seeded(1, 0, |_, _| vec![42.0]);
-        assert_eq!(out, vec![vec![42.0]]);
-    }
-
-    #[test]
-    fn wide_seeded_map_is_bitwise_identical_across_thread_counts() {
-        let seed: seeding::WideSeed = [3, 1, 4, 1];
-        let draws = |threads: usize| {
-            Runtime::new(threads).par_map_wide_seeded(32, seed, |i, rng| (i, rng.gen::<u64>()))
-        };
-        let one = draws(1);
-        assert_eq!(one, draws(2));
-        assert_eq!(one, draws(5));
-        assert_ne!(one[0].1, one[1].1);
-        // a different base seed changes every stream
-        let other =
-            Runtime::new(1).par_map_wide_seeded(32, [3, 1, 4, 2], |_, rng| rng.gen::<u64>());
-        assert_ne!(one[0].1, other[0]);
     }
 
     #[test]

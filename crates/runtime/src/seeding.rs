@@ -27,8 +27,8 @@ pub fn mix(seed: u64, tag: u64) -> u64 {
 /// The seed for task `index` of a parallel region seeded with `seed`:
 /// `splitmix64(seed ^ hash(index))`.
 ///
-/// [`crate::Runtime::par_map_seeded`] feeds this to `StdRng::seed_from_u64`, which makes
-/// every index's RNG bitwise-identical at any thread count.
+/// Callers feed this to `StdRng::seed_from_u64`, which makes every index's RNG
+/// bitwise-identical at any thread count.
 #[inline]
 pub fn index_seed(seed: u64, index: u64) -> u64 {
     splitmix64(seed ^ splitmix64(index.wrapping_mul(0xD1B5_4A32_D192_ED03)))
@@ -36,9 +36,9 @@ pub fn index_seed(seed: u64, index: u64) -> u64 {
 
 /// A 256-bit base seed for a parallel region, as four words drawn from the caller's RNG.
 ///
-/// A [`WideSeed`] region preserves the full entropy of its source RNG, unlike the
-/// `u64`-seeded primitives, which cap a region at 64 bits — fine for simulation noise,
-/// not for encryption randomness.
+/// A [`WideSeed`] region preserves the full entropy of its source RNG, unlike a `u64`
+/// base seed ([`index_seed`]), which caps a region at 64 bits — fine for simulation
+/// noise, not for encryption randomness.
 pub type WideSeed = [u64; 4];
 
 /// Draws a [`WideSeed`] from `rng` (four sequential words).
@@ -51,8 +51,8 @@ pub fn wide_seed_from_rng<R: rand::Rng + ?Sized>(rng: &mut R) -> WideSeed {
 ///
 /// Each lane is mixed bijectively with a lane-tagged hash of the index, so for a fixed
 /// index the map from `seed` to the derived seed is a bijection on 256 bits (entropy
-/// preserving), and distinct indices yield unrelated seeds.
-/// [`crate::Runtime::par_map_wide_seeded`] feeds this to `StdRng::from_seed`.
+/// preserving), and distinct indices yield unrelated seeds. Callers feed this to
+/// `StdRng::from_seed`.
 #[inline]
 pub fn index_seed_wide(seed: WideSeed, index: u64) -> [u8; 32] {
     let h = splitmix64(index.wrapping_mul(0xD1B5_4A32_D192_ED03));

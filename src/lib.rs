@@ -8,12 +8,12 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`core`] | `uldp-core` | the FL framework: DEFAULT, ULDP-NAIVE, ULDP-GROUP-k, ULDP-AVG/SGD, ULDP-AVG-w, user-level sub-sampling, Protocol 1 |
-//! | [`accounting`] | `uldp-accounting` | RDP accountant, group-privacy conversions, σ calibration |
+//! | [`accounting`] | `uldp-accounting` | RDP accountant, group-privacy conversions |
 //! | [`ml`] | `uldp-ml` | models (linear / MLP / Cox), SGD, clipping, metrics |
 //! | [`datasets`] | `uldp-datasets` | synthetic Creditcard / MNIST / HeartDisease / TcgaBrca + uniform / zipf allocation |
 //! | [`crypto`] | `uldp-crypto` | Paillier, Diffie–Hellman, SHA-256, masking, blinding, fixed-point codec |
 //! | [`bigint`] | `uldp-bigint` | arbitrary-precision integers, modular arithmetic, primes |
-//! | [`runtime`] | `uldp-runtime` | deterministic worker pool: `par_map`, `par_map_seeded`, `par_fold_ranges` |
+//! | [`runtime`] | `uldp-runtime` | deterministic worker pool: `par_map`, `par_fold_ranges`, per-index seed derivation |
 //! | [`telemetry`] | `uldp-telemetry` | spans, counters, histograms, privacy ledger; chrome-trace export (`ULDP_TRACE`) |
 //!
 //! ## Quickstart
